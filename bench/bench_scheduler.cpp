@@ -1,9 +1,9 @@
-// bench_scheduler — join-per-step vs continuation vs lookahead-priority
-// scheduling on the task-parallel hybrid driver.
+// bench_scheduler — lookahead-graded vs plain priority lanes on the
+// task-parallel hybrid driver.
 //
 // Factors a LUQR_TILES x LUQR_TILES tile matrix (default 32x32, nb from
-// LUQR_NB, default 16) with LUQR_THREADS workers (default 8) in both
-// scheduler modes and reports factor time, tasks/second, steal counts, and
+// LUQR_NB, default 16) with LUQR_THREADS workers (default 8) under both
+// lane policies and reports factor time, tasks/second, steal counts, and
 // the decision lookahead depth (how many steps behind the panel task the
 // oldest still-running update is — measured from a traced run, so it is
 // reported separately from the untraced timing runs).
@@ -111,19 +111,12 @@ int main(int argc, char** argv) {
 
   const auto dense = luqr::gen::generate(luqr::gen::MatrixKind::Random, n, 7);
 
-  rt::SchedulerOptions join_opts;
-  join_opts.mode = rt::SubmitMode::JoinPerStep;
-  // Ablation baseline: continuation with the lookahead grading off (L = 0
-  // keeps only the panel/gate lane split; the PR 2 policy — gates and the
-  // k+1-column updates sharing one lane — is not expressible in the graded
-  // mapping, so this compares against the nearest no-lookahead policy).
+  // Ablation baseline: the lookahead grading off (L = 0 keeps only the
+  // panel/gate lane split).
   rt::SchedulerOptions cont_opts;
-  cont_opts.mode = rt::SubmitMode::Continuation;
   cont_opts.lookahead = 0;
   rt::SchedulerOptions look_opts;  // default: lookahead-graded priority lanes
-  look_opts.mode = rt::SubmitMode::Continuation;
 
-  const ModeResult join = run_mode(dense, nb, threads, alpha, samples, join_opts);
   const ModeResult cont = run_mode(dense, nb, threads, alpha, samples, cont_opts);
   const ModeResult look = run_mode(dense, nb, threads, alpha, samples, look_opts);
 
@@ -139,12 +132,9 @@ int main(int argc, char** argv) {
   std::printf("%-16s %10s %12s %10s %10s %8s %8s %10s\n", "mode", "factor(s)",
               "tasks/sec", "tasks", "steals", "critpath", "hi-lane",
               "lookahead");
-  print_mode("join-per-step", join);
   print_mode("continuation", cont);
   print_mode("cont+lookahead", look);
-  std::printf("\ncontinuation speedup over join-per-step: %.3fx\n",
-              join.best_seconds / cont.best_seconds);
-  std::printf("lookahead speedup over continuation:     %.3fx\n",
+  std::printf("\nlookahead speedup over continuation: %.3fx\n",
               cont.best_seconds / look.best_seconds);
 
   bench::JsonReport report("bench_scheduler", argc, argv);
@@ -164,11 +154,8 @@ int main(int argc, char** argv) {
         .metric("lookahead_avg", r.lookahead_avg)
         .metric("lookahead_max", r.lookahead_max);
   };
-  record("join_per_step", join);
   record("continuation", cont);
   record("continuation_lookahead", look);
-  report.row("continuation_speedup")
-      .metric("speedup", join.best_seconds / cont.best_seconds);
   report.row("lookahead_speedup")
       .metric("speedup", cont.best_seconds / look.best_seconds);
   report.write();

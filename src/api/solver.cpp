@@ -32,11 +32,6 @@ core::HybridOptions SolverConfig::hybrid_options() const {
 }
 
 void SolverConfig::validate() const {
-  if (backend_ == Backend::Parallel) {
-    LUQR_REQUIRE(variant_ == core::LuVariant::A1,
-                 "the Parallel backend implements variant A1 (the paper's "
-                 "evaluated variant); use Serial or Auto for A2/B1/B2");
-  }
   if (has_autotune_) {
     LUQR_REQUIRE(external_ == nullptr,
                  "auto-tuning needs a CriterionSpec, not an external "
@@ -91,10 +86,8 @@ Backend Solver::resolve_backend(int n_tiles) const {
     case Backend::Parallel: return Backend::Parallel;
     case Backend::Auto: break;
   }
-  // Auto: the engine only implements A1, and a worker pool pays off only
-  // with real concurrency and enough tiles for the trailing updates to
-  // overlap the panel's critical path.
-  if (config_.variant() != core::LuVariant::A1) return Backend::Serial;
+  // Auto: a worker pool pays off only with real concurrency and enough
+  // tiles for the trailing updates to overlap the panel's critical path.
   if (resolve_threads() < 2 || n_tiles < 4) return Backend::Serial;
   return Backend::Parallel;
 }

@@ -17,9 +17,10 @@
 //   auto x2 = fac.solve(b2);                          // factor once, serve
 //                                                     // many RHS concurrently
 //
-// The Serial and Parallel backends run the same kernels in the same
-// per-tile order, so their factors — and every solve drawn from them — are
-// bitwise identical (a property the test suite asserts).
+// The Serial and Parallel backends run the same step graph (the inline and
+// the engine sink of core/step_graph.hpp), so their factors — and every
+// solve drawn from them — are bitwise identical (a property the test suite
+// asserts).
 #pragma once
 
 #include <memory>
@@ -42,11 +43,10 @@ using core::Precision;
 using core::RefineOptions;
 using core::SolveReport;
 
-/// Execution backend of a Solver. Serial runs the sequential tiled driver;
-/// Parallel runs the dataflow task engine with a worker pool; Auto picks
-/// Parallel when the configuration supports it (variant A1), more than one
-/// hardware thread is available, and the problem has enough tiles to keep
-/// the workers busy.
+/// Execution backend of a Solver. Serial runs the step graph inline on the
+/// calling thread; Parallel runs it on the dataflow task engine with a
+/// worker pool; Auto picks Parallel when more than one hardware thread is
+/// available and the problem has enough tiles to keep the workers busy.
 enum class Backend { Serial, Parallel, Auto };
 
 /// Knobs for the batched small-problem backend (batch::factor_many /
@@ -164,9 +164,8 @@ class SolverConfig {
     track_growth_ = on;
     return *this;
   }
-  /// Scheduling knobs for the Parallel backend: continuation vs
-  /// join-per-step submission, critical-path priorities with a configurable
-  /// lookahead depth, and the per-task timing trace
+  /// Scheduling knobs for the Parallel backend: critical-path priorities
+  /// with a configurable lookahead depth, and the per-task timing trace
   /// (rt::SchedulerOptions::trace_path writes a Chrome-tracing JSON file
   /// after each parallel factorization).
   SolverConfig& scheduler(const rt::SchedulerOptions& s) {
@@ -232,8 +231,8 @@ class SolverConfig {
   /// Project the config back onto the low-level driver options.
   core::HybridOptions hybrid_options() const;
 
-  /// Cross-field validation: the Parallel backend implements variant A1;
-  /// auto-tuning needs a tunable criterion spec.
+  /// Cross-field validation: auto-tuning needs a tunable criterion spec, a
+  /// shared engine cannot trace, reduced precision needs a criterion spec.
   void validate() const;
 
  private:

@@ -1,6 +1,5 @@
 #include "baselines/baselines.hpp"
-#include "core/qr_step.hpp"
-#include "tile/process_grid.hpp"
+#include "core/step_graph.hpp"
 
 namespace luqr::baselines {
 
@@ -8,18 +7,15 @@ core::SolveResult hqr_solve(const Matrix<double>& a, const Matrix<double>& b,
                             int nb, int grid_p, int grid_q,
                             const hqr::TreeConfig& tree) {
   TileMatrix<double> aug = core::make_augmented(a, b, nb);
-  const int n = aug.mt();
-  const ProcessGrid grid(grid_p, grid_q);
+  core::HybridOptions options;
+  options.grid_p = grid_p;
+  options.grid_q = grid_q;
+  options.tree = tree;
 
+  // The hybrid step graph without a criterion: every step is a QR step and
+  // no panel stage runs.
   core::SolveResult result;
-  for (int k = 0; k < n; ++k) {
-    core::apply_qr_step(aug, k, grid.panel_domains(k, n), tree);
-    core::StepRecord rec;
-    rec.k = k;
-    rec.kind = core::StepKind::QR;
-    result.stats.steps.push_back(rec);
-    ++result.stats.qr_steps;
-  }
+  result.stats = core::factor_inline<double>(aug, nullptr, options, nullptr);
   core::back_substitute(aug);
   result.x = core::extract_solution(aug, a.rows(), b.cols());
   return result;

@@ -18,46 +18,6 @@ using kern::Side;
 using kern::Trans;
 using kern::Uplo;
 
-namespace {
-
-// Back-substitution with the factored matrix and the RHS in *separate* tile
-// containers (the augmented-driver version lives in hybrid.cpp); handles
-// the block-triangular diagonal of B-variant steps via the stats.
-template <typename T>
-void solve_triangular(const TileMatrix<T>& a, const FactorizationStatsT<T>& stats,
-                      TileMatrix<T>& b) {
-  const int n = a.mt();
-  for (int k = n - 1; k >= 0; --k) {
-    const auto diag = a.tile(k, k);
-    const StepRecordT<T>* rec = nullptr;
-    if (k < static_cast<int>(stats.steps.size()) &&
-        stats.steps[static_cast<std::size_t>(k)].kind == StepKind::LU) {
-      rec = &stats.steps[static_cast<std::size_t>(k)];
-    }
-    const bool b1 = rec && rec->variant == LuVariant::B1;
-    const bool b2 = rec && rec->variant == LuVariant::B2;
-    for (int col = 0; col < b.nt(); ++col) {
-      auto bk = b.tile(k, col);
-      for (int j = k + 1; j < n; ++j)
-        kern::gemm(Trans::No, Trans::No, T(-1),
-                   ConstMatrixView<T>(a.tile(k, j)),
-                   ConstMatrixView<T>(b.tile(j, col)), T(1), bk);
-      if (b1) {
-        kern::laswp(bk, rec->diag_piv, /*forward=*/true);
-        kern::trsm(Side::Left, Uplo::Lower, Trans::No, Diag::Unit, T(1),
-                   ConstMatrixView<T>(diag), bk);
-      } else if (b2) {
-        kern::unmqr(Trans::Yes, ConstMatrixView<T>(diag),
-                    rec->diag_t->cview(), bk);
-      }
-      kern::trsm(Side::Left, Uplo::Upper, Trans::No, Diag::NonUnit, T(1),
-                 ConstMatrixView<T>(diag), bk);
-    }
-  }
-}
-
-}  // namespace
-
 template <typename T>
 FactorizationT<T> FactorizationT<T>::compute(const Matrix<T>& a,
                                              Criterion& criterion, int nb,
@@ -239,7 +199,7 @@ Matrix<T> FactorizationT<T>::solve(const Matrix<T>& b, int refinement_sweeps,
     for (int j = 0; j < rhs.cols(); ++j)
       for (int i = 0; i < rhs.rows(); ++i) bt_tiles.at(i, j) = rhs(i, j);
     apply_transformations(bt_tiles);
-    solve_triangular(factored_, stats_, bt_tiles);
+    back_substitute(factored_, &stats_, bt_tiles, 0);
     Matrix<T> x(n_scalar_, rhs.cols());
     for (int j = 0; j < rhs.cols(); ++j)
       for (int i = 0; i < n_scalar_; ++i) x(i, j) = bt_tiles.at(i, j);

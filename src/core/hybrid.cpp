@@ -1,141 +1,26 @@
-#include <algorithm>
-#include <cmath>
-
 #include "core/hybrid.hpp"
-#include "core/lu_step.hpp"
-#include "core/panel.hpp"
-#include "core/qr_step.hpp"
+
+#include <utility>
+
+#include "core/step_graph.hpp"
 #include "kernels/blas.hpp"
 #include "kernels/lapack.hpp"
-#include "kernels/norms.hpp"
 
 namespace luqr::core {
-
-template <typename T>
-double max_trailing_tile_norm(const TileMatrix<T>& a, int k) {
-  double best = 0.0;
-  for (int j = k; j < a.mt(); ++j)
-    for (int i = k; i < a.mt(); ++i)
-      best = std::max(best, static_cast<double>(kern::lange(
-                                kern::Norm::One,
-                                kern::ConstMatrixView<T>(a.tile(i, j)))));
-  return best;
-}
-
-namespace {
-
-std::vector<int> rows_for_scope(const ProcessGrid& grid, PivotScope scope, int k,
-                                int n) {
-  switch (scope) {
-    case PivotScope::Tile:
-      return {k};
-    case PivotScope::Domain:
-      return grid.diagonal_domain(k, n);
-    case PivotScope::Panel: {
-      std::vector<int> rows(static_cast<std::size_t>(n - k));
-      for (int i = k; i < n; ++i) rows[static_cast<std::size_t>(i - k)] = i;
-      return rows;
-    }
-  }
-  throw Error("unknown pivot scope");
-}
-
-}  // namespace
 
 template <typename T>
 FactorizationStatsT<T> hybrid_factor(TileMatrix<T>& a, Criterion& criterion,
                                      const HybridOptions& options,
                                      TransformLogT<T>* log) {
-  if (log) log->clear();
-  const int n = a.mt();
-  LUQR_REQUIRE(a.nt() >= n, "hybrid_factor: matrix must contain its square part");
-  const ProcessGrid grid(options.grid_p, options.grid_q);
-
-  FactorizationStatsT<T> stats;
-  double initial_max = 0.0;
-  if (options.track_growth) {
-    initial_max = max_trailing_tile_norm(a, 0);
-    stats.growth_factor = 1.0;
-  }
-
-  std::vector<std::vector<T>> backup;
-  for (int k = 0; k < n; ++k) {
-    // A2/B1/B2 factor the diagonal tile only (paper §II-C); A1 uses the
-    // configured pivot scope.
-    const bool qr_factor = options.variant == LuVariant::A2 ||
-                           options.variant == LuVariant::B2;
-    const auto domain_rows = options.variant == LuVariant::A1
-                                 ? rows_for_scope(grid, options.scope, k, n)
-                                 : std::vector<int>{k};
-
-    // Backup-Panel + LU-On-Panel: factor the stacked domain, collect stats.
-    auto pf = qr_factor
-                  ? factor_panel_qr_tile(a, k, backup)
-                  : factor_panel(a, k, domain_rows, options.exact_inv_norm, backup);
-
-    // Check.
-    const bool lu = criterion.accept_lu(pf.stats);
-
-    StepRecordT<T> rec;
-    rec.k = k;
-    rec.kind = lu ? StepKind::LU : StepKind::QR;
-    rec.variant = options.variant;
-    rec.inv_norm_akk = pf.stats.inv_norm_akk;
-    for (double nrm : pf.stats.below_tile_norms)
-      rec.max_below = std::max(rec.max_below, nrm);
-    if (lu && options.variant == LuVariant::B1) rec.diag_piv = pf.piv;
-    if (lu && options.variant == LuVariant::B2) rec.diag_t = pf.diag_t;
-    stats.steps.push_back(rec);
-
-    StepLogT<T>* step_log = nullptr;
-    if (log) {
-      log->emplace_back();
-      step_log = &log->back();
-      step_log->lu = lu;
-      if (lu) {
-        step_log->domain_rows = pf.domain_rows;
-        step_log->piv = pf.piv;
-        step_log->diag_t = pf.diag_t;
-      }
-    }
-
-    if (lu) {
-      ++stats.lu_steps;
-      switch (options.variant) {
-        case LuVariant::A1: apply_lu_step(a, pf); break;
-        case LuVariant::A2: apply_lu_step_a2(a, pf); break;
-        case LuVariant::B1: apply_lu_step_b1(a, pf); break;
-        case LuVariant::B2: apply_lu_step_b2(a, pf); break;
-      }
-    } else {
-      ++stats.qr_steps;
-      // Propagate (QR path): drop the LU factorization of the domain and
-      // start the panel over with orthogonal transformations.
-      for (std::size_t t = 0; t < pf.domain_rows.size(); ++t) {
-        auto tile = a.tile(pf.domain_rows[t], k);
-        const auto& buf = backup[t];
-        for (int j = 0; j < a.nb(); ++j)
-          for (int i = 0; i < a.nb(); ++i)
-            tile(i, j) = buf[static_cast<std::size_t>(j) * a.nb() + i];
-      }
-      apply_qr_step(a, k, grid.panel_domains(k, n), options.tree, step_log);
-    }
-
-    if (options.track_growth && initial_max > 0.0) {
-      const double trailing = max_trailing_tile_norm(a, k + 1);
-      stats.growth_factor = std::max(stats.growth_factor, trailing / initial_max);
-    }
-  }
-  return stats;
+  return factor_inline(a, &criterion, options, log);
 }
 
 template <typename T>
-void back_substitute(TileMatrix<T>& a, const FactorizationStatsT<T>* stats) {
-  const int n = a.mt();
-  const int nt = a.nt();
-  LUQR_REQUIRE(nt > n, "back_substitute: no right-hand-side tile columns");
+void back_substitute(const TileMatrix<T>& u, const FactorizationStatsT<T>* stats,
+                     TileMatrix<T>& rhs, int first_col) {
+  const int n = u.mt();
   for (int k = n - 1; k >= 0; --k) {
-    const auto diag = a.tile(k, k);
+    const auto diag = u.tile(k, k);
     // B-variant LU steps leave the *original* A_kk factored in place of the
     // diagonal tile (block upper triangular result); replay its factors.
     const StepRecordT<T>* rec = nullptr;
@@ -145,33 +30,35 @@ void back_substitute(TileMatrix<T>& a, const FactorizationStatsT<T>* stats) {
     }
     const bool b1 = rec && rec->variant == LuVariant::B1;
     const bool b2 = rec && rec->variant == LuVariant::B2;
-    for (int b = n; b < nt; ++b) {
-      auto bk = a.tile(k, b);
+    for (int col = first_col; col < rhs.nt(); ++col) {
+      auto bk = rhs.tile(k, col);
       // y <- b_k - sum_{j>k} U_kj x_j
       for (int j = k + 1; j < n; ++j)
-        kern::gemm(kern::Trans::No, kern::Trans::No, T(-1),
-                   kern::ConstMatrixView<T>(a.tile(k, j)),
-                   kern::ConstMatrixView<T>(a.tile(j, b)), T(1), bk);
+        kern::gemm(kern::Trans::No, kern::Trans::No, T(-1), u.tile(k, j),
+                   std::as_const(rhs).tile(j, col), T(1), bk);
       if (b1) {
         // x_k = A_kk^{-1} y = U^{-1} L^{-1} P y.
         kern::laswp(bk, rec->diag_piv, /*forward=*/true);
         kern::trsm(kern::Side::Left, kern::Uplo::Lower, kern::Trans::No,
-                   kern::Diag::Unit, T(1), kern::ConstMatrixView<T>(diag), bk);
+                   kern::Diag::Unit, T(1), diag, bk);
       } else if (b2) {
         // x_k = A_kk^{-1} y = R^{-1} Q^T y.
-        kern::unmqr(kern::Trans::Yes, kern::ConstMatrixView<T>(diag),
-                    rec->diag_t->cview(), bk);
+        kern::unmqr(kern::Trans::Yes, diag, rec->diag_t->cview(), bk);
       }
       kern::trsm(kern::Side::Left, kern::Uplo::Upper, kern::Trans::No,
-                 kern::Diag::NonUnit, T(1), kern::ConstMatrixView<T>(diag), bk);
+                 kern::Diag::NonUnit, T(1), diag, bk);
     }
   }
 }
 
+template <typename T>
+void back_substitute(TileMatrix<T>& a, const FactorizationStatsT<T>* stats) {
+  LUQR_REQUIRE(a.nt() > a.mt(), "back_substitute: no right-hand-side tile columns");
+  back_substitute(a, stats, a, a.mt());
+}
+
 std::string to_string(StepKind k) { return k == StepKind::LU ? "LU" : "QR"; }
 
-template double max_trailing_tile_norm(const TileMatrix<double>&, int);
-template double max_trailing_tile_norm(const TileMatrix<float>&, int);
 template FactorizationStatsT<double> hybrid_factor(TileMatrix<double>&,
                                                    Criterion&,
                                                    const HybridOptions&,
@@ -180,6 +67,12 @@ template FactorizationStatsT<float> hybrid_factor(TileMatrix<float>&,
                                                   Criterion&,
                                                   const HybridOptions&,
                                                   TransformLogT<float>*);
+template void back_substitute(const TileMatrix<double>&,
+                              const FactorizationStatsT<double>*,
+                              TileMatrix<double>&, int);
+template void back_substitute(const TileMatrix<float>&,
+                              const FactorizationStatsT<float>*,
+                              TileMatrix<float>&, int);
 template void back_substitute(TileMatrix<double>&,
                               const FactorizationStatsT<double>*);
 template void back_substitute(TileMatrix<float>&,

@@ -9,6 +9,11 @@
 //      Apply/Eliminate/Update with LU kernels; on QR, restore the panel
 //      from the backup and run a hierarchical QR elimination step.
 //
+// Each step is written once, as a task graph (core/step_graph.hpp).
+// hybrid_factor runs it through the inline sink on the calling thread;
+// rt::parallel_hybrid_factor submits the same graph to the dataflow engine,
+// so the two agree bitwise for every variant and precision.
+//
 // The right-hand side rides along as extra tile columns (§II-D-1), so after
 // the loop the square part is tile upper triangular and a tile
 // back-substitution finishes the solve.
@@ -110,23 +115,22 @@ FactorizationStatsT<T> hybrid_factor(TileMatrix<T>& a, Criterion& criterion,
                                      const HybridOptions& options = {},
                                      TransformLogT<T>* log = nullptr);
 
-/// Back-substitution for the (tile or block) upper triangular system
-/// produced by hybrid_factor: solves U X = B where B is the tile columns
-/// [mt(), nt()) of `a`, overwriting them with X. For factorizations that
-/// used the B1/B2 variants, pass the stats so the block-diagonal solves can
-/// replay the stored diagonal factors; A-variant factorizations may pass
-/// nullptr.
+/// Back-substitution for the (tile or block) upper triangular factor `u`
+/// produced by the step graph: solves U X = B where B is the tile columns
+/// [first_col, rhs.nt()) of `rhs` (tiled like `u`'s rows), overwriting them
+/// with X. Only the square part of `u` is read, so `rhs` may be `u` itself.
+/// For factorizations that used the B1/B2 variants, pass the stats so the
+/// block-diagonal solves can replay the stored diagonal factors;
+/// A-variant factorizations may pass nullptr.
+template <typename T>
+void back_substitute(const TileMatrix<T>& u, const FactorizationStatsT<T>* stats,
+                     TileMatrix<T>& rhs, int first_col);
+
+/// The augmented layout: B is the tile columns [mt(), nt()) of `a`.
 template <typename T>
 void back_substitute(TileMatrix<T>& a,
                      const FactorizationStatsT<T>* stats = nullptr);
 
 std::string to_string(StepKind k);
-
-/// Max tile 1-norm over the square trailing submatrix rows/cols >= k — the
-/// quantity whose step-over-step ratio is the growth factor both drivers
-/// report under HybridOptions::track_growth. Widened to double at every
-/// precision so the growth reduction is precision-uniform.
-template <typename T>
-double max_trailing_tile_norm(const TileMatrix<T>& a, int k);
 
 }  // namespace luqr::core

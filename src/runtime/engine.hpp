@@ -74,19 +74,15 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/task_sink.hpp"
 #include "kernels/workspace.hpp"
 
 namespace luqr::rt {
 
-/// Declared access mode of one task on one datum.
-enum class Access { Read, Write, ReadWrite };
-
-/// One (datum, mode) pair; the datum is identified by its storage address
-/// (tile data pointers are unique and stable).
-struct Dep {
-  const void* key = nullptr;
-  Access mode = Access::Read;
-};
+/// Declared accesses (data-only; defined beside the step graph that
+/// declares them).
+using Access = core::Access;
+using Dep = core::Dep;
 
 using TaskId = std::uint64_t;
 

@@ -5,51 +5,16 @@
 #include <mutex>
 #include <utility>
 
-#include "core/hybrid.hpp"
-#include "core/panel.hpp"
-#include "hqr/trees.hpp"
-#include "kernels/lapack.hpp"
-#include "kernels/norms.hpp"
+#include "core/step_graph.hpp"
 #include "runtime/audit.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/parallel_hybrid.hpp"
-#include "tile/process_grid.hpp"
 
 namespace luqr::rt {
 
 using core::HybridOptions;
-using core::StepKind;
-using kern::ConstMatrixView;
-using kern::Diag;
-using kern::Side;
-using kern::Trans;
-using kern::Uplo;
 
 namespace {
-
-// Everything one step's tasks reference after control has moved on: the
-// panel factorization, the backup, the decision, the QR block-reflector
-// factors, and (track_growth) the running max over the final value of each
-// trailing tile. Kept alive until the engine drains.
-template <typename T>
-struct StepContext {
-  core::PanelFactorizationT<T> pf;
-  std::vector<std::vector<T>> backup;
-  bool lu = false;
-  // One T factor per QR factor kernel (geqrt per row, then one per
-  // elimination), allocated up front so pointers are stable task keys.
-  // Shared with the TransformLog when one is kept: the tasks fill these in,
-  // the log's QrOps reference the same storage.
-  std::vector<std::shared_ptr<Matrix<T>>> t_factors;
-  // track_growth: max tile 1-norm over the trailing submatrix (rows/cols
-  // >= k+1) *after* this step, reduced task-by-task: every update task that
-  // performs the final write of a trailing tile contributes that tile's
-  // norm. The contributions are (widened to double, exactly as the
-  // sequential driver widens them) bitwise the values the sequential
-  // driver's full sweep reads, and max is order-insensitive, so the reduced
-  // growth factor matches the sequential one exactly at every precision.
-  std::atomic<double> step_max{0.0};
-};
 
 EngineOptions engine_options(const SchedulerOptions& sched) {
   EngineOptions o;
@@ -59,559 +24,188 @@ EngineOptions engine_options(const SchedulerOptions& sched) {
   return o;
 }
 
-void atomic_max(std::atomic<double>& m, double v) {
-  double cur = m.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !m.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
+// The engine sink: submits each task of the step graph to the dataflow
+// engine, which orders it by the declared dependences. The engine is either
+// owned (one pool per factorization) or external (a caller-provided shared
+// pool that outlives the run; the serve subsystem's mode). On an external
+// engine the run must not use the engine-global error/quiescence machinery:
+// every task is guarded into this run's error slot, and completion is a
+// sentinel task that reads every tile — it runs strictly after all of this
+// run's tasks, and only them.
+class EngineSink final : public core::TaskSink {
+ public:
+  // `all_tiles`: a read of every tile of the factored matrix (the external
+  // sentinel's dependences; empty on an owned engine).
+  EngineSink(Engine& engine, const SchedulerOptions& sched,
+             std::vector<Dep> all_tiles, bool external)
+      : engine_(engine),
+        sched_(sched),
+        all_tiles_(std::move(all_tiles)),
+        external_(external) {}
 
-// Shared state of one factorization run. Tasks capture a pointer to this;
-// it outlives them (the drive loop waits for the run's last task before
-// returning). The engine is either owned (historical mode: one pool per
-// factorization, destroyed first — it is constructed last) or external (a
-// caller-provided shared pool that outlives the driver; the serve
-// subsystem's mode). On an external engine the driver must not use the
-// engine-global error/quiescence machinery: every task is guarded into a
-// per-driver error slot, and completion is a sentinel task that reads every
-// tile — it runs strictly after all of this run's tasks, and only them.
-template <typename T>
-struct Driver {
-  TileMatrix<T>& a;
-  Criterion& criterion;
-  const HybridOptions& options;
-  SchedulerOptions sched;
-  ProcessGrid grid;
-  int n;                      // tile rows of the square part
-  bool growth;                // options.track_growth
-  double initial_max = 0.0;   // growth baseline: max tile norm of A
-  core::FactorizationStatsT<T> stats;  // appended by the decision chain, in k order
-  core::TransformLogT<T>* log = nullptr;
-  std::vector<std::unique_ptr<StepContext<T>>> steps;
-  const bool external;  // running on a caller-provided engine
-  std::mutex error_mu;
-  std::exception_ptr error;            // first failure of this run
-  std::atomic<bool> failed{false};
-  std::atomic<bool> completion_sent{false};
-  std::promise<void> done;             // fulfilled by the completion sentinel
-  std::unique_ptr<Engine> owned;
-  Engine& engine;
-
-  Driver(TileMatrix<T>& a_, Criterion& criterion_,
-         const HybridOptions& options_, const SchedulerOptions& sched_,
-         int num_threads)
-      : a(a_),
-        criterion(criterion_),
-        options(options_),
-        sched(sched_),
-        grid(options_.grid_p, options_.grid_q),
-        n(a_.mt()),
-        growth(options_.track_growth),
-        steps(static_cast<std::size_t>(a_.mt())),
-        external(false),
-        owned(std::make_unique<Engine>(num_threads, engine_options(sched_))),
-        engine(*owned) {}
-
-  Driver(Engine& engine_, TileMatrix<T>& a_, Criterion& criterion_,
-         const HybridOptions& options_, const SchedulerOptions& sched_)
-      : a(a_),
-        criterion(criterion_),
-        options(options_),
-        sched(sched_),
-        grid(options_.grid_p, options_.grid_q),
-        n(a_.mt()),
-        growth(options_.track_growth),
-        steps(static_cast<std::size_t>(a_.mt())),
-        external(true),
-        engine(engine_) {}
-
-  // Priority-lane mapping, graded by how directly a task gates the
-  // panel/decision chain. With lookahead L, update tasks on trailing column
-  // k+1+d run in lane max(0, L - d): the columns feeding the next L panel
-  // decisions overtake bulk trailing work. The per-step gate kernels
-  // (eliminates, QR factor kernels, restores) sit one lane above the
-  // frontier updates, the panel chain itself on top. Everything is a pure
-  // scheduling hint — execution order within the dependences never changes
-  // results (the parity tests pin that).
-  int lookahead() const {
-    return std::min(std::max(sched.lookahead, 0), kPriorityLanes - 3);
-  }
-  int lane_panel() const { return sched.priorities ? lookahead() + 2 : 0; }
-  int lane_gate() const { return sched.priorities ? lookahead() + 1 : 0; }
-  int lane_update(int k, int j) const {
-    if (!sched.priorities) return 0;
-    return std::max(0, lookahead() - (j - k - 1));
-  }
-  // A swap+apply gates every update GEMM of its column, so it runs one lane
-  // above them.
-  int lane_swptrsm(int k, int j) const {
-    if (!sched.priorities) return 0;
-    return std::max(0, lookahead() + 1 - (j - k - 1));
-  }
-
-  void record_error(std::exception_ptr e) {
-    {
-      std::lock_guard<std::mutex> lk(error_mu);
-      if (!error) error = std::move(e);
+  void emit(std::function<void()> fn, const std::vector<Dep>& deps,
+            const core::TaskInfo& info) override {
+    TaskAttrs attrs(info.name, lane(info), info.k);
+    if (!external_) {
+      engine_.submit(std::move(fn), deps, std::move(attrs));
+      return;
     }
-    failed.store(true, std::memory_order_release);
-  }
-
-  void rethrow_if_failed() {
-    std::lock_guard<std::mutex> lk(error_mu);
-    if (error) {
-      std::exception_ptr e = error;
-      error = nullptr;
-      std::rethrow_exception(e);
-    }
-  }
-
-  // Submit one task of this run. External engines get a guard: the task's
-  // exception lands in this driver's error slot instead of the engine's
-  // global first_error_, so one job's failure never poisons another job
-  // sharing the pool (and never leaks out of a worker).
-  TaskId submit(std::function<void()> fn, const std::vector<Dep>& deps,
-                TaskAttrs attrs) {
-    if (!external) return engine.submit(std::move(fn), deps, std::move(attrs));
-    Driver* d = this;
-    return engine.submit(
-        [d, fn = std::move(fn)] {
+    // The task's exception lands in this run's error slot instead of the
+    // engine's global first_error_, so one job's failure never poisons
+    // another job sharing the pool. A failed decision task cuts the step
+    // chain, so it sends the sentinel in the chain's stead (otherwise the
+    // waiting driver thread would never wake).
+    const bool decision = info.role == core::TaskRole::Panel;
+    engine_.submit(
+        [this, decision, fn = std::move(fn)] {
           try {
             fn();
           } catch (...) {
-            d->record_error(std::current_exception());
+            record_error(std::current_exception());
+            if (decision) submit_completion();
           }
         },
         deps, std::move(attrs));
   }
 
-  // External mode: the run's last task. Reading every tile orders it after
-  // every task of this factorization (each of them declares at least one
-  // tile access) and after nothing else on the shared engine. Idempotent —
-  // failure paths and the regular chain end may race to send it.
-  TaskId submit_completion() {
-    if (completion_sent.exchange(true)) return 0;
-    std::vector<Dep> deps;
-    deps.reserve(static_cast<std::size_t>(a.mt()) * a.nt());
-    for (int j = 0; j < a.nt(); ++j)
-      for (int i = 0; i < a.mt(); ++i)
-        deps.push_back({a.tile_key(i, j), Access::Read});
-    Driver* d = this;
-    return engine.submit([d] { d->done.set_value(); }, deps,
-                         {"job-done", 0, -1});
+  // Runs inside the decision task: the next step's panel is submitted from
+  // the dataflow itself, so the submitting thread never joins.
+  void advance(std::function<void()> next) override {
+    if (next)
+      next();
+    else if (external_)
+      submit_completion();  // chain end: this run's sentinel
   }
+
+  void record_error(std::exception_ptr e) {
+    std::lock_guard<std::mutex> lk(error_mu_);
+    if (!error_) error_ = std::move(e);
+  }
+
+  // External engine: the run's last task. Reading every tile orders it
+  // after every task of this run (each declares at least one tile access)
+  // and after nothing else on the shared engine. Idempotent — failure paths
+  // and the chain end may race to send it.
+  void submit_completion() {
+    if (completion_sent_.exchange(true)) return;
+    engine_.submit([this] { done_.set_value(); }, all_tiles_,
+                   {"job-done", 0, -1});
+  }
+
+  // External engine: block until the sentinel ran, then rethrow this run's
+  // first failure.
+  void wait_external() {
+    done_.get_future().wait();
+    std::lock_guard<std::mutex> lk(error_mu_);
+    if (error_) std::rethrow_exception(error_);
+  }
+
+ private:
+  // Priority lanes, graded by how directly a task gates the panel/decision
+  // chain. With lookahead L, updates of trailing column k+1+d run in lane
+  // max(0, L - d), so the columns feeding the next L panel decisions
+  // overtake bulk trailing work; an apply gates every update of its column,
+  // so it runs one lane above them. The per-step gate kernels sit one lane
+  // above the frontier updates, the panel chain on top. Pure scheduling
+  // hints — results never depend on them.
+  int lane(const core::TaskInfo& t) const {
+    if (!sched_.priorities) return 0;
+    const int la = std::min(std::max(sched_.lookahead, 0), kPriorityLanes - 3);
+    switch (t.role) {
+      case core::TaskRole::Panel: return la + 2;
+      case core::TaskRole::Gate: return la + 1;
+      case core::TaskRole::Apply: return std::max(0, la + 1 - (t.j - t.k - 1));
+      case core::TaskRole::Update: return std::max(0, la - (t.j - t.k - 1));
+    }
+    return 0;
+  }
+
+  Engine& engine_;
+  const SchedulerOptions& sched_;
+  const std::vector<Dep> all_tiles_;
+  const bool external_;
+  std::mutex error_mu_;
+  std::exception_ptr error_;  // first failure of this run (external only)
+  std::atomic<bool> completion_sent_{false};
+  std::promise<void> done_;  // fulfilled by the completion sentinel
 };
 
-// Swap the trailing tiles of column j according to the stacked pivots.
+// Emit the step graph into the engine, wait for it, and collect telemetry.
 template <typename T>
-void swap_column(TileMatrix<T>& a, const core::PanelFactorizationT<T>& pf,
-                 int j) {
-  const int nb = a.nb();
-  for (int s = 0; s < static_cast<int>(pf.piv.size()); ++s) {
-    const int p = pf.piv[static_cast<std::size_t>(s)];
-    const int t1 = pf.domain_rows[static_cast<std::size_t>(s / nb)];
-    const int t2 = pf.domain_rows[static_cast<std::size_t>(p / nb)];
-    const int r1 = s % nb, r2 = p % nb;
-    if (t1 == t2 && r1 == r2) continue;
-    auto tile1 = a.tile(t1, j);
-    auto tile2 = a.tile(t2, j);
-    for (int c = 0; c < nb; ++c) std::swap(tile1(r1, c), tile2(r2, c));
-  }
-}
-
-template <typename T>
-void submit_lu_step(Driver<T>& d, StepContext<T>& ctx) {
-  TileMatrix<T>& a = d.a;
-  const int k = ctx.pf.k;
-  const int n = d.n;
-  const int nt = a.nt();
-  const bool growth = d.growth;
-  StepContext<T>* c = &ctx;
-  std::vector<bool> in_domain(static_cast<std::size_t>(n), false);
-  for (int r : ctx.pf.domain_rows) in_domain[static_cast<std::size_t>(r)] = true;
-
-  // Per-column swap + apply (SWPTRSM on the diagonal row). Column k+1 is
-  // on the critical path to the next panel.
-  for (int j = k + 1; j < nt; ++j) {
-    std::vector<Dep> deps;
-    for (int r : ctx.pf.domain_rows) deps.push_back({a.tile_key(r, j), Access::ReadWrite});
-    deps.push_back({a.tile_key(k, k), Access::Read});
-    d.submit(
-        [&a, c, j, k] {
-          swap_column(a, c->pf, j);
-          auto akj = a.tile(k, j);
-          kern::trsm(Side::Left, Uplo::Lower, Trans::No, Diag::Unit, T(1),
-                     std::as_const(a).tile(k, k), akj);
-        },
-        deps, {"swptrsm", d.lane_swptrsm(k, j), k});
-  }
-  // Eliminate non-domain rows (every next-column GEMM needs its row's
-  // eliminate, so these are critical-path too).
-  for (int i = k + 1; i < n; ++i) {
-    if (in_domain[static_cast<std::size_t>(i)]) continue;
-    d.submit(
-        [&a, i, k] {
-          auto aik = a.tile(i, k);
-          kern::trsm(Side::Right, Uplo::Upper, Trans::No, Diag::NonUnit, T(1),
-                     std::as_const(a).tile(k, k), aik);
-        },
-        {{a.tile_key(i, k), Access::ReadWrite}, {a.tile_key(k, k), Access::Read}},
-        {"trsm", d.lane_gate(), k});
-  }
-  // Embarrassingly parallel trailing update. The GEMM is the final writer
-  // of trailing tile (i, j) in this step, so it contributes the growth term.
-  for (int i = k + 1; i < n; ++i) {
-    for (int j = k + 1; j < nt; ++j) {
-      d.submit(
-          [&a, c, i, j, k, n, growth] {
-            // The executing worker's arena: packing scratch allocated once
-            // per worker, reused by every task that lands on it.
-            kern::Workspace& ws = kern::tls_workspace();
-            auto aij = a.tile(i, j);
-            kern::gemm(Trans::No, Trans::No, T(-1), std::as_const(a).tile(i, k),
-                       std::as_const(a).tile(k, j), T(1), aij, &ws);
-            if (growth && j < n)
-              atomic_max(c->step_max,
-                         static_cast<double>(kern::lange(
-                             kern::Norm::One, ConstMatrixView<T>(aij))));
-          },
-          {{a.tile_key(i, j), Access::ReadWrite},
-           {a.tile_key(i, k), Access::Read},
-           {a.tile_key(k, j), Access::Read}},
-          {"gemm", d.lane_update(k, j), k});
-    }
-  }
-}
-
-template <typename T>
-void submit_qr_step(Driver<T>& d, StepContext<T>& ctx,
-                    core::StepLogT<T>* step_log) {
-  TileMatrix<T>& a = d.a;
-  const int k = ctx.pf.k;
-  const int n = d.n;
-  const int nb = a.nb();
-  const int nt = a.nt();
-  const bool growth = d.growth;
-  StepContext<T>* c = &ctx;
-
-  // Restore the panel (Propagate's QR branch).
-  {
-    std::vector<Dep> deps;
-    for (int r : ctx.pf.domain_rows) deps.push_back({a.tile_key(r, k), Access::ReadWrite});
-    d.submit(
-        [&a, c, k, nb] {
-          for (std::size_t t = 0; t < c->pf.domain_rows.size(); ++t) {
-            auto tile = a.tile(c->pf.domain_rows[t], k);
-            const auto& buf = c->backup[t];
-            for (int j = 0; j < nb; ++j)
-              for (int i = 0; i < nb; ++i)
-                tile(i, j) = buf[static_cast<std::size_t>(j) * nb + i];
-          }
-        },
-        deps, {"restore", d.lane_gate(), k});
-  }
-
-  const auto list = hqr::elimination_list(d.grid.panel_domains(k, n), d.options.tree);
-
-  // Allocate the block-reflector factors up front, walking the elimination
-  // list in the sequential driver's order (lazy GEQRT of killers/TT
-  // participants, then the elimination itself). That walk is what defines a
-  // replay-valid order, so when a log is kept its QrOps are recorded here —
-  // referencing T storage the tasks below will fill in.
-  std::vector<bool> needs_geqrt(static_cast<std::size_t>(n), false);
-  std::vector<Matrix<T>*> row_t(static_cast<std::size_t>(n), nullptr);
-  std::vector<Matrix<T>*> elim_t;
-  elim_t.reserve(list.size());
-  auto new_t = [&](core::QrKind kind, int killer, int killed) {
-    auto t = std::make_shared<Matrix<T>>(nb, nb);
-    ctx.t_factors.push_back(t);
-    if (step_log) step_log->qr_ops.push_back({kind, killer, killed, t});
-    return t.get();
-  };
-  auto plan_geqrt = [&](int row) {
-    if (needs_geqrt[static_cast<std::size_t>(row)]) return;
-    needs_geqrt[static_cast<std::size_t>(row)] = true;
-    row_t[static_cast<std::size_t>(row)] = new_t(core::QrKind::Geqrt, row, row);
-  };
-  for (const auto& e : list) {
-    plan_geqrt(e.killer);
-    if (e.kernel == hqr::ElimKernel::TT) plan_geqrt(e.killed);
-    elim_t.push_back(new_t(e.kernel == hqr::ElimKernel::TS ? core::QrKind::Ts
-                                                           : core::QrKind::Tt,
-                           e.killer, e.killed));
-  }
-  if (list.empty()) plan_geqrt(k);
-
-  for (int row = k; row < n; ++row) {
-    if (!needs_geqrt[static_cast<std::size_t>(row)]) continue;
-    Matrix<T>* t = row_t[static_cast<std::size_t>(row)];
-    d.submit(
-        [&a, row, k, t] { kern::geqrt(a.tile(row, k), t->view()); },
-        {{a.tile_key(row, k), Access::ReadWrite}, {t->data(), Access::Write}},
-        {"geqrt", d.lane_gate(), k});
-    for (int j = k + 1; j < nt; ++j) {
-      d.submit(
-          [&a, row, j, k, t] {
-            kern::unmqr(Trans::Yes, std::as_const(a).tile(row, k), t->cview(),
-                        a.tile(row, j), &kern::tls_workspace());
-          },
-          {{a.tile_key(row, j), Access::ReadWrite},
-           {a.tile_key(row, k), Access::Read},
-           {t->data(), Access::Read}},
-          {"unmqr", d.lane_update(k, j), k});
-    }
-  }
-
-  for (std::size_t ei = 0; ei < list.size(); ++ei) {
-    const auto& e = list[ei];
-    Matrix<T>* t = elim_t[ei];
-    const bool ts = e.kernel == hqr::ElimKernel::TS;
-    d.submit(
-        [&a, e, k, t, ts] {
-          if (ts) {
-            kern::tsqrt(a.tile(e.killer, k), a.tile(e.killed, k), t->view());
-          } else {
-            kern::ttqrt(a.tile(e.killer, k), a.tile(e.killed, k), t->view());
-          }
-        },
-        {{a.tile_key(e.killer, k), Access::ReadWrite},
-         {a.tile_key(e.killed, k), Access::ReadWrite},
-         {t->data(), Access::Write}},
-        {ts ? "tsqrt" : "ttqrt", d.lane_gate(), k});
-    for (int j = k + 1; j < nt; ++j) {
-      // A row is killed exactly once and never reappears in the list, so
-      // this update performs the final write of tile (killed, j) this step
-      // — the growth contribution. (Killer rows > k get their final write
-      // where they are later killed; row k is outside the trailing block.)
-      d.submit(
-          [&a, c, e, j, k, n, t, ts, growth] {
-            kern::Workspace& ws = kern::tls_workspace();
-            if (ts) {
-              kern::tsmqr(Trans::Yes, std::as_const(a).tile(e.killed, k),
-                          t->cview(), a.tile(e.killer, j), a.tile(e.killed, j),
-                          &ws);
-            } else {
-              kern::ttmqr(Trans::Yes, std::as_const(a).tile(e.killed, k),
-                          t->cview(), a.tile(e.killer, j), a.tile(e.killed, j),
-                          &ws);
-            }
-            if (growth && j < n)
-              atomic_max(c->step_max,
-                         static_cast<double>(kern::lange(
-                             kern::Norm::One,
-                             ConstMatrixView<T>(a.tile(e.killed, j)))));
-          },
-          {{a.tile_key(e.killer, j), Access::ReadWrite},
-           {a.tile_key(e.killed, j), Access::ReadWrite},
-           {a.tile_key(e.killed, k), Access::Read},
-           {t->data(), Access::Read}},
-          {ts ? "tsmqr" : "ttmqr", d.lane_update(k, j), k});
-    }
-  }
-}
-
-template <typename T>
-TaskId submit_step(Driver<T>& d, int k);
-
-// The post-decision half of the paper's Propagate task: record the step,
-// fan out the LU or QR update graph, and (Continuation mode) submit the
-// next step's panel. Runs inside the panel task in Continuation mode, on
-// the submitting thread in JoinPerStep mode — the code path is identical,
-// which is what keeps the two modes (and the sequential driver) bitwise
-// interchangeable.
-template <typename T>
-void record_and_submit(Driver<T>& d, int k) {
-  StepContext<T>* c = d.steps[static_cast<std::size_t>(k)].get();
-
-  core::StepRecordT<T> rec;
-  rec.k = k;
-  rec.kind = c->lu ? StepKind::LU : StepKind::QR;
-  rec.variant = d.options.variant;
-  rec.inv_norm_akk = c->pf.stats.inv_norm_akk;
-  for (double nrm : c->pf.stats.below_tile_norms)
-    rec.max_below = std::max(rec.max_below, nrm);
-  d.stats.steps.push_back(rec);
-
-  core::StepLogT<T>* step_log = nullptr;
-  if (d.log) {
-    d.log->emplace_back();
-    step_log = &d.log->back();
-    step_log->lu = c->lu;
-    if (c->lu) {
-      // A1 replay data only: this driver rejects A2/B1/B2, so the panel
-      // factorization never carries a diag_t.
-      step_log->domain_rows = c->pf.domain_rows;
-      step_log->piv = c->pf.piv;
-    }
-  }
-
-  if (c->lu) {
-    ++d.stats.lu_steps;
-    submit_lu_step(d, *c);
-  } else {
-    ++d.stats.qr_steps;
-    submit_qr_step(d, *c, step_log);
-  }
-
-  if (d.sched.mode == SubmitMode::Continuation) {
-    if (k + 1 < d.n)
-      submit_step(d, k + 1);
-    else if (d.external)
-      d.submit_completion();  // chain end: this run's sentinel
-  }
-}
-
-// Submit the panel/decision task for step k. Its dependences on the column-k
-// tiles order it after every update of step k-1 that feeds it, and order the
-// panels themselves sequentially — which is what lets the decision chain
-// append to stats/log without extra synchronization.
-template <typename T>
-TaskId submit_step(Driver<T>& d, int k) {
-  d.steps[static_cast<std::size_t>(k)] = std::make_unique<StepContext<T>>();
-  StepContext<T>* c = d.steps[static_cast<std::size_t>(k)].get();
-
-  std::vector<int> domain_rows;
-  switch (d.options.scope) {
-    case core::PivotScope::Tile: domain_rows = {k}; break;
-    case core::PivotScope::Domain: domain_rows = d.grid.diagonal_domain(k, d.n); break;
-    case core::PivotScope::Panel:
-      for (int i = k; i < d.n; ++i) domain_rows.push_back(i);
-      break;
-  }
-
-  // Panel task: backup + stacked factorization + criterion. Depends on all
-  // panel tiles (stats are gathered from the whole panel).
-  std::vector<Dep> deps;
-  for (int r : domain_rows) deps.push_back({d.a.tile_key(r, k), Access::ReadWrite});
-  std::vector<bool> in_domain(static_cast<std::size_t>(d.n), false);
-  for (int r : domain_rows) in_domain[static_cast<std::size_t>(r)] = true;
-  for (int i = k; i < d.n; ++i)
-    if (!in_domain[static_cast<std::size_t>(i)])
-      deps.push_back({d.a.tile_key(i, k), Access::Read});
-
-  const bool exact = d.options.exact_inv_norm;
-  const bool continuation = d.sched.mode == SubmitMode::Continuation;
-  Driver<T>* dp = &d;
-  // Submitted raw (not via Driver::submit): on an external engine a panel
-  // failure must not just be recorded — it cuts the decision chain, so the
-  // panel itself routes the error and sends the completion sentinel in the
-  // chain's stead (otherwise the waiting driver thread would never wake).
-  return d.engine.submit(
-      [dp, c, k, domain_rows, exact, continuation] {
-        try {
-          c->pf = core::factor_panel(dp->a, k, domain_rows, exact, c->backup);
-          c->lu = dp->criterion.accept_lu(c->pf.stats);
-          if (continuation) record_and_submit(*dp, k);
-        } catch (...) {
-          if (!dp->external) throw;  // owned engine: captured globally, as before
-          dp->record_error(std::current_exception());
-          if (continuation) dp->submit_completion();
-        }
-      },
-      deps, {"panel", d.lane_panel(), k});
-}
-
-// Submission/wait phase plus the post-drain bookkeeping, shared by the
-// owned-engine and external-engine entry points.
-template <typename T>
-core::FactorizationStatsT<T> drive(Driver<T>& d, core::TransformLogT<T>* log,
+core::FactorizationStatsT<T> drive(Engine& engine, bool external,
+                                   TileMatrix<T>& a, Criterion& criterion,
+                                   const HybridOptions& options,
+                                   core::TransformLogT<T>* log,
                                    const SchedulerOptions& sched,
                                    SchedulerStats* sched_stats) {
-  if (log) log->clear();
-  d.log = log;
+  core::StepGraph<T> graph(a, &criterion, options, log);
 
   // Audit mode: register every tile of the working matrix so each task's
   // actual accesses resolve back to tile coordinates. Scratch the tasks own
   // privately (panel backups, T factors) stays unregistered and unaudited.
-  // The registration must outlive the task graph; drive() drains the engine
-  // before returning, so function scope is exactly right.
+  // The registration must outlive the task graph, which drains before
+  // drive() returns.
   std::unique_ptr<ScopedTileRegistration> audit_tiles;
-  if (d.engine.auditing())
-    audit_tiles = std::make_unique<ScopedTileRegistration>(d.a);
+  if (engine.auditing())
+    audit_tiles = std::make_unique<ScopedTileRegistration>(a);
 
-  if (d.growth) {
-    d.initial_max = core::max_trailing_tile_norm(d.a, 0);
-    d.stats.growth_factor = 1.0;
+  std::vector<Dep> all_tiles;
+  if (external) {
+    all_tiles.reserve(static_cast<std::size_t>(a.mt()) * a.nt());
+    for (int j = 0; j < a.nt(); ++j)
+      for (int i = 0; i < a.mt(); ++i)
+        all_tiles.push_back({a.tile_key(i, j), Access::Read});
   }
+  EngineSink sink(engine, sched, std::move(all_tiles), external);
 
   try {
-    if (d.sched.mode == SubmitMode::JoinPerStep) {
-      // Historical mode: the submitting thread blocks on each step's
-      // decision while the workers keep draining earlier steps' updates.
-      for (int k = 0; k < d.n; ++k) {
-        const TaskId panel_id = submit_step(d, k);
-        d.engine.wait(panel_id);
-        if (d.external && d.failed.load(std::memory_order_acquire)) break;
-        record_and_submit(d, k);
-      }
-    } else if (d.n > 0) {
-      // Continuation mode: seed step 0; the decision chain submits the rest.
-      submit_step(d, 0);
-    }
+    // Seed step 0; each step's decision task submits the next.
+    if (graph.steps() > 0)
+      graph.emit(sink, 0);
+    else
+      sink.advance(nullptr);
   } catch (...) {
-    // Owned engine: propagate as before (the engine member drains in the
-    // Driver's destruction). External engine: the driver must stay alive
-    // until its in-flight tasks finish, so record, sentinel, and fall
-    // through to the wait below.
-    if (!d.external) throw;
-    d.record_error(std::current_exception());
-    d.submit_completion();
-  }
-
-  if (d.external) {
-    // In join mode (and for an empty matrix) every task is submitted by
-    // this thread, so it sends the sentinel itself; in continuation mode
-    // the decision chain sends it. submit_completion is idempotent.
-    if (d.sched.mode == SubmitMode::JoinPerStep || d.n == 0)
-      d.submit_completion();
-    d.done.get_future().wait();
-    d.rethrow_if_failed();
-  } else {
-    d.engine.wait_all();
-  }
-
-  if (d.growth && d.initial_max > 0.0) {
-    for (const auto& step : d.steps) {
-      if (!step) continue;  // a failed step cut the decision chain short
-      d.stats.growth_factor =
-          std::max(d.stats.growth_factor,
-                   step->step_max.load(std::memory_order_relaxed) / d.initial_max);
+    // Owned engine: drain what was submitted, then propagate. External
+    // engine: the run must stay alive until its in-flight tasks finish, so
+    // record, sentinel, and fall through to the wait below.
+    if (!external) {
+      engine.wait_idle();
+      throw;
     }
+    sink.record_error(std::current_exception());
+    sink.submit_completion();
   }
+
+  if (external)
+    sink.wait_external();
+  else
+    engine.wait_all();
 
   if (sched_stats) {
-    sched_stats->tasks_executed = d.engine.tasks_executed();
-    sched_stats->steals = d.engine.steals();
-    sched_stats->critical_path = d.engine.critical_path_length();
-    sched_stats->lane_tasks = d.engine.lane_executed();
-    if (sched.trace) sched_stats->trace = d.engine.trace();
-    if (d.engine.auditing()) {
-      sched_stats->audited_tasks = d.engine.audited_tasks();
-      sched_stats->audit_access_violations = d.engine.access_violations().size();
+    sched_stats->tasks_executed = engine.tasks_executed();
+    sched_stats->steals = engine.steals();
+    sched_stats->critical_path = engine.critical_path_length();
+    sched_stats->lane_tasks = engine.lane_executed();
+    if (sched.trace) sched_stats->trace = engine.trace();
+    if (engine.auditing()) {
+      sched_stats->audited_tasks = engine.audited_tasks();
+      sched_stats->audit_access_violations = engine.access_violations().size();
     }
   }
   if (sched.trace && !sched.trace_path.empty())
-    d.engine.write_chrome_trace(sched.trace_path);
+    engine.write_chrome_trace(sched.trace_path);
 
   // Happens-before certification: with the graph drained, prove every
   // conflicting access pair was ordered by a declared-dependency path. Owned
   // engines only — a shared engine's recorded history interleaves other
   // jobs' tasks, so certification there is the engine owner's call (the
   // per-task access audit above still ran either way).
-  if (!d.external && d.engine.auditing()) {
-    const auto hb = d.engine.certify_happens_before();
+  if (!external && engine.auditing()) {
+    const auto hb = engine.certify_happens_before();
     if (sched_stats) sched_stats->audit_hb_violations = hb.size();
     if (!hb.empty()) throw Error(hb.front().message());
   }
-  return std::move(d.stats);
-}
-
-template <typename T>
-void validate_factor_args(const TileMatrix<T>& a, const HybridOptions& options) {
-  LUQR_REQUIRE(options.variant == core::LuVariant::A1,
-               "the parallel driver implements variant A1 (the paper's "
-               "evaluated variant); use the sequential driver for A2/B1/B2");
-  LUQR_REQUIRE(a.nt() >= a.mt(), "matrix must contain its square part");
+  return graph.take_stats();
 }
 
 }  // namespace
@@ -621,9 +215,9 @@ core::FactorizationStatsT<T> parallel_hybrid_factor(
     TileMatrix<T>& a, Criterion& criterion, const HybridOptions& options,
     int num_threads, detail::non_deduced<core::TransformLogT<T>*> log,
     const SchedulerOptions& sched, SchedulerStats* sched_stats) {
-  validate_factor_args(a, options);
-  Driver<T> d(a, criterion, options, sched, num_threads);
-  return drive(d, log, sched, sched_stats);
+  Engine engine(num_threads, engine_options(sched));
+  return drive(engine, /*external=*/false, a, criterion, options, log, sched,
+               sched_stats);
 }
 
 template <typename T>
@@ -632,12 +226,11 @@ core::FactorizationStatsT<T> parallel_hybrid_factor_on(
     const HybridOptions& options,
     detail::non_deduced<core::TransformLogT<T>*> log,
     const SchedulerOptions& sched, SchedulerStats* sched_stats) {
-  validate_factor_args(a, options);
   LUQR_REQUIRE(!sched.trace,
                "per-task tracing needs a quiescent engine of its own; it is "
                "unavailable on a shared engine");
-  Driver<T> d(engine, a, criterion, options, sched);
-  return drive(d, log, sched, sched_stats);
+  return drive(engine, /*external=*/true, a, criterion, options, log, sched,
+               sched_stats);
 }
 
 template core::FactorizationStatsT<double> parallel_hybrid_factor(

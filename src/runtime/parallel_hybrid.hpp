@@ -1,22 +1,18 @@
 // Task-parallel hybrid LU-QR factorization on the dataflow engine.
 //
-// Mirrors core::hybrid_factor exactly (same kernels, same per-tile operation
-// order, hence bitwise-identical results — a property the tests assert), but
-// expressed as a dynamic task graph:
+// The engine sink for the step graph (core/step_graph.hpp): every task the
+// graph emits — panel/decision, LU apply/eliminate/update, QR restore,
+// factor and update kernels, for all four LU variants — is submitted to the
+// engine, which infers its order from the declared tile dependences.
+// core::hybrid_factor runs the same graph through the inline sink, so the
+// two produce bitwise-identical factors, logs and statistics.
 //
-//   panel task (Backup + LU-On-Panel + criterion)  <- the decision
-//   LU path:  per-column swap+apply tasks, per-row eliminate tasks,
-//             per-tile GEMM update tasks (embarrassingly parallel)
-//   QR path:  restore task, then GEQRT/TSQRT/TTQRT factor tasks each
-//             fanning out per-column UNMQR/TSMQR/TTMQR update tasks
-//
-// In the default Continuation mode the panel task is the paper's Propagate
-// selection task: it decides LU-vs-QR *inside the dataflow* and submits the
-// step's updates plus the next step's panel itself, so the submitting thread
-// never joins and the workers keep lookahead across as many steps as the
-// dependences allow. SchedulerOptions selects the historical join-per-step
-// mode, toggles critical-path priorities, and enables the per-task timing
-// trace (see runtime/scheduler.hpp).
+// The panel task is the paper's Propagate selection task: it decides
+// LU-vs-QR *inside the dataflow* and submits the step's updates plus the
+// next step's panel itself, so the submitting thread never joins and the
+// workers keep lookahead across as many steps as the dependences allow.
+// SchedulerOptions grades the tasks into critical-path priority lanes and
+// enables the per-task timing trace and the auditor (runtime/scheduler.hpp).
 #pragma once
 
 #include "core/solve.hpp"
@@ -65,15 +61,14 @@ struct SchedulerStats {
   std::uint64_t audit_hb_violations = 0;
 };
 
-/// Parallel equivalent of core::hybrid_factor, including
-/// HybridOptions::track_growth (reduced via per-step atomic maxima over the
-/// final value of each trailing tile, so the reported growth factor is
-/// bitwise identical to the sequential driver's).
+/// Parallel equivalent of core::hybrid_factor: same options (every variant,
+/// HybridOptions::track_growth), bitwise-identical tiles, statistics and
+/// growth factor.
 ///
 /// When `log` is non-null, every transformation is recorded exactly as the
-/// sequential driver records it (same replay order, bitwise-identical
-/// factors), so the result can seed a retained core::Factorization that
-/// serves fresh right-hand sides later.
+/// inline sink records it (same replay order, bitwise-identical factors), so
+/// the result can seed a retained core::Factorization that serves fresh
+/// right-hand sides later.
 /// Instantiated for double and float; the float instantiation backs the
 /// Precision::F32/F32_IR paths (criterion statistics are gathered in double
 /// regardless of T, so the LU-vs-QR decisions match the f64 run shape-wise).

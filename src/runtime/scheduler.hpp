@@ -1,10 +1,10 @@
 // Scheduler knobs for the task-parallel driver (shared with the api layer).
 //
-// The paper expresses the run-time LU/QR fork as selection (Propagate) tasks
-// *inside* the dataflow so workers keep deep lookahead across steps. The
-// driver supports both that continuation style and the historical
-// join-per-step style, selectable here; the remaining knobs control the
-// engine's critical-path priorities and the per-task timing trace.
+// The driver runs the paper's continuation style: each step's panel
+// task decides LU-vs-QR inside the dataflow and submits the step's updates
+// plus the next step's panel, so workers keep lookahead across steps. These
+// knobs control the engine's critical-path priorities, the per-task timing
+// trace, and the correctness auditor.
 #pragma once
 
 #include <cstdint>
@@ -12,21 +12,8 @@
 
 namespace luqr::rt {
 
-/// How the driver advances from one panel step to the next.
-enum class SubmitMode {
-  /// The submitting thread blocks on every step's panel/decision task and
-  /// submits the follow-up tasks itself (lookahead limited to one decision
-  /// frontier — the pre-refactor behavior, kept as a baseline).
-  JoinPerStep,
-  /// The panel task itself decides LU-vs-QR and submits the step's updates
-  /// plus the next step's panel (the paper's Propagate selection task). The
-  /// submitting thread never joins until the whole factorization drains.
-  Continuation,
-};
-
 /// Scheduling configuration for parallel_hybrid_factor.
 struct SchedulerOptions {
-  SubmitMode mode = SubmitMode::Continuation;
   /// Give critical-path tasks (panel/decision, and the updates that unblock
   /// the next panel column) elevated engine priority.
   bool priorities = true;

@@ -229,8 +229,7 @@ SolveService::SolveService(ServiceConfig config)
   // ...big ones as a fine-grained task graph on the same shared engine,
   // driven by the dispatcher (Serial and Parallel factors are bitwise
   // identical, so the split is invisible to results and to the cache).
-  if (cfg_.parallel_factor_tiles > 0 && workers_ > 1 &&
-      cfg_.solver.variant() == core::LuVariant::A1) {
+  if (cfg_.parallel_factor_tiles > 0 && workers_ > 1) {
     fine_solver_ = std::make_unique<Solver>(
         SolverConfig(cfg_.solver).backend(Backend::Parallel).engine(engine_));
   }

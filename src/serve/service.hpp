@@ -185,7 +185,7 @@ struct ServiceConfig {
   /// shared engine (the dispatcher drives the parallel task graph and
   /// blocks until it completes); smaller ones factor as one coarse task on
   /// a worker, which is the right grain for request-sized systems. 0
-  /// disables the fine-grained path. Requires variant A1 and > 1 worker.
+  /// disables the fine-grained path. Requires > 1 worker.
   int parallel_factor_tiles = 8;
 
   /// Period of the obs::EngineSampler that publishes the service engine's

@@ -314,29 +314,60 @@ TEST(HappensBefore, EngineCertifiesObservedAccessOfFailedTask) {
 // The production driver under audit: full factorizations must be clean
 // ---------------------------------------------------------------------------
 
-void expect_clean_audited_factorization(int n, int nb, double alpha) {
+constexpr core::LuVariant kVariants[] = {core::LuVariant::A1, core::LuVariant::A2,
+                                         core::LuVariant::B1, core::LuVariant::B2};
+
+void expect_tiles_bitwise(const TileMatrix<double>& got,
+                          const TileMatrix<double>& want, const std::string& label) {
+  for (int j = 0; j < got.cols(); ++j)
+    for (int i = 0; i < got.rows(); ++i)
+      ASSERT_EQ(got.at(i, j), want.at(i, j))
+          << label << " element " << i << "," << j;
+}
+
+// Audited engine run of every LU variant: clean, and bitwise equal to the
+// inline sink. The random criterion mixes LU and QR steps with trailing work
+// behind both. Returns the per-variant (LU, QR) step counts.
+std::vector<std::pair<int, int>> expect_clean_audited_factorization(int n, int nb) {
   const auto dense = gen::generate(gen::MatrixKind::Random, n, 17);
-  TileMatrix<double> tiles = TileMatrix<double>::from_dense(dense, nb);
-  core::HybridOptions opt;
-  opt.grid_p = 2;
-  opt.grid_q = 2;
-  MaxCriterion criterion(alpha);
-  SchedulerOptions sched;
-  sched.audit = true;
-  SchedulerStats stats;
-  parallel_hybrid_factor(tiles, criterion, opt, 3, nullptr, sched, &stats);
-  EXPECT_GT(stats.audited_tasks, 0u) << "audit did not run";
-  EXPECT_EQ(stats.audit_access_violations, 0u);
-  EXPECT_EQ(stats.audit_hb_violations, 0u);
+  std::vector<std::pair<int, int>> steps;
+  for (core::LuVariant variant : kVariants) {
+    core::HybridOptions opt;
+    opt.grid_p = 2;
+    opt.grid_q = 2;
+    opt.variant = variant;
+    const std::string label = "variant " + std::to_string(static_cast<int>(variant));
+
+    TileMatrix<double> serial = TileMatrix<double>::from_dense(dense, nb);
+    RandomCriterion serial_crit(0.5);
+    const auto serial_stats = core::hybrid_factor(serial, serial_crit, opt);
+
+    TileMatrix<double> tiles = TileMatrix<double>::from_dense(dense, nb);
+    RandomCriterion criterion(0.5);
+    SchedulerOptions sched;
+    sched.audit = true;
+    SchedulerStats stats;
+    const auto fstats =
+        parallel_hybrid_factor(tiles, criterion, opt, 3, nullptr, sched, &stats);
+    EXPECT_GT(stats.audited_tasks, 0u) << label << ": audit did not run";
+    EXPECT_EQ(stats.audit_access_violations, 0u) << label;
+    EXPECT_EQ(stats.audit_hb_violations, 0u) << label;
+    EXPECT_EQ(fstats.lu_steps, serial_stats.lu_steps) << label;
+    expect_tiles_bitwise(tiles, serial, label);
+    steps.emplace_back(fstats.lu_steps, fstats.qr_steps);
+  }
+  return steps;
 }
 
 TEST(DriverAudit, HybridFactorizationPassesMixedSteps) {
-  // alpha = 4 on a random matrix exercises both the LU and the QR branch.
-  expect_clean_audited_factorization(96, 16, 4.0);
+  for (const auto& [lu, qr] : expect_clean_audited_factorization(96, 16)) {
+    EXPECT_GT(lu, 0);
+    EXPECT_GT(qr, 0);
+  }
 }
 
 TEST(DriverAudit, HybridFactorizationPassesNonMultipleShape) {
-  expect_clean_audited_factorization(130, 32, 4.0);
+  expect_clean_audited_factorization(130, 32);
 }
 
 TEST(DriverAudit, AllQrFactorizationPasses) {
@@ -354,45 +385,42 @@ TEST(DriverAudit, AllQrFactorizationPasses) {
   EXPECT_EQ(stats.audit_hb_violations, 0u);
 }
 
-TEST(DriverAudit, JoinPerStepModePasses) {
-  const auto dense = gen::generate(gen::MatrixKind::Random, 64, 23);
-  TileMatrix<double> tiles = TileMatrix<double>::from_dense(dense, 16);
-  MaxCriterion criterion(4.0);
-  SchedulerOptions sched;
-  sched.audit = true;
-  sched.mode = SubmitMode::JoinPerStep;
-  SchedulerStats stats;
-  parallel_hybrid_factor(tiles, criterion, {}, 3, nullptr, sched, &stats);
-  EXPECT_GT(stats.audited_tasks, 0u);
-  EXPECT_EQ(stats.audit_access_violations, 0u);
-  EXPECT_EQ(stats.audit_hb_violations, 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Adversarial schedule exploration: chaos must never change results
 // ---------------------------------------------------------------------------
 
 TEST(ChaosSchedule, EightPerturbedSchedulesMatchSerialBitwise) {
+  // Every LU variant, eight perturbed schedules each: audit-clean and
+  // bitwise equal to the inline sink.
   const int n = 96, nb = 16;
   const auto dense = gen::generate(gen::MatrixKind::Random, n, 29);
 
-  TileMatrix<double> serial = TileMatrix<double>::from_dense(dense, nb);
-  MaxCriterion serial_crit(4.0);
-  const auto serial_stats = core::hybrid_factor(serial, serial_crit, {});
+  for (core::LuVariant variant : kVariants) {
+    core::HybridOptions opt;
+    opt.variant = variant;
+    TileMatrix<double> serial = TileMatrix<double>::from_dense(dense, nb);
+    RandomCriterion serial_crit(0.5);
+    const auto serial_stats = core::hybrid_factor(serial, serial_crit, opt);
 
-  for (std::uint64_t seed : {1ull, 2ull, 3ull, 0x9e3779b9ull, 42ull,
-                             0xdeadbeefull, 7ull, 1234567ull}) {
-    TileMatrix<double> tiles = TileMatrix<double>::from_dense(dense, nb);
-    MaxCriterion criterion(4.0);
-    SchedulerOptions sched;
-    sched.chaos_seed = seed;
-    const auto stats =
-        parallel_hybrid_factor(tiles, criterion, {}, 4, nullptr, sched);
-    ASSERT_EQ(stats.qr_steps, serial_stats.qr_steps) << "seed " << seed;
-    for (int j = 0; j < tiles.cols(); ++j)
-      for (int i = 0; i < tiles.rows(); ++i)
-        ASSERT_EQ(tiles.at(i, j), serial.at(i, j))
-            << "seed " << seed << " element " << i << "," << j;
+    for (std::uint64_t seed : {1ull, 2ull, 3ull, 0x9e3779b9ull, 42ull,
+                               0xdeadbeefull, 7ull, 1234567ull}) {
+      const std::string label = "variant " +
+                                std::to_string(static_cast<int>(variant)) +
+                                " seed " + std::to_string(seed);
+      TileMatrix<double> tiles = TileMatrix<double>::from_dense(dense, nb);
+      RandomCriterion criterion(0.5);
+      SchedulerOptions sched;
+      sched.chaos_seed = seed;
+      sched.audit = true;
+      SchedulerStats sstats;
+      const auto stats =
+          parallel_hybrid_factor(tiles, criterion, opt, 4, nullptr, sched, &sstats);
+      EXPECT_GT(sstats.audited_tasks, 0u) << label;
+      EXPECT_EQ(sstats.audit_access_violations, 0u) << label;
+      EXPECT_EQ(sstats.audit_hb_violations, 0u) << label;
+      ASSERT_EQ(stats.qr_steps, serial_stats.qr_steps) << label;
+      expect_tiles_bitwise(tiles, serial, label);
+    }
   }
 }
 

@@ -1,7 +1,6 @@
 // Tests for the dataflow engine (dependency inference, continuations,
 // priorities, work-stealing, retirement, stress) and the task-parallel
-// hybrid driver (bitwise agreement with the sequential one in both
-// scheduler modes).
+// hybrid driver (the engine sink agrees bitwise with the inline sink).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -295,7 +294,6 @@ void expect_bitwise_equal_solve(const Matrix<double>& a, const Matrix<double>& b
                                 int nb, int threads) {
   MaxCriterion c1(alpha), c2(alpha);
   const auto seq = core::hybrid_solve(a, b, c1, nb, opt);
-  // parallel_hybrid_solve runs the default scheduler (continuation mode).
   const auto par = parallel_hybrid_solve(a, b, c2, nb, opt, threads);
   ASSERT_EQ(seq.stats.lu_steps, par.stats.lu_steps);
   ASSERT_EQ(seq.stats.qr_steps, par.stats.qr_steps);
@@ -369,9 +367,11 @@ TEST(ParallelHybrid, QrStepsWithAllTrees) {
   }
 }
 
-TEST(ParallelHybrid, ContinuationAndJoinModesMatchSerialBitwise) {
-  // The tentpole property: both scheduler modes reproduce the sequential
-  // factors and TransformLog exactly, element for element.
+TEST(ParallelHybrid, EngineSinkMatchesSerialBitwise) {
+  // The engine sink reproduces the inline sink's factors and TransformLog
+  // exactly: tiles, step decisions, LU replay data, and every QR operation
+  // (kind, killer, killed, T-factor contents) — the data
+  // Factorization::solve replays on cache hits.
   const auto a = gen::generate(gen::MatrixKind::Random, 96, 21);
   core::HybridOptions opt;
   opt.grid_p = 2;
@@ -384,28 +384,33 @@ TEST(ParallelHybrid, ContinuationAndJoinModesMatchSerialBitwise) {
   MaxCriterion serial_crit(alpha);
   const auto serial_stats =
       core::hybrid_factor(serial_tiles, serial_crit, opt, &serial_log);
+  ASSERT_GT(serial_stats.lu_steps, 0);
+  ASSERT_GT(serial_stats.qr_steps, 0);
 
-  for (SubmitMode mode : {SubmitMode::JoinPerStep, SubmitMode::Continuation}) {
-    SchedulerOptions sched;
-    sched.mode = mode;
-    core::FactorizationStats stats;
-    core::TransformLog log;
-    const auto tiles =
-        factor_tiles(a, alpha, nb, opt, threads, sched, &stats, &log);
-    const char* label =
-        mode == SubmitMode::Continuation ? "continuation" : "join";
-    ASSERT_EQ(stats.lu_steps, serial_stats.lu_steps) << label;
-    ASSERT_EQ(stats.qr_steps, serial_stats.qr_steps) << label;
-    expect_tiles_equal(tiles, serial_tiles, label);
-    // TransformLog replay order must match step by step.
-    ASSERT_EQ(log.size(), serial_log.size()) << label;
-    for (std::size_t k = 0; k < log.size(); ++k) {
-      EXPECT_EQ(log[k].lu, serial_log[k].lu) << label << " step " << k;
-      EXPECT_EQ(log[k].piv, serial_log[k].piv) << label << " step " << k;
-      EXPECT_EQ(log[k].domain_rows, serial_log[k].domain_rows)
-          << label << " step " << k;
-      ASSERT_EQ(log[k].qr_ops.size(), serial_log[k].qr_ops.size())
-          << label << " step " << k;
+  core::FactorizationStats stats;
+  core::TransformLog log;
+  const auto tiles = factor_tiles(a, alpha, nb, opt, threads, {}, &stats, &log);
+  ASSERT_EQ(stats.lu_steps, serial_stats.lu_steps);
+  ASSERT_EQ(stats.qr_steps, serial_stats.qr_steps);
+  expect_tiles_equal(tiles, serial_tiles, "engine");
+  ASSERT_EQ(log.size(), serial_log.size());
+  for (std::size_t k = 0; k < log.size(); ++k) {
+    EXPECT_EQ(log[k].lu, serial_log[k].lu) << "step " << k;
+    EXPECT_EQ(log[k].piv, serial_log[k].piv) << "step " << k;
+    EXPECT_EQ(log[k].domain_rows, serial_log[k].domain_rows) << "step " << k;
+    ASSERT_EQ(log[k].qr_ops.size(), serial_log[k].qr_ops.size()) << "step " << k;
+    for (std::size_t o = 0; o < log[k].qr_ops.size(); ++o) {
+      const auto& got = log[k].qr_ops[o];
+      const auto& want = serial_log[k].qr_ops[o];
+      EXPECT_EQ(got.kind, want.kind) << "step " << k << " op " << o;
+      EXPECT_EQ(got.killer, want.killer) << "step " << k << " op " << o;
+      EXPECT_EQ(got.killed, want.killed) << "step " << k << " op " << o;
+      ASSERT_NE(got.t, nullptr);
+      ASSERT_NE(want.t, nullptr);
+      for (int j = 0; j < nb; ++j)
+        for (int i = 0; i < nb; ++i)
+          ASSERT_EQ((*got.t)(i, j), (*want.t)(i, j))
+              << "step " << k << " op " << o << " T(" << i << "," << j << ")";
     }
   }
 }
@@ -423,9 +428,8 @@ TEST(ParallelHybrid, PrioritiesOffStillBitwiseIdentical) {
 }
 
 TEST(ParallelHybrid, TrackGrowthMatchesSerialBitwise) {
-  // The per-step atomic max reduction sees exactly the final tile values
-  // the sequential full sweep reads, so the growth factor is identical —
-  // in both scheduler modes, for all-LU and for mixed LU/QR runs.
+  // Both sinks reduce the growth factor over the same final-writer tile
+  // norms, so it is identical for all-LU and for mixed LU/QR runs.
   for (double alpha : {1e30, 20.0}) {
     const auto a = gen::generate(gen::MatrixKind::Random, 96, 25);
     core::HybridOptions opt;
@@ -438,15 +442,10 @@ TEST(ParallelHybrid, TrackGrowthMatchesSerialBitwise) {
     const auto serial_stats = core::hybrid_factor(serial_tiles, serial_crit, opt);
     ASSERT_GE(serial_stats.growth_factor, 1.0);
 
-    for (SubmitMode mode : {SubmitMode::JoinPerStep, SubmitMode::Continuation}) {
-      SchedulerOptions sched;
-      sched.mode = mode;
-      core::FactorizationStats stats;
-      factor_tiles(a, alpha, 16, opt, 4, sched, &stats);
-      EXPECT_EQ(stats.growth_factor, serial_stats.growth_factor)
-          << "alpha " << alpha << " mode "
-          << (mode == SubmitMode::Continuation ? "continuation" : "join");
-    }
+    core::FactorizationStats stats;
+    factor_tiles(a, alpha, 16, opt, 4, {}, &stats);
+    EXPECT_EQ(stats.growth_factor, serial_stats.growth_factor)
+        << "alpha " << alpha;
   }
 }
 
@@ -482,7 +481,7 @@ TEST(Engine, IdleAndWaitIdleHooks) {
   EXPECT_EQ(ran.load(), 17);
 }
 
-TEST(ExternalEngineFactor, MatchesOwnedPoolBitwiseBothModes) {
+TEST(ExternalEngineFactor, MatchesOwnedPoolBitwise) {
   const auto a = gen::generate(gen::MatrixKind::Random, 80, 71);
   core::HybridOptions opt;
   opt.grid_p = 2;
@@ -494,14 +493,12 @@ TEST(ExternalEngineFactor, MatchesOwnedPoolBitwiseBothModes) {
       parallel_hybrid_factor(owned_tiles, c0, opt, 3, &owned_log);
 
   Engine engine(3);
-  for (SubmitMode mode : {SubmitMode::Continuation, SubmitMode::JoinPerStep}) {
+  for (int run = 0; run < 2; ++run) {  // the shared engine is reusable
     TileMatrix<double> tiles = TileMatrix<double>::from_dense(a, 16);
     MaxCriterion criterion(20.0);
     core::TransformLog log;
-    SchedulerOptions sched;
-    sched.mode = mode;
     const auto stats =
-        parallel_hybrid_factor_on(engine, tiles, criterion, opt, &log, sched);
+        parallel_hybrid_factor_on(engine, tiles, criterion, opt, &log);
     EXPECT_EQ(stats.lu_steps, owned_stats.lu_steps);
     EXPECT_EQ(stats.qr_steps, owned_stats.qr_steps);
     for (int tj = 0; tj < tiles.nt(); ++tj)
@@ -511,7 +508,7 @@ TEST(ExternalEngineFactor, MatchesOwnedPoolBitwiseBothModes) {
         for (int j = 0; j < 16; ++j)
           for (int i = 0; i < 16; ++i)
             ASSERT_EQ(got(i, j), want(i, j))
-                << "mode " << static_cast<int>(mode) << " tile " << ti << ","
+                << "run " << run << " tile " << ti << ","
                 << tj;
       }
     ASSERT_EQ(log.size(), owned_log.size());
@@ -535,14 +532,11 @@ TEST(ExternalEngineFactor, ErrorsAreIsolatedPerRun) {
 
   Engine engine(2);
   const auto a = gen::generate(gen::MatrixKind::Random, 64, 73);
-  for (SubmitMode mode : {SubmitMode::Continuation, SubmitMode::JoinPerStep}) {
+  for (int run = 0; run < 2; ++run) {
     TileMatrix<double> tiles = TileMatrix<double>::from_dense(a, 16);
     Bomb bomb;
-    SchedulerOptions sched;
-    sched.mode = mode;
-    EXPECT_THROW(parallel_hybrid_factor_on(engine, tiles, bomb, {}, nullptr, sched),
-                 Error)
-        << static_cast<int>(mode);
+    EXPECT_THROW(parallel_hybrid_factor_on(engine, tiles, bomb, {}), Error)
+        << "run " << run;
     // The shared engine survives unpoisoned and keeps serving.
     engine.wait_all();  // must NOT rethrow the bomb
     TileMatrix<double> ok_tiles = TileMatrix<double>::from_dense(a, 16);

@@ -91,11 +91,10 @@ TEST(SolverConfig, RejectsBadScalarValues) {
 }
 
 TEST(SolverConfig, CrossFieldValidationAtConstruction) {
-  // The Parallel backend implements variant A1 only.
-  EXPECT_THROW(Solver(SolverConfig()
-                          .backend(Backend::Parallel)
-                          .variant(core::LuVariant::B1)),
-               Error);
+  // Every LU variant runs on every backend.
+  EXPECT_NO_THROW(Solver(SolverConfig()
+                             .backend(Backend::Parallel)
+                             .variant(core::LuVariant::B1)));
   // Growth tracking is supported on every backend since the per-step atomic
   // max reduction landed.
   EXPECT_NO_THROW(
@@ -105,9 +104,6 @@ TEST(SolverConfig, CrossFieldValidationAtConstruction) {
                           .criterion(CriterionSpec::random(0.5))
                           .autotune_target_lu_fraction(0.5)),
                Error);
-  // Auto backend degrades to Serial for non-A1 variants instead of throwing.
-  EXPECT_NO_THROW(
-      Solver(SolverConfig().backend(Backend::Auto).variant(core::LuVariant::B1)));
 }
 
 TEST(SolverConfig, HybridOptionsRoundTrip) {
@@ -132,17 +128,14 @@ TEST(SolverConfig, HybridOptionsRoundTrip) {
 
 TEST(SolverConfig, SchedulerKnobsRoundTrip) {
   rt::SchedulerOptions sched;
-  sched.mode = rt::SubmitMode::JoinPerStep;
   sched.priorities = false;
   sched.trace = true;
   sched.trace_path = "t.json";
   const SolverConfig cfg = SolverConfig().scheduler(sched);
-  EXPECT_EQ(cfg.scheduler().mode, rt::SubmitMode::JoinPerStep);
   EXPECT_FALSE(cfg.scheduler().priorities);
   EXPECT_TRUE(cfg.scheduler().trace);
   EXPECT_EQ(cfg.scheduler().trace_path, "t.json");
-  // Default: continuation mode with priorities, no trace.
-  EXPECT_EQ(SolverConfig().scheduler().mode, rt::SubmitMode::Continuation);
+  // Default: priorities on, no trace.
   EXPECT_TRUE(SolverConfig().scheduler().priorities);
   EXPECT_FALSE(SolverConfig().scheduler().trace);
 }
@@ -155,12 +148,12 @@ TEST(Solver, BackendResolution) {
   EXPECT_EQ(parallel.resolve_backend(2), Backend::Parallel);
   EXPECT_EQ(parallel.resolve_threads(), 4);
 
-  // Auto: B-variant configurations and tiny problems stay serial.
+  // Auto: tiny problems stay serial; the LU variant does not matter.
   const Solver auto_b1(SolverConfig()
                            .backend(Backend::Auto)
                            .variant(core::LuVariant::B1)
                            .threads(8));
-  EXPECT_EQ(auto_b1.resolve_backend(100), Backend::Serial);
+  EXPECT_EQ(auto_b1.resolve_backend(100), Backend::Parallel);
   const Solver auto_a1(SolverConfig().backend(Backend::Auto).threads(8));
   EXPECT_EQ(auto_a1.resolve_backend(2), Backend::Serial);
   EXPECT_EQ(auto_a1.resolve_backend(16), Backend::Parallel);
@@ -216,23 +209,27 @@ void expect_bitwise_equal_retained(const CriterionSpec& spec, int n, int nrhs,
                                    std::uint64_t seed) {
   const auto a = gen::generate(gen::MatrixKind::Random, n, seed);
   const auto b = random_matrix(n, nrhs, seed + 1);
-  const SolverConfig base =
-      SolverConfig().criterion(spec).tile_size(16).grid(2, 2);
+  for (auto variant : {core::LuVariant::A1, core::LuVariant::A2,
+                       core::LuVariant::B1, core::LuVariant::B2}) {
+    const SolverConfig base =
+        SolverConfig().criterion(spec).tile_size(16).grid(2, 2).variant(variant);
 
-  const core::Factorization serial =
-      Solver(SolverConfig(base).backend(Backend::Serial)).factor(a);
-  const core::Factorization parallel =
-      Solver(SolverConfig(base).backend(Backend::Parallel).threads(4)).factor(a);
+    const core::Factorization serial =
+        Solver(SolverConfig(base).backend(Backend::Serial)).factor(a);
+    const core::Factorization parallel =
+        Solver(SolverConfig(base).backend(Backend::Parallel).threads(4)).factor(a);
 
-  ASSERT_EQ(serial.stats().lu_steps, parallel.stats().lu_steps);
-  ASSERT_EQ(serial.stats().qr_steps, parallel.stats().qr_steps);
+    ASSERT_EQ(serial.stats().lu_steps, parallel.stats().lu_steps);
+    ASSERT_EQ(serial.stats().qr_steps, parallel.stats().qr_steps);
 
-  const auto xs = serial.solve(b);
-  const auto xp = parallel.solve(b);
-  for (int j = 0; j < nrhs; ++j)
-    for (int i = 0; i < n; ++i)
-      ASSERT_EQ(xs(i, j), xp(i, j)) << "element " << i << "," << j;
-  EXPECT_LT(verify::relative_residual(a, xp, b), 1e-10);
+    const auto xs = serial.solve(b);
+    const auto xp = parallel.solve(b);
+    for (int j = 0; j < nrhs; ++j)
+      for (int i = 0; i < n; ++i)
+        ASSERT_EQ(xs(i, j), xp(i, j)) << "variant " << static_cast<int>(variant)
+                                      << " element " << i << "," << j;
+    EXPECT_LT(verify::relative_residual(a, xp, b), 1e-10);
+  }
 }
 
 TEST(Solver, RetainedSerialVsParallelBitwiseMixed) {
@@ -316,22 +313,6 @@ TEST(Solver, ConcurrentSolvesFromOneFactorization) {
                 expected[static_cast<std::size_t>(t)](i, 0))
           << "thread " << t << " row " << i;
   }
-}
-
-TEST(Solver, JoinSchedulerFactorsBitwiseIdenticalToContinuation) {
-  const auto a = gen::generate(gen::MatrixKind::Random, 96, 31);
-  const auto b = random_matrix(96, 1, 32);
-  const SolverConfig base = SolverConfig()
-                                .criterion(CriterionSpec::max(25.0))
-                                .tile_size(16)
-                                .grid(2, 2)
-                                .backend(Backend::Parallel)
-                                .threads(4);
-  rt::SchedulerOptions join;
-  join.mode = rt::SubmitMode::JoinPerStep;
-  const auto x_cont = Solver(base).factor(a).solve(b);
-  const auto x_join = Solver(SolverConfig(base).scheduler(join)).factor(a).solve(b);
-  for (int i = 0; i < 96; ++i) ASSERT_EQ(x_cont(i, 0), x_join(i, 0)) << i;
 }
 
 TEST(Solver, TrackGrowthOnParallelBackendMatchesSerial) {

@@ -12,8 +12,6 @@
 //   --variant A1|A2|B1|B2                                  (default A1)
 //   --threads <n>      run the parallel backend with n worker threads
 //                      (default: serial backend)
-//   --sched M          parallel scheduler mode: continuation (default) or
-//                      join — join-per-step, the pre-continuation baseline
 //   --no-priorities    disable critical-path task priorities
 //   --lookahead N      priority-lane lookahead depth: updates feeding the
 //                      next N panel decisions overtake bulk trailing work
@@ -56,7 +54,7 @@ namespace {
   std::fprintf(stderr,
                "usage: %s A.mtx [b.mtx] [--criterion C] [--alpha V] [--lu-fraction T]\n"
                "       [--nb V] [--grid PxQ] [--variant A1|A2|B1|B2] [--threads N]\n"
-               "       [--sched continuation|join] [--no-priorities] [--lookahead N]\n"
+               "       [--no-priorities] [--lookahead N]\n"
                "       [--trace f.json] [--profile] [--audit] [--chaos-seed N]\n"
                "       [--refine N] [--precision f64|f32|f32_ir] [--out x.mtx]\n",
                argv0);
@@ -70,7 +68,7 @@ int main(int argc, char** argv) {
   if (argc < 2) usage(argv[0]);
 
   std::string a_path, b_path, out_path, trace_path;
-  std::string criterion = "max", variant = "A1", sched_mode = "continuation";
+  std::string criterion = "max", variant = "A1";
   std::string precision = "f64";
   double alpha = 100.0, lu_fraction = -1.0;
   int nb = 64, refine = 0, grid_p = 4, grid_q = 4, threads = 0, lookahead = -1;
@@ -99,8 +97,6 @@ int main(int argc, char** argv) {
       precision = need_value();
     } else if (arg == "--variant") {
       variant = need_value();
-    } else if (arg == "--sched") {
-      sched_mode = need_value();
     } else if (arg == "--no-priorities") {
       priorities = false;
     } else if (arg == "--lookahead") {
@@ -161,9 +157,6 @@ int main(int argc, char** argv) {
     else LUQR_REQUIRE(precision == "f64", "unknown precision: " + precision);
 
     rt::SchedulerOptions sched;
-    if (sched_mode == "join") sched.mode = rt::SubmitMode::JoinPerStep;
-    else LUQR_REQUIRE(sched_mode == "continuation" || sched_mode == "cont",
-                      "unknown scheduler mode: " + sched_mode);
     sched.priorities = priorities;
     if (lookahead >= 0) sched.lookahead = lookahead;
     if (!trace_path.empty()) {
@@ -218,9 +211,8 @@ int main(int argc, char** argv) {
                 n, nb, spec.name().c_str(), grid_p, grid_q, variant.c_str(),
                 threads > 0 ? "parallel" : "serial");
     if (threads > 0)
-      std::printf("threads: %d   scheduler: %s%s\n", solver.resolve_threads(),
-                  sched_mode == "join" ? "join-per-step" : "continuation",
-                  priorities ? "" : " (no priorities)");
+      std::printf("threads: %d%s\n", solver.resolve_threads(),
+                  priorities ? "" : "   (no priorities)");
     if (!trace_path.empty())
       std::printf("task trace written to %s\n", trace_path.c_str());
     if (audit)
