@@ -4,6 +4,10 @@
 //   - cold request latency: factor + solve of a never-seen matrix
 //   - cache-hit request latency: same matrix again (factor skipped)
 //   - their ratio (the factor-once-solve-many win; CI asserts a floor)
+//   - the same cold/hit pair on QR-heavy systems (Gaussian, max(100)), and
+//     the QR-heavy hit over the all-LU hit (CI asserts a ceiling: both
+//     replay at the exact RHS width, so a one-column hit is O(n^2) either
+//     way)
 //   - batched vs individual throughput for many small solves on one matrix
 //   - a mixed multi-client stress summary (jobs/s, p50/p99)
 //
@@ -34,6 +38,32 @@ double solve_once_seconds(serve::SolveService& svc, const Matrix<double>& a,
   return t.seconds();
 }
 
+struct ColdHit {
+  double cold = 1e30, hit = 1e30;  // best-of seconds
+};
+
+// Cold (never-seen matrix: factor + solve) and cache-hit (same matrix
+// again: solve only) one-column request latency on `kind` systems.
+ColdHit cold_and_hit(const bench::Config& c, gen::MatrixKind kind) {
+  ColdHit r;
+  serve::SolveService svc(service_config(c.nb));
+  const int n = c.n_max;
+  const auto b = bench::rhs_for(n);
+  // Cold: a never-seen matrix per sample (each pays factor + solve).
+  for (int s = 0; s < c.samples; ++s) {
+    const auto a = gen::generate(kind, n, 5000 + static_cast<std::uint64_t>(s));
+    r.cold = std::min(r.cold, solve_once_seconds(svc, a, b));
+  }
+  // Hit: one matrix, repeatedly (first request primes the cache).
+  const auto a = gen::generate(kind, n, 4242);
+  (void)svc.submit_solve(a, b).get();
+  for (int s = 0; s < 5 * c.samples; ++s)
+    r.hit = std::min(r.hit, solve_once_seconds(svc, a, b));
+  if (svc.stats().cache.hits == 0)
+    std::fprintf(stderr, "warning: no cache hits?!\n");
+  return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -47,34 +77,28 @@ int main(int argc, char** argv) {
   std::printf("bench_service: n=%d nb=%d samples=%d\n\n", n, c.nb, c.samples);
 
   // -- cold vs cache-hit latency ------------------------------------------
-  // Diagonally dominant systems: the all-LU regime, where a cache hit
-  // replays through the exact-width wide panel (O(n^2) work) while a cold
-  // request pays the O(n^3) factorization — the factor-once-solve-many
-  // contrast the cache exists for.
-  double cold = 1e30, warm = 1e30;
-  {
-    serve::SolveService svc(service_config(c.nb));
-    const auto b = bench::rhs_for(n);
-    // Cold: a never-seen matrix per sample (each pays factor + solve).
-    for (int s = 0; s < c.samples; ++s) {
-      const auto a = gen::generate(gen::MatrixKind::DiagDominant, n,
-                                   5000 + static_cast<std::uint64_t>(s));
-      cold = std::min(cold, solve_once_seconds(svc, a, b));
-    }
-    // Warm: one matrix, repeatedly (first request primes the cache).
-    const auto a = gen::generate(gen::MatrixKind::DiagDominant, n, 4242);
-    (void)svc.submit_solve(a, b).get();
-    for (int s = 0; s < 5 * c.samples; ++s)
-      warm = std::min(warm, solve_once_seconds(svc, a, b));
-    const serve::ServiceStats st = svc.stats();
-    if (st.cache.hits == 0) std::fprintf(stderr, "warning: no cache hits?!\n");
-  }
-  const double hit_speedup = cold / warm;
-  std::printf("cold  factor+solve   %8.3f ms\n", 1e3 * cold);
-  std::printf("warm  cache-hit      %8.3f ms   (%.1fx)\n", 1e3 * warm, hit_speedup);
-  report.row("cold_request").metric("ms", 1e3 * cold).metric("n", n);
-  report.row("cache_hit_request").metric("ms", 1e3 * warm).metric("n", n);
+  // Diagonally dominant systems: the all-LU regime. A cold request pays the
+  // O(n^3) factorization, a cache hit only the O(n^2) exact-width replay —
+  // the factor-once-solve-many contrast the cache exists for.
+  const ColdHit lu = cold_and_hit(c, gen::MatrixKind::DiagDominant);
+  const double hit_speedup = lu.cold / lu.hit;
+  std::printf("cold  factor+solve   %8.3f ms\n", 1e3 * lu.cold);
+  std::printf("warm  cache-hit      %8.3f ms   (%.1fx)\n", 1e3 * lu.hit,
+              hit_speedup);
+  report.row("cold_request").metric("ms", 1e3 * lu.cold).metric("n", n);
+  report.row("cache_hit_request").metric("ms", 1e3 * lu.hit).metric("n", n);
   report.row("cache_hit_speedup").metric("speedup", hit_speedup).metric("n", n);
+
+  // Gaussian systems under max(100): most steps choose QR, so a hit replays
+  // Q^T through UNMQR/TSMQR/TTMQR instead of row swaps and TRSMs.
+  const ColdHit qr = cold_and_hit(c, gen::MatrixKind::Random);
+  const double qr_over_lu = qr.hit / lu.hit;
+  std::printf("cold  factor+solve QR-heavy %8.3f ms\n", 1e3 * qr.cold);
+  std::printf("warm  cache-hit QR-heavy    %8.3f ms   (%.2fx the all-LU hit)\n",
+              1e3 * qr.hit, qr_over_lu);
+  report.row("cold_request_qr").metric("ms", 1e3 * qr.cold).metric("n", n);
+  report.row("cache_hit_request_qr").metric("ms", 1e3 * qr.hit).metric("n", n);
+  report.row("qr_hit_over_lu_hit").metric("ratio", qr_over_lu).metric("n", n);
 
   // -- batched vs individual small solves ---------------------------------
   {

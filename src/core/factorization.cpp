@@ -8,7 +8,6 @@
 #include "kernels/blas.hpp"
 #include "kernels/lapack.hpp"
 #include "kernels/norms.hpp"
-#include "kernels/pack.hpp"
 
 namespace luqr::core {
 
@@ -132,35 +131,32 @@ void FactorizationT<T>::apply_transformations(TileMatrix<T>& b) const {
 }
 
 // ---------------------------------------------------------------------------
-// WideBlocked RHS path: all columns in one dense panel
+// Wide RHS path: all columns in one dense panel, at the exact RHS width
 // ---------------------------------------------------------------------------
 //
 // The per-tile-column layout slices a W-column RHS into ceil(W/nb) separate
 // nb-wide tile columns (one column pads up to a whole nb-wide tile), so
-// every trailing GEMM of the replay and the back-substitution runs
-// ceil(W/nb) times at width nb. The wide layout keeps the RHS as one
-// (mt*nb) x Wp column-major panel addressed through nb-row block views, so
-// each of those GEMMs runs once at the panel width: bigger products through
-// the packed cache-blocked kernel for batched RHS, and — the serving hot
-// path — Wp = W exactly for LU/A1-only factorizations, which removes the
-// padded-to-nb waste entirely (a cache-hit single-RHS solve drops from
-// O(n^2 nb) to O(n^2) work).
+// every kernel of the replay and the back-substitution runs ceil(W/nb)
+// times at width nb. The wide layout keeps the RHS as one (mt*nb) x W
+// column-major panel addressed through nb-row block views, so each of those
+// kernels runs once at the exact RHS width: bigger products for batched
+// RHS, and — the serving hot path — no padded-to-nb waste for one column (a
+// cache-hit single-RHS solve does O(n^2) work instead of O(n^2 nb)).
 //
 // Bitwise equality with the per-tile-column path (asserted by the tests)
-// rests on three facts: (1) the packed GEMM's per-element sums depend only
-// on KC, never on the panel width — and the wide path does not re-dispatch
-// on its own width but mirrors the per-column path's choice (an nb x nb x
-// nb product's verdict), so every element goes through the same kernel at
-// a different width; (2) TRSM and the row interchanges are exactly
-// per-column operations — the blocked TRSM keeps this by dispatching on the
-// triangle dimension alone and running its inner updates through the packed
-// GEMM unconditionally (see trsm_wants_blocked), so a diagonal tile picks
-// the same kernel and the same per-element sums at any RHS width; (3) the
-// orthogonal applies (UNMQR/TSMQR/TTMQR,
-// whose internals dispatch on their own operand widths) are only reached
-// for factorizations with QR or block-LU steps, where the panel is padded
-// to whole tiles and walked in nb-wide slices, keeping every such kernel
-// call shape-identical to the per-column path.
+// rests on every kernel the solve runs being a column-by-column operation
+// once its branch is fixed, and on fixing that branch at width nb:
+//   (1) GEMM: the packed kernel's per-element sums depend only on KC, the
+//       simple loops work column by column; the wide path passes nb as the
+//       dispatch width, so every element goes through the kernel an nb x nb
+//       x nb product picks.
+//   (2) TRSM and the row interchanges are exactly per-column operations —
+//       the blocked TRSM dispatches on the triangle dimension alone and
+//       runs its inner updates through the packed GEMM unconditionally (see
+//       trsm_wants_blocked).
+//   (3) The orthogonal applies (UNMQR/TSMQR/TTMQR) take the same dispatch
+//       width nb, which fixes both their densified-V/loop branch and their
+//       inner GEMMs' paths; TRMM and their loop branches are per-column.
 
 template <typename T>
 Matrix<T> FactorizationT<T>::solve(const Matrix<T>& b, int refinement_sweeps,
@@ -168,24 +164,11 @@ Matrix<T> FactorizationT<T>::solve(const Matrix<T>& b, int refinement_sweeps,
   LUQR_REQUIRE(b.rows() == n_scalar_, "rhs row count mismatch");
   const int nb = factored_.nb();
   const int mt = factored_.mt();
-  const int bt = (b.cols() + nb - 1) / nb;
-
-  // Plain LU/A1 factorizations replay through swaps, TRSM and GEMM only —
-  // all exactly per-column — so the wide panel may be the exact RHS width.
-  bool lu_a1_only = true;
-  for (const StepRecordT<T>& rec : stats_.steps)
-    lu_a1_only = lu_a1_only && rec.kind == StepKind::LU &&
-                 rec.variant == LuVariant::A1;
-
-  // Auto: wide whenever it saves work — multi-column RHS (fewer, bigger
-  // GEMMs), or any width on an LU/A1-only factorization (exact-width panel).
-  const bool wide = path == RhsPath::WideBlocked ||
-                    (path == RhsPath::Auto && (b.cols() > 1 || lu_a1_only));
-  const int wp = lu_a1_only ? b.cols() : bt * nb;
+  const bool wide = path != RhsPath::PerTileColumn;
 
   auto solve_once = [&](const Matrix<T>& rhs) {
-    if (wide && wp > 0) {
-      Matrix<T> wb(mt * nb, wp);
+    if (wide && rhs.cols() > 0) {
+      Matrix<T> wb(mt * nb, rhs.cols());
       for (int j = 0; j < rhs.cols(); ++j)
         for (int i = 0; i < rhs.rows(); ++i) wb(i, j) = rhs(i, j);
       apply_transformations_wide(wb);
@@ -195,7 +178,7 @@ Matrix<T> FactorizationT<T>::solve(const Matrix<T>& b, int refinement_sweeps,
         for (int i = 0; i < n_scalar_; ++i) x(i, j) = wb(i, j);
       return x;
     }
-    TileMatrix<T> bt_tiles(mt, bt, nb);
+    TileMatrix<T> bt_tiles(mt, (rhs.cols() + nb - 1) / nb, nb);
     for (int j = 0; j < rhs.cols(); ++j)
       for (int i = 0; i < rhs.rows(); ++i) bt_tiles.at(i, j) = rhs(i, j);
     apply_transformations(bt_tiles);
@@ -218,24 +201,6 @@ Matrix<T> FactorizationT<T>::solve(const Matrix<T>& b, int refinement_sweeps,
   }
   return x;
 }
-
-namespace {
-
-// The wide panel's GEMM: same kernel the per-tile-column path's dispatcher
-// picks for its nb x nb x nb products, applied at the panel width. Mirroring
-// the choice (instead of re-dispatching on the wide shape) is what keeps
-// every element's arithmetic bit-identical across the two layouts — the
-// packed kernel's per-element sums depend only on KC, never on the width.
-template <typename T>
-void wide_gemm(int nb, T alpha, ConstMatrixView<T> a, ConstMatrixView<T> b,
-               T beta, kern::MatrixView<T> c) {
-  if (kern::gemm_wants_blocked(nb, nb, nb))
-    kern::gemm_blocked(Trans::No, Trans::No, alpha, a, b, beta, c);
-  else
-    kern::gemm_unblocked(Trans::No, Trans::No, alpha, a, b, beta, c);
-}
-
-}  // namespace
 
 template <typename T>
 void FactorizationT<T>::apply_transformations_wide(Matrix<T>& wb) const {
@@ -265,51 +230,38 @@ void FactorizationT<T>::apply_transformations_wide(Matrix<T>& wb) const {
         kern::trsm(Side::Left, Uplo::Lower, Trans::No, Diag::Unit, T(1),
                    ConstMatrixView<T>(factored_.tile(k, k)), bk);
       } else if (variant == LuVariant::A2) {
-        // Orthogonal apply: nb-wide slices (see the path comment above).
-        LUQR_REQUIRE(wp % nb == 0, "wide rhs must be tile-padded for A2");
-        for (int c0 = 0; c0 < wp; c0 += nb) {
-          auto slice = rb(k).block(0, c0, nb, nb);
-          kern::unmqr(Trans::Yes, ConstMatrixView<T>(factored_.tile(k, k)),
-                      step.diag_t->cview(), slice);
-        }
+        // b_k <- Q^T b_k from the diagonal GEQRT, dispatched at width nb.
+        kern::unmqr(Trans::Yes, ConstMatrixView<T>(factored_.tile(k, k)),
+                    step.diag_t->cview(), rb(k), nullptr, nb);
       }
       // B1/B2: row k is untouched (block LU).
-      // Eliminations: one full-width GEMM per trailing tile row.
-      for (int i = k + 1; i < n; ++i) {
-        auto bi = rb(i);
-        wide_gemm(nb, T(-1), ConstMatrixView<T>(factored_.tile(i, k)),
-                  ConstMatrixView<T>(rb(k)), T(1), bi);
-      }
+      // Eliminations: one full-width GEMM per trailing tile row,
+      // dispatched at width nb.
+      for (int i = k + 1; i < n; ++i)
+        kern::gemm(Trans::No, Trans::No, T(-1),
+                   ConstMatrixView<T>(factored_.tile(i, k)),
+                   ConstMatrixView<T>(rb(k)), T(1), rb(i), nullptr, nb);
     } else {
-      // QR step: orthogonal ops in execution order, nb-wide slices each.
-      LUQR_REQUIRE(wp % nb == 0, "wide rhs must be tile-padded for QR steps");
+      // QR step: orthogonal ops in execution order, dispatched at width nb.
       for (const QrOpT<T>& op : step.qr_ops) {
-        for (int c0 = 0; c0 < wp; c0 += nb) {
-          switch (op.kind) {
-            case QrKind::Geqrt: {
-              auto slice = rb(op.killer).block(0, c0, nb, nb);
-              kern::unmqr(Trans::Yes,
-                          ConstMatrixView<T>(factored_.tile(op.killer, k)),
-                          op.t->cview(), slice);
-              break;
-            }
-            case QrKind::Ts: {
-              auto top = rb(op.killer).block(0, c0, nb, nb);
-              auto bottom = rb(op.killed).block(0, c0, nb, nb);
-              kern::tsmqr(Trans::Yes,
-                          ConstMatrixView<T>(factored_.tile(op.killed, k)),
-                          op.t->cview(), top, bottom);
-              break;
-            }
-            case QrKind::Tt: {
-              auto top = rb(op.killer).block(0, c0, nb, nb);
-              auto bottom = rb(op.killed).block(0, c0, nb, nb);
-              kern::ttmqr(Trans::Yes,
-                          ConstMatrixView<T>(factored_.tile(op.killed, k)),
-                          op.t->cview(), top, bottom);
-              break;
-            }
-          }
+        switch (op.kind) {
+          case QrKind::Geqrt:
+            kern::unmqr(Trans::Yes,
+                        ConstMatrixView<T>(factored_.tile(op.killer, k)),
+                        op.t->cview(), rb(op.killer), nullptr, nb);
+            break;
+          case QrKind::Ts:
+            kern::tsmqr(Trans::Yes,
+                        ConstMatrixView<T>(factored_.tile(op.killed, k)),
+                        op.t->cview(), rb(op.killer), rb(op.killed), nullptr,
+                        nb);
+            break;
+          case QrKind::Tt:
+            kern::ttmqr(Trans::Yes,
+                        ConstMatrixView<T>(factored_.tile(op.killed, k)),
+                        op.t->cview(), rb(op.killer), rb(op.killed), nullptr,
+                        nb);
+            break;
         }
       }
     }
@@ -334,19 +286,16 @@ void FactorizationT<T>::solve_triangular_wide(Matrix<T>& wb) const {
     const bool b2 = rec && rec->variant == LuVariant::B2;
     auto bk = rb(k);
     for (int j = k + 1; j < n; ++j)
-      wide_gemm(nb, T(-1), ConstMatrixView<T>(factored_.tile(k, j)),
-                ConstMatrixView<T>(rb(j)), T(1), bk);
+      kern::gemm(Trans::No, Trans::No, T(-1),
+                 ConstMatrixView<T>(factored_.tile(k, j)),
+                 ConstMatrixView<T>(rb(j)), T(1), bk, nullptr, nb);
     if (b1) {
       kern::laswp(bk, rec->diag_piv, /*forward=*/true);
       kern::trsm(Side::Left, Uplo::Lower, Trans::No, Diag::Unit, T(1),
                  ConstMatrixView<T>(diag), bk);
     } else if (b2) {
-      LUQR_REQUIRE(wp % nb == 0, "wide rhs must be tile-padded for B2");
-      for (int c0 = 0; c0 < wp; c0 += nb) {
-        auto slice = bk.block(0, c0, nb, nb);
-        kern::unmqr(Trans::Yes, ConstMatrixView<T>(diag),
-                    rec->diag_t->cview(), slice);
-      }
+      kern::unmqr(Trans::Yes, ConstMatrixView<T>(diag), rec->diag_t->cview(),
+                  bk, nullptr, nb);
     }
     kern::trsm(Side::Left, Uplo::Upper, Trans::No, Diag::NonUnit, T(1),
                ConstMatrixView<T>(diag), bk);

@@ -35,23 +35,19 @@ namespace luqr::core {
 /// How Factorization::solve carries a multi-column right-hand side through
 /// the transformation replay and the back-substitution.
 enum class RhsPath {
-  /// WideBlocked whenever it saves work: any multi-column RHS, and every
-  /// width (including a single column) on plain-LU/A1 factorizations. The
-  /// default. Always bitwise-equal to PerTileColumn.
+  /// The default: WideBlocked, for every factorization and every width.
   Auto,
   /// One nb-wide tile column at a time — the historical layout, and the one
-  /// whose arithmetic matches the fused-RHS driver tile for tile.
+  /// whose arithmetic matches the fused-RHS driver tile for tile. Kept as
+  /// the bitwise reference the wide path is tested against.
   PerTileColumn,
-  /// All RHS columns ride in one dense panel: each trailing GEMM of the
-  /// replay and the back-substitution runs once per tile pair at the full
-  /// panel width through the same kernel the per-tile-column dispatch picks
-  /// (fewer, bigger products — the batched-solve path of the serve
-  /// subsystem). On LU/A1-only factorizations the panel is the exact RHS
-  /// width, which turns a single-RHS cache-hit solve from O(n^2 nb) into
-  /// O(n^2) work; factorizations with QR or block-LU steps pad to whole
-  /// tiles and walk their orthogonal applies (UNMQR/TSMQR/TTMQR) in
-  /// nb-wide slices, so every such kernel call keeps the exact shape (and
-  /// hence bits) of the per-tile-column path.
+  /// All RHS columns ride in one dense panel of the exact RHS width: every
+  /// kernel of the replay and the back-substitution — GEMM, TRSM and the
+  /// orthogonal applies (UNMQR/TSMQR/TTMQR) of QR and A2/B2 steps — runs
+  /// once per tile (pair) at the full width, with its kernel branch chosen
+  /// as for an nb-wide tile. Batched RHS get fewer, bigger products; a
+  /// single-RHS cache-hit solve does O(n^2) work instead of O(n^2 nb).
+  /// Always bitwise-equal to PerTileColumn.
   WideBlocked,
 };
 
@@ -103,7 +99,8 @@ class FactorizationT {
   void apply_transformations(TileMatrix<T>& b) const;
 
   /// WideBlocked internals: replay / back-substitute on one dense panel
-  /// holding every RHS column (rows padded to whole tiles).
+  /// holding every RHS column at the exact width (rows padded to whole
+  /// tiles).
   void apply_transformations_wide(Matrix<T>& wb) const;
   void solve_triangular_wide(Matrix<T>& wb) const;
 

@@ -28,10 +28,25 @@ enum class Diag { NonUnit, Unit };
 /// C <- alpha * op(A) * op(B) + beta * C.
 /// op(A) is (m x k), op(B) is (k x n), C is (m x n).
 /// Packing scratch comes from `ws` (the calling thread's arena when null).
+///
+/// The blocked/unblocked choice is made as if C were `dispatch_n` columns
+/// wide. Both paths compute each column of C independently (the packed
+/// kernel's per-element sums depend only on KC), so a W-wide call
+/// dispatched at width nb performs exactly the arithmetic of W/nb separate
+/// nb-wide calls — the invariance the exact-width solve
+/// (core/factorization.cpp) builds on.
+template <typename T>
+void gemm(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a,
+          ConstMatrixView<T> b, T beta, MatrixView<T> c, Workspace* ws,
+          int dispatch_n);
+
+/// Same, dispatched on C's own width.
 template <typename T>
 void gemm(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a,
           ConstMatrixView<T> b, T beta, MatrixView<T> c,
-          Workspace* ws = nullptr);
+          Workspace* ws = nullptr) {
+  gemm(transa, transb, alpha, a, b, beta, c, ws, c.cols);
+}
 
 /// The packed cache-blocked path, unconditionally (exposed so tests can
 /// exercise it at sizes the dispatcher would route to the simple loops).

@@ -182,7 +182,8 @@ void gemm_blocked(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a,
 
 template <typename T>
 void gemm(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a,
-          ConstMatrixView<T> b, T beta, MatrixView<T> c, Workspace* ws) {
+          ConstMatrixView<T> b, T beta, MatrixView<T> c, Workspace* ws,
+          int dispatch_n) {
   // Audited-task footprint report (no-op without an installed listener).
   note_read(a);
   note_read(b);
@@ -190,7 +191,7 @@ void gemm(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a,
   const int k = transa == Trans::No ? a.cols : a.rows;
   obs::KernelScope prof(obs::KernelClass::Gemm,
                         obs::gemm_model_flops(c.rows, c.cols, k));
-  if (gemm_wants_blocked(c.rows, c.cols, k)) {
+  if (gemm_wants_blocked(c.rows, dispatch_n, k)) {
     gemm_blocked(transa, transb, alpha, a, b, beta, c, ws);
   } else {
     gemm_unblocked(transa, transb, alpha, a, b, beta, c);
@@ -224,7 +225,8 @@ std::size_t gemm_pack_scratch_bytes(int m, int n, int k) {
 #define LUQR_INST(T)                                                          \
   template std::size_t gemm_pack_scratch_bytes<T>(int, int, int);             \
   template void gemm<T>(Trans, Trans, T, ConstMatrixView<T>,                  \
-                        ConstMatrixView<T>, T, MatrixView<T>, Workspace*);    \
+                        ConstMatrixView<T>, T, MatrixView<T>, Workspace*,     \
+                        int);                                                 \
   template void gemm_blocked<T>(Trans, Trans, T, ConstMatrixView<T>,          \
                                 ConstMatrixView<T>, T, MatrixView<T>,         \
                                 Workspace*);                                  \

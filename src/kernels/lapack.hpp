@@ -20,6 +20,14 @@
 // the calling thread's arena (each engine worker owns one). The apply
 // kernels (TSMQR/TTMQR/UNMQR) route their W = V^T C / C -= V W products
 // through the packed blocked GEMM above the gemm dispatch threshold.
+//
+// Each apply kernel also takes a dispatch width (0: C's own width). The
+// kernel picks its densified-V/packed-GEMM branch or its loop branch — and
+// its inner GEMMs their paths — as if C were that many columns wide. Every
+// branch works column by column, so an apply to a W-wide C dispatched at
+// width nb is bitwise equal to W/nb applies to nb-wide slices of it: the
+// solve replays Q^T at the exact RHS width this way. Factor-path callers
+// leave it at 0.
 #pragma once
 
 #include <vector>
@@ -111,7 +119,7 @@ void geqrt_blocked(MatrixView<T> a, MatrixView<T> t, Workspace* ws = nullptr);
 /// left: C <- op(Q) C, with V m x k, T k x k.
 template <typename T>
 void unmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t, MatrixView<T> c,
-           Workspace* ws = nullptr);
+           Workspace* ws = nullptr, int dispatch_n = 0);
 
 /// TSQRT (triangle on top of square): QR factorization of the stacked tile
 ///   [ R ]   (nb x nb, upper triangular, updated in place)
@@ -127,7 +135,8 @@ void tsqrt(MatrixView<T> r, MatrixView<T> a, MatrixView<T> t, Workspace* ws = nu
 /// with V (m x nb) and T (nb x nb) from tsqrt.
 template <typename T>
 void tsmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
-           MatrixView<T> c1, MatrixView<T> c2, Workspace* ws = nullptr);
+           MatrixView<T> c1, MatrixView<T> c2, Workspace* ws = nullptr,
+           int dispatch_n = 0);
 
 /// TTQRT (triangle on top of triangle): QR factorization of the stacked tile
 ///   [ R1 ]  (nb x nb upper triangular, updated in place)
@@ -141,7 +150,8 @@ void ttqrt(MatrixView<T> r1, MatrixView<T> r2, MatrixView<T> t,
 /// [C1; C2] (each nb x n) with upper-triangular V.
 template <typename T>
 void ttmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
-           MatrixView<T> c1, MatrixView<T> c2, Workspace* ws = nullptr);
+           MatrixView<T> c1, MatrixView<T> c2, Workspace* ws = nullptr,
+           int dispatch_n = 0);
 
 // ---------------------------------------------------------------------------
 // Incremental (pairwise) pivoting kernels — the LU IncPiv baseline

@@ -163,11 +163,12 @@ void geqrt(MatrixView<T> a, MatrixView<T> t, Workspace* wsp) {
 
 template <typename T>
 void unmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
-           MatrixView<T> c, Workspace* wsp) {
+           MatrixView<T> c, Workspace* wsp, int dispatch_n) {
   note_read(v);
   note_read(t);
   note_write(c);
   const int m = c.rows, n = c.cols, k = v.cols;
+  const int dn = dispatch_n > 0 ? dispatch_n : n;
   LUQR_REQUIRE(v.rows == m && t.rows >= k && t.cols >= k, "unmqr shape mismatch");
   if (m == 0 || n == 0 || k == 0) return;
   obs::KernelScope prof(obs::KernelClass::Unmqr,
@@ -176,7 +177,7 @@ void unmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
   Workspace::Frame frame(ws);
   MatrixView<T> w(ws.alloc<T>(static_cast<std::size_t>(k) * n), k, n, k);
 
-  if (gemm_wants_blocked(k, n, m)) {
+  if (gemm_wants_blocked(k, dn, m)) {
     // Big tiles: materialize the unit-lower-trapezoidal V densely (the
     // upper triangle of its storage holds R and must read as zero, the
     // diagonal as one) so both halves of the compact-WY apply are packed
@@ -191,13 +192,13 @@ void unmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
     }
     // W = V^T C.
     gemm(Trans::Yes, Trans::No, T(1), ConstMatrixView<T>(vfull),
-         ConstMatrixView<T>(c), T(0), w, &ws);
+         ConstMatrixView<T>(c), T(0), w, &ws, dn);
     // W <- op(T) W.
     trmm(Side::Left, Uplo::Upper, trans, Diag::NonUnit, T(1),
          t.block(0, 0, k, k), w);
     // C <- C - V W.
     gemm(Trans::No, Trans::No, T(-1), ConstMatrixView<T>(vfull),
-         ConstMatrixView<T>(w), T(1), c, &ws);
+         ConstMatrixView<T>(w), T(1), c, &ws, dn);
     return;
   }
 
@@ -229,7 +230,7 @@ void unmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
   template void geqrt_unblocked<T>(MatrixView<T>, MatrixView<T>, Workspace*); \
   template void geqrt_blocked<T>(MatrixView<T>, MatrixView<T>, Workspace*);   \
   template void unmqr<T>(Trans, ConstMatrixView<T>, ConstMatrixView<T>,       \
-                         MatrixView<T>, Workspace*);
+                         MatrixView<T>, Workspace*, int);
 LUQR_INST(double)
 LUQR_INST(float)
 #undef LUQR_INST

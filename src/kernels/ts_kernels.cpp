@@ -65,7 +65,8 @@ void tsqrt(MatrixView<T> r, MatrixView<T> a, MatrixView<T> t, Workspace* wsp) {
 
 template <typename T>
 void tsmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
-           MatrixView<T> c1, MatrixView<T> c2, Workspace* wsp) {
+           MatrixView<T> c1, MatrixView<T> c2, Workspace* wsp,
+           int dispatch_n) {
   note_read(v);
   note_read(t);
   note_write(c1);
@@ -75,26 +76,29 @@ void tsmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
   const int nb = v.cols, m = v.rows, n = c1.cols;
   LUQR_REQUIRE(c1.rows == nb && c2.rows == m && c2.cols == n, "tsmqr shape mismatch");
   if (n == 0) return;
+  const int dn = dispatch_n > 0 ? dispatch_n : n;
   Workspace& ws = workspace_or_tls(wsp);
   Workspace::Frame frame(ws);
   // Z = C1 + V^T C2  (the stacked reflectors are [I; V]).
   MatrixView<T> z(ws.alloc<T>(static_cast<std::size_t>(nb) * n), nb, n, nb);
   copy(ConstMatrixView<T>(c1), z);
-  gemm(Trans::Yes, Trans::No, T(1), v, ConstMatrixView<T>(c2), T(1), z, &ws);
+  gemm(Trans::Yes, Trans::No, T(1), v, ConstMatrixView<T>(c2), T(1), z, &ws,
+       dn);
   // Z <- op(T) Z.
   trmm(Side::Left, Uplo::Upper, trans, Diag::NonUnit, T(1),
        t.block(0, 0, nb, nb), z);
   // C1 -= Z ; C2 -= V Z.
   for (int j = 0; j < n; ++j)
     for (int i = 0; i < nb; ++i) c1(i, j) -= z(i, j);
-  gemm(Trans::No, Trans::No, T(-1), v, ConstMatrixView<T>(z), T(1), c2, &ws);
+  gemm(Trans::No, Trans::No, T(-1), v, ConstMatrixView<T>(z), T(1), c2, &ws,
+       dn);
 }
 
 #define LUQR_INST(T)                                                      \
   template void tsqrt<T>(MatrixView<T>, MatrixView<T>, MatrixView<T>,     \
                          Workspace*);                                     \
   template void tsmqr<T>(Trans, ConstMatrixView<T>, ConstMatrixView<T>,   \
-                         MatrixView<T>, MatrixView<T>, Workspace*);
+                         MatrixView<T>, MatrixView<T>, Workspace*, int);
 LUQR_INST(double)
 LUQR_INST(float)
 #undef LUQR_INST

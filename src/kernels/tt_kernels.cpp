@@ -66,7 +66,8 @@ void ttqrt(MatrixView<T> r1, MatrixView<T> r2, MatrixView<T> t, Workspace* wsp) 
 
 template <typename T>
 void ttmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
-           MatrixView<T> c1, MatrixView<T> c2, Workspace* wsp) {
+           MatrixView<T> c1, MatrixView<T> c2, Workspace* wsp,
+           int dispatch_n) {
   note_read(v);
   note_read(t);
   note_write(c1);
@@ -77,12 +78,13 @@ void ttmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
   LUQR_REQUIRE(v.rows == nb && c1.rows == nb && c2.rows == nb && c2.cols == n,
                "ttmqr shape mismatch");
   if (n == 0) return;
+  const int dn = dispatch_n > 0 ? dispatch_n : n;
   Workspace& ws = workspace_or_tls(wsp);
   Workspace::Frame frame(ws);
   MatrixView<T> z(ws.alloc<T>(static_cast<std::size_t>(nb) * n), nb, n, nb);
   copy(ConstMatrixView<T>(c1), z);
 
-  if (gemm_wants_blocked(nb, n, nb)) {
+  if (gemm_wants_blocked(nb, dn, nb)) {
     // Big tiles: materialize the triangular V as a dense tile (the storage
     // below its diagonal belongs to earlier reflectors and must read as
     // zero) and ride the packed GEMM for both V^T C2 and V Z. The explicit
@@ -96,14 +98,14 @@ void ttmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
     }
     // Z = C1 + V^T C2.
     gemm(Trans::Yes, Trans::No, T(1), ConstMatrixView<T>(vfull),
-         ConstMatrixView<T>(c2), T(1), z, &ws);
+         ConstMatrixView<T>(c2), T(1), z, &ws, dn);
     trmm(Side::Left, Uplo::Upper, trans, Diag::NonUnit, T(1),
          t.block(0, 0, nb, nb), z);
     // C1 -= Z ; C2 -= V Z.
     for (int j = 0; j < n; ++j)
       for (int i = 0; i < nb; ++i) c1(i, j) -= z(i, j);
     gemm(Trans::No, Trans::No, T(-1), ConstMatrixView<T>(vfull),
-         ConstMatrixView<T>(z), T(1), c2, &ws);
+         ConstMatrixView<T>(z), T(1), c2, &ws, dn);
     return;
   }
 
@@ -133,7 +135,7 @@ void ttmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
   template void ttqrt<T>(MatrixView<T>, MatrixView<T>, MatrixView<T>,     \
                          Workspace*);                                     \
   template void ttmqr<T>(Trans, ConstMatrixView<T>, ConstMatrixView<T>,   \
-                         MatrixView<T>, MatrixView<T>, Workspace*);
+                         MatrixView<T>, MatrixView<T>, Workspace*, int);
 LUQR_INST(double)
 LUQR_INST(float)
 #undef LUQR_INST

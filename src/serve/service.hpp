@@ -12,7 +12,9 @@
 // on the same matrix are deduplicated through a pending-factorization map
 // (one factor run, everyone else attaches), and submit_batch fuses many
 // independent right-hand sides against one matrix into a single wide solve
-// (Factorization's WideBlocked path) instead of N engine round-trips.
+// instead of N engine round-trips. Every cached solve, one column or many,
+// replays the factorization at the exact RHS width (Factorization's
+// WideBlocked path), on QR-heavy and all-LU factorizations alike.
 //
 //   serve::ServiceConfig cfg;
 //   cfg.solver.criterion(CriterionSpec::max(100.0)).tile_size(64);

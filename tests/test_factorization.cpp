@@ -159,10 +159,10 @@ TEST(Factorization, WideBlockedPathMatchesPerColumnBitwise) {
 }
 
 TEST(Factorization, WideBlockedPathQrStepsAndVariants) {
-  // QR steps replay through nb-wide orthogonal-apply slices on the wide
-  // panel; A2 exercises the diagonal UNMQR apply, B1/B2 the block-diagonal
-  // solves. All must match the per-column path bitwise (same-shape kernel
-  // calls, same inputs).
+  // QR steps replay their orthogonal applies once at the full panel width,
+  // dispatched as for an nb-wide tile; A2 exercises the diagonal UNMQR
+  // apply, B1/B2 the block-diagonal solves. All must match the per-column
+  // path bitwise (same kernel branches, per-column arithmetic).
   for (auto variant :
        {LuVariant::A1, LuVariant::A2, LuVariant::B1, LuVariant::B2}) {
     const auto a = gen::generate(gen::MatrixKind::Random, 64, 23);
@@ -195,8 +195,8 @@ TEST(Factorization, WidePathRefinementAndPadding) {
 }
 
 TEST(Factorization, ExactWidthPanelOnAllLuFactorizations) {
-  // Diagonally dominant input + Max criterion: every step is LU/A1, so the
-  // wide panel is the exact RHS width (no tile padding) — including the
+  // Diagonally dominant input + Max criterion: every step is LU/A1, and
+  // the wide panel is the exact RHS width (no tile padding) — including the
   // serving-critical single-column case. Still bitwise vs per-column.
   const auto a = gen::generate(gen::MatrixKind::DiagDominant, 96, 33);
   MaxCriterion crit(100.0);
@@ -218,6 +218,62 @@ TEST(Factorization, ExactWidthPanelOnAllLuFactorizations) {
   const auto xp_col = facp.solve(bp, 0, RhsPath::PerTileColumn);
   const auto xp_auto = facp.solve(bp);
   for (int i = 0; i < 75; ++i) EXPECT_EQ(xp_auto(i, 0), xp_col(i, 0));
+}
+
+// QR on even steps, LU on odd ones: every factorization mixes both.
+class AlternatingCriterion : public Criterion {
+ public:
+  bool accept_lu(const PanelInfo& info) override {
+    return info.k % 2 == 1 && !info.factor_failed;
+  }
+  std::string name() const override { return "alternating"; }
+};
+
+// One configuration of ExactWidthPanelOnQrFactorizations, in scalar T.
+template <typename T>
+void expect_exact_width_matches_per_column(int nb, const HybridOptions& opt,
+                                           std::uint64_t seed) {
+  using luqr::testing::converted;
+  const int n = 3 * nb + nb / 2;  // four tile rows, the last one padded
+  const auto a =
+      converted<T>(gen::generate(gen::MatrixKind::Random, n, seed));
+  AlternatingCriterion crit;
+  const auto fac = FactorizationT<T>::compute(a, crit, nb, opt);
+  ASSERT_GT(fac.stats().qr_steps, 0);
+  ASSERT_GT(fac.stats().lu_steps, 0);
+  for (int cols : {1, 3}) {
+    const auto b = converted<T>(random_matrix(n, cols, seed + cols));
+    const auto x_col = fac.solve(b, 0, RhsPath::PerTileColumn);
+    const auto x_auto = fac.solve(b);  // Auto: exact-width wide panel
+    luqr::testing::expect_leading_columns_bitwise(x_auto, x_col,
+                                                  "Auto vs PerTileColumn");
+  }
+}
+
+TEST(Factorization, ExactWidthPanelOnQrFactorizations) {
+  // Mixed LU/QR factorizations replay their QR steps (Ts and Tt ops) and
+  // the A2/B2 diagonal applies at the exact RHS width, each kernel
+  // dispatched as for an nb-wide tile: still bitwise vs per-column. nb
+  // spans both sides of the packed-GEMM threshold; grid_p = 2 adds the
+  // distributed TT tree on top of the local FlatTS/Greedy one.
+  std::uint64_t seed = 40;
+  for (auto variant :
+       {LuVariant::A1, LuVariant::A2, LuVariant::B1, LuVariant::B2})
+    for (int grid_p : {1, 2})
+      for (auto local : {hqr::LocalTree::FlatTS, hqr::LocalTree::Greedy})
+        for (int nb : {16, 32, 128}) {
+          SCOPED_TRACE(::testing::Message()
+                       << "variant=" << static_cast<int>(variant)
+                       << " grid_p=" << grid_p
+                       << " local=" << static_cast<int>(local) << " nb=" << nb);
+          HybridOptions opt;
+          opt.variant = variant;
+          opt.grid_p = grid_p;
+          opt.tree.local = local;
+          ++seed;
+          expect_exact_width_matches_per_column<double>(nb, opt, seed);
+          expect_exact_width_matches_per_column<float>(nb, opt, seed);
+        }
 }
 
 TEST(Factorization, WidePathSmallTilesUnblockedMirror) {

@@ -48,4 +48,36 @@ inline void expect_near(const Matrix<double>& a, const Matrix<double>& b,
   EXPECT_LE(kern::max_abs_diff(a.cview(), b.cview()), tol) << what;
 }
 
+/// `m` rounded to the scalar type T (identity for double).
+template <typename T>
+Matrix<T> converted(const Matrix<double>& m) {
+  Matrix<T> out(m.rows(), m.cols());
+  for (int j = 0; j < m.cols(); ++j)
+    for (int i = 0; i < m.rows(); ++i) out(i, j) = static_cast<T>(m(i, j));
+  return out;
+}
+
+/// The columns of `c` followed by random filler columns up to a whole
+/// number of nb-wide tiles — the per-tile-column layout of a W-wide RHS.
+template <typename T>
+Matrix<T> padded_to_tiles(const Matrix<T>& c, int nb, std::uint64_t seed) {
+  const int cols = (c.cols() + nb - 1) / nb * nb;
+  Matrix<T> out = converted<T>(random_matrix(c.rows(), cols, seed));
+  for (int j = 0; j < c.cols(); ++j)
+    for (int i = 0; i < c.rows(); ++i) out(i, j) = c(i, j);
+  return out;
+}
+
+/// ASSERT that every column of `got` equals the same column of `ref` bit
+/// for bit (`ref` may carry extra trailing columns).
+template <typename T>
+void expect_leading_columns_bitwise(const Matrix<T>& got, const Matrix<T>& ref,
+                                    const char* what) {
+  ASSERT_EQ(got.rows(), ref.rows()) << what;
+  ASSERT_LE(got.cols(), ref.cols()) << what;
+  for (int j = 0; j < got.cols(); ++j)
+    for (int i = 0; i < got.rows(); ++i)
+      ASSERT_EQ(got(i, j), ref(i, j)) << what << " @ " << i << "," << j;
+}
+
 }  // namespace luqr::testing

@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "gen/generators.hpp"
 #include "obs/export.hpp"
 #include "obs/kprof.hpp"
 #include "obs/metrics.hpp"
@@ -282,6 +283,26 @@ TEST(ObsKprof, SolveIncrementsKernelCounters) {
   }
   EXPECT_GT(call_delta, 0u);  // a 96x96 tiled solve dispatches many kernels
   EXPECT_GE(time_after, time_before);
+}
+
+TEST(ObsKprof, ExactWidthSolveCountsGemmCalls) {
+  // The wide solve's replay and back-substitution GEMMs go through the
+  // profiled kern::gemm entry: a one-column solve of a retained all-LU
+  // factorization must show up in the gemm class.
+  if (!kernel_profiler_enabled()) GTEST_SKIP() << "LUQR_KPROF=0 in environment";
+  const auto a = gen::generate(gen::MatrixKind::DiagDominant, 96, 7003);
+  const Solver solver(SolverConfig()
+                          .criterion(CriterionSpec::max(100.0))
+                          .tile_size(32)
+                          .backend(Backend::Serial));
+  const core::Factorization fac = solver.factor(a);
+  ASSERT_EQ(fac.stats().qr_steps, 0);
+  const auto b = random_matrix(96, 1, 7004);
+  const auto gemm = static_cast<std::size_t>(KernelClass::Gemm);
+  const std::uint64_t before = kernel_profile()[gemm].calls;
+  const auto x = fac.solve(b);
+  ASSERT_EQ(x.rows(), 96);
+  EXPECT_GT(kernel_profile()[gemm].calls, before);
 }
 
 TEST(ObsKprof, ClassLabelsAreStable) {

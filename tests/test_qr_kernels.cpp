@@ -155,5 +155,35 @@ TEST(GeqrtFloat, SinglePrecision) {
     for (int i = j + 1; i < m; ++i) EXPECT_NEAR(c(i, j), 0.0f, 1e-4f);
 }
 
+// Exact-width apply: unmqr dispatched at width nb on a W-wide C must equal,
+// bit for bit, nb-wide calls on the same columns — the invariance the
+// exact-width solve replay rests on. nb spans both sides of the packed-GEMM
+// dispatch threshold (nb^3 vs LUQR_GEMM_SMALL_MNK).
+template <typename T>
+class UnmqrDispatchWidth : public ::testing::Test {};
+using Scalars = ::testing::Types<double, float>;
+TYPED_TEST_SUITE(UnmqrDispatchWidth, Scalars);
+
+TYPED_TEST(UnmqrDispatchWidth, WideCallMatchesNbWideSlicesBitwise) {
+  using T = TypeParam;
+  using luqr::testing::converted;
+  for (int nb : {8, 16, 32, 128}) {
+    auto vr = converted<T>(random_matrix(nb, nb, 300 + nb));
+    Matrix<T> t(nb, nb);
+    geqrt(vr.view(), t.view());
+    for (int w : {1, 3, nb + 5}) {
+      SCOPED_TRACE(::testing::Message() << "nb=" << nb << " W=" << w);
+      const auto c = converted<T>(random_matrix(nb, w, 400 + w));
+      Matrix<T> wide = c;
+      unmqr(Trans::Yes, vr.cview(), t.cview(), wide.view(), nullptr, nb);
+      auto tiled = luqr::testing::padded_to_tiles(c, nb, 500 + w);
+      for (int c0 = 0; c0 < tiled.cols(); c0 += nb)
+        unmqr(Trans::Yes, vr.cview(), t.cview(),
+              tiled.view().block(0, c0, nb, nb));
+      luqr::testing::expect_leading_columns_bitwise(wide, tiled, "unmqr");
+    }
+  }
+}
+
 }  // namespace
 }  // namespace luqr::kern

@@ -50,11 +50,15 @@ TEST(SolveService, BitwiseIdenticalToOneShotSolver) {
   SolveService svc(cfg);
 
   // Mixed sizes, including non-tile-multiples; each job must match the
-  // one-shot facade bitwise — cold misses and warm hits alike.
+  // one-shot facade bitwise — cold misses and warm hits alike. Warm hits on
+  // factorizations with QR steps cover the exact-width Q^T replay.
+  int qr_cases = 0;
   for (int n : {16, 24, 48, 53}) {
     const auto a = gen::generate(gen::MatrixKind::Random, n, 1000 + n);
     const auto b = random_matrix(n, 1, 2000 + n);
-    const auto want = reference.solve(a, b).x;
+    const core::SolveResult ref = reference.solve(a, b);
+    if (ref.stats.qr_steps > 0) ++qr_cases;
+    const auto& want = ref.x;
     auto cold = svc.submit_solve(a, b);
     expect_bitwise(cold.get().x, want, "cold");
     auto warm = svc.submit_solve(a, b);
@@ -62,6 +66,7 @@ TEST(SolveService, BitwiseIdenticalToOneShotSolver) {
     EXPECT_TRUE(r.cache_hit) << n;
     expect_bitwise(r.x, want, "warm");
   }
+  EXPECT_GT(qr_cases, 0);
   const ServiceStats s = svc.stats();
   EXPECT_GE(s.cache.hits, 4u);
   EXPECT_GE(s.completed, 8u);

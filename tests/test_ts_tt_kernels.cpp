@@ -210,5 +210,57 @@ TEST(TsqrtFloat, SinglePrecisionRoundtrip) {
     for (int i = 0; i < nb; ++i) EXPECT_NEAR(c1(i, j), c1o(i, j), 1e-4f);
 }
 
+// Exact-width applies: tsmqr/ttmqr dispatched at width nb on a W-wide
+// [C1; C2] must equal, bit for bit, nb-wide calls on the same columns — the
+// invariance the exact-width solve replay rests on. nb spans both sides of
+// the packed-GEMM dispatch threshold (nb^3 vs LUQR_GEMM_SMALL_MNK).
+template <typename T>
+class StackedApplyDispatchWidth : public ::testing::Test {};
+using Scalars = ::testing::Types<double, float>;
+TYPED_TEST_SUITE(StackedApplyDispatchWidth, Scalars);
+
+TYPED_TEST(StackedApplyDispatchWidth, WideCallMatchesNbWideSlicesBitwise) {
+  using T = TypeParam;
+  using luqr::testing::converted;
+  using luqr::testing::expect_leading_columns_bitwise;
+  using luqr::testing::padded_to_tiles;
+  for (int nb : {8, 16, 32, 128}) {
+    // TS: triangle on square; TT: triangle on triangle.
+    auto ts_r = converted<T>(random_upper(nb, 600 + nb));
+    auto ts_v = converted<T>(random_matrix(nb, nb, 610 + nb));
+    auto tt_r = converted<T>(random_upper(nb, 620 + nb));
+    auto tt_v = converted<T>(random_upper(nb, 630 + nb));
+    Matrix<T> ts_t(nb, nb), tt_t(nb, nb);
+    tsqrt(ts_r.view(), ts_v.view(), ts_t.view());
+    ttqrt(tt_r.view(), tt_v.view(), tt_t.view());
+    for (int w : {1, 3, nb + 5}) {
+      SCOPED_TRACE(::testing::Message() << "nb=" << nb << " W=" << w);
+      const auto c1 = converted<T>(random_matrix(nb, w, 700 + w));
+      const auto c2 = converted<T>(random_matrix(nb, w, 710 + w));
+      for (bool tt : {false, true}) {
+        const auto apply = [&](MatrixView<T> top, MatrixView<T> bottom,
+                               int dispatch_n) {
+          if (tt)
+            ttmqr(Trans::Yes, tt_v.cview(), tt_t.cview(), top, bottom, nullptr,
+                  dispatch_n);
+          else
+            tsmqr(Trans::Yes, ts_v.cview(), ts_t.cview(), top, bottom, nullptr,
+                  dispatch_n);
+        };
+        Matrix<T> w1 = c1, w2 = c2;
+        apply(w1.view(), w2.view(), nb);
+        auto t1 = padded_to_tiles(c1, nb, 720 + w);
+        auto t2 = padded_to_tiles(c2, nb, 730 + w);
+        for (int c0 = 0; c0 < t1.cols(); c0 += nb)
+          apply(t1.view().block(0, c0, nb, nb), t2.view().block(0, c0, nb, nb),
+                0);
+        const char* what = tt ? "ttmqr" : "tsmqr";
+        expect_leading_columns_bitwise(w1, t1, what);
+        expect_leading_columns_bitwise(w2, t2, what);
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace luqr::kern
