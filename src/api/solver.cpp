@@ -164,8 +164,8 @@ core::SolveResult Solver::solve(const Matrix<double>& a,
     return result;
   }
 
-  // Fused-RHS fast path (the paper's experimental setup): factor [A | B]
-  // and back-substitute in place.
+  // Fused-RHS fast path (the paper's experimental setup): factor [A | B],
+  // then back-substitute the transformed B.
   const core::HybridOptions options = config_.hybrid_options();
   std::unique_ptr<Criterion> owned;
   Criterion* criterion = resolve_criterion(a, owned);
@@ -186,8 +186,7 @@ core::SolveResult Solver::solve(const Matrix<double>& a,
   } else {
     result.stats = core::hybrid_factor(aug, *criterion, options);
   }
-  core::back_substitute(aug, &result.stats);
-  result.x = core::extract_solution(aug, a.rows(), b.cols());
+  result.x = core::solve_augmented(aug, &result.stats, a.rows(), b.cols());
   return result;
 }
 

@@ -16,8 +16,7 @@ core::SolveResult hqr_solve(const Matrix<double>& a, const Matrix<double>& b,
   // no panel stage runs.
   core::SolveResult result;
   result.stats = core::factor_inline<double>(aug, nullptr, options, nullptr);
-  core::back_substitute(aug);
-  result.x = core::extract_solution(aug, a.rows(), b.cols());
+  result.x = core::solve_augmented<double>(aug, nullptr, a.rows(), b.cols());
   return result;
 }
 

@@ -32,8 +32,7 @@ core::SolveResult lu_incpiv_solve(const Matrix<double>& a, const Matrix<double>&
     result.stats.steps.push_back(rec);
     ++result.stats.lu_steps;
   }
-  core::back_substitute(aug);
-  result.x = core::extract_solution(aug, a.rows(), b.cols());
+  result.x = core::solve_augmented<double>(aug, nullptr, a.rows(), b.cols());
   return result;
 }
 

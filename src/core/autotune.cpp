@@ -1,7 +1,6 @@
 #include <cmath>
 
 #include "core/autotune.hpp"
-#include "core/solve.hpp"
 #include "criteria/criteria.hpp"
 
 namespace luqr::core {
@@ -12,10 +11,10 @@ namespace {
 double fraction_at(const Matrix<double>& sample, const CriterionSpec& spec,
                    double alpha, int nb, const HybridOptions& options) {
   auto criterion = make_criterion(spec.with_alpha(alpha));
-  // Factor a throwaway copy; a 1-column zero RHS keeps make_augmented happy.
-  Matrix<double> b(sample.rows(), 1);
-  TileMatrix<double> aug = make_augmented(sample, b, nb);
-  const auto stats = hybrid_factor(aug, *criterion, options);
+  // Factor a throwaway tiled copy; the criterion sees only the panel, so
+  // no RHS is needed.
+  TileMatrix<double> tiles = TileMatrix<double>::from_dense(sample, nb);
+  const auto stats = hybrid_factor(tiles, *criterion, options);
   return stats.lu_fraction();
 }
 

@@ -55,99 +55,22 @@ FactorizationT<T> FactorizationT<T>::adopt(const Matrix<T>& original,
   return f;
 }
 
-template <typename T>
-void FactorizationT<T>::apply_transformations(TileMatrix<T>& b) const {
-  const int n = factored_.mt();
-  const int nb = factored_.nb();
-  LUQR_REQUIRE(b.mt() == n && b.nb() == nb, "rhs tiling mismatch");
-
-  for (int k = 0; k < n; ++k) {
-    const StepLogT<T>& step = log_[static_cast<std::size_t>(k)];
-    if (step.lu) {
-      const LuVariant variant = stats_.steps[static_cast<std::size_t>(k)].variant;
-      if (variant == LuVariant::A1) {
-        // Replay the stacked domain interchanges on the RHS rows.
-        for (int s = 0; s < static_cast<int>(step.piv.size()); ++s) {
-          const int p = step.piv[static_cast<std::size_t>(s)];
-          const int t1 = step.domain_rows[static_cast<std::size_t>(s / nb)];
-          const int t2 = step.domain_rows[static_cast<std::size_t>(p / nb)];
-          const int r1 = s % nb, r2 = p % nb;
-          if (t1 == t2 && r1 == r2) continue;
-          for (int col = 0; col < b.nt(); ++col) {
-            auto tile1 = b.tile(t1, col);
-            auto tile2 = b.tile(t2, col);
-            for (int c = 0; c < nb; ++c) std::swap(tile1(r1, c), tile2(r2, c));
-          }
-        }
-        // b_k <- L11^{-1} b_k.
-        for (int col = 0; col < b.nt(); ++col) {
-          auto bk = b.tile(k, col);
-          kern::trsm(Side::Left, Uplo::Lower, Trans::No, Diag::Unit, T(1),
-                     ConstMatrixView<T>(factored_.tile(k, k)), bk);
-        }
-      } else if (variant == LuVariant::A2) {
-        // b_k <- Q^T b_k from the diagonal GEQRT.
-        for (int col = 0; col < b.nt(); ++col)
-          kern::unmqr(Trans::Yes, ConstMatrixView<T>(factored_.tile(k, k)),
-                      step.diag_t->cview(), b.tile(k, col));
-      }
-      // B1/B2: row k is untouched (block LU).
-      // Eliminations: b_i -= A_ik b_k with the stored L blocks.
-      for (int i = k + 1; i < n; ++i) {
-        for (int col = 0; col < b.nt(); ++col) {
-          auto bi = b.tile(i, col);
-          kern::gemm(Trans::No, Trans::No, T(-1),
-                     ConstMatrixView<T>(factored_.tile(i, k)),
-                     ConstMatrixView<T>(b.tile(k, col)), T(1), bi);
-        }
-      }
-    } else {
-      // Replay the QR step's orthogonal operations in execution order.
-      for (const QrOpT<T>& op : step.qr_ops) {
-        for (int col = 0; col < b.nt(); ++col) {
-          switch (op.kind) {
-            case QrKind::Geqrt:
-              kern::unmqr(Trans::Yes,
-                          ConstMatrixView<T>(factored_.tile(op.killer, k)),
-                          op.t->cview(), b.tile(op.killer, col));
-              break;
-            case QrKind::Ts:
-              kern::tsmqr(Trans::Yes,
-                          ConstMatrixView<T>(factored_.tile(op.killed, k)),
-                          op.t->cview(), b.tile(op.killer, col),
-                          b.tile(op.killed, col));
-              break;
-            case QrKind::Tt:
-              kern::ttmqr(Trans::Yes,
-                          ConstMatrixView<T>(factored_.tile(op.killed, k)),
-                          op.t->cview(), b.tile(op.killer, col),
-                          b.tile(op.killed, col));
-              break;
-          }
-        }
-      }
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Wide RHS path: all columns in one dense panel, at the exact RHS width
+// Second pass: all RHS columns in one dense panel, at the exact RHS width
 // ---------------------------------------------------------------------------
 //
-// The per-tile-column layout slices a W-column RHS into ceil(W/nb) separate
-// nb-wide tile columns (one column pads up to a whole nb-wide tile), so
-// every kernel of the replay and the back-substitution runs ceil(W/nb)
-// times at width nb. The wide layout keeps the RHS as one (mt*nb) x W
-// column-major panel addressed through nb-row block views, so each of those
-// kernels runs once at the exact RHS width: bigger products for batched
-// RHS, and — the serving hot path — no padded-to-nb waste for one column (a
-// cache-hit single-RHS solve does O(n^2) work instead of O(n^2 nb)).
+// The RHS is one (mt*nb) x W column-major panel addressed through nb-row
+// block views, so each kernel of the replay and of the back-substitution
+// runs once per tile (pair) at the exact width W: bigger products for
+// batched RHS and, on the serving hot path, no padding of one column to a
+// whole tile (a cache-hit single-RHS solve does O(n^2) work, not
+// O(n^2 nb)).
 //
-// Bitwise equality with the per-tile-column path (asserted by the tests)
-// rests on every kernel the solve runs being a column-by-column operation
-// once its branch is fixed, and on fixing that branch at width nb:
+// Every kernel the solve runs is a column-by-column operation once its
+// branch is fixed, and every branch is fixed at width nb, so each column's
+// bits are independent of W:
 //   (1) GEMM: the packed kernel's per-element sums depend only on KC, the
-//       simple loops work column by column; the wide path passes nb as the
+//       simple loops work column by column; the panel passes nb as the
 //       dispatch width, so every element goes through the kernel an nb x nb
 //       x nb product picks.
 //   (2) TRSM and the row interchanges are exactly per-column operations —
@@ -157,35 +80,28 @@ void FactorizationT<T>::apply_transformations(TileMatrix<T>& b) const {
 //   (3) The orthogonal applies (UNMQR/TSMQR/TTMQR) take the same dispatch
 //       width nb, which fixes both their densified-V/loop branch and their
 //       inner GEMMs' paths; TRMM and their loop branches are per-column.
+//
+// The contract (asserted by the tests) is bitwise equality with the
+// fused-RHS driver (make_augmented + hybrid_factor + solve_augmented): the
+// step graph transforms the RHS tile columns there with the same kernels,
+// in the same order, at tile width nb, which by (1)-(3) gives each column
+// the same bits as this replay.
 
 template <typename T>
-Matrix<T> FactorizationT<T>::solve(const Matrix<T>& b, int refinement_sweeps,
-                                   RhsPath path) const {
+Matrix<T> FactorizationT<T>::solve(const Matrix<T>& b,
+                                   int refinement_sweeps) const {
   LUQR_REQUIRE(b.rows() == n_scalar_, "rhs row count mismatch");
-  const int nb = factored_.nb();
-  const int mt = factored_.mt();
-  const bool wide = path != RhsPath::PerTileColumn;
+  const int rows = factored_.mt() * factored_.nb();
 
   auto solve_once = [&](const Matrix<T>& rhs) {
-    if (wide && rhs.cols() > 0) {
-      Matrix<T> wb(mt * nb, rhs.cols());
-      for (int j = 0; j < rhs.cols(); ++j)
-        for (int i = 0; i < rhs.rows(); ++i) wb(i, j) = rhs(i, j);
-      apply_transformations_wide(wb);
-      solve_triangular_wide(wb);
-      Matrix<T> x(n_scalar_, rhs.cols());
-      for (int j = 0; j < rhs.cols(); ++j)
-        for (int i = 0; i < n_scalar_; ++i) x(i, j) = wb(i, j);
-      return x;
-    }
-    TileMatrix<T> bt_tiles(mt, (rhs.cols() + nb - 1) / nb, nb);
+    Matrix<T> wb(rows, rhs.cols());
     for (int j = 0; j < rhs.cols(); ++j)
-      for (int i = 0; i < rhs.rows(); ++i) bt_tiles.at(i, j) = rhs(i, j);
-    apply_transformations(bt_tiles);
-    back_substitute(factored_, &stats_, bt_tiles, 0);
+      for (int i = 0; i < rhs.rows(); ++i) wb(i, j) = rhs(i, j);
+    apply_transformations(wb);
+    back_substitute(factored_, &stats_, wb.view());
     Matrix<T> x(n_scalar_, rhs.cols());
     for (int j = 0; j < rhs.cols(); ++j)
-      for (int i = 0; i < n_scalar_; ++i) x(i, j) = bt_tiles.at(i, j);
+      for (int i = 0; i < n_scalar_; ++i) x(i, j) = wb(i, j);
     return x;
   };
 
@@ -203,11 +119,13 @@ Matrix<T> FactorizationT<T>::solve(const Matrix<T>& b, int refinement_sweeps,
 }
 
 template <typename T>
-void FactorizationT<T>::apply_transformations_wide(Matrix<T>& wb) const {
+void FactorizationT<T>::apply_transformations(Matrix<T>& wb) const {
   const int n = factored_.mt();
   const int nb = factored_.nb();
   const int wp = wb.cols();
-  LUQR_REQUIRE(wb.rows() == n * nb, "wide rhs shape mismatch");
+  LUQR_REQUIRE(wb.rows() == n * nb, "rhs panel shape mismatch");
+  // A zero-column panel may carry a null data pointer: slice nothing.
+  if (wp == 0) return;
   auto rb = [&](int i) { return wb.view().block(i * nb, 0, nb, wp); };
 
   for (int k = 0; k < n; ++k) {
@@ -265,40 +183,6 @@ void FactorizationT<T>::apply_transformations_wide(Matrix<T>& wb) const {
         }
       }
     }
-  }
-}
-
-template <typename T>
-void FactorizationT<T>::solve_triangular_wide(Matrix<T>& wb) const {
-  const int n = factored_.mt();
-  const int nb = factored_.nb();
-  const int wp = wb.cols();
-  auto rb = [&](int i) { return wb.view().block(i * nb, 0, nb, wp); };
-
-  for (int k = n - 1; k >= 0; --k) {
-    const auto diag = factored_.tile(k, k);
-    const StepRecordT<T>* rec = nullptr;
-    if (k < static_cast<int>(stats_.steps.size()) &&
-        stats_.steps[static_cast<std::size_t>(k)].kind == StepKind::LU) {
-      rec = &stats_.steps[static_cast<std::size_t>(k)];
-    }
-    const bool b1 = rec && rec->variant == LuVariant::B1;
-    const bool b2 = rec && rec->variant == LuVariant::B2;
-    auto bk = rb(k);
-    for (int j = k + 1; j < n; ++j)
-      kern::gemm(Trans::No, Trans::No, T(-1),
-                 ConstMatrixView<T>(factored_.tile(k, j)),
-                 ConstMatrixView<T>(rb(j)), T(1), bk, nullptr, nb);
-    if (b1) {
-      kern::laswp(bk, rec->diag_piv, /*forward=*/true);
-      kern::trsm(Side::Left, Uplo::Lower, Trans::No, Diag::Unit, T(1),
-                 ConstMatrixView<T>(diag), bk);
-    } else if (b2) {
-      kern::unmqr(Trans::Yes, ConstMatrixView<T>(diag), rec->diag_t->cview(),
-                  bk, nullptr, nb);
-    }
-    kern::trsm(Side::Left, Uplo::Upper, Trans::No, Diag::NonUnit, T(1),
-               ConstMatrixView<T>(diag), bk);
   }
 }
 
@@ -457,10 +341,9 @@ const FactorizationStats& Factorization::stats() const {
 }
 
 Matrix<double> Factorization::solve_through_f32(const Matrix<double>& rhs,
-                                                int refinement_sweeps,
-                                                RhsPath path) const {
+                                                int refinement_sweeps) const {
   const Matrix<float> narrowed = convert_matrix<float>(rhs);
-  return convert_matrix<double>(f32_->solve(narrowed, refinement_sweeps, path));
+  return convert_matrix<double>(f32_->solve(narrowed, refinement_sweeps));
 }
 
 const FactorizationT<double>& Factorization::fallback_f64() const {
@@ -476,23 +359,23 @@ const FactorizationT<double>& Factorization::fallback_f64() const {
 }
 
 Matrix<double> Factorization::solve(const Matrix<double>& b,
-                                    int refinement_sweeps, RhsPath path) const {
-  return solve(b, nullptr, refinement_sweeps, path);
+                                    int refinement_sweeps) const {
+  return solve(b, nullptr, refinement_sweeps);
 }
 
 Matrix<double> Factorization::solve(const Matrix<double>& b, SolveReport* report,
-                                    int refinement_sweeps, RhsPath path) const {
+                                    int refinement_sweeps) const {
   SolveReport rep;
   rep.precision = precision_;
 
   if (precision_ == Precision::F64) {
-    Matrix<double> x = f64_->solve(b, refinement_sweeps, path);
+    Matrix<double> x = f64_->solve(b, refinement_sweeps);
     if (report) *report = rep;
     return x;
   }
 
   if (precision_ == Precision::F32) {
-    Matrix<double> x = solve_through_f32(b, refinement_sweeps, path);
+    Matrix<double> x = solve_through_f32(b, refinement_sweeps);
     if (report) *report = rep;
     return x;
   }
@@ -511,7 +394,7 @@ Matrix<double> Factorization::solve(const Matrix<double>& b, SolveReport* report
   const double anorm =
       kern::lange(kern::Norm::Inf, original_.cview());
 
-  Matrix<double> x = solve_through_f32(b, 0, path);
+  Matrix<double> x = solve_through_f32(b, 0);
   Matrix<double> r(b.rows(), b.cols());
   auto residual_of = [&](const Matrix<double>& xx) {
     r = b;
@@ -535,7 +418,7 @@ Matrix<double> Factorization::solve(const Matrix<double>& b, SolveReport* report
   while (iters < refine_.max_iterations && stall < 2 && best_rho > eps &&
          std::isfinite(rho)) {
     // r currently holds b - A x for the latest x.
-    const Matrix<double> d = solve_through_f32(r, 0, path);
+    const Matrix<double> d = solve_through_f32(r, 0);
     for (int j = 0; j < x.cols(); ++j)
       for (int i = 0; i < x.rows(); ++i) x(i, j) += d(i, j);
     ++iters;
@@ -560,7 +443,7 @@ Matrix<double> Factorization::solve(const Matrix<double>& b, SolveReport* report
   if (!rep.converged && has_fallback_spec_) {
     // Refinement stalled above the tolerance: refactor in f64 and serve the
     // solve from the full-precision factors, reporting the fallback.
-    Matrix<double> xf = fallback_f64().solve(b, refinement_sweeps, path);
+    Matrix<double> xf = fallback_f64().solve(b, refinement_sweeps);
     rep.fell_back = true;
     rep.residual = residual_of(xf);
     rep.converged = rep.residual <= tol;

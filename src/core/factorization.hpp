@@ -5,7 +5,10 @@
 // factorization, all needed information about the transformations is stored
 // in place of A, so one can apply the transformations on b during a second
 // pass". The factored tiles plus the TransformLog are exactly that
-// information.
+// information. The second pass is one replay of the log on a dense panel
+// of the exact RHS width, finished by the same core::back_substitute the
+// fused driver ends with; its result is bitwise the fused driver's, and
+// each column's bits do not depend on how many other columns ride along.
 //
 // Also provides classical iterative refinement (Wilkinson): with the
 // original A retained, each refinement sweep solves A d = b - A x using the
@@ -32,25 +35,6 @@
 
 namespace luqr::core {
 
-/// How Factorization::solve carries a multi-column right-hand side through
-/// the transformation replay and the back-substitution.
-enum class RhsPath {
-  /// The default: WideBlocked, for every factorization and every width.
-  Auto,
-  /// One nb-wide tile column at a time — the historical layout, and the one
-  /// whose arithmetic matches the fused-RHS driver tile for tile. Kept as
-  /// the bitwise reference the wide path is tested against.
-  PerTileColumn,
-  /// All RHS columns ride in one dense panel of the exact RHS width: every
-  /// kernel of the replay and the back-substitution — GEMM, TRSM and the
-  /// orthogonal applies (UNMQR/TSMQR/TTMQR) of QR and A2/B2 steps — runs
-  /// once per tile (pair) at the full width, with its kernel branch chosen
-  /// as for an nb-wide tile. Batched RHS get fewer, bigger products; a
-  /// single-RHS cache-hit solve does O(n^2) work instead of O(n^2 nb).
-  /// Always bitwise-equal to PerTileColumn.
-  WideBlocked,
-};
-
 /// The precision-generic retained factorization: factored tiles, transform
 /// log, replay and back-substitution, all in the working scalar T.
 template <typename T>
@@ -75,15 +59,18 @@ class FactorizationT {
                               const HybridOptions& options = {});
 
   /// Solve A X = B for a fresh right-hand side by replaying the recorded
-  /// transformations and back-substituting. `refinement_sweeps` extra
-  /// passes of iterative refinement are applied (0 = plain solve), in the
-  /// working precision T.
+  /// transformations and back-substituting. All W columns of B ride in one
+  /// dense panel of the exact width W: every kernel runs once per tile
+  /// (pair) at width W, dispatched as for an nb-wide tile, so column j of
+  /// the result is bitwise the solve of B's column j alone, and bitwise the
+  /// fused-RHS driver's answer (make_augmented + hybrid_factor +
+  /// solve_augmented). `refinement_sweeps` extra passes of iterative
+  /// refinement are applied (0 = plain solve), in the working precision T.
   ///
   /// Const and safe to call from many threads concurrently on the same
   /// FactorizationT: all state is read-only after construction, each solve
   /// works in its own buffers.
-  Matrix<T> solve(const Matrix<T>& b, int refinement_sweeps = 0,
-                  RhsPath path = RhsPath::Auto) const;
+  Matrix<T> solve(const Matrix<T>& b, int refinement_sweeps = 0) const;
 
   const FactorizationStatsT<T>& stats() const { return stats_; }
   int order() const { return n_scalar_; }
@@ -95,14 +82,10 @@ class FactorizationT {
  private:
   FactorizationT() = default;
 
-  /// Apply the recorded row transformations of all steps to a tiled RHS.
-  void apply_transformations(TileMatrix<T>& b) const;
-
-  /// WideBlocked internals: replay / back-substitute on one dense panel
-  /// holding every RHS column at the exact width (rows padded to whole
-  /// tiles).
-  void apply_transformations_wide(Matrix<T>& wb) const;
-  void solve_triangular_wide(Matrix<T>& wb) const;
+  /// Replay the recorded row transformations of all steps on one dense
+  /// panel holding every RHS column at the exact width (rows padded to
+  /// whole tiles).
+  void apply_transformations(Matrix<T>& wb) const;
 
   int n_scalar_ = 0;
   TileMatrix<T> factored_;  ///< n x n tiles, upper part = U/R, lower = L/V
@@ -147,13 +130,12 @@ class Factorization {
   /// f64 refinement). F32: solve through the float factors, widen. F32_IR:
   /// LU-IR to the f64 tolerance, with fallback; `refinement_sweeps` is
   /// ignored (the IR loop subsumes it). Const and thread-safe.
-  Matrix<double> solve(const Matrix<double>& b, int refinement_sweeps = 0,
-                       RhsPath path = RhsPath::Auto) const;
+  Matrix<double> solve(const Matrix<double>& b,
+                       int refinement_sweeps = 0) const;
 
   /// Same, surfacing the per-solve precision/refinement outcome.
   Matrix<double> solve(const Matrix<double>& b, SolveReport* report,
-                       int refinement_sweeps = 0,
-                       RhsPath path = RhsPath::Auto) const;
+                       int refinement_sweeps = 0) const;
 
   /// Step trace. For F32/F32_IR this is the float engine's trace widened to
   /// the double record type (diag_t factors stay with the engine).
@@ -180,7 +162,7 @@ class Factorization {
   /// F32/F32_IR: one correction solve through the float engine (narrow,
   /// solve, widen).
   Matrix<double> solve_through_f32(const Matrix<double>& rhs,
-                                   int refinement_sweeps, RhsPath path) const;
+                                   int refinement_sweeps) const;
 
   /// F32_IR fallback: the f64 refactorization, computed lazily under a lock
   /// shared by all copies of this handle.

@@ -15,8 +15,9 @@
 // so the two agree bitwise for every variant and precision.
 //
 // The right-hand side rides along as extra tile columns (§II-D-1), so after
-// the loop the square part is tile upper triangular and a tile
-// back-substitution finishes the solve.
+// the loop the square part is tile upper triangular; back_substitute
+// finishes the solve on the transformed RHS copied into a dense panel (the
+// same routine the retained factorization's second pass ends with).
 #pragma once
 
 #include <memory>
@@ -116,20 +117,16 @@ FactorizationStatsT<T> hybrid_factor(TileMatrix<T>& a, Criterion& criterion,
                                      TransformLogT<T>* log = nullptr);
 
 /// Back-substitution for the (tile or block) upper triangular factor `u`
-/// produced by the step graph: solves U X = B where B is the tile columns
-/// [first_col, rhs.nt()) of `rhs` (tiled like `u`'s rows), overwriting them
-/// with X. Only the square part of `u` is read, so `rhs` may be `u` itself.
-/// For factorizations that used the B1/B2 variants, pass the stats so the
-/// block-diagonal solves can replay the stored diagonal factors;
-/// A-variant factorizations may pass nullptr.
+/// produced by the step graph: solves U X = B in place, where `x` holds B as
+/// one dense (mt*nb) x W panel (rows tiled like `u`'s, any width W >= 0).
+/// Every kernel runs once per tile (pair) at the full width W with nb as its
+/// dispatch width, so each column's bits are those of a one-column solve.
+/// Only the square part of `u` is read. For factorizations that used the
+/// B1/B2 variants, pass the stats so the block-diagonal solves can replay
+/// the stored diagonal factors; A-variant factorizations may pass nullptr.
 template <typename T>
 void back_substitute(const TileMatrix<T>& u, const FactorizationStatsT<T>* stats,
-                     TileMatrix<T>& rhs, int first_col);
-
-/// The augmented layout: B is the tile columns [mt(), nt()) of `a`.
-template <typename T>
-void back_substitute(TileMatrix<T>& a,
-                     const FactorizationStatsT<T>* stats = nullptr);
+                     kern::MatrixView<T> x);
 
 std::string to_string(StepKind k);
 

@@ -29,21 +29,33 @@ TileMatrix<T> make_augmented(const Matrix<T>& a, const Matrix<T>& b, int nb) {
 }
 
 template <typename T>
-Matrix<T> extract_solution(const TileMatrix<T>& aug, int n_scalar, int nrhs) {
+Matrix<T> solve_augmented(const TileMatrix<T>& aug,
+                          const FactorizationStatsT<T>* stats, int n_scalar,
+                          int nrhs) {
   const int nb = aug.nb();
   const int mt = aug.mt();
-  Matrix<T> x(n_scalar, nrhs);
+  LUQR_REQUIRE(nrhs >= 0 && nrhs <= (aug.nt() - mt) * nb,
+               "solve_augmented: more right-hand sides than RHS tile columns");
+  Matrix<T> x(mt * nb, nrhs);
   for (int j = 0; j < nrhs; ++j)
-    for (int i = 0; i < n_scalar; ++i) x(i, j) = aug.at(i, mt * nb + j);
-  return x;
+    for (int i = 0; i < mt * nb; ++i) x(i, j) = aug.at(i, mt * nb + j);
+  back_substitute(aug, stats, x.view());
+  Matrix<T> top(n_scalar, nrhs);
+  for (int j = 0; j < nrhs; ++j)
+    for (int i = 0; i < n_scalar; ++i) top(i, j) = x(i, j);
+  return top;
 }
 
 template TileMatrix<double> make_augmented(const Matrix<double>&,
                                            const Matrix<double>&, int);
 template TileMatrix<float> make_augmented(const Matrix<float>&,
                                           const Matrix<float>&, int);
-template Matrix<double> extract_solution(const TileMatrix<double>&, int, int);
-template Matrix<float> extract_solution(const TileMatrix<float>&, int, int);
+template Matrix<double> solve_augmented(const TileMatrix<double>&,
+                                        const FactorizationStatsT<double>*, int,
+                                        int);
+template Matrix<float> solve_augmented(const TileMatrix<float>&,
+                                       const FactorizationStatsT<float>*, int,
+                                       int);
 
 // hybrid_solve is a thin wrapper over the luqr::Solver facade; its
 // definition lives in api/solver.cpp so this layer never includes upward.

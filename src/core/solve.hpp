@@ -1,8 +1,9 @@
 // Public dense entry point: solve A x = b with the hybrid LU-QR algorithm.
 //
 // Handles tiling (including padding when N is not a multiple of nb, paper
-// §II-D-2), carries the right-hand side through the factorization (§II-D-1),
-// and finishes with a tile back-substitution.
+// §II-D-2), carries the right-hand side through the factorization as extra
+// tile columns (§II-D-1), and finishes with the panel back-substitution the
+// retained factorization also uses (solve_augmented).
 #pragma once
 
 #include "core/hybrid.hpp"
@@ -29,13 +30,19 @@ SolveResult hybrid_solve(const Matrix<double>& a, const Matrix<double>& b,
 
 /// Build the augmented tiled matrix [A | b] with identity padding on the
 /// square part and zero padding on the RHS rows. Exposed for drivers that
-/// want to run hybrid_factor / back_substitute themselves.
+/// run hybrid_factor (or another factor pass) themselves and finish with
+/// solve_augmented.
 template <typename T>
 TileMatrix<T> make_augmented(const Matrix<T>& a, const Matrix<T>& b, int nb);
 
-/// Extract the N x nrhs solution from an augmented matrix after
-/// back_substitute.
+/// Finish a fused solve: after the factor pass has transformed the RHS tile
+/// columns of `aug`, copy their first `nrhs` columns into a dense panel,
+/// back-substitute (core::back_substitute) and return the top `n_scalar`
+/// rows — the N x nrhs solution. `nrhs` may be 0. Pass the factor pass's
+/// stats when it may have run B1/B2 steps; nullptr otherwise.
 template <typename T>
-Matrix<T> extract_solution(const TileMatrix<T>& aug, int n_scalar, int nrhs);
+Matrix<T> solve_augmented(const TileMatrix<T>& aug,
+                          const FactorizationStatsT<T>* stats, int n_scalar,
+                          int nrhs);
 
 }  // namespace luqr::core

@@ -13,8 +13,8 @@
 // (one factor run, everyone else attaches), and submit_batch fuses many
 // independent right-hand sides against one matrix into a single wide solve
 // instead of N engine round-trips. Every cached solve, one column or many,
-// replays the factorization at the exact RHS width (Factorization's
-// WideBlocked path), on QR-heavy and all-LU factorizations alike.
+// replays the factorization at the exact RHS width (Factorization::solve),
+// on QR-heavy and all-LU factorizations alike.
 //
 //   serve::ServiceConfig cfg;
 //   cfg.solver.criterion(CriterionSpec::max(100.0)).tile_size(64);

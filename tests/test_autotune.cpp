@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "core/autotune.hpp"
+#include "core/factorization.hpp"
 #include "core/solve.hpp"
 #include "gen/generators.hpp"
 
@@ -43,10 +44,15 @@ TEST(AutoTune, WorksForSumAndMumps) {
   const auto sample = gen::generate(gen::MatrixKind::Random, 512, 5);
   HybridOptions opt;
   opt.grid_p = 4;
-  for (const char* kind : {"sum", "mumps"}) {
+  for (const char* kind : {"max", "sum", "mumps"}) {
     const auto r = auto_tune_alpha(sample, kind, 0.5, 32, opt);
     EXPECT_NEAR(r.achieved_lu_fraction, 0.5, 0.25) << kind;
     EXPECT_GT(r.alpha, 0.0) << kind;
+    // The tuner's count is the one a real factorization at that alpha gets.
+    const CriterionSpec spec = CriterionSpec::parse(kind, 1.0);
+    const auto fac = Factorization::compute(
+        sample, *make_criterion(spec.with_alpha(r.alpha)), 32, opt);
+    EXPECT_EQ(r.achieved_lu_fraction, fac.stats().lu_fraction()) << kind;
   }
 }
 

@@ -9,6 +9,7 @@
 #include "core/factorization.hpp"
 #include "core/solve.hpp"
 #include "gen/generators.hpp"
+#include "kernels/blas.hpp"
 #include "test_helpers.hpp"
 #include "verify/verify.hpp"
 
@@ -136,88 +137,142 @@ TEST(Factorization, RefinementIsNoOpOnAccurateSolve) {
   EXPECT_LT(verify::max_abs_error(x0, x1), 1e-12);
 }
 
-TEST(Factorization, WideBlockedPathMatchesPerColumnBitwise) {
-  // The wide multi-RHS path runs every replay/back-substitution GEMM once
-  // at the full RHS width through the same kernel the per-tile-column
-  // dispatch picks, so per-element arithmetic is bit-identical to the
-  // per-tile-column layout at every width.
+// The independent bitwise reference for the retained solve: the fused-RHS
+// driver, where the step graph itself transforms b as extra tile columns
+// with tile-width kernels, finished by solve_augmented.
+template <typename T>
+Matrix<T> fused_solve(const Matrix<T>& a, const Matrix<T>& b,
+                      Criterion& criterion, int nb,
+                      const HybridOptions& opt = {}) {
+  TileMatrix<T> aug = make_augmented(a, b, nb);
+  const auto stats = hybrid_factor(aug, criterion, opt);
+  return solve_augmented(aug, &stats, a.rows(), b.cols());
+}
+
+// Column j of `m` as a one-column matrix.
+template <typename T>
+Matrix<T> column(const Matrix<T>& m, int j) {
+  Matrix<T> out(m.rows(), 1);
+  for (int i = 0; i < m.rows(); ++i) out(i, 0) = m(i, j);
+  return out;
+}
+
+// Column j of the W-wide solve x = fac.solve(b) must be the solve of column
+// j alone, bit for bit. The fused reference shares the back-substitution,
+// so this is the check that its kernels keep nb as the dispatch width.
+template <typename Fac, typename T>
+void expect_width_invariant(const Fac& fac, const Matrix<T>& b,
+                            const Matrix<T>& x) {
+  for (int j = 0; j < b.cols(); ++j)
+    luqr::testing::expect_leading_columns_bitwise(
+        fac.solve(column(b, j)), column(x, j), "single column vs W-wide");
+}
+
+TEST(Factorization, RetainedMatchesFusedBitwiseAtEveryWidth) {
+  // The retained solve runs every replay/back-substitution kernel once at
+  // the full RHS width, dispatched as for an nb-wide tile, so per-element
+  // arithmetic is bit-identical to the fused driver's tile columns at every
+  // width — and column j of a W-wide solve is the solve of column j alone.
   const auto a = gen::generate(gen::MatrixKind::Random, 96, 21);
   MaxCriterion crit(30.0);
   const auto fac = Factorization::compute(a, crit, 32, {});
   for (int cols : {1, 2, 3, 8, 32, 37, 64}) {
     const auto b = random_matrix(96, cols, 400 + cols);
-    const auto x_col = fac.solve(b, 0, RhsPath::PerTileColumn);
-    const auto x_wide = fac.solve(b, 0, RhsPath::WideBlocked);
-    const auto x_auto = fac.solve(b);  // Auto must pick the wide path here
-    ASSERT_EQ(x_wide.rows(), x_col.rows());
+    MaxCriterion fused_crit(30.0);
+    const auto x_fused = fused_solve(a, b, fused_crit, 32);
+    const auto x = fac.solve(b);
+    ASSERT_EQ(x.rows(), x_fused.rows());
+    ASSERT_EQ(x.cols(), cols);
     for (int j = 0; j < cols; ++j)
-      for (int i = 0; i < 96; ++i) {
-        EXPECT_EQ(x_wide(i, j), x_col(i, j)) << i << "," << j;
-        EXPECT_EQ(x_auto(i, j), x_col(i, j)) << i << "," << j;
-      }
+      for (int i = 0; i < 96; ++i)
+        EXPECT_EQ(x(i, j), x_fused(i, j)) << i << "," << j;
+    SCOPED_TRACE(::testing::Message() << "width " << cols);
+    expect_width_invariant(fac, b, x);
   }
 }
 
-TEST(Factorization, WideBlockedPathQrStepsAndVariants) {
+TEST(Factorization, RetainedMatchesFusedQrStepsAndVariants) {
   // QR steps replay their orthogonal applies once at the full panel width,
   // dispatched as for an nb-wide tile; A2 exercises the diagonal UNMQR
-  // apply, B1/B2 the block-diagonal solves. All must match the per-column
-  // path bitwise (same kernel branches, per-column arithmetic).
+  // apply, B1/B2 the block-diagonal solves. All must match the fused
+  // driver bitwise (same kernel branches, per-column arithmetic), and each
+  // column must match its own one-column solve: at nb = 32 a one-column
+  // kernel re-dispatched on its own width takes the simple loops, a
+  // 37-wide one the packed path.
   for (auto variant :
-       {LuVariant::A1, LuVariant::A2, LuVariant::B1, LuVariant::B2}) {
-    const auto a = gen::generate(gen::MatrixKind::Random, 64, 23);
-    const auto b = random_matrix(64, 5, 24);
-    HybridOptions opt;
-    opt.variant = variant;
-    MaxCriterion crit(variant == LuVariant::A1 ? 2.0 : 1e9);  // A1: mixed LU/QR
-    const auto fac = Factorization::compute(a, crit, 32, opt);
-    const auto x_col = fac.solve(b, 0, RhsPath::PerTileColumn);
-    const auto x_wide = fac.solve(b, 0, RhsPath::WideBlocked);
-    for (int j = 0; j < 5; ++j)
-      for (int i = 0; i < 64; ++i)
-        EXPECT_EQ(x_wide(i, j), x_col(i, j))
-            << static_cast<int>(variant) << " @ " << i << "," << j;
-  }
+       {LuVariant::A1, LuVariant::A2, LuVariant::B1, LuVariant::B2})
+    for (int cols : {5, 37}) {
+      const auto a = gen::generate(gen::MatrixKind::Random, 64, 23);
+      const auto b = random_matrix(64, cols, 24);
+      HybridOptions opt;
+      opt.variant = variant;
+      const double alpha = variant == LuVariant::A1 ? 2.0 : 1e9;  // A1: mixed
+      MaxCriterion crit(alpha), fused_crit(alpha);
+      const auto fac = Factorization::compute(a, crit, 32, opt);
+      const auto x_fused = fused_solve(a, b, fused_crit, 32, opt);
+      const auto x = fac.solve(b);
+      for (int j = 0; j < cols; ++j)
+        for (int i = 0; i < 64; ++i)
+          EXPECT_EQ(x(i, j), x_fused(i, j))
+              << static_cast<int>(variant) << " @ " << i << "," << j;
+      SCOPED_TRACE(::testing::Message() << "variant "
+                                        << static_cast<int>(variant)
+                                        << " width " << cols);
+      expect_width_invariant(fac, b, x);
+    }
 }
 
-TEST(Factorization, WidePathRefinementAndPadding) {
-  // Refinement sweeps and non-tile-multiple orders go through the same
-  // wide machinery.
+TEST(Factorization, RefinementAndPaddingBitwise) {
+  // A non-tile-multiple order still matches the fused driver, and
+  // solve(b, 2) is exactly two sweeps of x += solve(b - A x) written out
+  // through plain solves.
   const auto a = gen::generate(gen::MatrixKind::Random, 75, 25);
   const auto b = random_matrix(75, 6, 26);
-  MaxCriterion crit(40.0);
+  MaxCriterion crit(40.0), fused_crit(40.0);
   const auto fac = Factorization::compute(a, crit, 32, {});
-  const auto x_col = fac.solve(b, 2, RhsPath::PerTileColumn);
-  const auto x_wide = fac.solve(b, 2, RhsPath::WideBlocked);
+  const auto x_fused = fused_solve(a, b, fused_crit, 32);
+  auto x = fac.solve(b, 0);
   for (int j = 0; j < 6; ++j)
-    for (int i = 0; i < 75; ++i) EXPECT_EQ(x_wide(i, j), x_col(i, j));
-  EXPECT_LT(verify::relative_residual(a, x_wide, b), 1e-12);
+    for (int i = 0; i < 75; ++i) EXPECT_EQ(x(i, j), x_fused(i, j));
+  for (int sweep = 0; sweep < 2; ++sweep) {
+    Matrix<double> r = b;
+    kern::gemm(kern::Trans::No, kern::Trans::No, -1.0, a.cview(), x.cview(),
+               1.0, r.view());
+    const auto d = fac.solve(r, 0);
+    for (int j = 0; j < 6; ++j)
+      for (int i = 0; i < 75; ++i) x(i, j) += d(i, j);
+  }
+  const auto x_refined = fac.solve(b, 2);
+  for (int j = 0; j < 6; ++j)
+    for (int i = 0; i < 75; ++i) EXPECT_EQ(x_refined(i, j), x(i, j));
+  EXPECT_LT(verify::relative_residual(a, x_refined, b), 1e-12);
 }
 
 TEST(Factorization, ExactWidthPanelOnAllLuFactorizations) {
   // Diagonally dominant input + Max criterion: every step is LU/A1, and
-  // the wide panel is the exact RHS width (no tile padding) — including the
-  // serving-critical single-column case. Still bitwise vs per-column.
+  // the panel is the exact RHS width (no tile padding) — including the
+  // serving-critical single-column case. Still bitwise vs the fused driver.
   const auto a = gen::generate(gen::MatrixKind::DiagDominant, 96, 33);
   MaxCriterion crit(100.0);
   const auto fac = Factorization::compute(a, crit, 32, {});
   ASSERT_EQ(fac.stats().qr_steps, 0);
   for (int cols : {1, 3, 17}) {
     const auto b = random_matrix(96, cols, 700 + cols);
-    const auto x_col = fac.solve(b, 0, RhsPath::PerTileColumn);
-    const auto x_auto = fac.solve(b);  // Auto: exact-width wide panel
+    MaxCriterion fused_crit(100.0);
+    const auto x_fused = fused_solve(a, b, fused_crit, 32);
+    const auto x = fac.solve(b);
     for (int j = 0; j < cols; ++j)
-      for (int i = 0; i < 96; ++i) EXPECT_EQ(x_auto(i, j), x_col(i, j));
+      for (int i = 0; i < 96; ++i) EXPECT_EQ(x(i, j), x_fused(i, j));
   }
   // Padded order: the identity tail is factored as LU/A1 steps as well.
   const auto ap = gen::generate(gen::MatrixKind::DiagDominant, 75, 34);
-  MaxCriterion crit2(100.0);
+  MaxCriterion crit2(100.0), fused_crit2(100.0);
   const auto facp = Factorization::compute(ap, crit2, 32, {});
   ASSERT_EQ(facp.stats().qr_steps, 0);
   const auto bp = random_matrix(75, 1, 750);
-  const auto xp_col = facp.solve(bp, 0, RhsPath::PerTileColumn);
-  const auto xp_auto = facp.solve(bp);
-  for (int i = 0; i < 75; ++i) EXPECT_EQ(xp_auto(i, 0), xp_col(i, 0));
+  const auto xp_fused = fused_solve(ap, bp, fused_crit2, 32);
+  const auto xp = facp.solve(bp);
+  for (int i = 0; i < 75; ++i) EXPECT_EQ(xp(i, 0), xp_fused(i, 0));
 }
 
 // QR on even steps, LU on odd ones: every factorization mixes both.
@@ -231,8 +286,8 @@ class AlternatingCriterion : public Criterion {
 
 // One configuration of ExactWidthPanelOnQrFactorizations, in scalar T.
 template <typename T>
-void expect_exact_width_matches_per_column(int nb, const HybridOptions& opt,
-                                           std::uint64_t seed) {
+void expect_retained_matches_fused(int nb, const HybridOptions& opt,
+                                   std::uint64_t seed) {
   using luqr::testing::converted;
   const int n = 3 * nb + nb / 2;  // four tile rows, the last one padded
   const auto a =
@@ -241,20 +296,24 @@ void expect_exact_width_matches_per_column(int nb, const HybridOptions& opt,
   const auto fac = FactorizationT<T>::compute(a, crit, nb, opt);
   ASSERT_GT(fac.stats().qr_steps, 0);
   ASSERT_GT(fac.stats().lu_steps, 0);
-  for (int cols : {1, 3}) {
+  // Nine columns: at nb = 32 a kernel re-dispatched on its own width would
+  // leave the simple loops there, but not for a single column.
+  for (int cols : {1, 3, 9}) {
     const auto b = converted<T>(random_matrix(n, cols, seed + cols));
-    const auto x_col = fac.solve(b, 0, RhsPath::PerTileColumn);
-    const auto x_auto = fac.solve(b);  // Auto: exact-width wide panel
-    luqr::testing::expect_leading_columns_bitwise(x_auto, x_col,
-                                                  "Auto vs PerTileColumn");
+    AlternatingCriterion fused_crit;
+    const auto x_fused = fused_solve(a, b, fused_crit, nb, opt);
+    const auto x = fac.solve(b);
+    luqr::testing::expect_leading_columns_bitwise(x, x_fused,
+                                                  "retained vs fused");
+    if (cols > 1) expect_width_invariant(fac, b, x);
   }
 }
 
 TEST(Factorization, ExactWidthPanelOnQrFactorizations) {
   // Mixed LU/QR factorizations replay their QR steps (Ts and Tt ops) and
   // the A2/B2 diagonal applies at the exact RHS width, each kernel
-  // dispatched as for an nb-wide tile: still bitwise vs per-column. nb
-  // spans both sides of the packed-GEMM threshold; grid_p = 2 adds the
+  // dispatched as for an nb-wide tile: still bitwise vs the fused driver.
+  // nb spans both sides of the packed-GEMM threshold; grid_p = 2 adds the
   // distributed TT tree on top of the local FlatTS/Greedy one.
   std::uint64_t seed = 40;
   for (auto variant :
@@ -271,24 +330,27 @@ TEST(Factorization, ExactWidthPanelOnQrFactorizations) {
           opt.grid_p = grid_p;
           opt.tree.local = local;
           ++seed;
-          expect_exact_width_matches_per_column<double>(nb, opt, seed);
-          expect_exact_width_matches_per_column<float>(nb, opt, seed);
+          expect_retained_matches_fused<double>(nb, opt, seed);
+          expect_retained_matches_fused<float>(nb, opt, seed);
         }
 }
 
-TEST(Factorization, WidePathSmallTilesUnblockedMirror) {
+TEST(Factorization, SmallTilesUnblockedMirror) {
   // nb = 8 keeps the nb^3 product under the packed-GEMM threshold: the
-  // per-column path runs the simple loops, and the wide path must mirror
-  // that choice (not re-dispatch on its larger width) to stay bitwise.
+  // fused driver's tile columns run the simple loops, and the exact-width
+  // panel must mirror that choice (not re-dispatch on its larger width) to
+  // stay bitwise.
   const auto a = gen::generate(gen::MatrixKind::Random, 48, 29);
   MaxCriterion crit(30.0);
   const auto fac = Factorization::compute(a, crit, 8, {});
   for (int cols : {1, 5, 48}) {
     const auto b = random_matrix(48, cols, 500 + cols);
-    const auto x_col = fac.solve(b, 0, RhsPath::PerTileColumn);
-    const auto x_wide = fac.solve(b, 0, RhsPath::WideBlocked);
+    MaxCriterion fused_crit(30.0);
+    const auto x_fused = fused_solve(a, b, fused_crit, 8);
+    const auto x = fac.solve(b);
     for (int j = 0; j < cols; ++j)
-      for (int i = 0; i < 48; ++i) EXPECT_EQ(x_wide(i, j), x_col(i, j));
+      for (int i = 0; i < 48; ++i) EXPECT_EQ(x(i, j), x_fused(i, j));
+    expect_width_invariant(fac, b, x);
   }
 }
 

@@ -58,7 +58,7 @@ Matrix<T> converted(const Matrix<double>& m) {
 }
 
 /// The columns of `c` followed by random filler columns up to a whole
-/// number of nb-wide tiles — the per-tile-column layout of a W-wide RHS.
+/// number of nb-wide tiles — how the fused driver lays out a W-wide RHS.
 template <typename T>
 Matrix<T> padded_to_tiles(const Matrix<T>& c, int nb, std::uint64_t seed) {
   const int cols = (c.cols() + nb - 1) / nb * nb;

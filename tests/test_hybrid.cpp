@@ -255,8 +255,16 @@ TEST(HybridSolve, NonSquareMatrixThrows) {
 }
 
 TEST(BackSubstitute, RequiresRhsColumns) {
+  // The panel must have exactly mt*nb rows.
   TileMatrix<double> square(2, 2, 4);
-  EXPECT_THROW(back_substitute(square), Error);
+  Matrix<double> short_panel(7, 1);
+  EXPECT_THROW(back_substitute<double>(square, nullptr, short_panel.view()),
+               Error);
+  // A fused solve cannot ask for more columns than its RHS tile columns
+  // hold: none on a square matrix, nb on one RHS tile column.
+  EXPECT_THROW(solve_augmented<double>(square, nullptr, 8, 1), Error);
+  TileMatrix<double> aug(2, 3, 4);
+  EXPECT_THROW(solve_augmented<double>(aug, nullptr, 8, 5), Error);
 }
 
 }  // namespace

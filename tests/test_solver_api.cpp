@@ -381,6 +381,36 @@ TEST(Solver, RefinementSweepsThroughConfig) {
   EXPECT_LT(h2, 1.0);
 }
 
+TEST(Solver, ZeroColumnRhsReturnsEmptyOnEveryRoute) {
+  // An n x 0 right-hand side is a valid (empty) solve on the fused route,
+  // the retained route and every precision, serial or parallel. n = 80,
+  // nb = 16 gives 5 tile rows, enough for Parallel to run the engine.
+  const int n = 80;
+  const auto a = gen::generate(gen::MatrixKind::Random, n, 19);
+  const Matrix<double> b(n, 0);
+  for (Backend backend : {Backend::Serial, Backend::Parallel})
+    for (Precision precision :
+         {Precision::F64, Precision::F32, Precision::F32_IR})
+      for (int sweeps : {0, 1}) {
+        SCOPED_TRACE(::testing::Message()
+                     << "backend=" << static_cast<int>(backend)
+                     << " precision=" << static_cast<int>(precision)
+                     << " sweeps=" << sweeps);
+        const Solver solver(SolverConfig()
+                                .tile_size(16)
+                                .backend(backend)
+                                .threads(2)
+                                .precision(precision)
+                                .refinement_sweeps(sweeps));
+        const auto one_shot = solver.solve(a, b);
+        EXPECT_EQ(one_shot.x.rows(), n);
+        EXPECT_EQ(one_shot.x.cols(), 0);
+        const auto retained = solver.factor(a).solve(b);
+        EXPECT_EQ(retained.rows(), n);
+        EXPECT_EQ(retained.cols(), 0);
+      }
+}
+
 TEST(Solver, AutotuneTargetThroughConfig) {
   const auto a = gen::generate(gen::MatrixKind::Random, 256, 19);
   const auto b = random_matrix(256, 1, 20);
