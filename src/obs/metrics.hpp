@@ -1,8 +1,8 @@
 // Process-wide metrics registry: named counters, gauges, and power-of-2
 // histograms with wait-free, thread-sharded record paths.
 //
-// This generalizes the serve-layer LatencyHistogram into a substrate every
-// layer can publish through.  The file is a dependency-free leaf (std only)
+// Every layer publishes through it; the serve layer also holds unregistered
+// Histogram members for its per-service latency stats.  The file is a dependency-free leaf (std only)
 // so the kernel layer may include it without violating the "kernels cannot
 // include upward" rule (see kernels/access.hpp).
 //

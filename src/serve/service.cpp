@@ -82,6 +82,10 @@ bool finite_matrix(const Matrix<double>& m) {
   return std::isfinite(kern::lange(kern::Norm::Fro, m.view()));
 }
 
+// A factor member's b is 0x0; every other member is solved, even an n x 0
+// one (its reply is an n x 0 solution, as from one-shot Solver::solve).
+bool solves(const Matrix<double>& b) { return b.rows() > 0 || b.cols() > 0; }
+
 // Pure transient/deterministic split (no counters): injected faults and
 // allocation pressure are worth retrying; everything else (singularity,
 // validation, logic errors) would fail identically again.
@@ -348,34 +352,31 @@ void SolveService::drain() {
 // Submission
 // ---------------------------------------------------------------------------
 
-JobHandle SolveService::enqueue(Job job) {
-  const std::size_t members =
-      job.kind == Job::Kind::Batch ? job.batch_states.size() : 1;
-  std::vector<std::shared_ptr<JobState>> states =
-      job.kind == Job::Kind::Batch
-          ? job.batch_states
-          : std::vector<std::shared_ptr<JobState>>{job.state};
+void SolveService::enqueue(Job job) {
+  const std::size_t members = job.members.size();
   submitted_.fetch_add(members, std::memory_order_relaxed);
   obs_.submitted->add(members);
-  precision_jobs_.record(cfg_.solver.precision(), members);
   {
     std::lock_guard<std::mutex> lock(mu_);
     active_ += members;
   }
+  // Keep the states: a push that fails has consumed the job.
+  std::vector<std::shared_ptr<JobState>> states;
+  states.reserve(members);
+  for (const Member& m : job.members) states.push_back(m.state);
   // Degraded admission control: Batch work is the first thing to go — the
   // service keeps its remaining capacity for Interactive/Normal traffic
   // until a quiet recovery window restores health.
   if (job.priority == Priority::Batch && health() == Health::Degraded) {
-    for (const auto& s : states) complete_shed(s);
-    return JobHandle(states.front());
+    for (const auto& st : states) complete_shed(st);
+    return;
   }
   const int lane = static_cast<int>(job.priority);
   const bool accepted = cfg_.reject_when_full
                             ? queue_.try_push(std::move(job), lane)
                             : queue_.push(std::move(job), lane);
   if (!accepted)
-    for (const auto& s : states) complete_rejected(s);
-  return JobHandle(states.front());
+    for (const auto& st : states) complete_rejected(st);
 }
 
 std::shared_ptr<JobState> SolveService::new_job_state(const SubmitOptions& opt,
@@ -420,12 +421,12 @@ JobHandle SolveService::submit_solve(Matrix<double> a, Matrix<double> b,
   screen_input(a);
   screen_input(b);
   Job job;
-  job.kind = Job::Kind::Solve;
   job.priority = opt.priority;
   job.a = std::make_shared<Matrix<double>>(std::move(a));
-  job.b = std::move(b);
-  job.state = new_job_state(opt, /*retryable=*/true);
-  return enqueue(std::move(job));
+  auto state = new_job_state(opt, /*retryable=*/true);
+  job.members.push_back({std::move(b), state});
+  enqueue(std::move(job));
+  return JobHandle(std::move(state));
 }
 
 JobHandle SolveService::submit_solve(Matrix<double> a, Matrix<double> b,
@@ -440,11 +441,12 @@ JobHandle SolveService::submit_factor(Matrix<double> a,
   LUQR_REQUIRE(a.rows() == a.cols(), "serve: system matrix must be square");
   screen_input(a);
   Job job;
-  job.kind = Job::Kind::Factor;
   job.priority = opt.priority;
   job.a = std::make_shared<Matrix<double>>(std::move(a));
-  job.state = new_job_state(opt, /*retryable=*/true);
-  return enqueue(std::move(job));
+  auto state = new_job_state(opt, /*retryable=*/true);
+  job.members.push_back({Matrix<double>{}, state});
+  enqueue(std::move(job));
+  return JobHandle(std::move(state));
 }
 
 JobHandle SolveService::submit_factor(Matrix<double> a, Priority priority) {
@@ -463,20 +465,20 @@ std::vector<JobHandle> SolveService::submit_batch(Matrix<double> a,
   screen_input(a);
   for (const auto& b : bs) screen_input(b);
   Job job;
-  job.kind = Job::Kind::Batch;
   job.priority = priority;
   job.a = std::make_shared<Matrix<double>>(std::move(a));
-  job.batch_b = std::move(bs);
   SubmitOptions member_opt;
   member_opt.priority = priority;
-  job.batch_states.reserve(job.batch_b.size());
-  for (std::size_t i = 0; i < job.batch_b.size(); ++i)
-    job.batch_states.push_back(new_job_state(member_opt, /*retryable=*/false));
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batch_members_.fetch_add(job.batch_states.size(), std::memory_order_relaxed);
   std::vector<JobHandle> handles;
-  handles.reserve(job.batch_states.size());
-  for (const auto& s : job.batch_states) handles.push_back(JobHandle(s));
+  handles.reserve(bs.size());
+  job.members.reserve(bs.size());
+  for (auto& b : bs) {
+    job.members.push_back(
+        {std::move(b), new_job_state(member_opt, /*retryable=*/false)});
+    handles.push_back(JobHandle(job.members.back().state));
+  }
+  batches_.fetch_add(1, std::memory_order_relaxed);
+  batch_members_.fetch_add(handles.size(), std::memory_order_relaxed);
   enqueue(std::move(job));
   return handles;
 }
@@ -507,7 +509,6 @@ std::vector<JobHandle> SolveService::submit_many(
   const auto count_member = [this] {
     submitted_.fetch_add(1, std::memory_order_relaxed);
     obs_.submitted->add(1);
-    precision_jobs_.record(cfg_.solver.precision(), 1);
     std::lock_guard<std::mutex> lock(mu_);
     ++active_;
   };
@@ -734,23 +735,19 @@ void SolveService::submit_chunk_task(std::vector<Staged> chunk) {
   int prio = 0;
   for (const Staged& s : chunk)
     prio = std::max(prio, static_cast<int>(s.priority));
-  const int sweeps = cfg_.solver.refinement_sweeps();
   const std::uint64_t chunk_job_id =
       chunk.empty() ? 0 : chunk.front().state->job_id;
   engine_->submit(
-      [this, chunk = std::move(chunk), sweeps] {
+      [this, chunk = std::move(chunk)] {
         std::vector<std::size_t> live;
         live.reserve(chunk.size());
         for (std::size_t i = 0; i < chunk.size(); ++i)
           if (try_begin(chunk[i].state)) live.push_back(i);
 
         struct Result {
-          Matrix<double> x;
-          SolveReport report;
-          std::exception_ptr error;
+          Solved out;
           bool hit = false;
           std::uint64_t factor_us = 0;  // 0 when served by cache or a peer
-          std::uint64_t solve_us = 0;   // fused members share the wide solve
         };
         std::vector<Result> results(live.size());
         if (!live.empty()) {
@@ -811,87 +808,27 @@ void SolveService::submit_chunk_task(std::vector<Staged> chunk) {
               }
               facs[k] = std::move(fac);
             } catch (...) {
-              r.error = std::current_exception();
+              r.out.error = std::current_exception();
             }
           }
 
-          // Phase B — solve. At F64 with no refinement sweeps, members that
-          // share a factorization fuse into one multi-column solve: column
-          // j of a multi-rhs solve is bitwise identical to the single-rhs
-          // solve of column j (the per-column triangular sweeps are
-          // independent), so fusion is invisible to clients. Refined
-          // precisions iterate on the joint residual — fusing there would
-          // couple members — so they solve one by one.
-          const bool fuse =
-              cfg_.solver.precision() == Precision::F64 && sweeps == 0;
-          std::size_t k = 0;
-          while (k < live.size()) {
-            if (results[k].error != nullptr || facs[k] == nullptr) {
-              ++k;
-              continue;
+          // Phase B — solve each run of members on one factorization
+          // (submit_many stages same-pointer members contiguously; a run
+          // may be gapped by a member on another factorization).
+          for (std::size_t k = 0; k < live.size(); ++k) {
+            if (facs[k] == nullptr) continue;  // failed, or solved in a run
+            const FacPtr fac = facs[k];
+            std::vector<std::size_t> run;
+            std::vector<const Matrix<double>*> bs;
+            for (std::size_t j = k; j < live.size(); ++j) {
+              if (facs[j] != fac) continue;
+              run.push_back(j);
+              bs.push_back(&chunk[live[j]].b);
+              facs[j].reset();
             }
-            // Gather the run of subsequent members on the same factorization
-            // (submit_many stages same-pointer members contiguously).
-            std::vector<std::size_t> group{k};
-            std::size_t w = 0;
-            if (fuse) {
-              for (std::size_t j = k + 1; j < live.size(); ++j)
-                if (results[j].error == nullptr && facs[j] == facs[k])
-                  group.push_back(j);
-            }
-            if (group.size() == 1) {
-              Result& r = results[k];
-              const std::uint64_t t_solve = now_us();
-              try {
-                r.x = facs[k]->solve(chunk[live[k]].b, &r.report, sweeps);
-                if (r.report.fell_back)
-                  refine_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-              } catch (...) {
-                r.error = std::current_exception();
-              }
-              r.solve_us = now_us() - t_solve;
-              facs[k].reset();
-              ++k;
-              continue;
-            }
-            for (std::size_t g : group) w += chunk[live[g]].b.cols();
-            const std::uint64_t t_solve = now_us();
-            try {
-              const int n_rows = chunk[live[k]].b.rows();
-              Matrix<double> bcat(n_rows, static_cast<int>(w));
-              int col = 0;
-              for (std::size_t g : group) {
-                const Matrix<double>& b = chunk[live[g]].b;
-                for (int c = 0; c < b.cols(); ++c, ++col)
-                  for (int rr = 0; rr < n_rows; ++rr)
-                    bcat(rr, col) = b(rr, c);
-              }
-              SolveReport rep;
-              Matrix<double> xcat = facs[k]->solve(bcat, &rep, sweeps);
-              fused_cols_.fetch_add(static_cast<std::uint64_t>(w),
-                                    std::memory_order_relaxed);
-              col = 0;
-              for (std::size_t g : group) {
-                Result& r = results[g];
-                const int bc = chunk[live[g]].b.cols();
-                Matrix<double> x(n_rows, bc);
-                for (int c = 0; c < bc; ++c, ++col)
-                  for (int rr = 0; rr < n_rows; ++rr)
-                    x(rr, c) = xcat(rr, col);
-                r.x = std::move(x);
-                r.report = rep;
-              }
-            } catch (...) {
-              for (std::size_t g : group)
-                results[g].error = std::current_exception();
-            }
-            const std::uint64_t wide_us = now_us() - t_solve;
-            for (std::size_t g : group) results[g].solve_us = wide_us;
-            // A group may be gapped (a different-fac member interleaved);
-            // clearing each consumed slot makes the top-of-loop skip
-            // correct without index gymnastics.
-            for (std::size_t g : group) facs[g].reset();
-            ++k;
+            std::vector<Solved> solved = solve_run(*fac, bs);
+            for (std::size_t g = 0; g < run.size(); ++g)
+              results[run[g]].out = std::move(solved[g]);
           }
           batched_jobs_.fetch_add(live.size(), std::memory_order_relaxed);
           batches_executed_.fetch_add(1, std::memory_order_relaxed);
@@ -904,15 +841,15 @@ void SolveService::submit_chunk_task(std::vector<Staged> chunk) {
         for (std::size_t i = 0; i < chunk.size(); ++i) {
           if (k < live.size() && live[k] == i) {
             Result& r = results[k++];
-            if (r.error) {
+            if (r.out.error) {
               // No retry for staged members (budget 0), but the failure
               // class still drives the degradation machinery (allocation
               // pressure sheds cache + inflight).
-              classify_transient(r.error);
-              complete_error(chunk[i].state, r.error);
+              classify_transient(r.out.error);
+              complete_error(chunk[i].state, r.out.error);
             } else {
-              complete_ok(chunk[i].state, std::move(r.x), r.hit, r.report,
-                          {r.factor_us, r.solve_us});
+              complete_ok(chunk[i].state, std::move(r.out.x), r.hit,
+                          r.out.report, {r.factor_us, r.out.solve_us});
             }
           } else {
             settle_skipped(chunk[i].state);
@@ -1157,169 +1094,183 @@ SolveService::FacPtr SolveService::compute_factorization(
 // client observing a terminal state (or drain() observing active_ == 0) is
 // thus guaranteed the slot is already back and the counters are final.
 
-void SolveService::submit_solve_task(std::shared_ptr<JobState> state,
-                                     Matrix<double> b, FacPtr fac,
-                                     bool cache_hit, Priority priority,
-                                     std::uint64_t factor_us,
-                                     std::uint64_t t_begin_us) {
-  const int sweeps = cfg_.solver.refinement_sweeps();
-  const std::uint64_t job_id = state->job_id;
-  engine_->submit(
-      [this, state = std::move(state), b = std::move(b), fac = std::move(fac),
-       cache_hit, priority, sweeps, factor_us, t_begin_us]() mutable {
-        if (!try_begin(state, t_begin_us)) {
-          release_inflight_slot();
-          settle_skipped(state);
-          return;
-        }
-        Matrix<double> x;
-        SolveReport report;
-        std::exception_ptr err;
-        const std::uint64_t t_solve = now_us();
-        try {
-          // Fault site: transient serve-layer failure during the solve; the
-          // catch below keeps it out of the engine (and feeds the retry
-          // machinery).
-          fault::maybe_throw(fault::site::kServeTask);
-          x = fac->solve(b, &report, sweeps);
-        } catch (...) {
-          err = std::current_exception();
-        }
-        const std::uint64_t solve_us = now_us() - t_solve;
-        const bool transient = err != nullptr && classify_transient(err);
-        // Poisoned-result containment: a non-finite solution (injected NaN,
-        // or a factorization corrupted under pressure) must never let its
-        // factorization serve another cache hit. Evict, then retry from
-        // scratch; a legitimately non-finite result (singular system)
-        // returns as-is once the budget is spent — identical to the legacy
-        // behavior.
-        const bool poisoned =
-            err == nullptr && cfg_.screen_outputs && !finite_matrix(x);
-        if (poisoned)
-          cache_.erase_hashed(fac->matrix(), config_fp_,
-                              cache_.hash_of(fac->matrix()) ^ config_fp_hash_);
-        release_inflight_slot();
-        if (err != nullptr || poisoned) {
-          if (err == nullptr || transient) {
-            Job retry;
-            retry.kind = Job::Kind::Solve;
-            retry.priority = priority;
-            retry.a = std::make_shared<Matrix<double>>(fac->matrix());
-            retry.b = std::move(b);
-            retry.state = state;
-            if (maybe_retry(std::move(retry), err)) return;
-          }
-          if (err != nullptr) {
-            complete_error(state, err);
-            return;
-          }
-        }
-        if (report.fell_back)
-          refine_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-        complete_ok(state, std::move(x), cache_hit, report,
-                    {factor_us, solve_us});
-      },
-      {}, {"serve-solve", static_cast<int>(priority), -1, job_id});
+std::vector<bool> SolveService::begin_members(const Job& job,
+                                              std::uint64_t start_us) {
+  std::vector<bool> live(job.members.size());
+  for (std::size_t i = 0; i < job.members.size(); ++i)
+    live[i] = try_begin(job.members[i].state, start_us);
+  return live;
 }
 
-void SolveService::submit_batch_task(
-    std::vector<std::shared_ptr<JobState>> states,
-    std::vector<Matrix<double>> bs, FacPtr fac, bool cache_hit,
-    Priority priority, std::uint64_t factor_us, std::uint64_t t_begin_us) {
-  const std::uint64_t job_id = states.empty() ? 0 : states.front()->job_id;
+void SolveService::run_tail(Job job, FacPtr fac, bool hit,
+                            std::uint64_t factor_us, std::uint64_t t_begin_us) {
+  bool any_rhs = false;
+  for (const Member& m : job.members) any_rhs = any_rhs || solves(m.b);
+  if (!any_rhs) {
+    // Nothing left to compute: settle where the factorization landed.
+    finish(job, begin_members(job, t_begin_us), fac, hit, factor_us);
+    return;
+  }
+  const std::uint64_t job_id = job.members.front().state->job_id;
+  const int priority = static_cast<int>(job.priority);
   engine_->submit(
-      [this, states = std::move(states), bs = std::move(bs),
-       fac = std::move(fac), cache_hit, factor_us, t_begin_us] {
-        // Fuse every member that is still alive into one wide solve.
-        std::vector<std::size_t> live;
-        for (std::size_t i = 0; i < states.size(); ++i)
-          if (try_begin(states[i], t_begin_us)) live.push_back(i);
-        fuse_solve_settle(states, bs, live, fac, cache_hit, factor_us);
+      [this, job = std::move(job), fac = std::move(fac), hit, factor_us,
+       t_begin_us]() mutable {
+        finish(job, begin_members(job, t_begin_us), fac, hit, factor_us);
       },
-      {}, {"serve-batch", static_cast<int>(priority), -1, job_id});
+      {}, {"serve-solve", priority, -1, job_id});
 }
 
-void SolveService::fuse_solve_settle(
-    const std::vector<std::shared_ptr<JobState>>& states,
-    const std::vector<Matrix<double>>& bs, const std::vector<std::size_t>& live,
-    const FacPtr& fac, bool cache_hit, std::uint64_t factor_us) {
-  std::vector<Matrix<double>> xs;
-  SolveReport report;
-  std::exception_ptr err;
-  std::uint64_t solve_us = 0;
-  if (!live.empty()) {
-    const std::uint64_t t_solve = now_us();
+void SolveService::finish(Job& job, const std::vector<bool>& live,
+                          const FacPtr& fac, bool hit,
+                          std::uint64_t factor_us) {
+  std::vector<const Matrix<double>*> bs;
+  bs.reserve(job.members.size());
+  for (std::size_t i = 0; i < job.members.size(); ++i)
+    if (live[i] && solves(job.members[i].b)) bs.push_back(&job.members[i].b);
+  std::vector<Solved> solved(bs.size());
+  if (!bs.empty()) {
     try {
-      int width = 0;
-      for (std::size_t idx : live) width += bs[idx].cols();
-      const int n = fac->order();
-      Matrix<double> bcat(n, width);
-      int col = 0;
-      for (std::size_t idx : live) {
-        const Matrix<double>& b = bs[idx];
-        for (int j = 0; j < b.cols(); ++j, ++col)
-          for (int i = 0; i < n; ++i) bcat(i, col) = b(i, j);
-      }
-      const Matrix<double> xw =
-          fac->solve(bcat, &report, cfg_.solver.refinement_sweeps());
-      if (report.fell_back)
-        refine_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      fused_cols_.fetch_add(static_cast<std::uint64_t>(width),
-                            std::memory_order_relaxed);
-      col = 0;
-      for (std::size_t idx : live) {
-        const int cols = bs[idx].cols();
-        Matrix<double> x(n, cols);
-        for (int j = 0; j < cols; ++j, ++col)
-          for (int i = 0; i < n; ++i) x(i, j) = xw(i, col);
-        xs.push_back(std::move(x));
-      }
+      // Fault site: transient serve-layer failure during the solve; the
+      // catch keeps it out of the engine (and feeds the retry machinery).
+      fault::maybe_throw(fault::site::kServeTask);
+      solved = solve_run(*fac, bs);
     } catch (...) {
-      err = std::current_exception();
+      for (Solved& r : solved) r.error = std::current_exception();
     }
-    solve_us = now_us() - t_solve;
   }
+  // Poisoned-result containment: a non-finite solution (injected NaN, or a
+  // factorization corrupted under pressure) must never let its
+  // factorization serve another cache hit. Evict, then retry from scratch;
+  // a legitimately non-finite result (singular system) returns as-is once
+  // the budget is spent.
+  std::vector<bool> poisoned(solved.size());
+  bool evict = false;
+  for (std::size_t k = 0; k < solved.size(); ++k) {
+    poisoned[k] = solved[k].error == nullptr && cfg_.screen_outputs &&
+                  !finite_matrix(solved[k].x);
+    evict = evict || poisoned[k];
+  }
+  if (evict)
+    cache_.erase_hashed(fac->matrix(), config_fp_,
+                        cache_.hash_of(fac->matrix()) ^ config_fp_hash_);
   release_inflight_slot();
-  for (std::size_t i = 0; i < states.size(); ++i) {
-    bool was_live = false;
-    for (std::size_t l = 0; l < live.size(); ++l) {
-      if (live[l] != i) continue;
-      was_live = true;
-      if (err)
-        complete_error(states[i], err);
-      else
-        complete_ok(states[i], std::move(xs[l]), cache_hit, report,
-                    {factor_us, solve_us});
-      break;
+
+  std::exception_ptr classified;  // fused members share one error
+  bool transient = false;
+  std::size_t k = 0;
+  for (std::size_t i = 0; i < job.members.size(); ++i) {
+    Member& m = job.members[i];
+    if (!live[i]) {
+      settle_skipped(m.state);
+      continue;
     }
-    if (!was_live) settle_skipped(states[i]);
+    if (!solves(m.b)) {
+      complete_ok(m.state, Matrix<double>{}, hit, SolveReport{},
+                  {factor_us, 0});
+      continue;
+    }
+    Solved& r = solved[k];
+    const bool bad = poisoned[k++];
+    if (r.error != nullptr) {
+      if (r.error != classified) {
+        classified = r.error;
+        transient = classify_transient(r.error);
+      }
+      if (!(transient && retry_member(job, m, r.error)))
+        complete_error(m.state, r.error);
+      continue;
+    }
+    if (bad && retry_member(job, m, nullptr)) continue;
+    complete_ok(m.state, std::move(r.x), hit, r.report,
+                {factor_us, r.solve_us});
   }
+}
+
+void SolveService::fail_members(Job& job, const std::vector<bool>& live,
+                                const std::exception_ptr& error,
+                                bool transient) {
+  release_inflight_slot();
+  for (std::size_t i = 0; i < job.members.size(); ++i) {
+    Member& m = job.members[i];
+    if (!live[i])
+      settle_skipped(m.state);
+    else if (!(transient && retry_member(job, m, error)))
+      complete_error(m.state, error);
+  }
+}
+
+std::vector<SolveService::Solved> SolveService::solve_run(
+    const core::Factorization& fac,
+    const std::vector<const Matrix<double>*>& bs) {
+  const int sweeps = cfg_.solver.refinement_sweeps();
+  std::vector<Solved> out(bs.size());
+  // Fusing is bitwise-safe only at F64 without refinement sweeps: column j
+  // of a multi-RHS solve equals the solve of column j alone (the per-column
+  // sweeps are independent). Refined precisions iterate on the joint
+  // residual, so fusing there would couple members.
+  const bool fuse = bs.size() > 1 &&
+                    cfg_.solver.precision() == Precision::F64 && sweeps == 0;
+  if (!fuse) {
+    for (std::size_t i = 0; i < bs.size(); ++i) {
+      Solved& r = out[i];
+      const std::uint64_t t_solve = now_us();
+      try {
+        r.x = fac.solve(*bs[i], &r.report, sweeps);
+        if (r.report.fell_back)
+          refine_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+      } catch (...) {
+        r.error = std::current_exception();
+      }
+      r.solve_us = now_us() - t_solve;
+    }
+    return out;
+  }
+  // Column-major storage: concatenating and splitting the members' columns
+  // is one contiguous copy per member.
+  const int n = bs.front()->rows();
+  int width = 0;
+  for (const Matrix<double>* b : bs) width += b->cols();
+  const std::uint64_t t_solve = now_us();
+  try {
+    Matrix<double> bcat(n, width);
+    double* dst = bcat.data();
+    for (const Matrix<double>* b : bs)
+      dst = std::copy_n(b->data(), static_cast<std::size_t>(n) * b->cols(),
+                        dst);
+    SolveReport report;
+    const Matrix<double> xcat = fac.solve(bcat, &report, sweeps);
+    fused_cols_.fetch_add(static_cast<std::uint64_t>(width),
+                          std::memory_order_relaxed);
+    const double* src = xcat.data();
+    for (std::size_t i = 0; i < bs.size(); ++i) {
+      Matrix<double> x(n, bs[i]->cols());
+      const std::size_t count = static_cast<std::size_t>(n) * x.cols();
+      std::copy_n(src, count, x.data());
+      src += count;
+      out[i].x = std::move(x);
+      out[i].report = report;
+    }
+  } catch (...) {
+    for (Solved& r : out) r.error = std::current_exception();
+  }
+  const std::uint64_t wide_us = now_us() - t_solve;
+  for (Solved& r : out) r.solve_us = wide_us;
+  return out;
 }
 
 bool SolveService::job_fully_cancelled(const Job& job) const {
-  if (job.kind != Job::Kind::Batch) {
-    std::lock_guard<std::mutex> lock(job.state->mu);
-    return job.state->status == JobStatus::Cancelled;
-  }
-  for (const auto& s : job.batch_states) {
-    std::lock_guard<std::mutex> lock(s->mu);
-    if (s->status != JobStatus::Cancelled) return false;
+  for (const Member& m : job.members) {
+    std::lock_guard<std::mutex> lock(m.state->mu);
+    if (m.state->status != JobStatus::Cancelled) return false;
   }
   return true;
-}
-
-void SolveService::settle_job_cancelled(const Job& job) {
-  if (job.kind == Job::Kind::Batch) {
-    for (const auto& s : job.batch_states) complete_cancelled(s);
-  } else {
-    complete_cancelled(job.state);
-  }
 }
 
 void SolveService::settle_cancelled_owner(const Job& job,
                                           const std::shared_ptr<Pending>& p,
                                           bool fine) {
-  // The owner of a pending factorization was cancelled before its work
+  // The owner of a pending factorization was refused before its work
   // began. Claim the entry atomically — erasing it and taking its waiters
   // in one step, so no waiter can attach to a half-dead entry — and factor
   // only if someone was already waiting on it.
@@ -1330,23 +1281,41 @@ void SolveService::settle_cancelled_owner(const Job& job,
     for (auto& w : waiters) w(fac, error);
   }
   release_inflight_slot();
-  settle_job_cancelled(job);
+  for (const Member& m : job.members) settle_skipped(m.state);
 }
 
 bool SolveService::job_guarded(const Job& job) const {
   if (!watchdog_enabled()) return false;
-  if (job.kind != Job::Kind::Batch) return job.state->hard_wall_us != 0;
-  for (const auto& s : job.batch_states)
-    if (s->hard_wall_us == 0) return false;
-  return !job.batch_states.empty();
+  for (const Member& m : job.members)
+    if (m.state->hard_wall_us == 0) return false;
+  return true;
 }
 
 void SolveService::dispatch(Job job) {
-  // Jobs cancelled while queued are settled here, before admission.
-  if (job_fully_cancelled(job)) {
-    settle_job_cancelled(job);
-    return;
-  }
+  // Members cancelled while queued settle here, and members whose deadline
+  // passed while they queued are shed: neither consumes an inflight slot or
+  // any engine time.
+  const std::uint64_t now = now_us();
+  const auto settled_at_dequeue = [this, now](const Member& m) {
+    bool cancelled;
+    {
+      std::lock_guard<std::mutex> lock(m.state->mu);
+      cancelled = m.state->status == JobStatus::Cancelled;
+    }
+    if (cancelled) {
+      complete_cancelled(m.state);
+      return true;
+    }
+    if (m.state->deadline_us != 0 && now > m.state->deadline_us) {
+      complete_shed(m.state);
+      return true;
+    }
+    return false;
+  };
+  job.members.erase(std::remove_if(job.members.begin(), job.members.end(),
+                                   settled_at_dequeue),
+                    job.members.end());
+  if (job.members.empty()) return;
 
   if (fault::plan() != nullptr) {
     fault::maybe_delay(fault::site::kServeDelay);
@@ -1354,15 +1323,6 @@ void SolveService::dispatch(Job job) {
     // (hard wall set): the job vanishes here — before any slot is held —
     // and the hard-wall scan recovers it, so clients never hang.
     if (job_guarded(job) && fault::should_fire(fault::site::kServeDrop)) return;
-  }
-
-  // Dequeue-time SLO shedding: a single job whose deadline passed while it
-  // queued is dropped before it consumes an inflight slot or any engine
-  // time (batch members are vetoed per-member at try_begin instead).
-  if (job.kind != Job::Kind::Batch && job.state->deadline_us != 0 &&
-      now_us() > job.state->deadline_us) {
-    complete_shed(job.state);
-    return;
   }
 
   acquire_inflight_slot();
@@ -1383,7 +1343,7 @@ void SolveService::dispatch(Job job) {
   std::shared_ptr<Pending> owned;
   for (;;) {
     if (FacPtr fac = cache_.find_hashed(*job.a, config_fp_, h, count_miss)) {
-      dispatch_with_factorization(std::move(job), std::move(fac), true);
+      run_tail(std::move(job), std::move(fac), /*hit=*/true);
       return;
     }
     count_miss = false;
@@ -1450,21 +1410,10 @@ void SolveService::dispatch(Job job) {
     flush_pending(owned, fac, error);
     if (error) {
       const bool transient = classify_transient(error);
-      release_inflight_slot();
-      if (transient && job.kind != Job::Kind::Batch) {
-        Job retry;
-        retry.kind = job.kind;
-        retry.priority = job.priority;
-        retry.a = job.a;
-        retry.b = std::move(job.b);
-        retry.state = job.state;
-        if (maybe_retry(std::move(retry), error)) return;
-      }
-      fail_job(job, error);
+      fail_members(job, begin_members(job), error, transient);
       return;
     }
-    dispatch_with_factorization(std::move(job), std::move(fac), false,
-                                factor_us, t0);
+    run_tail(std::move(job), std::move(fac), /*hit=*/false, factor_us, t0);
     return;
   }
   submit_owner_task(std::move(job), std::move(owned));
@@ -1474,214 +1423,44 @@ void SolveService::attach_to_pending(Pending& p, Job job) {
   // Single-flight: this job parks a continuation on the in-flight
   // factorization instead of computing its own. Runs on whichever thread
   // finishes the factorization; submitting engine tasks from there is safe.
-  if (job.kind == Job::Kind::Batch) {
-    p.waiters.push_back(
-        [this, states = std::move(job.batch_states), bs = std::move(job.batch_b),
-         prio = job.priority](const FacPtr& fac, std::exception_ptr err) mutable {
-          if (err) {
-            release_inflight_slot();
-            for (const auto& s : states)
-              if (try_begin(s))
-                complete_error(s, err);
-              else
-                settle_skipped(s);
-            return;
-          }
-          submit_batch_task(std::move(states), std::move(bs), fac, false, prio,
-                            /*factor_us=*/0);
-        });
-    return;
-  }
   // The waiter keeps the job's matrix: when the owner's factorization dies
-  // of a transient fault, each waiter re-enqueues independently (one of the
-  // retries becomes the next owner; the rest attach again).
-  p.waiters.push_back(
-      [this, kind = job.kind, state = std::move(job.state), b = std::move(job.b),
-       a = job.a, prio = job.priority](const FacPtr& fac,
-                                       std::exception_ptr err) mutable {
-        if (err) {
-          release_inflight_slot();
-          if (transient_exception(err)) {
-            Job retry;
-            retry.kind = kind;
-            retry.priority = prio;
-            retry.a = std::move(a);
-            retry.b = std::move(b);
-            retry.state = state;
-            if (maybe_retry(std::move(retry), err)) return;
-          }
-          if (try_begin(state))
-            complete_error(state, err);
-          else
-            settle_skipped(state);
-          return;
-        }
-        if (kind == Job::Kind::Factor) {
-          const bool began = try_begin(state);
-          release_inflight_slot();
-          if (began)
-            complete_ok(state, Matrix<double>{}, false);
-          else
-            settle_skipped(state);
-          return;
-        }
-        submit_solve_task(std::move(state), std::move(b), fac, false, prio,
-                          /*factor_us=*/0);
-      });
-}
-
-void SolveService::dispatch_with_factorization(Job job, FacPtr fac, bool hit,
-                                               std::uint64_t factor_us,
-                                               std::uint64_t t_begin_us) {
-  switch (job.kind) {
-    case Job::Kind::Factor: {
-      // Nothing left to compute: settle on the dispatcher.
-      const bool began = try_begin(job.state, t_begin_us);
-      release_inflight_slot();
-      if (began)
-        complete_ok(job.state, Matrix<double>{}, hit, {}, {factor_us, 0});
-      else
-        settle_skipped(job.state);
+  // of a transient fault, each retryable member re-enqueues independently
+  // (one of the retries becomes the next owner; the rest attach again).
+  // The owner already classified the error, so only its kind is read here.
+  p.waiters.push_back([this, job = std::move(job)](
+                          const FacPtr& fac, std::exception_ptr err) mutable {
+    if (err) {
+      fail_members(job, begin_members(job), err, transient_exception(err));
       return;
     }
-    case Job::Kind::Solve:
-      submit_solve_task(std::move(job.state), std::move(job.b), std::move(fac),
-                        hit, job.priority, factor_us, t_begin_us);
-      return;
-    case Job::Kind::Batch:
-      submit_batch_task(std::move(job.batch_states), std::move(job.batch_b),
-                        std::move(fac), hit, job.priority, factor_us,
-                        t_begin_us);
-      return;
-  }
-}
-
-void SolveService::fail_job(const Job& job, std::exception_ptr error) {
-  if (job.kind == Job::Kind::Batch) {
-    for (const auto& s : job.batch_states)
-      if (try_begin(s))
-        complete_error(s, error);
-      else
-        settle_skipped(s);
-    return;
-  }
-  if (try_begin(job.state))
-    complete_error(job.state, error);
-  else
-    settle_skipped(job.state);
+    run_tail(std::move(job), fac, /*hit=*/false);
+  });
 }
 
 void SolveService::submit_owner_task(Job job, std::shared_ptr<Pending> p) {
-  const std::uint64_t job_id = job.kind == Job::Kind::Batch
-                                   ? (job.batch_states.empty()
-                                          ? 0
-                                          : job.batch_states.front()->job_id)
-                                   : job.state->job_id;
+  const std::uint64_t job_id = job.members.front().state->job_id;
   const int priority = static_cast<int>(job.priority);
-  auto shared_job = std::make_shared<Job>(std::move(job));
   engine_->submit(
-      [this, shared_job, p] {
-        Job& job = *shared_job;
-
-        // Did the owner get cancelled while queued on the engine? If nobody
-        // attached to its pending factorization, the work can be skipped
-        // entirely; otherwise the factorization still has customers.
-        std::vector<std::shared_ptr<JobState>> began;
-        if (job.kind == Job::Kind::Batch) {
-          for (const auto& s : job.batch_states)
-            if (try_begin(s)) began.push_back(s);
-        } else if (try_begin(job.state)) {
-          began.push_back(job.state);
-        }
-
-        if (began.empty()) {
-          // The whole job was cancelled while queued on the engine.
+      [this, job = std::move(job), p = std::move(p)]() mutable {
+        // Did every member get cancelled (or expire) while queued on the
+        // engine? If nobody attached to its pending factorization, the work
+        // can be skipped entirely; otherwise the factorization still has
+        // customers.
+        const std::vector<bool> live = begin_members(job);
+        if (std::find(live.begin(), live.end(), true) == live.end()) {
           settle_cancelled_owner(job, p, /*fine=*/false);
           return;
         }
-
         const std::uint64_t t_factor = now_us();
         std::exception_ptr error;
         FacPtr fac = compute_factorization(job.a, /*fine=*/false, p->hash, error);
         const std::uint64_t factor_us = now_us() - t_factor;
         flush_pending(p, fac, error);
-
         if (error) {
-          const bool transient = classify_transient(error);
-          release_inflight_slot();
-          if (transient && job.kind != Job::Kind::Batch) {
-            Job retry;
-            retry.kind = job.kind;
-            retry.priority = job.priority;
-            retry.a = job.a;
-            retry.b = std::move(job.b);
-            retry.state = job.state;
-            if (maybe_retry(std::move(retry), error)) return;
-          }
-          for (const auto& s : began) complete_error(s, error);
-          // Batch members whose cancel() (or deadline) won before try_begin.
-          if (job.kind == Job::Kind::Batch) {
-            for (const auto& s : job.batch_states) {
-              bool skipped = true;
-              for (const auto& g : began) skipped = skipped && g != s;
-              if (skipped) settle_skipped(s);
-            }
-          }
+          fail_members(job, live, error, classify_transient(error));
           return;
         }
-
-        if (job.kind == Job::Kind::Batch) {
-          std::vector<std::size_t> live;
-          for (std::size_t i = 0; i < job.batch_states.size(); ++i)
-            for (const auto& g : began)
-              if (job.batch_states[i] == g) {
-                live.push_back(i);
-                break;
-              }
-          fuse_solve_settle(job.batch_states, job.batch_b, live, fac, false,
-                            factor_us);
-          return;
-        }
-        Matrix<double> x;
-        SolveReport report;
-        std::exception_ptr solve_err;
-        const std::uint64_t t_solve = now_us();
-        try {
-          if (job.kind == Job::Kind::Solve)
-            x = fac->solve(job.b, &report, cfg_.solver.refinement_sweeps());
-        } catch (...) {
-          solve_err = std::current_exception();
-        }
-        const std::uint64_t solve_us =
-            job.kind == Job::Kind::Solve ? now_us() - t_solve : 0;
-        const bool transient =
-            solve_err != nullptr && classify_transient(solve_err);
-        const bool poisoned = solve_err == nullptr &&
-                              job.kind == Job::Kind::Solve &&
-                              cfg_.screen_outputs && !finite_matrix(x);
-        if (poisoned)
-          cache_.erase_hashed(fac->matrix(), config_fp_,
-                              cache_.hash_of(fac->matrix()) ^ config_fp_hash_);
-        release_inflight_slot();
-        if (solve_err != nullptr || poisoned) {
-          if (solve_err == nullptr || transient) {
-            Job retry;
-            retry.kind = Job::Kind::Solve;
-            retry.priority = job.priority;
-            retry.a = job.a;
-            retry.b = std::move(job.b);
-            retry.state = job.state;
-            if (maybe_retry(std::move(retry), solve_err)) return;
-          }
-          if (solve_err != nullptr) {
-            complete_error(job.state, solve_err);
-            return;
-          }
-        }
-        if (report.fell_back)
-          refine_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-        complete_ok(job.state, std::move(x), false, report,
-                    {factor_us, solve_us});
+        finish(job, live, fac, /*hit=*/false, factor_us);
       },
       {}, {"serve-factor", priority, -1, job_id});
 }
@@ -1740,13 +1519,13 @@ void SolveService::on_memory_pressure() {
   set_degraded();
 }
 
-bool SolveService::maybe_retry(Job job, std::exception_ptr err) {
+bool SolveService::retry_member(const Job& job, Member& m,
+                                std::exception_ptr err) {
   if (!watchdog_enabled()) return false;  // nobody to run the backoff queue
-  if (job.kind == Job::Kind::Batch) return false;
   if (err == nullptr)
     err = std::make_exception_ptr(
         Error("serve: non-finite solution (retries exhausted)"));
-  const std::shared_ptr<JobState>& state = job.state;
+  const std::shared_ptr<JobState>& state = m.state;
   std::uint64_t due;
   {
     std::lock_guard<std::mutex> lock(state->mu);
@@ -1764,11 +1543,15 @@ bool SolveService::maybe_retry(Job job, std::exception_ptr err) {
   }
   retries_.fetch_add(1, std::memory_order_relaxed);
   obs_.retries->add(1);
+  Job retry;
+  retry.priority = job.priority;
+  retry.a = job.a;
+  retry.members.push_back({std::move(m.b), state});
   bool parked = false;
   {
     std::lock_guard<std::mutex> lock(watchdog_mu_);
     if (!watchdog_stop_) {
-      retry_queue_.push_back(RetryItem{due, std::move(job), std::move(err)});
+      retry_queue_.push_back(RetryItem{due, std::move(retry), std::move(err)});
       parked = true;
     }
   }
@@ -1782,17 +1565,17 @@ bool SolveService::maybe_retry(Job job, std::exception_ptr err) {
 }
 
 void SolveService::requeue_retry(RetryItem item) {
-  if (job_fully_cancelled(item.job)) {
-    settle_job_cancelled(item.job);
-    return;
-  }
-  // Keep what settlement needs before the push consumes the job.
-  std::shared_ptr<JobState> state = item.job.state;
+  // Keep what settlement needs before the push consumes the job. A retry
+  // cancelled during its backoff settles at dispatch like any queued job.
+  std::vector<std::shared_ptr<JobState>> states;
+  states.reserve(item.job.members.size());
+  for (const Member& m : item.job.members) states.push_back(m.state);
   const int lane = static_cast<int>(item.job.priority);
   if (queue_.try_push(std::move(item.job), lane)) return;
   // Queue closed (shutdown) or full under overload: the retry loses its
-  // attempt and the job settles with the failure that triggered it.
-  complete_error(state, std::move(item.error));
+  // attempt and the job settles with the failure that triggered it (a
+  // cancelled one is accounted as cancelled).
+  for (const auto& st : states) complete_error(st, item.error);
 }
 
 void SolveService::scan_hard_walls(std::uint64_t now) {
@@ -1922,16 +1705,19 @@ ServiceStats SolveService::stats() const {
     s.pending_factorizations = pending_.size();
   }
   s.cache = cache_.stats();
-  s.jobs_f64 = precision_jobs_.f64.load(std::memory_order_relaxed);
-  s.jobs_f32 = precision_jobs_.f32.load(std::memory_order_relaxed);
-  s.jobs_f32_ir = precision_jobs_.f32_ir.load(std::memory_order_relaxed);
+  // One service runs one precision: every submitted job counts toward it.
+  switch (cfg_.solver.precision()) {
+    case Precision::F64: s.jobs_f64 = s.submitted; break;
+    case Precision::F32: s.jobs_f32 = s.submitted; break;
+    case Precision::F32_IR: s.jobs_f32_ir = s.submitted; break;
+  }
   s.refine_fallbacks = refine_fallbacks_.load(std::memory_order_relaxed);
-  s.latency_p50_us = latency_.quantile_us(0.50);
-  s.latency_p99_us = latency_.quantile_us(0.99);
-  s.latency_max_us = latency_.max_us();
-  s.latency_mean_us = latency_.mean_us();
-  s.exec_p50_us = exec_.quantile_us(0.50);
-  s.exec_p99_us = exec_.quantile_us(0.99);
+  s.latency_p50_us = latency_.quantile(0.50);
+  s.latency_p99_us = latency_.quantile(0.99);
+  s.latency_max_us = latency_.max();
+  s.latency_mean_us = latency_.mean();
+  s.exec_p50_us = exec_.quantile(0.50);
+  s.exec_p99_us = exec_.quantile(0.99);
   s.uptime_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
           .count();

@@ -8,13 +8,23 @@
 // every job, with client priorities mapped onto the engine's ready lanes so
 // interactive traffic overtakes batch traffic twice (once in the queue,
 // once in the engine). A content-hash-keyed FactorizationCache turns
-// repeated coefficient matrices into factor-free solves, concurrent misses
-// on the same matrix are deduplicated through a pending-factorization map
-// (one factor run, everyone else attaches), and submit_batch fuses many
-// independent right-hand sides against one matrix into a single wide solve
-// instead of N engine round-trips. Every cached solve, one column or many,
-// replays the factorization at the exact RHS width (Factorization::solve),
-// on QR-heavy and all-LU factorizations alike.
+// repeated coefficient matrices into factor-free solves, and concurrent
+// misses on the same matrix are deduplicated through a pending-
+// factorization map (one factor run, everyone else attaches).
+//
+// Every queued job is one shared matrix plus a list of members, each a
+// right-hand side (none for a factor job) with its own handle: submit_solve
+// and submit_factor queue a list of one, submit_batch a list of N. Once the
+// job's factorization is in hand (cache hit, attached in-flight
+// factorization, or its own), one tail solves and settles every member.
+// There is one fusion rule, shared with the submit_many chunk route: at F64
+// without refinement sweeps, members that share a factorization fuse into
+// one wide solve (column j of a wide solve is bitwise the solve of column j
+// alone); every other configuration solves member by member (refined
+// precisions iterate on the joint residual, which fusing would couple).
+// Every solved member, batch members included, is output-screened. Every cached solve,
+// one column or many, replays the factorization at the exact RHS width
+// (Factorization::solve), on QR-heavy and all-LU factorizations alike.
 //
 //   serve::ServiceConfig cfg;
 //   cfg.solver.criterion(CriterionSpec::max(100.0)).tile_size(64);
@@ -53,20 +63,17 @@
 #include <vector>
 
 #include "api/solver.hpp"
+#include "obs/metrics.hpp"
 #include "serve/cache.hpp"
 #include "serve/job_queue.hpp"
-#include "serve/telemetry.hpp"
 
 namespace luqr::rt {
 class Engine;
 }
 
 namespace luqr::obs {
-class Counter;
 class EngineSampler;
-class Gauge;
-class Histogram;
-}  // namespace luqr::obs
+}
 
 namespace luqr::serve {
 
@@ -200,10 +207,12 @@ struct ServiceConfig {
   /// could then be cached and served to other clients. One O(n^2) Frobenius
   /// pass per submitted matrix.
   bool screen_inputs = true;
-  /// Screen single-solve results: a non-finite solution evicts its
-  /// factorization from the cache (it must never serve another hit) and the
-  /// solve retries from scratch; with the retry budget exhausted the result
-  /// is returned as-is (a legitimately singular system can produce Inf).
+  /// Screen the results of queued solves (submit_solve and submit_batch
+  /// members): a non-finite solution evicts its factorization from the
+  /// cache (it must never serve another hit) and the solve retries from
+  /// scratch; with the retry budget exhausted (batch members have none) the
+  /// result is returned as-is (a legitimately singular system can produce
+  /// Inf).
   bool screen_outputs = true;
 
   /// Default retry budget for transient failures (injected faults,
@@ -292,9 +301,11 @@ class SolveService {
   JobHandle submit_factor(Matrix<double> a, const SubmitOptions& opt = {});
   JobHandle submit_factor(Matrix<double> a, Priority priority);
 
-  /// Enqueue many independent solves against one matrix as a single fused
-  /// job: one factorization (or cache hit) and one wide multi-RHS solve
-  /// serve every member. Returns one handle per right-hand side.
+  /// Enqueue many independent solves against one matrix as a single job:
+  /// one factorization (or cache hit) serves every member, and at F64
+  /// without refinement sweeps one wide multi-RHS solve does too (refined
+  /// precisions solve member by member). Members are not retried. Returns
+  /// one handle per right-hand side.
   std::vector<JobHandle> submit_batch(Matrix<double> a,
                                       std::vector<Matrix<double>> bs,
                                       Priority priority = Priority::Batch);
@@ -342,6 +353,10 @@ class SolveService {
   const std::string& config_fingerprint() const { return config_fp_; }
 
  private:
+  using FacPtr = std::shared_ptr<const core::Factorization>;
+  using Waiters =
+      std::vector<std::function<void(const FacPtr&, std::exception_ptr)>>;
+
   /// One factorization in flight: the first missing job computes it; equal-
   /// matrix jobs arriving meanwhile park a continuation here instead of
   /// factoring again (single-flight). Continuations run when the owner
@@ -349,21 +364,22 @@ class SolveService {
   struct Pending {
     std::uint64_t hash = 0;
     std::shared_ptr<Matrix<double>> a;
-    std::vector<std::function<void(
-        const std::shared_ptr<const core::Factorization>&, std::exception_ptr)>>
-        waiters;
+    Waiters waiters;
   };
 
-  /// Queue element: one client request (or one fused batch of them).
+  /// One client request inside a queued job: its right-hand side and its
+  /// handle's state. A factor member has a 0x0 b and is never solved.
+  struct Member {
+    Matrix<double> b;
+    std::shared_ptr<detail::JobState> state;
+  };
+
+  /// Queue element: a shared matrix plus the members its one factorization
+  /// serves (submit_solve/submit_factor: one member; submit_batch: N).
   struct Job {
-    enum class Kind { Solve, Factor, Batch };
-    Kind kind = Kind::Solve;
     Priority priority = Priority::Normal;
     std::shared_ptr<Matrix<double>> a;
-    Matrix<double> b;                                       // Solve
-    std::shared_ptr<detail::JobState> state;                // Solve/Factor
-    std::vector<Matrix<double>> batch_b;                    // Batch
-    std::vector<std::shared_ptr<detail::JobState>> batch_states;  // Batch
+    std::vector<Member> members;
   };
 
   /// One staged submit_many member: accepted and hashed. Cache misses wait
@@ -374,7 +390,7 @@ class SolveService {
     std::shared_ptr<const Matrix<double>> a;
     Matrix<double> b;
     std::shared_ptr<detail::JobState> state;
-    std::shared_ptr<const core::Factorization> fac;  ///< set on a skim hit
+    FacPtr fac;  ///< set on a skim hit
     std::uint64_t hash = 0;
     Priority priority = Priority::Batch;
   };
@@ -385,14 +401,19 @@ class SolveService {
     std::uint64_t oldest_us = 0;  ///< staging time of the oldest member
   };
 
-  using FacPtr = std::shared_ptr<const core::Factorization>;
-  using Waiters = std::vector<std::function<void(
-      const std::shared_ptr<const core::Factorization>&, std::exception_ptr)>>;
-
   /// Phase timings a completing job carries into complete_ok (refine_us
   /// rides in the SolveReport; queue_us is derived from the job state).
   struct Phases {
     std::uint64_t factor_us = 0;
+    std::uint64_t solve_us = 0;
+  };
+
+  /// One member's share of a solve_run (fused members share report,
+  /// solve_us and error).
+  struct Solved {
+    Matrix<double> x;
+    SolveReport report;
+    std::exception_ptr error;
     std::uint64_t solve_us = 0;
   };
 
@@ -406,7 +427,7 @@ class SolveService {
   };
 
   std::uint64_t now_us() const;
-  JobHandle enqueue(Job job);
+  void enqueue(Job job);
   void dispatcher_loop();
   void dispatch(Job job);
   bool watchdog_enabled() const { return cfg_.watchdog_period_ms > 0; }
@@ -424,10 +445,11 @@ class SolveService {
   // count toward faults_injected, allocation pressure triggers the
   // memory-pressure response. Deterministic errors return false.
   bool classify_transient(const std::exception_ptr& err);
-  // Consume one unit of the job's retry budget and park it in the watchdog's
-  // backoff queue. False when the job cannot retry (no budget, cancelled,
-  // expired, batch kind, or no watchdog to run it) — caller settles instead.
-  bool maybe_retry(Job job, std::exception_ptr err);
+  // Consume one unit of the member's retry budget and park it, as a job of
+  // one, in the watchdog's backoff queue. False when it cannot retry (no
+  // budget, cancelled, expired, or no watchdog to run it) — the caller
+  // settles it instead. The member's state stays usable either way.
+  bool retry_member(const Job& job, Member& m, std::exception_ptr err);
   void requeue_retry(RetryItem item);
   void watchdog_loop();
   void scan_hard_walls(std::uint64_t now);
@@ -451,36 +473,34 @@ class SolveService {
   void flush_pending(const std::shared_ptr<Pending>& p, const FacPtr& fac,
                      std::exception_ptr error);
   bool job_fully_cancelled(const Job& job) const;
-  void settle_job_cancelled(const Job& job);
-  // Cancelled owner of a pending entry: factor only for parked waiters,
-  // then settle. Shared by the dispatcher (fine) and owner-task (coarse)
-  // paths.
+  // Owner of a pending entry whose members all were refused before its
+  // work began: factor only for parked waiters, then settle. Shared by the
+  // dispatcher (fine) and owner-task (coarse) paths.
   void settle_cancelled_owner(const Job& job, const std::shared_ptr<Pending>& p,
                               bool fine);
-  // factor_us/t_begin_us carry span data for jobs whose factorization ran
-  // on the dispatcher (the fine-grained path): the job's execution start is
-  // backdated to t_begin_us so its exec span contains the factor phase.
-  void dispatch_with_factorization(Job job, FacPtr fac, bool hit,
-                                   std::uint64_t factor_us = 0,
-                                   std::uint64_t t_begin_us = 0);
   void attach_to_pending(Pending& p, Job job);
-  void fail_job(const Job& job, std::exception_ptr error);
   void submit_owner_task(Job job, std::shared_ptr<Pending> p);
-  // Shared tail of every batch path: fuse the live members' RHS columns,
-  // solve wide, split, release the inflight slot, settle every member.
-  void fuse_solve_settle(const std::vector<std::shared_ptr<detail::JobState>>& states,
-                         const std::vector<Matrix<double>>& bs,
-                         const std::vector<std::size_t>& live, const FacPtr& fac,
-                         bool cache_hit, std::uint64_t factor_us);
-  void submit_solve_task(std::shared_ptr<detail::JobState> state,
-                         Matrix<double> b, FacPtr fac, bool cache_hit,
-                         Priority priority, std::uint64_t factor_us,
-                         std::uint64_t t_begin_us = 0);
-  void submit_batch_task(std::vector<std::shared_ptr<detail::JobState>> states,
-                         std::vector<Matrix<double>> bs, FacPtr fac,
-                         bool cache_hit, Priority priority,
-                         std::uint64_t factor_us,
-                         std::uint64_t t_begin_us = 0);
+  // The job tail. begin_members runs try_begin on every member (start_us
+  // != 0 backdates the start: the fine-grained path begins executing on
+  // the dispatcher) and returns which ones began. run_tail runs the tail
+  // where a factorization landed: inline for a job without right-hand
+  // sides, otherwise in one engine task. finish solves the live members as
+  // one solve_run, screens the outputs, releases the inflight slot and
+  // settles every member; fail_members is its counterpart when the
+  // factorization itself failed.
+  std::vector<bool> begin_members(const Job& job, std::uint64_t start_us = 0);
+  void run_tail(Job job, FacPtr fac, bool hit, std::uint64_t factor_us = 0,
+                std::uint64_t t_begin_us = 0);
+  void finish(Job& job, const std::vector<bool>& live, const FacPtr& fac,
+              bool hit, std::uint64_t factor_us);
+  void fail_members(Job& job, const std::vector<bool>& live,
+                    const std::exception_ptr& error, bool transient);
+  // The one routine that solves a run of right-hand sides sharing `fac`
+  // (the job tail and the chunk task both call it). A lone member solves
+  // its own b; several fuse into one wide solve at F64 without refinement
+  // sweeps and solve one by one otherwise. Never throws.
+  std::vector<Solved> solve_run(const core::Factorization& fac,
+                                const std::vector<const Matrix<double>*>& bs);
   // submit_many machinery: the flusher thread turns staged buckets into
   // chunk tasks (on count, deadline, or shutdown); each chunk task factors
   // and solves its members serially in one workspace frame with per-member
@@ -489,17 +509,12 @@ class SolveService {
   void execute_staged(std::vector<Staged> group);
   void submit_chunk_task(std::vector<Staged> chunk);
   // Queued -> Running arbitration against cancel(). start_us != 0 backdates
-  // the execution start (the fine-grained path begins executing on the
-  // dispatcher, before its solve task runs).
+  // the execution start.
   bool try_begin(const std::shared_ptr<detail::JobState>& state,
                  std::uint64_t start_us = 0);
   void complete_ok(const std::shared_ptr<detail::JobState>& state,
                    Matrix<double> x, bool cache_hit, const SolveReport& report,
                    const Phases& phases);
-  void complete_ok(const std::shared_ptr<detail::JobState>& state,
-                   Matrix<double> x, bool cache_hit) {
-    complete_ok(state, std::move(x), cache_hit, SolveReport{}, Phases{});
-  }
   void complete_error(const std::shared_ptr<detail::JobState>& state,
                       std::exception_ptr error);
   void complete_cancelled(const std::shared_ptr<detail::JobState>& state);
@@ -574,10 +589,9 @@ class SolveService {
   std::atomic<std::uint64_t> batched_jobs_{0}, batches_executed_{0},
       batch_hits_skimmed_{0};
   std::atomic<std::uint64_t> factors_coarse_{0}, factors_inline_{0};
-  PrecisionCounters precision_jobs_;
   std::atomic<std::uint64_t> refine_fallbacks_{0};
-  LatencyHistogram latency_;  // submit -> terminal
-  LatencyHistogram exec_;     // execution start -> done
+  obs::Histogram latency_;  // submit -> terminal
+  obs::Histogram exec_;     // execution start -> done
 
   /// Registry handles (resolved once at construction; the registry owns the
   /// metrics and they are process-wide — services aggregate into the same

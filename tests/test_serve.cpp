@@ -95,28 +95,50 @@ TEST(SolveService, FactorJobWarmsCache) {
 }
 
 TEST(SolveService, BatchFusesAndMatchesIndividualSolves) {
-  const ServiceConfig cfg = base_config();
-  const Solver reference(cfg.solver);
-  SolveService svc(cfg);
-  const auto a = gen::generate(gen::MatrixKind::Random, 48, 21);
-  std::vector<Matrix<double>> bs;
-  for (int i = 0; i < 6; ++i) bs.push_back(random_matrix(48, i % 2 ? 2 : 1, 30 + i));
+  // Fusing members into one wide solve is bitwise-safe only at F64 without
+  // refinement sweeps. Refined precisions iterate on the joint residual, so
+  // there every member must solve alone and still match its one-shot solve
+  // (member 2 is scaled by 1e6 so that a joint residual would show).
+  struct Case {
+    core::Precision precision;
+    int sweeps;
+    std::uint64_t fused_columns;
+  };
+  for (const Case c : {Case{core::Precision::F64, 0, 9},
+                       Case{core::Precision::F64, 1, 0},
+                       Case{core::Precision::F32, 0, 0},
+                       Case{core::Precision::F32_IR, 0, 0}}) {
+    SCOPED_TRACE(static_cast<int>(c.precision) * 10 + c.sweeps);
+    ServiceConfig cfg = base_config();
+    cfg.solver = SolverConfig(base_solver())
+                     .precision(c.precision)
+                     .refinement_sweeps(c.sweeps);
+    const Solver reference(cfg.solver);
+    SolveService svc(cfg);
+    const auto a = gen::generate(gen::MatrixKind::Random, 48, 21);
+    std::vector<Matrix<double>> bs;
+    for (int i = 0; i < 6; ++i)
+      bs.push_back(random_matrix(48, i % 2 ? 2 : 1, 30 + i));
+    for (int i = 0; i < 48; ++i) bs[2](i, 0) *= 1e6;
 
-  auto handles = svc.submit_batch(a, bs, Priority::Normal);
-  ASSERT_EQ(handles.size(), bs.size());
-  for (std::size_t i = 0; i < handles.size(); ++i) {
-    const auto want = reference.solve(a, bs[i]).x;
-    expect_bitwise(handles[i].get().x, want, "batch member");
+    auto handles = svc.submit_batch(a, bs, Priority::Normal);
+    ASSERT_EQ(handles.size(), bs.size());
+    for (std::size_t i = 0; i < handles.size(); ++i) {
+      const auto want = reference.solve(a, bs[i]).x;
+      expect_bitwise(handles[i].get().x, want, "batch member");
+    }
+    const ServiceStats s = svc.stats();
+    EXPECT_EQ(s.batches, 1u);
+    EXPECT_EQ(s.batch_members, 6u);
+    EXPECT_EQ(s.fused_rhs_columns, c.fused_columns);  // 1+2+1+2+1+2 when fused
   }
-  const ServiceStats s = svc.stats();
-  EXPECT_EQ(s.batches, 1u);
-  EXPECT_EQ(s.batch_members, 6u);
-  EXPECT_EQ(s.fused_rhs_columns, 9u);  // 1+2+1+2+1+2
 }
 
 TEST(SolveService, SingleFlightDeduplicatesConcurrentMisses) {
   // Many concurrent jobs on the same (uncached) matrix: exactly one
-  // factorization runs; everyone gets bitwise-correct answers.
+  // factorization runs; everyone gets bitwise-correct answers. A batch and a
+  // factor job follow the first solve, so they park as waiters on its
+  // pending factorization too.
   ServiceConfig cfg = base_config(2);
   cfg.parallel_factor_tiles = 0;  // coarse path, so attaches park as waiters
   const Solver reference(cfg.solver);
@@ -124,24 +146,38 @@ TEST(SolveService, SingleFlightDeduplicatesConcurrentMisses) {
   const auto a = gen::generate(gen::MatrixKind::Random, 64, 41);
   std::vector<Matrix<double>> bs;
   std::vector<JobHandle> jobs;
+  std::vector<Matrix<double>> member_bs = {random_matrix(64, 1, 45),
+                                          random_matrix(64, 2, 46)};
+  std::vector<JobHandle> batch;
+  JobHandle factor;
   for (int i = 0; i < 8; ++i) {
     bs.push_back(random_matrix(64, 1, 50 + i));
     jobs.push_back(svc.submit_solve(a, bs.back()));
+    if (i == 0) {
+      batch = svc.submit_batch(a, member_bs, Priority::Normal);
+      factor = svc.submit_factor(a);
+    }
   }
   for (int i = 0; i < 8; ++i)
     expect_bitwise(jobs[static_cast<std::size_t>(i)].get().x,
                    reference.solve(a, bs[static_cast<std::size_t>(i)]).x,
                    "deduped");
+  for (std::size_t k = 0; k < batch.size(); ++k)
+    expect_bitwise(batch[k].get().x, reference.solve(a, member_bs[k]).x,
+                   "deduped batch member");
+  EXPECT_EQ(factor.get().x.rows(), 0);
   const ServiceStats s = svc.stats();
   EXPECT_EQ(s.factors_coarse + s.factors_inline_parallel, 1u);
 }
 
 TEST(SolveService, CancelQueuedJobSkipsWork) {
   // One worker, inflight 1, and a slow job in front: jobs cancelled while
-  // queued never run.
+  // queued never run. Behind it sit a single solve and a 3-member batch of
+  // which one member is cancelled; its batch-mates still run.
   ServiceConfig cfg = base_config(1);
   cfg.max_inflight = 1;
   cfg.dispatchers = 1;
+  const Solver reference(cfg.solver);
   SolveService svc(cfg);
   const auto slow_a = gen::generate(gen::MatrixKind::Random, 96, 61);
   const auto slow_b = random_matrix(96, 1, 62);
@@ -150,21 +186,38 @@ TEST(SolveService, CancelQueuedJobSkipsWork) {
   const auto a = gen::generate(gen::MatrixKind::Random, 32, 63);
   const auto b = random_matrix(32, 1, 64);
   auto victim = svc.submit_solve(a, b);
+  const auto batch_a = gen::generate(gen::MatrixKind::Random, 32, 65);
+  const std::vector<Matrix<double>> member_bs = {random_matrix(32, 1, 66),
+                                                random_matrix(32, 2, 67),
+                                                random_matrix(32, 1, 68)};
+  auto members = svc.submit_batch(batch_a, member_bs, Priority::Normal);
   // Cancellation wins while the job is queued (the slow job occupies the
   // only inflight slot; the victim sits in the admission queue or engine).
   const bool won = victim.cancel();
+  const bool member_won = members[1].cancel();
   if (won) {
     EXPECT_EQ(victim.status(), JobStatus::Cancelled);
     EXPECT_THROW(victim.get(), Error);
   }
   (void)slow.get();
   svc.drain();
+  for (std::size_t k = 0; k < members.size(); ++k) {
+    if (k == 1 && member_won) {
+      EXPECT_EQ(members[k].status(), JobStatus::Cancelled);
+      continue;
+    }
+    ASSERT_EQ(members[k].status(), JobStatus::Done) << k;
+    expect_bitwise(members[k].get().x, reference.solve(batch_a, member_bs[k]).x,
+                   "batch member behind a cancelled one");
+  }
   const ServiceStats s = svc.stats();
+  const std::uint64_t batch_done = member_won ? 2u : 3u;
   if (won) {
-    EXPECT_EQ(s.cancelled, 1u);
-    EXPECT_EQ(s.completed, 1u);
+    EXPECT_EQ(s.cancelled, member_won ? 2u : 1u);
+    EXPECT_EQ(s.completed, 1u + batch_done);
   } else {
-    EXPECT_EQ(s.completed, 2u);
+    EXPECT_EQ(s.cancelled, member_won ? 1u : 0u);
+    EXPECT_EQ(s.completed, 2u + batch_done);
   }
   EXPECT_FALSE(victim.cancel());  // terminal either way: cancel loses now
 }
@@ -273,6 +326,26 @@ TEST(SolveService, FineGrainedFactorOnSharedEngineMatchesSerial) {
   const ServiceStats s = svc.stats();
   EXPECT_EQ(s.factors_inline_parallel, 1u);
   EXPECT_EQ(s.factors_coarse, 0u);
+
+  // A batch and a factor job on fresh matrices take the fine path too; the
+  // factor job's matrix then serves a bitwise-correct cache hit.
+  const auto batch_a = gen::generate(gen::MatrixKind::Random, 96, 903);
+  const std::vector<Matrix<double>> member_bs = {random_matrix(96, 1, 904),
+                                                random_matrix(96, 2, 905)};
+  auto members = svc.submit_batch(batch_a, member_bs, Priority::Normal);
+  for (std::size_t k = 0; k < members.size(); ++k)
+    expect_bitwise(members[k].get().x, reference.solve(batch_a, member_bs[k]).x,
+                   "fine-grained batch member");
+  const auto factor_a = gen::generate(gen::MatrixKind::Random, 96, 906);
+  EXPECT_EQ(svc.submit_factor(factor_a).get().x.rows(), 0);
+  const auto factor_b = random_matrix(96, 1, 907);
+  const SolveReply hit = svc.submit_solve(factor_a, factor_b).get();
+  EXPECT_TRUE(hit.cache_hit);
+  expect_bitwise(hit.x, reference.solve(factor_a, factor_b).x,
+                 "hit on a fine-grained factor job");
+  const ServiceStats after = svc.stats();
+  EXPECT_EQ(after.factors_inline_parallel, 3u);
+  EXPECT_EQ(after.factors_coarse, 0u);
 }
 
 TEST(SolveServiceStress, MixedClientsMatchReferenceBitwise) {
@@ -435,6 +508,145 @@ TEST(SolveService, ConcurrentReducedPrecisionClientsStayIsolated) {
   EXPECT_EQ(svc64.stats().jobs_f32, 0u);
   EXPECT_EQ(svc32.stats().jobs_f64, 0u);
   EXPECT_GT(svc32.stats().jobs_f32, 0u);
+}
+
+
+// ---------------------------------------------------------------------------
+// Model-based randomized test
+// ---------------------------------------------------------------------------
+
+TEST(SolveServiceModel, SeededRandomOpsKeepBooksAndBits) {
+  // One client submits a seeded random mix of solves, factors, batches,
+  // cancels of earlier handles and born-expired solves against a pool of
+  // four matrices, two of them tall enough for the fine-grained path, under
+  // the chaos scheduler. The model records what each handle asked for and
+  // whether its cancel() won. After drain() every handle must be terminal
+  // in a state the model allows, the service's books must equal the
+  // handles' states, and every Done solve must be bitwise equal to one-shot
+  // Solver::solve. The watchdog is off: a born-expired job's hard wall is
+  // 8 us, and a watchdog scan that reached it before the dispatcher would
+  // fail it instead of shedding it.
+  constexpr int kOps = 60;
+  constexpr int kPool = 4;
+  const int sizes[kPool] = {24, 32, 48, 64};
+  // Route coverage summed over the seeds: the mix must actually reach
+  // cache hits, both factor grains, won cancels and sheds.
+  std::uint64_t hits = 0, fine = 0, coarse = 0, cancels_won = 0, sheds = 0;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE(seed);
+    ServiceConfig cfg = base_config(2);
+    cfg.chaos_seed = seed;
+    cfg.parallel_factor_tiles = 3;  // the 48 and 64 matrices factor fine-grained
+    cfg.watchdog_period_ms = 0;
+    const Solver reference(cfg.solver);
+    std::vector<Matrix<double>> pool;
+    for (int i = 0; i < kPool; ++i)
+      pool.push_back(gen::generate(gen::MatrixKind::Random, sizes[i],
+                                   seed * 10 + static_cast<std::uint64_t>(i)));
+
+    struct Entry {
+      JobHandle handle;
+      int pick = 0;
+      Matrix<double> b;  // no rows for a factor job
+      bool expired = false;
+      bool cancel_won = false;
+    };
+    std::vector<Entry> model;
+    Rng rng(seed);
+    SolveService svc(cfg);
+    for (int op = 0; op < kOps; ++op) {
+      const int pick = static_cast<int>(rng.below(kPool));
+      const Matrix<double>& a = pool[static_cast<std::size_t>(pick)];
+      const auto prio = static_cast<Priority>(rng.below(3));
+      const std::uint64_t bseed =
+          seed * 100000 + static_cast<std::uint64_t>(op) * 8;
+      switch (rng.below(5)) {
+        case 0: {
+          const int cols = 1 + static_cast<int>(rng.below(2));
+          Entry e{{}, pick, random_matrix(a.rows(), cols, bseed)};
+          e.handle = svc.submit_solve(a, e.b, prio);
+          model.push_back(std::move(e));
+          break;
+        }
+        case 1:
+          model.push_back(Entry{svc.submit_factor(a, prio), pick, {}});
+          break;
+        case 2: {
+          std::vector<Matrix<double>> bs;
+          const int members = 1 + static_cast<int>(rng.below(3));
+          for (int k = 0; k < members; ++k)
+            bs.push_back(random_matrix(a.rows(), 1 + k % 2, bseed + k));
+          std::vector<JobHandle> hs = svc.submit_batch(a, bs, prio);
+          for (int k = 0; k < members; ++k)
+            model.push_back(Entry{hs[static_cast<std::size_t>(k)], pick,
+                                  bs[static_cast<std::size_t>(k)]});
+          break;
+        }
+        case 3:
+          if (!model.empty()) {
+            Entry& e = model[rng.below(model.size())];
+            if (e.handle.cancel()) e.cancel_won = true;
+          }
+          break;
+        default: {
+          SubmitOptions opt;
+          opt.priority = prio;
+          opt.deadline_us = 1;  // born expired: must never run
+          Entry e{{}, pick, random_matrix(a.rows(), 1, bseed)};
+          e.expired = true;
+          e.handle = svc.submit_solve(a, e.b, opt);
+          model.push_back(std::move(e));
+          break;
+        }
+      }
+    }
+    svc.drain();
+
+    std::uint64_t done = 0, cancelled = 0, shed = 0;
+    for (std::size_t i = 0; i < model.size(); ++i) {
+      Entry& e = model[i];
+      const JobStatus st = e.handle.status();
+      ASSERT_TRUE(st == JobStatus::Done || st == JobStatus::Cancelled ||
+                  st == JobStatus::Shed)
+          << "handle " << i << " status " << static_cast<int>(st);
+      if (e.cancel_won) {
+        EXPECT_EQ(st, JobStatus::Cancelled) << i;
+      }
+      if (e.expired) {
+        EXPECT_TRUE(st == JobStatus::Shed || st == JobStatus::Cancelled) << i;
+      }
+      done += st == JobStatus::Done;
+      cancelled += st == JobStatus::Cancelled;
+      shed += st == JobStatus::Shed;
+      if (st != JobStatus::Done) continue;
+      const Matrix<double> x = e.handle.get().x;
+      if (e.b.rows() == 0) {
+        EXPECT_EQ(x.rows(), 0) << i;
+        continue;
+      }
+      const Matrix<double>& a = pool[static_cast<std::size_t>(e.pick)];
+      expect_bitwise(x, reference.solve(a, e.b).x, "model solve");
+    }
+    const ServiceStats s = svc.stats();
+    EXPECT_EQ(s.submitted, model.size());
+    EXPECT_EQ(s.submitted,
+              s.completed + s.failed + s.cancelled + s.rejected + s.shed);
+    EXPECT_EQ(s.completed, done);
+    EXPECT_EQ(s.cancelled, cancelled);
+    EXPECT_EQ(s.shed, shed);
+    EXPECT_EQ(s.failed, 0u);
+    EXPECT_EQ(s.rejected, 0u);
+    hits += s.cache.hits;
+    fine += s.factors_inline_parallel;
+    coarse += s.factors_coarse;
+    sheds += s.shed;
+    for (const Entry& e : model) cancels_won += e.cancel_won;
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_GT(fine, 0u);
+  EXPECT_GT(coarse, 0u);
+  EXPECT_GT(cancels_won, 0u);
+  EXPECT_GT(sheds, 0u);
 }
 
 }  // namespace

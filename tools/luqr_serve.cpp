@@ -37,8 +37,9 @@
 //   --fault-sweep     run a seeded chaos sweep: every fault site family
 //                     armed (alloc failures, NaN/singular kernel faults,
 //                     task delays/stalls, serve throws/drops/delays), a
-//                     mixed workload with deadlines + cancellations per
-//                     seed, then assert the accounting balance
+//                     mixed workload of every job shape (solves, factor
+//                     jobs, submit_batch, submit_many) with deadlines +
+//                     cancellations per seed, then assert the accounting balance
 //                     (submitted == completed+failed+cancelled+rejected+
 //                     shed) and that a fresh solve on the SAME service is
 //                     bitwise-identical to a one-shot Solver after the
@@ -178,17 +179,36 @@ int run_fault_sweep(std::uint64_t first_seed, int nseeds, int nb) {
                 bs.push_back(std::move(b));
               }
               mine = svc.submit_many(as, bs, serve::Priority::Batch);
+            } else if (r % 5 == 1) {
+              // A 2-3 member submit_batch: one queued job whose members
+              // share a factorization (non-retryable, settled one by one).
+              const Matrix<double>& a = pool[static_cast<std::size_t>(
+                  (id * kRequests + r) % kPool)];
+              std::vector<Matrix<double>> bs;
+              const int members = 2 + static_cast<int>(rng.uniform() * 2);
+              for (int k = 0; k < members; ++k) {
+                Matrix<double> b(a.rows(), 1 + k % 2);
+                for (int j = 0; j < b.cols(); ++j)
+                  for (int i = 0; i < a.rows(); ++i) b(i, j) = rng.gaussian();
+                bs.push_back(std::move(b));
+              }
+              mine = svc.submit_batch(a, std::move(bs),
+                                      static_cast<serve::Priority>(r % 3));
             } else {
               const Matrix<double>& a = pool[static_cast<std::size_t>(
                   (id * kRequests + r) % kPool)];
-              Matrix<double> b(a.rows(), 1 + r % 2);
-              for (int j = 0; j < b.cols(); ++j)
-                for (int i = 0; i < a.rows(); ++i) b(i, j) = rng.gaussian();
               serve::SubmitOptions opt;
               opt.priority = static_cast<serve::Priority>(r % 3);
               if (r % 7 == 3) opt.deadline_us = 1;  // born expired: must shed
               else if (r % 7 == 5) opt.deadline_us = 100000;
-              mine.push_back(svc.submit_solve(a, std::move(b), opt));
+              if (r % 5 == 3) {
+                mine.push_back(svc.submit_factor(a, opt));  // warms the cache
+              } else {
+                Matrix<double> b(a.rows(), 1 + r % 2);
+                for (int j = 0; j < b.cols(); ++j)
+                  for (int i = 0; i < a.rows(); ++i) b(i, j) = rng.gaussian();
+                mine.push_back(svc.submit_solve(a, std::move(b), opt));
+              }
             }
             if (r % 6 == 2 && !mine.empty()) mine.front().cancel();
             for (auto& h : mine) h.wait_for(50000);  // bounded; drain settles
