@@ -193,9 +193,9 @@ core::SolveResult Solver::solve(const Matrix<double>& a,
 }  // namespace luqr
 
 // ---------------------------------------------------------------------------
-// Historical free-function entry points, kept as thin wrappers over the
-// facade. Defined here (not in their own layers' .cpp files) so core/ and
-// runtime/ never include upward into api/.
+// Historical free-function entry point, kept as a thin wrapper over the
+// facade. Defined here (not in core/'s .cpp files) so core/ never includes
+// upward into api/.
 // ---------------------------------------------------------------------------
 
 namespace luqr::core {
@@ -212,22 +212,3 @@ SolveResult hybrid_solve(const Matrix<double>& a, const Matrix<double>& b,
 }
 
 }  // namespace luqr::core
-
-namespace luqr::rt {
-
-core::SolveResult parallel_hybrid_solve(const Matrix<double>& a,
-                                        const Matrix<double>& b,
-                                        Criterion& criterion, int nb,
-                                        const core::HybridOptions& options,
-                                        int num_threads) {
-  LUQR_REQUIRE(num_threads >= 1, "need at least one worker thread");
-  return Solver(SolverConfig()
-                    .hybrid_options(options)
-                    .tile_size(nb)
-                    .criterion(criterion)
-                    .backend(Backend::Parallel)
-                    .threads(num_threads))
-      .solve(a, b);
-}
-
-}  // namespace luqr::rt

@@ -246,7 +246,4 @@ template core::FactorizationStatsT<float> parallel_hybrid_factor_on(
     Engine&, TileMatrix<float>&, Criterion&, const HybridOptions&,
     core::TransformLogT<float>*, const SchedulerOptions&, SchedulerStats*);
 
-// parallel_hybrid_solve is a thin wrapper over the luqr::Solver facade; its
-// definition lives in api/solver.cpp so this layer never includes upward.
-
 }  // namespace luqr::rt

@@ -15,7 +15,7 @@
 // enables the per-task timing trace and the auditor (runtime/scheduler.hpp).
 #pragma once
 
-#include "core/solve.hpp"
+#include "core/hybrid.hpp"
 #include "criteria/criteria.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/scheduler.hpp"
@@ -93,12 +93,5 @@ core::FactorizationStatsT<T> parallel_hybrid_factor_on(
     const core::HybridOptions& options,
     detail::non_deduced<core::TransformLogT<T>*> log = nullptr,
     const SchedulerOptions& sched = {}, SchedulerStats* sched_stats = nullptr);
-
-/// Parallel equivalent of core::hybrid_solve.
-core::SolveResult parallel_hybrid_solve(const Matrix<double>& a,
-                                        const Matrix<double>& b,
-                                        Criterion& criterion, int nb,
-                                        const core::HybridOptions& options,
-                                        int num_threads);
 
 }  // namespace luqr::rt

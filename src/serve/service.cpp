@@ -504,145 +504,98 @@ std::vector<JobHandle> SolveService::submit_many(
   const std::size_t flush_count =
       static_cast<std::size_t>(cfg_.solver.batch().flush_count);
 
-  // Per-member admission accounting (every member, hit or miss, executes
-  // through a chunk task rather than enqueue()).
-  const auto count_member = [this] {
-    submitted_.fetch_add(1, std::memory_order_relaxed);
-    obs_.submitted->add(1);
-    std::lock_guard<std::mutex> lock(mu_);
-    ++active_;
-  };
-
-  bool staged_any = false;
-  // Members collect locally keyed by the first-seen order of their matrix
-  // pointer, then stage in stable-sorted runs: a chunk task fuses only
-  // members that land in the same chunk, so repeats of one matrix must sit
-  // adjacently, not interleaved the way the client happened to submit them.
-  std::vector<std::pair<std::size_t, Staged>> hits, misses;
-  // Per-call dedup: members sharing one Matrix object hash and cache-probe
-  // once. This is what the shared_ptr form buys — a client's repeated
-  // systems cost one O(n^2) key per distinct matrix, not per member.
-  struct Probe {
-    std::uint64_t hash = 0;
-    FacPtr fac;            // null = miss at skim time
-    std::size_t order = 0;  // first-seen rank, the grouping key
-  };
-  std::unordered_map<const Matrix<double>*, Probe> seen;
+  // One job per distinct matrix pointer, in first-seen order, members in
+  // submission order. This is what the shared_ptr form buys: a client's
+  // repeated systems hash and cache-probe once per distinct matrix, not per
+  // member, and a chunk solves a job's members as one run.
+  std::vector<Staged> jobs;
+  std::unordered_map<const Matrix<double>*, std::size_t> seen;
   SubmitOptions member_opt;
   member_opt.priority = priority;
   for (std::size_t i = 0; i < as.size(); ++i) {
     auto state = new_job_state(member_opt, /*retryable=*/false);
     handles.push_back(JobHandle(state));
+    // Per-member admission accounting (every member executes through a
+    // chunk task rather than enqueue()).
+    submitted_.fetch_add(1, std::memory_order_relaxed);
+    obs_.submitted->add(1);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      ++active_;
+    }
 
     // Malformed members fail alone: bulk submission never throws the whole
     // call away for one bad pair.
-    if (as[i] == nullptr) {
-      count_member();
-      complete_error(state, std::make_exception_ptr(
-                                Error("serve: null system matrix")));
-      continue;
-    }
-    if (as[i]->rows() != as[i]->cols()) {
-      count_member();
-      complete_error(state, std::make_exception_ptr(Error(
-                                "serve: system matrix must be square")));
-      continue;
-    }
-    if (bs[i].rows() != as[i]->rows()) {
-      count_member();
-      complete_error(state, std::make_exception_ptr(
-                                Error("serve: rhs row count mismatch")));
-      continue;
-    }
-    if (cfg_.screen_inputs &&
-        (!finite_matrix(*as[i]) || !finite_matrix(bs[i]))) {
-      count_member();
-      complete_error(
-          state,
-          std::make_exception_ptr(Error(
-              "serve: input contains non-finite values (NaN or Inf); set "
-              "ServiceConfig::screen_inputs=false to disable input "
-              "screening")));
+    const Matrix<double>* a = as[i].get();
+    const char* bad = nullptr;
+    if (a == nullptr)
+      bad = "serve: null system matrix";
+    else if (a->rows() != a->cols())
+      bad = "serve: system matrix must be square";
+    else if (bs[i].rows() != a->rows())
+      bad = "serve: rhs row count mismatch";
+    else if (cfg_.screen_inputs &&
+             (!finite_matrix(*a) || !finite_matrix(bs[i])))
+      bad = "serve: input contains non-finite values (NaN or Inf); set "
+            "ServiceConfig::screen_inputs=false to disable input screening";
+    if (bad != nullptr) {
+      complete_error(state, std::make_exception_ptr(Error(bad)));
       continue;
     }
 
-    std::shared_ptr<const Matrix<double>> a = std::move(as[i]);
-    auto it = seen.find(a.get());
-    if (it == seen.end()) {
-      Probe probe;
-      probe.hash = cache_.hash_of(*a) ^ config_fp_hash_;
-      probe.fac =
-          cache_.find_hashed(*a, config_fp_, probe.hash, /*count_miss=*/true);
-      probe.order = seen.size();
-      it = seen.emplace(a.get(), std::move(probe)).first;
+    const auto slot = seen.emplace(a, jobs.size());
+    if (slot.second) {
+      Staged s;
+      s.job.priority = priority;
+      s.job.a = std::move(as[i]);
+      s.hash = cache_.hash_of(*a) ^ config_fp_hash_;
+      s.fac = cache_.find_hashed(*a, config_fp_, s.hash, /*count_miss=*/true);
+      jobs.push_back(std::move(s));
     }
-
-    if (it->second.fac != nullptr) {
+    Staged& s = jobs[slot.first->second];
+    if (s.fac != nullptr)
       batch_hits_skimmed_.fetch_add(1, std::memory_order_relaxed);
-      count_member();
-      Staged staged;
-      staged.a = std::move(a);
-      staged.b = std::move(bs[i]);
-      staged.state = std::move(state);
-      staged.fac = it->second.fac;
-      staged.hash = it->second.hash;
-      staged.priority = priority;
-      hits.emplace_back(it->second.order, std::move(staged));
-      continue;
-    }
-
-    count_member();
-    Staged staged;
-    staged.a = std::move(a);
-    staged.b = std::move(bs[i]);
-    staged.state = std::move(state);
-    staged.hash = it->second.hash;
-    staged.priority = priority;
-    misses.emplace_back(it->second.order, std::move(staged));
+    s.job.members.push_back({std::move(bs[i]), std::move(state)});
   }
+  if (jobs.empty()) return handles;
 
-  // Stable sort by first-seen rank: repeats of a matrix become one
-  // contiguous run (in submission order), while distinct matrices keep
-  // their relative order.
-  const auto by_rank = [](const std::pair<std::size_t, Staged>& l,
-                          const std::pair<std::size_t, Staged>& r) {
-    return l.first < r.first;
-  };
-  std::stable_sort(misses.begin(), misses.end(), by_rank);
-  std::stable_sort(hits.begin(), hits.end(), by_rank);
-
-  std::vector<std::shared_ptr<JobState>> rejected;
+  bool closed;
   {
     std::lock_guard<std::mutex> lock(stage_mu_);
-    if (stage_closed_) {  // shutdown raced the submit
-      for (auto& m : misses) rejected.push_back(std::move(m.second.state));
-      for (auto& h : hits) rejected.push_back(std::move(h.second.state));
-    } else {
-      for (auto& m : misses) {
-        const int n = m.second.a->rows();
-        StageBucket& bucket = staging_[n];
-        if (bucket.jobs.empty()) bucket.oldest_us = now_us();
-        bucket.jobs.push_back(std::move(m.second));
-        if (bucket.jobs.size() >= flush_count) {
-          flush_ready_.push_back(std::move(bucket.jobs));
-          staging_.erase(n);
+    closed = stage_closed_;  // shutdown raced the submit
+    if (!closed) {
+      // Skim: a cache hit needs no factorization, so it never waits in a
+      // size bucket for batch-mates that need one. Hit jobs ride a
+      // solve-only group flushed immediately.
+      std::vector<Staged> hits;
+      for (Staged& s : jobs) {
+        if (s.fac != nullptr) {
+          hits.push_back(std::move(s));
+          continue;
         }
-        staged_any = true;
+        // A job fills its bucket member by member and splits where the
+        // bucket reaches flush_count.
+        const int n = s.job.a->rows();
+        while (!s.job.members.empty()) {
+          StageBucket& bucket = staging_[n];
+          if (bucket.jobs.empty()) bucket.oldest_us = now_us();
+          bucket.jobs.push_back(split_front(s, flush_count - bucket.members));
+          bucket.members += bucket.jobs.back().job.members.size();
+          if (bucket.members >= flush_count) {
+            flush_ready_.push_back(std::move(bucket.jobs));
+            staging_.erase(n);
+          }
+        }
       }
-      if (!hits.empty()) {
-        // Skim: a cache hit needs no factorization, so it never waits in a
-        // size bucket for batch-mates that need one. Hit members ride a
-        // solve-only group flushed immediately.
-        std::vector<Staged> group;
-        group.reserve(hits.size());
-        for (auto& h : hits) group.push_back(std::move(h.second));
-        flush_ready_.push_back(std::move(group));
-        staged_any = true;
-      }
+      if (!hits.empty()) flush_ready_.push_back(std::move(hits));
     }
   }
-  for (auto& st : rejected) complete_rejected(st);
-  if (staged_any) stage_cv_.notify_all();
+  if (!closed) {
+    stage_cv_.notify_all();
+    return handles;
+  }
+  for (const Staged& s : jobs)
+    for (const Member& m : s.job.members) complete_rejected(m.state);
   return handles;
 }
 
@@ -705,8 +658,25 @@ void SolveService::flusher_loop() {
   }
 }
 
+SolveService::Staged SolveService::split_front(Staged& s, std::size_t count) {
+  Staged part;
+  part.job.priority = s.job.priority;
+  part.job.a = s.job.a;
+  part.hash = s.hash;
+  part.fac = s.fac;
+  std::vector<Member>& from = s.job.members;
+  const auto end =
+      from.begin() + static_cast<std::ptrdiff_t>(std::min(count, from.size()));
+  part.job.members.assign(std::make_move_iterator(from.begin()),
+                          std::make_move_iterator(end));
+  from.erase(from.begin(), end);
+  return part;
+}
+
 void SolveService::execute_staged(std::vector<Staged> group) {
-  if (group.empty()) return;
+  std::size_t members = 0;
+  for (const Staged& s : group) members += s.job.members.size();
+  if (members == 0) return;
   // One engine task per chunk. The flusher (a non-worker thread) absorbs
   // the inflight wait, so client threads never block on admission and the
   // staging area keeps accumulating while chunks queue up.
@@ -715,17 +685,21 @@ void SolveService::execute_staged(std::vector<Staged> group) {
   // per lane), which shatters a small staged group into single-member
   // chunks — per-job overhead with extra steps. The service floors the
   // chunk size instead: overlap comes from concurrent groups in flight,
-  // amortization from fill.
+  // amortization from fill. Chunks are planned over members; a job that
+  // straddles a boundary splits there.
   int chunk_size = cfg_.solver.batch().chunk_size;
   if (chunk_size <= 0)
-    chunk_size = std::max(core::auto_chunk_size(group.size(), workers_),
+    chunk_size = std::max(core::auto_chunk_size(members, workers_),
                           kMinStagedChunk);
-  const std::vector<core::Chunk> chunks =
-      core::plan_chunks(group.size(), chunk_size, workers_);
-  for (const core::Chunk& c : chunks) {
-    std::vector<Staged> chunk(
-        std::make_move_iterator(group.begin() + static_cast<std::ptrdiff_t>(c.begin)),
-        std::make_move_iterator(group.begin() + static_cast<std::ptrdiff_t>(c.end)));
+  std::size_t next = 0;
+  for (const core::Chunk& c :
+       core::plan_chunks(members, chunk_size, workers_)) {
+    std::vector<Staged> chunk;
+    for (std::size_t want = c.size(); want > 0;) {
+      chunk.push_back(split_front(group[next], want));
+      want -= chunk.back().job.members.size();
+      if (group[next].job.members.empty()) ++next;
+    }
     acquire_inflight_slot();
     submit_chunk_task(std::move(chunk));
   }
@@ -734,30 +708,28 @@ void SolveService::execute_staged(std::vector<Staged> group) {
 void SolveService::submit_chunk_task(std::vector<Staged> chunk) {
   int prio = 0;
   for (const Staged& s : chunk)
-    prio = std::max(prio, static_cast<int>(s.priority));
+    prio = std::max(prio, static_cast<int>(s.job.priority));
   const std::uint64_t chunk_job_id =
-      chunk.empty() ? 0 : chunk.front().state->job_id;
+      chunk.front().job.members.front().state->job_id;
   engine_->submit(
-      [this, chunk = std::move(chunk)] {
-        std::vector<std::size_t> live;
-        live.reserve(chunk.size());
-        for (std::size_t i = 0; i < chunk.size(); ++i)
-          if (try_begin(chunk[i].state)) live.push_back(i);
-
-        struct Result {
-          Solved out;
-          bool hit = false;
-          std::uint64_t factor_us = 0;  // 0 when served by cache or a peer
-        };
-        std::vector<Result> results(live.size());
-        if (!live.empty()) {
+      [this, chunk = std::move(chunk)]() mutable {
+        std::vector<Outcome> outs;
+        outs.reserve(chunk.size());
+        std::size_t live = 0;
+        for (const Staged& s : chunk) {
+          outs.push_back(begin_members(s.job));
+          const std::vector<bool>& began = outs.back().live;
+          live += static_cast<std::size_t>(
+              std::count(began.begin(), began.end(), true));
+        }
+        if (live > 0) {
           // One workspace frame for the whole chunk, pre-grown to the
           // shape's pack-scratch high-water: every matrix after the first
           // bump-allocates the exact bytes the first one released (the
           // pack data is per-matrix; the allocation is per-chunk).
           kern::Workspace& ws = kern::tls_workspace();
           kern::Workspace::Frame frame(ws);
-          const int n = chunk[live.front()].a->rows();
+          const int n = chunk.front().job.a->rows();
           const int nb = cfg_.solver.tile_size();
           try {
             ws.reserve(cfg_.solver.precision() == Precision::F64
@@ -766,95 +738,44 @@ void SolveService::submit_chunk_task(std::vector<Staged> chunk) {
           } catch (const std::bad_alloc&) {
             // The reservation is only a pre-grow optimization; under
             // allocation pressure (or an injected alloc fault) fall through
-            // — per-member allocations below retry, and failures isolate to
-            // their member instead of escaping into the engine.
+            // — allocations below retry, and failures isolate to their job
+            // instead of escaping into the engine.
           }
-          // Phase A — resolve one factorization per live member. Skim hits
-          // arrive with theirs. Misses re-probe the cache (an earlier member
-          // of this — or a concurrent — chunk may have inserted an equal
-          // matrix since the submission skim), then factor. A per-chunk
-          // pointer map short-circuits repeated shared_ptr submissions of
-          // the same matrix to one resolution. Staged misses bypass the
-          // pending_ single-flight map — a duplicate factorization against
-          // a racing per-job miss is possible but benign (insert dedupes,
-          // results are bitwise identical either way).
-          std::vector<FacPtr> facs(live.size());
-          std::unordered_map<const Matrix<double>*, FacPtr> local;
-          for (std::size_t k = 0; k < live.size(); ++k) {
-            const Staged& sj = chunk[live[k]];
-            Result& r = results[k];
-            try {
-              FacPtr fac = sj.fac;
-              if (fac != nullptr) {
-                r.hit = true;
-              } else {
-                auto lit = local.find(sj.a.get());
-                if (lit != local.end()) {
-                  fac = lit->second;
-                  r.hit = true;  // resolved by an earlier member this chunk
-                } else {
-                  fac = cache_.find_hashed(*sj.a, config_fp_, sj.hash, false);
-                  r.hit = fac != nullptr;
-                  if (!r.hit) {
-                    const std::uint64_t t_factor = now_us();
-                    fac = std::make_shared<core::Factorization>(
-                        coarse_solver_->factor(*sj.a));
-                    r.factor_us = now_us() - t_factor;
-                    cache_.insert_hashed(*sj.a, config_fp_, sj.hash, fac);
-                    factors_coarse_.fetch_add(1, std::memory_order_relaxed);
-                  }
-                  local.emplace(sj.a.get(), fac);
-                }
-              }
-              facs[k] = std::move(fac);
-            } catch (...) {
-              r.out.error = std::current_exception();
+          // Each job's factorization: its skim hit, else a cache re-probe
+          // (an earlier job of this — or a concurrent — chunk may have
+          // inserted an equal matrix since the skim), else its own coarse
+          // factorization. Staged misses bypass the pending_ single-flight
+          // map — a duplicate factorization against a racing per-job miss
+          // is possible but benign (insert dedupes, results are bitwise
+          // identical either way).
+          for (std::size_t j = 0; j < chunk.size(); ++j) {
+            const Staged& s = chunk[j];
+            Outcome& out = outs[j];
+            if (!out.any_live()) continue;
+            FacPtr fac = s.fac != nullptr
+                             ? s.fac
+                             : cache_.find_hashed(*s.job.a, config_fp_, s.hash,
+                                                  /*count_miss=*/false);
+            out.hit = fac != nullptr;
+            std::exception_ptr error;
+            if (!out.hit) {
+              const std::uint64_t t_factor = now_us();
+              fac = compute_factorization(s.job.a, /*fine=*/false, s.hash,
+                                          error);
+              out.factor_us = now_us() - t_factor;
             }
+            if (error)
+              fail_members(out, error, classify_transient(error));
+            else
+              solve_members(s.job, fac, out);
           }
-
-          // Phase B — solve each run of members on one factorization
-          // (submit_many stages same-pointer members contiguously; a run
-          // may be gapped by a member on another factorization).
-          for (std::size_t k = 0; k < live.size(); ++k) {
-            if (facs[k] == nullptr) continue;  // failed, or solved in a run
-            const FacPtr fac = facs[k];
-            std::vector<std::size_t> run;
-            std::vector<const Matrix<double>*> bs;
-            for (std::size_t j = k; j < live.size(); ++j) {
-              if (facs[j] != fac) continue;
-              run.push_back(j);
-              bs.push_back(&chunk[live[j]].b);
-              facs[j].reset();
-            }
-            std::vector<Solved> solved = solve_run(*fac, bs);
-            for (std::size_t g = 0; g < run.size(); ++g)
-              results[run[g]].out = std::move(solved[g]);
-          }
-          batched_jobs_.fetch_add(live.size(), std::memory_order_relaxed);
+          batched_jobs_.fetch_add(live, std::memory_order_relaxed);
           batches_executed_.fetch_add(1, std::memory_order_relaxed);
         }
+        // The chunk's one slot goes back before any of its members settles.
         release_inflight_slot();
-        // Settle after the slot is back (the settlement discipline every
-        // execution path follows); per-member isolation — one failed
-        // member's neighbors complete normally.
-        std::size_t k = 0;
-        for (std::size_t i = 0; i < chunk.size(); ++i) {
-          if (k < live.size() && live[k] == i) {
-            Result& r = results[k++];
-            if (r.out.error) {
-              // No retry for staged members (budget 0), but the failure
-              // class still drives the degradation machinery (allocation
-              // pressure sheds cache + inflight).
-              classify_transient(r.out.error);
-              complete_error(chunk[i].state, r.out.error);
-            } else {
-              complete_ok(chunk[i].state, std::move(r.out.x), r.hit,
-                          r.out.report, {r.factor_us, r.out.solve_us});
-            }
-          } else {
-            settle_skipped(chunk[i].state);
-          }
-        }
+        for (std::size_t j = 0; j < chunk.size(); ++j)
+          settle_members(chunk[j].job, outs[j]);
       },
       {}, {"serve-batch-chunk", prio, -1, chunk_job_id});
 }
@@ -1070,7 +991,7 @@ bool SolveService::wants_fine_grained(const Matrix<double>& a) const {
 }
 
 SolveService::FacPtr SolveService::compute_factorization(
-    const std::shared_ptr<Matrix<double>>& a, bool fine, std::uint64_t h,
+    const std::shared_ptr<const Matrix<double>>& a, bool fine, std::uint64_t h,
     std::exception_ptr& error) {
   FacPtr fac;
   try {
@@ -1094,110 +1015,104 @@ SolveService::FacPtr SolveService::compute_factorization(
 // client observing a terminal state (or drain() observing active_ == 0) is
 // thus guaranteed the slot is already back and the counters are final.
 
-std::vector<bool> SolveService::begin_members(const Job& job,
-                                              std::uint64_t start_us) {
-  std::vector<bool> live(job.members.size());
+SolveService::Outcome SolveService::begin_members(const Job& job,
+                                                  std::uint64_t start_us) {
+  Outcome out;
+  out.live.resize(job.members.size());
+  out.solved.resize(job.members.size());
   for (std::size_t i = 0; i < job.members.size(); ++i)
-    live[i] = try_begin(job.members[i].state, start_us);
-  return live;
+    out.live[i] = try_begin(job.members[i].state, start_us);
+  return out;
 }
 
 void SolveService::run_tail(Job job, FacPtr fac, bool hit,
                             std::uint64_t factor_us, std::uint64_t t_begin_us) {
   bool any_rhs = false;
   for (const Member& m : job.members) any_rhs = any_rhs || solves(m.b);
-  if (!any_rhs) {
-    // Nothing left to compute: settle where the factorization landed.
-    finish(job, begin_members(job, t_begin_us), fac, hit, factor_us);
-    return;
-  }
   const std::uint64_t job_id = job.members.front().state->job_id;
   const int priority = static_cast<int>(job.priority);
-  engine_->submit(
-      [this, job = std::move(job), fac = std::move(fac), hit, factor_us,
-       t_begin_us]() mutable {
-        finish(job, begin_members(job, t_begin_us), fac, hit, factor_us);
-      },
-      {}, {"serve-solve", priority, -1, job_id});
+  auto tail = [this, job = std::move(job), fac = std::move(fac), hit,
+               factor_us, t_begin_us]() mutable {
+    Outcome out = begin_members(job, t_begin_us);
+    out.hit = hit;
+    out.factor_us = factor_us;
+    solve_members(job, fac, out);
+    finish(job, out);
+  };
+  // Nothing left to compute without right-hand sides: settle where the
+  // factorization landed.
+  if (!any_rhs)
+    tail();
+  else
+    engine_->submit(std::move(tail), {}, {"serve-solve", priority, -1, job_id});
 }
 
-void SolveService::finish(Job& job, const std::vector<bool>& live,
-                          const FacPtr& fac, bool hit,
-                          std::uint64_t factor_us) {
+void SolveService::solve_members(const Job& job, const FacPtr& fac,
+                                 Outcome& out) {
+  std::vector<std::size_t> index;
   std::vector<const Matrix<double>*> bs;
-  bs.reserve(job.members.size());
-  for (std::size_t i = 0; i < job.members.size(); ++i)
-    if (live[i] && solves(job.members[i].b)) bs.push_back(&job.members[i].b);
+  for (std::size_t i = 0; i < job.members.size(); ++i) {
+    if (!out.live[i] || !solves(job.members[i].b)) continue;
+    index.push_back(i);
+    bs.push_back(&job.members[i].b);
+  }
+  if (bs.empty()) return;
   std::vector<Solved> solved(bs.size());
-  if (!bs.empty()) {
-    try {
-      // Fault site: transient serve-layer failure during the solve; the
-      // catch keeps it out of the engine (and feeds the retry machinery).
-      fault::maybe_throw(fault::site::kServeTask);
-      solved = solve_run(*fac, bs);
-    } catch (...) {
-      for (Solved& r : solved) r.error = std::current_exception();
-    }
+  try {
+    // Fault site: transient serve-layer failure during the solve; the
+    // catch keeps it out of the engine (and feeds the retry machinery).
+    fault::maybe_throw(fault::site::kServeTask);
+    solved = solve_run(*fac, bs);
+  } catch (...) {
+    for (Solved& r : solved) r.error = std::current_exception();
   }
   // Poisoned-result containment: a non-finite solution (injected NaN, or a
   // factorization corrupted under pressure) must never let its
-  // factorization serve another cache hit. Evict, then retry from scratch;
-  // a legitimately non-finite result (singular system) returns as-is once
-  // the budget is spent.
-  std::vector<bool> poisoned(solved.size());
+  // factorization serve another cache hit. Evict; the settle half retries
+  // from scratch, and a legitimately non-finite result (singular system)
+  // returns as-is once the budget is spent.
   bool evict = false;
   for (std::size_t k = 0; k < solved.size(); ++k) {
-    poisoned[k] = solved[k].error == nullptr && cfg_.screen_outputs &&
-                  !finite_matrix(solved[k].x);
-    evict = evict || poisoned[k];
+    solved[k].poisoned = solved[k].error == nullptr && cfg_.screen_outputs &&
+                         !finite_matrix(solved[k].x);
+    evict = evict || solved[k].poisoned;
+    out.solved[index[k]] = std::move(solved[k]);
   }
   if (evict)
     cache_.erase_hashed(fac->matrix(), config_fp_,
                         cache_.hash_of(fac->matrix()) ^ config_fp_hash_);
-  release_inflight_slot();
+}
 
-  std::exception_ptr classified;  // fused members share one error
-  bool transient = false;
-  std::size_t k = 0;
+void SolveService::fail_members(Outcome& out, const std::exception_ptr& error,
+                                bool transient) {
+  out.classified = error;
+  out.transient = transient;
+  for (Solved& r : out.solved) r.error = error;
+}
+
+void SolveService::settle_members(Job& job, Outcome& out) {
   for (std::size_t i = 0; i < job.members.size(); ++i) {
     Member& m = job.members[i];
-    if (!live[i]) {
+    Solved& r = out.solved[i];
+    if (!out.live[i]) {
       settle_skipped(m.state);
-      continue;
-    }
-    if (!solves(m.b)) {
-      complete_ok(m.state, Matrix<double>{}, hit, SolveReport{},
-                  {factor_us, 0});
-      continue;
-    }
-    Solved& r = solved[k];
-    const bool bad = poisoned[k++];
-    if (r.error != nullptr) {
-      if (r.error != classified) {
-        classified = r.error;
-        transient = classify_transient(r.error);
+    } else if (r.error != nullptr) {
+      if (r.error != out.classified) {
+        out.classified = r.error;
+        out.transient = classify_transient(r.error);
       }
-      if (!(transient && retry_member(job, m, r.error)))
+      if (!(out.transient && retry_member(job, m, r.error)))
         complete_error(m.state, r.error);
-      continue;
+    } else if (!(r.poisoned && retry_member(job, m, nullptr))) {
+      complete_ok(m.state, std::move(r.x), out.hit, r.report,
+                  {out.factor_us, r.solve_us});
     }
-    if (bad && retry_member(job, m, nullptr)) continue;
-    complete_ok(m.state, std::move(r.x), hit, r.report,
-                {factor_us, r.solve_us});
   }
 }
 
-void SolveService::fail_members(Job& job, const std::vector<bool>& live,
-                                const std::exception_ptr& error,
-                                bool transient) {
+void SolveService::finish(Job& job, Outcome& out) {
   release_inflight_slot();
-  for (std::size_t i = 0; i < job.members.size(); ++i) {
-    Member& m = job.members[i];
-    if (!live[i])
-      settle_skipped(m.state);
-    else if (!(transient && retry_member(job, m, error)))
-      complete_error(m.state, error);
-  }
+  settle_members(job, out);
 }
 
 std::vector<SolveService::Solved> SolveService::solve_run(
@@ -1409,8 +1324,9 @@ void SolveService::dispatch(Job job) {
     const std::uint64_t factor_us = now_us() - t0;
     flush_pending(owned, fac, error);
     if (error) {
-      const bool transient = classify_transient(error);
-      fail_members(job, begin_members(job), error, transient);
+      Outcome out = begin_members(job);
+      fail_members(out, error, classify_transient(error));
+      finish(job, out);
       return;
     }
     run_tail(std::move(job), std::move(fac), /*hit=*/false, factor_us, t0);
@@ -1430,7 +1346,9 @@ void SolveService::attach_to_pending(Pending& p, Job job) {
   p.waiters.push_back([this, job = std::move(job)](
                           const FacPtr& fac, std::exception_ptr err) mutable {
     if (err) {
-      fail_members(job, begin_members(job), err, transient_exception(err));
+      Outcome out = begin_members(job);
+      fail_members(out, err, transient_exception(err));
+      finish(job, out);
       return;
     }
     run_tail(std::move(job), fac, /*hit=*/false);
@@ -1446,21 +1364,21 @@ void SolveService::submit_owner_task(Job job, std::shared_ptr<Pending> p) {
         // engine? If nobody attached to its pending factorization, the work
         // can be skipped entirely; otherwise the factorization still has
         // customers.
-        const std::vector<bool> live = begin_members(job);
-        if (std::find(live.begin(), live.end(), true) == live.end()) {
+        Outcome out = begin_members(job);
+        if (!out.any_live()) {
           settle_cancelled_owner(job, p, /*fine=*/false);
           return;
         }
         const std::uint64_t t_factor = now_us();
         std::exception_ptr error;
         FacPtr fac = compute_factorization(job.a, /*fine=*/false, p->hash, error);
-        const std::uint64_t factor_us = now_us() - t_factor;
+        out.factor_us = now_us() - t_factor;
         flush_pending(p, fac, error);
-        if (error) {
-          fail_members(job, live, error, classify_transient(error));
-          return;
-        }
-        finish(job, live, fac, /*hit=*/false, factor_us);
+        if (error)
+          fail_members(out, error, classify_transient(error));
+        else
+          solve_members(job, fac, out);
+        finish(job, out);
       },
       {}, {"serve-factor", priority, -1, job_id});
 }

@@ -12,19 +12,20 @@
 // misses on the same matrix are deduplicated through a pending-
 // factorization map (one factor run, everyone else attaches).
 //
-// Every queued job is one shared matrix plus a list of members, each a
-// right-hand side (none for a factor job) with its own handle: submit_solve
-// and submit_factor queue a list of one, submit_batch a list of N. Once the
-// job's factorization is in hand (cache hit, attached in-flight
-// factorization, or its own), one tail solves and settles every member.
-// There is one fusion rule, shared with the submit_many chunk route: at F64
-// without refinement sweeps, members that share a factorization fuse into
-// one wide solve (column j of a wide solve is bitwise the solve of column j
-// alone); every other configuration solves member by member (refined
-// precisions iterate on the joint residual, which fusing would couple).
-// Every solved member, batch members included, is output-screened. Every cached solve,
-// one column or many, replays the factorization at the exact RHS width
-// (Factorization::solve), on QR-heavy and all-LU factorizations alike.
+// Every job is one shared matrix plus a list of members, each a right-hand
+// side (none for a factor job) with its own handle: submit_solve and
+// submit_factor queue a list of one, submit_batch a list of N, and
+// submit_many stages one job per distinct matrix pointer. Once the job's
+// factorization is in hand (cache hit, attached in-flight factorization, or
+// its own), one tail solves and settles every member, on every route.
+// There is one fusion rule: at F64 without refinement sweeps, a job's
+// members fuse into one wide solve (column j of a wide solve is bitwise the
+// solve of column j alone); every other configuration solves member by
+// member (refined precisions iterate on the joint residual, which fusing
+// would couple). Every solved member is output-screened. Every cached
+// solve, one column or many, replays the factorization at the exact RHS
+// width (Factorization::solve), on QR-heavy and all-LU factorizations
+// alike.
 //
 //   serve::ServiceConfig cfg;
 //   cfg.solver.criterion(CriterionSpec::max(100.0)).tile_size(64);
@@ -48,6 +49,7 @@
 // then retires the engine.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -207,12 +209,12 @@ struct ServiceConfig {
   /// could then be cached and served to other clients. One O(n^2) Frobenius
   /// pass per submitted matrix.
   bool screen_inputs = true;
-  /// Screen the results of queued solves (submit_solve and submit_batch
-  /// members): a non-finite solution evicts its factorization from the
-  /// cache (it must never serve another hit) and the solve retries from
-  /// scratch; with the retry budget exhausted (batch members have none) the
-  /// result is returned as-is (a legitimately singular system can produce
-  /// Inf).
+  /// Screen the results of every solve (submit_solve, submit_batch and
+  /// submit_many members): a non-finite solution evicts its factorization
+  /// from the cache (it must never serve another hit) and the solve retries
+  /// from scratch; with the retry budget exhausted (batch and submit_many
+  /// members have none) the result is returned as-is (a legitimately
+  /// singular system can produce Inf).
   bool screen_outputs = true;
 
   /// Default retry budget for transient failures (injected faults,
@@ -311,14 +313,15 @@ class SolveService {
                                       Priority priority = Priority::Batch);
 
   /// Enqueue many independent small systems (a_i x_i = b_i), one handle per
-  /// pair. Cache hits are skimmed off at submission and served through the
-  /// normal per-job path; misses accumulate in a size-bucketed staging area
-  /// and execute as chunked batch tasks — one engine task factors and
-  /// solves a whole shape-homogeneous chunk inside a single workspace
-  /// frame, so queue/engine/workspace cost is paid per chunk, not per job.
-  /// A bucket flushes when it reaches BatchOptions::flush_count jobs or
-  /// when its oldest job has waited flush_deadline_us (bounded latency for
-  /// sparse arrivals; cfg.solver.batch() carries both knobs).
+  /// pair. Cache hits are skimmed off at submission and ride solve-only
+  /// chunk tasks flushed at once; misses accumulate in a size-bucketed
+  /// staging area and execute as chunked batch tasks — one engine task
+  /// factors and solves a whole shape-homogeneous chunk inside a single
+  /// workspace frame, so queue/engine/workspace cost is paid per chunk, not
+  /// per member. Members are output-screened like every solve but not
+  /// retried. A bucket flushes when it reaches BatchOptions::flush_count
+  /// members or when its oldest has waited flush_deadline_us (bounded
+  /// latency for sparse arrivals; cfg.solver.batch() carries both knobs).
   ///
   /// Per-member error isolation: a malformed pair (non-square a, rhs row
   /// mismatch) fails its own handle only — bulk submission never throws
@@ -331,13 +334,13 @@ class SolveService {
   /// Zero-copy bulk submission: members reference their system matrices by
   /// shared_ptr, so a client solving many right-hand sides against a pool
   /// of repeated systems passes the same pointer for each repeat. Repeats
-  /// within one call are deduplicated by pointer — hashed and cache-probed
-  /// once per distinct matrix instead of once per member — and members that
-  /// share a factorization are fused into one multi-column solve inside
-  /// the chunk task (F64 without refinement sweeps; fused columns are
-  /// bitwise identical to per-member solves). This is the structure the
-  /// per-job API cannot express: submit_solve must hash, probe, and
-  /// schedule every repeat from scratch.
+  /// within one call form one job — hashed and cache-probed once per
+  /// distinct matrix instead of once per member — whose members fuse into
+  /// one multi-column solve inside the chunk task (F64 without refinement
+  /// sweeps; fused columns are bitwise identical to per-member solves). A
+  /// job split at a chunk boundary fuses within each chunk. This is the
+  /// structure the per-job API cannot express: submit_solve must hash,
+  /// probe, and schedule every repeat from scratch.
   std::vector<JobHandle> submit_many(
       std::vector<std::shared_ptr<const Matrix<double>>> as,
       std::vector<Matrix<double>> bs, Priority priority = Priority::Batch);
@@ -363,7 +366,7 @@ class SolveService {
   /// finishes — with the factorization, or with the error that killed it.
   struct Pending {
     std::uint64_t hash = 0;
-    std::shared_ptr<Matrix<double>> a;
+    std::shared_ptr<const Matrix<double>> a;
     Waiters waiters;
   };
 
@@ -374,30 +377,29 @@ class SolveService {
     std::shared_ptr<detail::JobState> state;
   };
 
-  /// Queue element: a shared matrix plus the members its one factorization
-  /// serves (submit_solve/submit_factor: one member; submit_batch: N).
+  /// A shared matrix plus the members its one factorization serves
+  /// (submit_solve/submit_factor: one member; submit_batch: N; submit_many:
+  /// one job per distinct matrix pointer per call).
   struct Job {
     Priority priority = Priority::Normal;
-    std::shared_ptr<Matrix<double>> a;
+    std::shared_ptr<const Matrix<double>> a;
     std::vector<Member> members;
   };
 
-  /// One staged submit_many member: accepted and hashed. Cache misses wait
-  /// in their size bucket until the chunk flushes; skimmed cache hits carry
-  /// their factorization (`fac` non-null) and bypass the buckets entirely —
-  /// grouped into immediately-flushed solve chunks with no staging latency.
+  /// A submit_many job with its submission skim probe. Cache misses wait in
+  /// their size bucket until the chunk flushes; skim hits carry their
+  /// factorization and bypass the buckets entirely — grouped into
+  /// immediately-flushed solve chunks with no staging latency.
   struct Staged {
-    std::shared_ptr<const Matrix<double>> a;
-    Matrix<double> b;
-    std::shared_ptr<detail::JobState> state;
-    FacPtr fac;  ///< set on a skim hit
+    Job job;
     std::uint64_t hash = 0;
-    Priority priority = Priority::Batch;
+    FacPtr fac;  ///< set on a skim hit
   };
 
   /// Staging bucket: same-order jobs awaiting count or deadline flush.
   struct StageBucket {
     std::vector<Staged> jobs;
+    std::size_t members = 0;      ///< members across jobs (the flush count)
     std::uint64_t oldest_us = 0;  ///< staging time of the oldest member
   };
 
@@ -409,12 +411,32 @@ class SolveService {
   };
 
   /// One member's share of a solve_run (fused members share report,
-  /// solve_us and error).
+  /// solve_us and error). `poisoned` marks a non-finite x under output
+  /// screening.
   struct Solved {
     Matrix<double> x;
     SolveReport report;
     std::exception_ptr error;
     std::uint64_t solve_us = 0;
+    bool poisoned = false;
+  };
+
+  /// A job between the tail's two halves: which members began, how its
+  /// factorization was found, and one result per member (a factor member's
+  /// stays empty). A failed factorization leaves its error on every member.
+  struct Outcome {
+    std::vector<bool> live;
+    std::vector<Solved> solved;
+    bool hit = false;
+    std::uint64_t factor_us = 0;  ///< 0 when served by the cache or a peer
+    /// The error last classified, and whether it was transient: fused
+    /// members and a failed factorization share one error, counted once.
+    std::exception_ptr classified;
+    bool transient = false;
+
+    bool any_live() const {
+      return std::find(live.begin(), live.end(), true) != live.end();
+    }
   };
 
   /// A retry waiting out its backoff in the watchdog's queue. Carries the
@@ -464,7 +486,7 @@ class SolveService {
   bool wants_fine_grained(const Matrix<double>& a) const;
   // Factorize *a and publish it to the cache (hash `h` precomputed). Never
   // throws; failure lands in `error`.
-  FacPtr compute_factorization(const std::shared_ptr<Matrix<double>>& a,
+  FacPtr compute_factorization(const std::shared_ptr<const Matrix<double>>& a,
                                bool fine, std::uint64_t h,
                                std::exception_ptr& error);
   // Atomically unpublish `p` (no new waiter can attach after this) and
@@ -480,32 +502,40 @@ class SolveService {
                               bool fine);
   void attach_to_pending(Pending& p, Job job);
   void submit_owner_task(Job job, std::shared_ptr<Pending> p);
-  // The job tail. begin_members runs try_begin on every member (start_us
-  // != 0 backdates the start: the fine-grained path begins executing on
-  // the dispatcher) and returns which ones began. run_tail runs the tail
+  // The job tail, in two halves with the inflight slot released between
+  // them; every route runs it. begin_members runs try_begin on every member
+  // (start_us != 0 backdates the start: the fine-grained path begins
+  // executing on the dispatcher). The solve half is solve_members — solve
+  // the live members on `fac` as one solve_run, screen the outputs, evict a
+  // poisoned factorization — or fail_members when the factorization itself
+  // failed (`transient` classified by the caller). The settle half,
+  // settle_members, drives every member terminal or into a retry. finish
+  // releases a one-job route's slot and settles; a chunk task releases its
+  // one slot and then settles each of its jobs. run_tail runs the tail
   // where a factorization landed: inline for a job without right-hand
-  // sides, otherwise in one engine task. finish solves the live members as
-  // one solve_run, screens the outputs, releases the inflight slot and
-  // settles every member; fail_members is its counterpart when the
-  // factorization itself failed.
-  std::vector<bool> begin_members(const Job& job, std::uint64_t start_us = 0);
+  // sides, otherwise in one engine task.
+  Outcome begin_members(const Job& job, std::uint64_t start_us = 0);
+  void solve_members(const Job& job, const FacPtr& fac, Outcome& out);
+  void fail_members(Outcome& out, const std::exception_ptr& error,
+                    bool transient);
+  void settle_members(Job& job, Outcome& out);
+  void finish(Job& job, Outcome& out);
   void run_tail(Job job, FacPtr fac, bool hit, std::uint64_t factor_us = 0,
                 std::uint64_t t_begin_us = 0);
-  void finish(Job& job, const std::vector<bool>& live, const FacPtr& fac,
-              bool hit, std::uint64_t factor_us);
-  void fail_members(Job& job, const std::vector<bool>& live,
-                    const std::exception_ptr& error, bool transient);
-  // The one routine that solves a run of right-hand sides sharing `fac`
-  // (the job tail and the chunk task both call it). A lone member solves
-  // its own b; several fuse into one wide solve at F64 without refinement
-  // sweeps and solve one by one otherwise. Never throws.
+  // The one routine that solves a job's live right-hand sides on `fac`
+  // (solve_members calls it on every route). A lone member solves its own
+  // b; several fuse into one wide solve at F64 without refinement sweeps
+  // and solve one by one otherwise. Never throws.
   std::vector<Solved> solve_run(const core::Factorization& fac,
                                 const std::vector<const Matrix<double>*>& bs);
   // submit_many machinery: the flusher thread turns staged buckets into
-  // chunk tasks (on count, deadline, or shutdown); each chunk task factors
-  // and solves its members serially in one workspace frame with per-member
-  // error isolation.
+  // chunk tasks (on count, deadline, or shutdown), carving jobs at chunk
+  // boundaries; each chunk task runs the tail for its jobs serially in one
+  // workspace frame, one job's failure isolated from the next.
   void flusher_loop();
+  // Move up to `count` members off the front of `s` into a new staged job
+  // on the same matrix and probe.
+  static Staged split_front(Staged& s, std::size_t count);
   void execute_staged(std::vector<Staged> group);
   void submit_chunk_task(std::vector<Staged> chunk);
   // Queued -> Running arbitration against cancel(). start_us != 0 backdates

@@ -8,10 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
 #include <vector>
 
 #include "api/batch.hpp"
 #include "core/batch.hpp"
+#include "fault/fault.hpp"
 #include "gen/generators.hpp"
 #include "runtime/audit.hpp"
 #include "runtime/engine.hpp"
@@ -432,6 +434,39 @@ TEST(SubmitMany, SharedPointerRepeatsF32IRStayUnfused) {
     EXPECT_EQ(r.report.precision, Precision::F32_IR);
   }
   EXPECT_EQ(svc.stats().fused_rhs_columns, 0u);  // the no-fuse gate held
+}
+
+TEST(SubmitMany, PoisonedMemberEvictsItsFactorization) {
+  // A gemm NaN during a chunk's factorization: the member's solution is
+  // non-finite, and output screening must evict the poisoned factorization
+  // so it never serves a hit. submit_many members have no retry budget, so
+  // the result comes back as-is; the next solve on the matrix refactors
+  // cleanly instead of replaying the poison and retrying.
+  fault::FaultPlan plan(17);
+  plan.arm({fault::site::kGemmNan, 1.0, /*max_fires=*/1});
+  const auto cfg = service_config();
+  const Solver reference(cfg.solver);
+  serve::SolveService svc(cfg);
+  const auto a = gen::generate(gen::MatrixKind::Random, 48, 1701);
+  const auto b = random_matrix(48, 1, 1702);
+  serve::SolveReply poisoned;
+  {
+    fault::ScopedPlan guard(plan);
+    auto handles = svc.submit_many(std::vector<Matrix<double>>{a},
+                                   std::vector<Matrix<double>>{b});
+    ASSERT_EQ(handles.size(), 1u);
+    poisoned = handles[0].get();
+  }
+  EXPECT_EQ(plan.fires(fault::site::kGemmNan), 1u);
+  bool finite = true;
+  for (int i = 0; i < poisoned.x.rows(); ++i)
+    finite = finite && std::isfinite(poisoned.x(i, 0));
+  EXPECT_FALSE(finite);
+  EXPECT_EQ(svc.stats().cache.entries, 0u);
+
+  const Matrix<double> x = svc.submit_solve(a, b).get().x;
+  expect_bitwise(x, reference.solve(a, b).x, "solve after eviction");
+  EXPECT_EQ(svc.stats().retries, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <limits>
 
+#include "api/solver.hpp"
 #include "baselines/baselines.hpp"
 #include "core/factorization.hpp"
 #include "core/solve.hpp"
@@ -136,7 +137,12 @@ TEST(FailureInjection, ParallelSolveOnSingularMatrix) {
   const auto b = random_matrix(n, 1, 11);
   MaxCriterion crit(5.0);
   EXPECT_NO_THROW({
-    const auto r = rt::parallel_hybrid_solve(a, b, crit, 8, {}, 3);
+    const auto r = Solver(SolverConfig()
+                              .tile_size(8)
+                              .criterion(crit)
+                              .backend(Backend::Parallel)
+                              .threads(3))
+                       .solve(a, b);
     (void)r;
   });
 }

@@ -8,6 +8,7 @@
 #include <functional>
 #include <numeric>
 
+#include "api/solver.hpp"
 #include "core/hybrid.hpp"
 #include "core/solve.hpp"
 #include "gen/generators.hpp"
@@ -294,7 +295,13 @@ void expect_bitwise_equal_solve(const Matrix<double>& a, const Matrix<double>& b
                                 int nb, int threads) {
   MaxCriterion c1(alpha), c2(alpha);
   const auto seq = core::hybrid_solve(a, b, c1, nb, opt);
-  const auto par = parallel_hybrid_solve(a, b, c2, nb, opt, threads);
+  const auto par = Solver(SolverConfig()
+                              .hybrid_options(opt)
+                              .tile_size(nb)
+                              .criterion(c2)
+                              .backend(Backend::Parallel)
+                              .threads(threads))
+                       .solve(a, b);
   ASSERT_EQ(seq.stats.lu_steps, par.stats.lu_steps);
   ASSERT_EQ(seq.stats.qr_steps, par.stats.qr_steps);
   for (int j = 0; j < seq.x.cols(); ++j)
@@ -361,7 +368,13 @@ TEST(ParallelHybrid, QrStepsWithAllTrees) {
     opt.grid_p = 2;
     opt.tree.local = local;
     AlwaysQR crit;
-    const auto r = parallel_hybrid_solve(a, b, crit, 16, opt, 4);
+    const auto r = Solver(SolverConfig()
+                              .hybrid_options(opt)
+                              .tile_size(16)
+                              .criterion(crit)
+                              .backend(Backend::Parallel)
+                              .threads(4))
+                       .solve(a, b);
     EXPECT_LT(verify::relative_residual(a, r.x, b), 1e-13)
         << hqr::to_string(local);
   }

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
@@ -517,10 +518,13 @@ TEST(SolveService, ConcurrentReducedPrecisionClientsStayIsolated) {
 
 TEST(SolveServiceModel, SeededRandomOpsKeepBooksAndBits) {
   // One client submits a seeded random mix of solves, factors, batches,
-  // cancels of earlier handles and born-expired solves against a pool of
-  // four matrices, two of them tall enough for the fine-grained path, under
-  // the chaos scheduler. The model records what each handle asked for and
-  // whether its cancel() won. After drain() every handle must be terminal
+  // submit_many calls, cancels of earlier handles and born-expired solves
+  // against a pool of four matrices, two of them tall enough for the
+  // fine-grained path, under the chaos scheduler. submit_many members draw
+  // their matrices from the pool by shared pointer, repeats included, and
+  // are cancel targets like every other handle. The model records what
+  // each handle asked for and whether its cancel() won. After drain()
+  // every handle must be terminal
   // in a state the model allows, the service's books must equal the
   // handles' states, and every Done solve must be bitwise equal to one-shot
   // Solver::solve. The watchdog is off: a born-expired job's hard wall is
@@ -530,8 +534,9 @@ TEST(SolveServiceModel, SeededRandomOpsKeepBooksAndBits) {
   constexpr int kPool = 4;
   const int sizes[kPool] = {24, 32, 48, 64};
   // Route coverage summed over the seeds: the mix must actually reach
-  // cache hits, both factor grains, won cancels and sheds.
-  std::uint64_t hits = 0, fine = 0, coarse = 0, cancels_won = 0, sheds = 0;
+  // cache hits, both factor grains, chunk tasks, won cancels and sheds.
+  std::uint64_t hits = 0, fine = 0, coarse = 0, chunked = 0, cancels_won = 0,
+                sheds = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE(seed);
     ServiceConfig cfg = base_config(2);
@@ -543,6 +548,9 @@ TEST(SolveServiceModel, SeededRandomOpsKeepBooksAndBits) {
     for (int i = 0; i < kPool; ++i)
       pool.push_back(gen::generate(gen::MatrixKind::Random, sizes[i],
                                    seed * 10 + static_cast<std::uint64_t>(i)));
+    std::vector<std::shared_ptr<const Matrix<double>>> shared;
+    for (const Matrix<double>& a : pool)
+      shared.push_back(std::make_shared<const Matrix<double>>(a));
 
     struct Entry {
       JobHandle handle;
@@ -560,7 +568,7 @@ TEST(SolveServiceModel, SeededRandomOpsKeepBooksAndBits) {
       const auto prio = static_cast<Priority>(rng.below(3));
       const std::uint64_t bseed =
           seed * 100000 + static_cast<std::uint64_t>(op) * 8;
-      switch (rng.below(5)) {
+      switch (rng.below(6)) {
         case 0: {
           const int cols = 1 + static_cast<int>(rng.below(2));
           Entry e{{}, pick, random_matrix(a.rows(), cols, bseed)};
@@ -588,6 +596,24 @@ TEST(SolveServiceModel, SeededRandomOpsKeepBooksAndBits) {
             if (e.handle.cancel()) e.cancel_won = true;
           }
           break;
+        case 4: {
+          std::vector<std::shared_ptr<const Matrix<double>>> as;
+          std::vector<Matrix<double>> bs;
+          std::vector<int> picks;
+          const int members = 1 + static_cast<int>(rng.below(4));
+          for (int k = 0; k < members; ++k) {
+            picks.push_back(static_cast<int>(rng.below(kPool)));
+            as.push_back(shared[static_cast<std::size_t>(picks.back())]);
+            bs.push_back(
+                random_matrix(as.back()->rows(), 1 + k % 2, bseed + k));
+          }
+          std::vector<JobHandle> hs = svc.submit_many(as, bs, prio);
+          for (int k = 0; k < members; ++k)
+            model.push_back(Entry{hs[static_cast<std::size_t>(k)],
+                                  picks[static_cast<std::size_t>(k)],
+                                  bs[static_cast<std::size_t>(k)]});
+          break;
+        }
         default: {
           SubmitOptions opt;
           opt.priority = prio;
@@ -639,12 +665,14 @@ TEST(SolveServiceModel, SeededRandomOpsKeepBooksAndBits) {
     hits += s.cache.hits;
     fine += s.factors_inline_parallel;
     coarse += s.factors_coarse;
+    chunked += s.batched_jobs;
     sheds += s.shed;
     for (const Entry& e : model) cancels_won += e.cancel_won;
   }
   EXPECT_GT(hits, 0u);
   EXPECT_GT(fine, 0u);
   EXPECT_GT(coarse, 0u);
+  EXPECT_GT(chunked, 0u);
   EXPECT_GT(cancels_won, 0u);
   EXPECT_GT(sheds, 0u);
 }
