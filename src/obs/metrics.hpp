@@ -1,8 +1,10 @@
 // Process-wide metrics registry: named counters, gauges, and power-of-2
 // histograms with wait-free, thread-sharded record paths.
 //
-// Every layer publishes through it; the serve layer also holds unregistered
-// Histogram members for its per-service latency stats.  The file is a dependency-free leaf (std only)
+// Every layer publishes through it, and it is the only store of their
+// telemetry: each serve::SolveService keeps its counters and latency
+// histograms here under its own {service="k"} label and reads its stats()
+// back from those series.  The file is a dependency-free leaf (std only)
 // so the kernel layer may include it without violating the "kernels cannot
 // include upward" rule (see kernels/access.hpp).
 //

@@ -40,7 +40,7 @@ struct JobState {
   /// Retry budget (under mu): attempts consumed vs the per-job limit.
   int attempts = 0;
   int max_retries = 0;
-  /// Exactly-once settlement: the first complete_* call wins; late settlers
+  /// Exactly-once settlement: the first settle() call wins; late settlers
   /// (a watchdog force-fail racing the task's own completion, or vice
   /// versa) observe the flag and back off without touching counters.
   bool settled = false;
@@ -56,6 +56,10 @@ using detail::JobState;
 // distinct nonzero id, carried through its engine tasks as TaskAttrs::job
 // so traces and metrics correlate across layers.
 std::atomic<std::uint64_t> g_job_seq{0};
+
+// Process-wide service sequence: the `service` label of each service's
+// registry series, so concurrent services never share a series.
+std::atomic<std::uint64_t> g_service_seq{0};
 
 std::shared_ptr<JobState> make_job_state(std::uint64_t t_submit_us) {
   auto s = std::make_shared<JobState>();
@@ -203,6 +207,7 @@ bool JobHandle::cancel() {
 
 SolveService::SolveService(ServiceConfig config)
     : cfg_(std::move(config)),
+      id_(g_service_seq.fetch_add(1, std::memory_order_relaxed)),
       cache_(cfg_.cache_bytes, cfg_.cache_hash),
       queue_(cfg_.queue_capacity) {
   LUQR_REQUIRE(cfg_.solver.external_criterion() == nullptr,
@@ -238,51 +243,80 @@ SolveService::SolveService(ServiceConfig config)
         SolverConfig(cfg_.solver).backend(Backend::Parallel).engine(engine_));
   }
 
-  // Registry series are process-wide: concurrent services add into the same
-  // counters/histograms (stats() stays per-instance via the atomics below).
+  // Every series carries this service's label: stats() reads them back,
+  // and the exporters see each service apart (sum across labels for the
+  // process total).
   obs::Registry& reg = obs::Registry::global();
-  obs_.submitted = &reg.counter("luqr_serve_jobs_submitted_total", {},
-                                "Jobs accepted for execution");
-  obs_.completed = &reg.counter("luqr_serve_jobs_completed_total", {},
-                                "Jobs that reached Done");
-  obs_.failed =
-      &reg.counter("luqr_serve_jobs_failed_total", {}, "Jobs that threw");
-  obs_.cancelled = &reg.counter("luqr_serve_jobs_cancelled_total", {},
-                                "Jobs cancelled before execution");
-  obs_.rejected = &reg.counter("luqr_serve_jobs_rejected_total", {},
-                               "Jobs rejected at admission");
-  obs_.shed = &reg.counter("luqr_serve_shed_total", {},
-                           "Jobs shed by SLO control (deadline expired while "
-                           "queued, or Batch admission while Degraded)");
-  obs_.retries = &reg.counter("luqr_serve_retries_total", {},
-                              "Transient-failure retries re-enqueued with "
-                              "backoff");
+  const obs::Labels label{{"service", std::to_string(id_)}};
+  const auto counter = [&](const char* name, const char* help) {
+    return &reg.counter(name, label, help);
+  };
+  const auto histogram = [&](const char* name, const char* help) {
+    return &reg.histogram(name, label, help);
+  };
+  obs_.submitted = counter("luqr_serve_jobs_submitted_total",
+                           "Jobs accepted for execution");
+  obs_.settled[static_cast<int>(JobStatus::Done)] =
+      counter("luqr_serve_jobs_completed_total", "Jobs that reached Done");
+  obs_.settled[static_cast<int>(JobStatus::Failed)] =
+      counter("luqr_serve_jobs_failed_total", "Jobs that threw");
+  obs_.settled[static_cast<int>(JobStatus::Cancelled)] = counter(
+      "luqr_serve_jobs_cancelled_total", "Jobs cancelled before execution");
+  obs_.settled[static_cast<int>(JobStatus::Rejected)] =
+      counter("luqr_serve_jobs_rejected_total", "Jobs rejected at admission");
+  obs_.settled[static_cast<int>(JobStatus::Shed)] =
+      counter("luqr_serve_shed_total",
+              "Jobs shed by SLO control (deadline expired while queued, or "
+              "Batch admission while Degraded)");
+  obs_.retries = counter("luqr_serve_retries_total",
+                         "Transient-failure retries re-enqueued with backoff");
   obs_.faults_injected =
-      &reg.counter("luqr_serve_faults_injected_total", {},
-                   "Injected faults observed by the serve retry machinery");
+      counter("luqr_serve_faults_injected_total",
+              "Injected faults observed by the serve retry machinery");
   obs_.watchdog_trips =
-      &reg.counter("luqr_serve_watchdog_trips_total", {},
-                   "Jobs force-failed for exceeding their hard wall");
-  obs_.memory_pressure =
-      &reg.counter("luqr_serve_memory_pressure_total", {},
-                   "Allocation-pressure events (cache evicted, inflight "
-                   "limit halved)");
-  obs_.health = &reg.gauge("luqr_serve_health", {},
+      counter("luqr_serve_watchdog_trips_total",
+              "Jobs force-failed for exceeding their hard wall");
+  obs_.memory_pressure = counter(
+      "luqr_serve_memory_pressure_total",
+      "Allocation-pressure events (cache evicted, inflight limit halved)");
+  obs_.batches = counter("luqr_serve_batches_total", "submit_batch calls");
+  obs_.batch_members =
+      counter("luqr_serve_batch_members_total", "submit_batch members");
+  obs_.fused_rhs_columns =
+      counter("luqr_serve_fused_rhs_columns_total",
+              "Right-hand-side columns solved inside a fused wide solve");
+  obs_.batched_jobs = counter("luqr_serve_batched_jobs_total",
+                              "submit_many members executed in chunk tasks");
+  obs_.batch_chunks = counter("luqr_serve_batch_chunks_total",
+                              "submit_many chunk tasks that executed work");
+  obs_.batch_hits_skimmed =
+      counter("luqr_serve_batch_hits_skimmed_total",
+              "submit_many members served by a cache hit found at submission");
+  const char* factors_help = "Factorizations computed, by grain";
+  obs_.factors_coarse = &reg.counter("luqr_serve_factors_total",
+                                     {label[0], {"grain", "coarse"}},
+                                     factors_help);
+  obs_.factors_fine = &reg.counter("luqr_serve_factors_total",
+                                   {label[0], {"grain", "fine"}}, factors_help);
+  obs_.refine_fallbacks =
+      counter("luqr_serve_refine_fallbacks_total",
+              "F32_IR solves that fell back to an f64 refactorization");
+  obs_.health = &reg.gauge("luqr_serve_health", label,
                            "Service health: 0 healthy, 1 degraded, 2 draining");
   obs_.health->set(0.0);
-  obs_.latency_us = &reg.histogram("luqr_serve_job_latency_us", {},
-                                   "Job submit -> terminal, microseconds");
-  obs_.exec_us = &reg.histogram("luqr_serve_job_exec_us", {},
-                                "Job execution start -> done, microseconds");
-  obs_.queue_us = &reg.histogram("luqr_serve_job_queue_us", {},
-                                 "Job submit -> execution start, microseconds");
-  obs_.factor_us = &reg.histogram(
-      "luqr_serve_job_factor_us", {},
+  obs_.latency_us = histogram("luqr_serve_job_latency_us",
+                              "Job submit -> terminal, microseconds");
+  obs_.exec_us = histogram("luqr_serve_job_exec_us",
+                           "Job execution start -> done, microseconds");
+  obs_.queue_us = histogram("luqr_serve_job_queue_us",
+                            "Job submit -> execution start, microseconds");
+  obs_.factor_us = histogram(
+      "luqr_serve_job_factor_us",
       "Factorization wall time paid by completed jobs (0 on cache hits)");
-  obs_.solve_us = &reg.histogram("luqr_serve_job_solve_us", {},
-                                 "Triangular-solve wall time per job");
-  obs_.refine_us = &reg.histogram(
-      "luqr_serve_job_refine_us", {},
+  obs_.solve_us = histogram("luqr_serve_job_solve_us",
+                            "Triangular-solve wall time per job");
+  obs_.refine_us = histogram(
+      "luqr_serve_job_refine_us",
       "F32_IR refinement wall time per job (0 outside F32_IR)");
   if (cfg_.sampler_period_ms > 0) {
     obs::EngineSampler::Options sopt;
@@ -354,7 +388,6 @@ void SolveService::drain() {
 
 void SolveService::enqueue(Job job) {
   const std::size_t members = job.members.size();
-  submitted_.fetch_add(members, std::memory_order_relaxed);
   obs_.submitted->add(members);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -368,7 +401,7 @@ void SolveService::enqueue(Job job) {
   // service keeps its remaining capacity for Interactive/Normal traffic
   // until a quiet recovery window restores health.
   if (job.priority == Priority::Batch && health() == Health::Degraded) {
-    for (const auto& st : states) complete_shed(st);
+    for (const auto& st : states) settle(st, JobStatus::Shed);
     return;
   }
   const int lane = static_cast<int>(job.priority);
@@ -376,7 +409,7 @@ void SolveService::enqueue(Job job) {
                             ? queue_.try_push(std::move(job), lane)
                             : queue_.push(std::move(job), lane);
   if (!accepted)
-    for (const auto& st : states) complete_rejected(st);
+    for (const auto& st : states) settle(st, JobStatus::Rejected);
 }
 
 std::shared_ptr<JobState> SolveService::new_job_state(const SubmitOptions& opt,
@@ -477,8 +510,8 @@ std::vector<JobHandle> SolveService::submit_batch(Matrix<double> a,
         {std::move(b), new_job_state(member_opt, /*retryable=*/false)});
     handles.push_back(JobHandle(job.members.back().state));
   }
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  batch_members_.fetch_add(handles.size(), std::memory_order_relaxed);
+  obs_.batches->add(1);
+  obs_.batch_members->add(handles.size());
   enqueue(std::move(job));
   return handles;
 }
@@ -517,7 +550,6 @@ std::vector<JobHandle> SolveService::submit_many(
     handles.push_back(JobHandle(state));
     // Per-member admission accounting (every member executes through a
     // chunk task rather than enqueue()).
-    submitted_.fetch_add(1, std::memory_order_relaxed);
     obs_.submitted->add(1);
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -539,7 +571,7 @@ std::vector<JobHandle> SolveService::submit_many(
       bad = "serve: input contains non-finite values (NaN or Inf); set "
             "ServiceConfig::screen_inputs=false to disable input screening";
     if (bad != nullptr) {
-      complete_error(state, std::make_exception_ptr(Error(bad)));
+      settle(state, JobStatus::Failed, std::make_exception_ptr(Error(bad)));
       continue;
     }
 
@@ -553,8 +585,7 @@ std::vector<JobHandle> SolveService::submit_many(
       jobs.push_back(std::move(s));
     }
     Staged& s = jobs[slot.first->second];
-    if (s.fac != nullptr)
-      batch_hits_skimmed_.fetch_add(1, std::memory_order_relaxed);
+    if (s.fac != nullptr) obs_.batch_hits_skimmed->add(1);
     s.job.members.push_back({std::move(bs[i]), std::move(state)});
   }
   if (jobs.empty()) return handles;
@@ -595,7 +626,7 @@ std::vector<JobHandle> SolveService::submit_many(
     return handles;
   }
   for (const Staged& s : jobs)
-    for (const Member& m : s.job.members) complete_rejected(m.state);
+    for (const Member& m : s.job.members) settle(m.state, JobStatus::Rejected);
   return handles;
 }
 
@@ -769,8 +800,8 @@ void SolveService::submit_chunk_task(std::vector<Staged> chunk) {
             else
               solve_members(s.job, fac, out);
           }
-          batched_jobs_.fetch_add(live, std::memory_order_relaxed);
-          batches_executed_.fetch_add(1, std::memory_order_relaxed);
+          obs_.batched_jobs->add(live);
+          obs_.batch_chunks->add(1);
         }
         // The chunk's one slot goes back before any of its members settles.
         release_inflight_slot();
@@ -790,7 +821,7 @@ bool SolveService::try_begin(const std::shared_ptr<JobState>& state,
   if (state->status != JobStatus::Queued) return false;  // cancelled
   const std::uint64_t t = start_us != 0 ? start_us : now_us();
   // SLO veto: a job whose deadline passed while it waited must not start —
-  // the status stays Queued and settle_skipped routes it to Shed.
+  // the status stays Queued and the caller settles it Shed.
   if (state->deadline_us != 0 && t > state->deadline_us) return false;
   state->status = JobStatus::Running;
   state->t_start_us = t;
@@ -807,129 +838,36 @@ void SolveService::on_terminal() {
 
 // Counters and histograms update *before* the state turns terminal (inside
 // the same critical section), and active_ drops before the waiter wakes: a
-// client returning from get() (or drain()) sees final telemetry. Every
-// complete_* checks the settled flag first — the force-settling watchdog
-// and the job's own completion race, and exactly one of them accounts.
-
-void SolveService::complete_ok(const std::shared_ptr<JobState>& state,
-                               Matrix<double> x, bool cache_hit,
-                               const SolveReport& report,
-                               const Phases& phases) {
+// client returning from get() (or drain()) sees final telemetry.
+void SolveService::settle(const std::shared_ptr<JobState>& state, JobStatus to,
+                          std::exception_ptr error, SolveReply reply) {
   const std::uint64_t t = now_us();
   {
     std::lock_guard<std::mutex> lock(state->mu);
     if (state->settled) return;
     state->settled = true;
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    obs_.completed->add(1);
-    state->reply.x = std::move(x);
-    state->reply.cache_hit = cache_hit;
-    state->reply.report = report;
-    state->reply.job_id = state->job_id;
-    state->reply.queue_us = state->t_start_us - state->t_submit_us;
-    state->reply.exec_us = t - state->t_start_us;
-    state->reply.factor_us = phases.factor_us;
-    state->reply.solve_us = phases.solve_us;
-    state->reply.refine_us = report.refine_us;
-    latency_.record(t - state->t_submit_us);
-    exec_.record(state->reply.exec_us);
-    obs_.latency_us->record(t - state->t_submit_us);
-    obs_.exec_us->record(state->reply.exec_us);
-    obs_.queue_us->record(state->reply.queue_us);
-    obs_.factor_us->record(phases.factor_us);
-    obs_.solve_us->record(phases.solve_us);
-    obs_.refine_us->record(report.refine_us);
-    state->status = JobStatus::Done;
-  }
-  on_terminal();
-  state->cv.notify_all();
-}
-
-void SolveService::complete_error(const std::shared_ptr<JobState>& state,
-                                  std::exception_ptr error) {
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    if (state->settled) return;
-    state->settled = true;
-    const std::uint64_t lat = now_us() - state->t_submit_us;
-    latency_.record(lat);
-    obs_.latency_us->record(lat);
-    if (state->status == JobStatus::Cancelled) {
-      // cancel() already won the client-visible state (e.g. a watchdog
-      // force-fail of a job cancelled while queued): account it as
-      // cancelled, not failed.
-      cancelled_.fetch_add(1, std::memory_order_relaxed);
-      obs_.cancelled->add(1);
-    } else {
-      failed_.fetch_add(1, std::memory_order_relaxed);
-      obs_.failed->add(1);
+    // cancel() already won the client-visible state (a job try_begin
+    // refused, or a watchdog force-fail of a job cancelled while queued):
+    // account it as cancelled.
+    if (state->status == JobStatus::Cancelled) to = JobStatus::Cancelled;
+    if (to != JobStatus::Rejected)
+      obs_.latency_us->record(t - state->t_submit_us);
+    if (to == JobStatus::Done) {
+      reply.job_id = state->job_id;
+      reply.queue_us = state->t_start_us - state->t_submit_us;
+      reply.exec_us = t - state->t_start_us;
+      reply.refine_us = reply.report.refine_us;
+      obs_.exec_us->record(reply.exec_us);
+      obs_.queue_us->record(reply.queue_us);
+      obs_.factor_us->record(reply.factor_us);
+      obs_.solve_us->record(reply.solve_us);
+      obs_.refine_us->record(reply.refine_us);
+      state->reply = std::move(reply);
+    } else if (to == JobStatus::Failed) {
       state->error = std::move(error);
-      state->status = JobStatus::Failed;
     }
-  }
-  on_terminal();
-  state->cv.notify_all();
-}
-
-void SolveService::complete_cancelled(const std::shared_ptr<JobState>& state) {
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    if (state->settled) return;
-    state->settled = true;
-    cancelled_.fetch_add(1, std::memory_order_relaxed);
-    obs_.cancelled->add(1);
-    state->status = JobStatus::Cancelled;  // usually set by cancel() already
-    const std::uint64_t lat = now_us() - state->t_submit_us;
-    latency_.record(lat);
-    obs_.latency_us->record(lat);
-  }
-  on_terminal();
-  state->cv.notify_all();
-}
-
-void SolveService::complete_shed(const std::shared_ptr<JobState>& state) {
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    if (state->settled) return;
-    state->settled = true;
-    const std::uint64_t lat = now_us() - state->t_submit_us;
-    latency_.record(lat);
-    obs_.latency_us->record(lat);
-    if (state->status == JobStatus::Cancelled) {
-      cancelled_.fetch_add(1, std::memory_order_relaxed);
-      obs_.cancelled->add(1);
-    } else {
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      obs_.shed->add(1);
-      state->status = JobStatus::Shed;
-    }
-  }
-  on_terminal();
-  state->cv.notify_all();
-}
-
-void SolveService::settle_skipped(const std::shared_ptr<JobState>& state) {
-  // try_begin refused this job. Either cancel() flipped it to Cancelled, or
-  // the deadline veto left it Queued — which is the shed path.
-  bool expired;
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    expired = state->status == JobStatus::Queued;
-  }
-  if (expired)
-    complete_shed(state);
-  else
-    complete_cancelled(state);
-}
-
-void SolveService::complete_rejected(const std::shared_ptr<JobState>& state) {
-  {
-    std::lock_guard<std::mutex> lock(state->mu);
-    if (state->settled) return;
-    state->settled = true;
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    obs_.rejected->add(1);
-    state->status = JobStatus::Rejected;
+    obs_.settled[static_cast<int>(to)]->add(1);
+    state->status = to;
   }
   on_terminal();
   state->cv.notify_all();
@@ -1002,8 +940,7 @@ SolveService::FacPtr SolveService::compute_factorization(
     Solver& solver = fine ? *fine_solver_ : *coarse_solver_;
     fac = std::make_shared<core::Factorization>(solver.factor(*a));
     cache_.insert_hashed(*a, config_fp_, h, fac);
-    (fine ? factors_inline_ : factors_coarse_)
-        .fetch_add(1, std::memory_order_relaxed);
+    (fine ? obs_.factors_fine : obs_.factors_coarse)->add(1);
   } catch (...) {
     error = std::current_exception();
   }
@@ -1095,17 +1032,22 @@ void SolveService::settle_members(Job& job, Outcome& out) {
     Member& m = job.members[i];
     Solved& r = out.solved[i];
     if (!out.live[i]) {
-      settle_skipped(m.state);
+      settle(m.state, JobStatus::Shed);
     } else if (r.error != nullptr) {
       if (r.error != out.classified) {
         out.classified = r.error;
         out.transient = classify_transient(r.error);
       }
       if (!(out.transient && retry_member(job, m, r.error)))
-        complete_error(m.state, r.error);
+        settle(m.state, JobStatus::Failed, r.error);
     } else if (!(r.poisoned && retry_member(job, m, nullptr))) {
-      complete_ok(m.state, std::move(r.x), out.hit, r.report,
-                  {out.factor_us, r.solve_us});
+      SolveReply reply;
+      reply.x = std::move(r.x);
+      reply.cache_hit = out.hit;
+      reply.report = r.report;
+      reply.factor_us = out.factor_us;
+      reply.solve_us = r.solve_us;
+      settle(m.state, JobStatus::Done, nullptr, std::move(reply));
     }
   }
 }
@@ -1132,8 +1074,7 @@ std::vector<SolveService::Solved> SolveService::solve_run(
       const std::uint64_t t_solve = now_us();
       try {
         r.x = fac.solve(*bs[i], &r.report, sweeps);
-        if (r.report.fell_back)
-          refine_fallbacks_.fetch_add(1, std::memory_order_relaxed);
+        if (r.report.fell_back) obs_.refine_fallbacks->add(1);
       } catch (...) {
         r.error = std::current_exception();
       }
@@ -1155,8 +1096,7 @@ std::vector<SolveService::Solved> SolveService::solve_run(
                         dst);
     SolveReport report;
     const Matrix<double> xcat = fac.solve(bcat, &report, sweeps);
-    fused_cols_.fetch_add(static_cast<std::uint64_t>(width),
-                          std::memory_order_relaxed);
+    obs_.fused_rhs_columns->add(static_cast<std::uint64_t>(width));
     const double* src = xcat.data();
     for (std::size_t i = 0; i < bs.size(); ++i) {
       Matrix<double> x(n, bs[i]->cols());
@@ -1196,7 +1136,7 @@ void SolveService::settle_cancelled_owner(const Job& job,
     for (auto& w : waiters) w(fac, error);
   }
   release_inflight_slot();
-  for (const Member& m : job.members) settle_skipped(m.state);
+  for (const Member& m : job.members) settle(m.state, JobStatus::Shed);
 }
 
 bool SolveService::job_guarded(const Job& job) const {
@@ -1217,15 +1157,11 @@ void SolveService::dispatch(Job job) {
       std::lock_guard<std::mutex> lock(m.state->mu);
       cancelled = m.state->status == JobStatus::Cancelled;
     }
-    if (cancelled) {
-      complete_cancelled(m.state);
-      return true;
-    }
-    if (m.state->deadline_us != 0 && now > m.state->deadline_us) {
-      complete_shed(m.state);
-      return true;
-    }
-    return false;
+    const bool expired =
+        m.state->deadline_us != 0 && now > m.state->deadline_us;
+    if (!cancelled && !expired) return false;
+    settle(m.state, JobStatus::Shed);  // a won cancel accounts Cancelled
+    return true;
   };
   job.members.erase(std::remove_if(job.members.begin(), job.members.end(),
                                    settled_at_dequeue),
@@ -1410,7 +1346,6 @@ bool SolveService::classify_transient(const std::exception_ptr& err) {
   try {
     std::rethrow_exception(err);
   } catch (const fault::InjectedFault&) {
-    faults_injected_.fetch_add(1, std::memory_order_relaxed);
     obs_.faults_injected->add(1);
     return true;
   } catch (const std::bad_alloc&) {
@@ -1422,7 +1357,6 @@ bool SolveService::classify_transient(const std::exception_ptr& err) {
 }
 
 void SolveService::on_memory_pressure() {
-  memory_pressure_.fetch_add(1, std::memory_order_relaxed);
   obs_.memory_pressure->add(1);
   // Graceful degradation instead of cascading failure: give back half the
   // cache (entries in use stay alive via shared_ptr) and halve concurrent
@@ -1459,7 +1393,6 @@ bool SolveService::retry_member(const Job& job, Member& m,
     due = now + (cfg_.retry_backoff_us
                  << (static_cast<unsigned>(state->attempts) - 1));
   }
-  retries_.fetch_add(1, std::memory_order_relaxed);
   obs_.retries->add(1);
   Job retry;
   retry.priority = job.priority;
@@ -1493,7 +1426,7 @@ void SolveService::requeue_retry(RetryItem item) {
   // Queue closed (shutdown) or full under overload: the retry loses its
   // attempt and the job settles with the failure that triggered it (a
   // cancelled one is accounted as cancelled).
-  for (const auto& st : states) complete_error(st, item.error);
+  for (const auto& st : states) settle(st, JobStatus::Failed, item.error);
 }
 
 void SolveService::scan_hard_walls(std::uint64_t now) {
@@ -1520,15 +1453,15 @@ void SolveService::scan_hard_walls(std::uint64_t now) {
     }
   }
   for (const auto& s : expired) {
-    watchdog_trips_.fetch_add(1, std::memory_order_relaxed);
     obs_.watchdog_trips->add(1);
     set_degraded();
     // Force-settle: whatever happened to this job (dropped, stalled, lost),
     // its client must not hang. If the real completion races in first, the
     // settled flag makes this a no-op; if it arrives later, likewise.
-    complete_error(s, std::make_exception_ptr(Error(
-                          "serve: watchdog hard wall exceeded; job "
-                          "force-failed (service degraded)")));
+    settle(s, JobStatus::Failed,
+           std::make_exception_ptr(
+               Error("serve: watchdog hard wall exceeded; job force-failed "
+                     "(service degraded)")));
   }
 }
 
@@ -1590,30 +1523,33 @@ void SolveService::watchdog_loop() {
 // ---------------------------------------------------------------------------
 
 ServiceStats SolveService::stats() const {
+  const auto settled = [this](JobStatus st) {
+    return obs_.settled[static_cast<int>(st)]->value();
+  };
   ServiceStats s;
-  s.submitted = submitted_.load(std::memory_order_relaxed);
-  s.completed = completed_.load(std::memory_order_relaxed);
-  s.failed = failed_.load(std::memory_order_relaxed);
-  s.cancelled = cancelled_.load(std::memory_order_relaxed);
-  s.rejected = rejected_.load(std::memory_order_relaxed);
-  s.shed = shed_.load(std::memory_order_relaxed);
-  s.retries = retries_.load(std::memory_order_relaxed);
-  s.watchdog_trips = watchdog_trips_.load(std::memory_order_relaxed);
-  s.memory_pressure = memory_pressure_.load(std::memory_order_relaxed);
-  s.faults_injected = faults_injected_.load(std::memory_order_relaxed);
+  s.submitted = obs_.submitted->value();
+  s.completed = settled(JobStatus::Done);
+  s.failed = settled(JobStatus::Failed);
+  s.cancelled = settled(JobStatus::Cancelled);
+  s.rejected = settled(JobStatus::Rejected);
+  s.shed = settled(JobStatus::Shed);
+  s.retries = obs_.retries->value();
+  s.watchdog_trips = obs_.watchdog_trips->value();
+  s.memory_pressure = obs_.memory_pressure->value();
+  s.faults_injected = obs_.faults_injected->value();
   s.health = health();
-  s.batches = batches_.load(std::memory_order_relaxed);
-  s.batch_members = batch_members_.load(std::memory_order_relaxed);
-  s.fused_rhs_columns = fused_cols_.load(std::memory_order_relaxed);
-  s.batched_jobs = batched_jobs_.load(std::memory_order_relaxed);
-  s.batches_executed = batches_executed_.load(std::memory_order_relaxed);
-  s.batch_hits_skimmed = batch_hits_skimmed_.load(std::memory_order_relaxed);
+  s.batches = obs_.batches->value();
+  s.batch_members = obs_.batch_members->value();
+  s.fused_rhs_columns = obs_.fused_rhs_columns->value();
+  s.batched_jobs = obs_.batched_jobs->value();
+  s.batches_executed = obs_.batch_chunks->value();
+  s.batch_hits_skimmed = obs_.batch_hits_skimmed->value();
   s.batch_fill_mean = s.batches_executed > 0
                           ? static_cast<double>(s.batched_jobs) /
                                 static_cast<double>(s.batches_executed)
                           : 0.0;
-  s.factors_coarse = factors_coarse_.load(std::memory_order_relaxed);
-  s.factors_inline_parallel = factors_inline_.load(std::memory_order_relaxed);
+  s.factors_coarse = obs_.factors_coarse->value();
+  s.factors_inline_parallel = obs_.factors_fine->value();
   s.queue_depth = queue_.depth();
   s.queue_capacity = queue_.capacity();
   {
@@ -1623,19 +1559,15 @@ ServiceStats SolveService::stats() const {
     s.pending_factorizations = pending_.size();
   }
   s.cache = cache_.stats();
-  // One service runs one precision: every submitted job counts toward it.
-  switch (cfg_.solver.precision()) {
-    case Precision::F64: s.jobs_f64 = s.submitted; break;
-    case Precision::F32: s.jobs_f32 = s.submitted; break;
-    case Precision::F32_IR: s.jobs_f32_ir = s.submitted; break;
-  }
-  s.refine_fallbacks = refine_fallbacks_.load(std::memory_order_relaxed);
-  s.latency_p50_us = latency_.quantile(0.50);
-  s.latency_p99_us = latency_.quantile(0.99);
-  s.latency_max_us = latency_.max();
-  s.latency_mean_us = latency_.mean();
-  s.exec_p50_us = exec_.quantile(0.50);
-  s.exec_p99_us = exec_.quantile(0.99);
+  s.refine_fallbacks = obs_.refine_fallbacks->value();
+  const obs::HistogramData latency = obs_.latency_us->snapshot();
+  s.latency_p50_us = latency.quantile(0.50);
+  s.latency_p99_us = latency.quantile(0.99);
+  s.latency_max_us = latency.max;
+  s.latency_mean_us = latency.mean();
+  const obs::HistogramData exec = obs_.exec_us->snapshot();
+  s.exec_p50_us = exec.quantile(0.50);
+  s.exec_p99_us = exec.quantile(0.99);
   s.uptime_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
           .count();

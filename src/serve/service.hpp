@@ -50,6 +50,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -243,8 +244,10 @@ struct ServiceConfig {
   std::uint64_t chaos_seed = 0;
 };
 
-/// Telemetry snapshot (see SolveService::stats); counters are monotonic
-/// since service construction.
+/// Telemetry snapshot (see SolveService::stats). Every counter and latency
+/// field is read from the service's own registry series, labelled
+/// {service="k"} with k = SolveService::service_id(); counters are
+/// monotonic since service construction.
 struct ServiceStats {
   std::uint64_t submitted = 0, completed = 0, failed = 0, cancelled = 0,
                 rejected = 0;
@@ -268,10 +271,7 @@ struct ServiceStats {
   std::size_t queue_depth = 0, queue_capacity = 0, inflight = 0,
               pending_factorizations = 0;
   CacheStats cache;
-  /// Jobs submitted per working precision (one service runs one precision;
-  /// the split matters when aggregating across services) and how many
-  /// F32_IR solves had to fall back to an f64 refactorization.
-  std::uint64_t jobs_f64 = 0, jobs_f32 = 0, jobs_f32_ir = 0;
+  /// F32_IR solves that had to fall back to an f64 refactorization.
   std::uint64_t refine_fallbacks = 0;
   std::uint64_t latency_p50_us = 0, latency_p99_us = 0, latency_max_us = 0;
   double latency_mean_us = 0.0;
@@ -352,6 +352,9 @@ class SolveService {
   Health health() const;
 
   ServiceStats stats() const;
+  /// Process-wide sequence number of this service: the value of the
+  /// `service` label on every registry series it publishes.
+  std::uint64_t service_id() const { return id_; }
   rt::Engine& engine();
   const std::string& config_fingerprint() const { return config_fp_; }
 
@@ -401,13 +404,6 @@ class SolveService {
     std::vector<Staged> jobs;
     std::size_t members = 0;      ///< members across jobs (the flush count)
     std::uint64_t oldest_us = 0;  ///< staging time of the oldest member
-  };
-
-  /// Phase timings a completing job carries into complete_ok (refine_us
-  /// rides in the SolveReport; queue_us is derived from the job state).
-  struct Phases {
-    std::uint64_t factor_us = 0;
-    std::uint64_t solve_us = 0;
   };
 
   /// One member's share of a solve_run (fused members share report,
@@ -542,20 +538,19 @@ class SolveService {
   // the execution start.
   bool try_begin(const std::shared_ptr<detail::JobState>& state,
                  std::uint64_t start_us = 0);
-  void complete_ok(const std::shared_ptr<detail::JobState>& state,
-                   Matrix<double> x, bool cache_hit, const SolveReport& report,
-                   const Phases& phases);
-  void complete_error(const std::shared_ptr<detail::JobState>& state,
-                      std::exception_ptr error);
-  void complete_cancelled(const std::shared_ptr<detail::JobState>& state);
-  void complete_rejected(const std::shared_ptr<detail::JobState>& state);
-  void complete_shed(const std::shared_ptr<detail::JobState>& state);
-  // Settle a job try_begin refused: Cancelled when cancel() won, Shed when
-  // the deadline vetoed execution (status still Queued).
-  void settle_skipped(const std::shared_ptr<detail::JobState>& state);
+  // The one routine that moves a job to a terminal state. Exactly-once:
+  // a late settler (the watchdog racing the job's own completion) backs
+  // off without touching counters. When cancel() already won, the job is
+  // accounted Cancelled whatever `to` says, so callers settle a job
+  // try_begin refused as Shed (its deadline vetoed it unless a cancel
+  // won). Done takes the reply (x, cache_hit, report, factor_us,
+  // solve_us), Failed the error.
+  void settle(const std::shared_ptr<detail::JobState>& state, JobStatus to,
+              std::exception_ptr error = nullptr, SolveReply reply = {});
   void on_terminal();
 
   ServiceConfig cfg_;
+  std::uint64_t id_ = 0;  ///< value of the `service` label on its series
   std::string config_fp_;
   /// FNV-1a of config_fp_, folded into every matrix content hash so the
   /// cache index and the pending-factorization map key by configuration
@@ -611,32 +606,30 @@ class SolveService {
   bool stage_closed_ = false;
   std::thread flusher_;
 
-  std::atomic<std::uint64_t> submitted_{0}, completed_{0}, failed_{0},
-      cancelled_{0}, rejected_{0};
-  std::atomic<std::uint64_t> shed_{0}, retries_{0}, watchdog_trips_{0},
-      memory_pressure_{0}, faults_injected_{0};
-  std::atomic<std::uint64_t> batches_{0}, batch_members_{0}, fused_cols_{0};
-  std::atomic<std::uint64_t> batched_jobs_{0}, batches_executed_{0},
-      batch_hits_skimmed_{0};
-  std::atomic<std::uint64_t> factors_coarse_{0}, factors_inline_{0};
-  std::atomic<std::uint64_t> refine_fallbacks_{0};
-  obs::Histogram latency_;  // submit -> terminal
-  obs::Histogram exec_;     // execution start -> done
-
-  /// Registry handles (resolved once at construction; the registry owns the
-  /// metrics and they are process-wide — services aggregate into the same
-  /// series, while the per-instance counters above back stats()).
+  /// Registry handles, resolved once at construction under the label
+  /// {service="k"} (k = id_). They are this service's only telemetry
+  /// storage: settle() and the other event sites bump them, stats() reads
+  /// them. The registry never removes series, so a destroyed service's
+  /// series keep their final values (about 31 KB of counter and histogram
+  /// shards per constructed service, plus names and labels).
   struct ObsHandles {
+    /// Terminal-status counters indexed by JobStatus (Queued and Running
+    /// stay null): completed, failed, cancelled, rejected, shed.
+    std::array<obs::Counter*, static_cast<int>(JobStatus::Shed) + 1> settled{};
     obs::Counter* submitted = nullptr;
-    obs::Counter* completed = nullptr;
-    obs::Counter* failed = nullptr;
-    obs::Counter* cancelled = nullptr;
-    obs::Counter* rejected = nullptr;
-    obs::Counter* shed = nullptr;
     obs::Counter* retries = nullptr;
     obs::Counter* faults_injected = nullptr;
     obs::Counter* watchdog_trips = nullptr;
     obs::Counter* memory_pressure = nullptr;
+    obs::Counter* batches = nullptr;
+    obs::Counter* batch_members = nullptr;
+    obs::Counter* fused_rhs_columns = nullptr;
+    obs::Counter* batched_jobs = nullptr;
+    obs::Counter* batch_chunks = nullptr;
+    obs::Counter* batch_hits_skimmed = nullptr;
+    obs::Counter* factors_coarse = nullptr;
+    obs::Counter* factors_fine = nullptr;
+    obs::Counter* refine_fallbacks = nullptr;
     obs::Gauge* health = nullptr;
     obs::Histogram* latency_us = nullptr;
     obs::Histogram* exec_us = nullptr;

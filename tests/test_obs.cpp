@@ -460,5 +460,70 @@ TEST(ObsSpans, BatchMembersShareJobPhases) {
   }
 }
 
+TEST(ObsSpans, EachServiceCountsInItsOwnLabelledSeries) {
+  // Two services live at once, traffic on one only: the registry keeps a
+  // label set per service, and each service's stats() reads its own.
+  serve::ServiceConfig cfg;
+  cfg.solver = SolverConfig().criterion(CriterionSpec::max(50.0)).tile_size(16);
+  cfg.threads = 2;
+  cfg.sampler_period_ms = 0;
+  serve::SolveService busy(cfg);
+  serve::SolveService idle(cfg);
+  ASSERT_NE(busy.service_id(), idle.service_id());
+
+  std::vector<serve::JobHandle> handles;
+  for (int i = 0; i < 5; ++i)
+    handles.push_back(busy.submit_solve(random_matrix(32, 32, 9700 + (i % 2)),
+                                        random_matrix(32, 1, 9800 + i)));
+  handles.push_back(busy.submit_factor(random_matrix(32, 32, 9702)));
+  for (auto& h : handles) h.get();
+
+  const serve::ServiceStats bs = busy.stats();
+  EXPECT_EQ(bs.submitted, 6u);
+  EXPECT_EQ(bs.completed, 6u);
+  EXPECT_GT(bs.latency_max_us, 0u);
+
+  const serve::ServiceStats is = idle.stats();
+  for (const std::uint64_t v :
+       {is.submitted, is.completed, is.failed, is.cancelled, is.rejected,
+        is.shed, is.retries, is.watchdog_trips, is.memory_pressure,
+        is.faults_injected, is.batches, is.batch_members, is.fused_rhs_columns,
+        is.batched_jobs, is.batches_executed, is.batch_hits_skimmed,
+        is.factors_coarse, is.factors_inline_parallel, is.refine_fallbacks,
+        is.latency_p50_us, is.latency_p99_us, is.latency_max_us,
+        is.exec_p50_us, is.exec_p99_us})
+    EXPECT_EQ(v, 0u);
+  EXPECT_EQ(is.latency_mean_us, 0.0);
+
+  const Snapshot snap = Registry::global().snapshot();
+  const auto label = [](const serve::SolveService& svc) {
+    return Labels{{"service", std::to_string(svc.service_id())}};
+  };
+  const auto counter = [&](const char* name, const Labels& labels) {
+    for (const auto& c : snap.counters)
+      if (c.name == name && c.labels == labels) return c.value;
+    ADD_FAILURE() << "no series " << name;
+    return ~std::uint64_t{0};
+  };
+  const auto latency = [&](const Labels& labels) {
+    for (const auto& h : snap.histograms)
+      if (h.name == "luqr_serve_job_latency_us" && h.labels == labels)
+        return h.data;
+    ADD_FAILURE() << "no latency series";
+    return HistogramData{};
+  };
+  for (const auto* svc : {&busy, &idle}) {
+    const serve::ServiceStats st = svc->stats();
+    EXPECT_EQ(counter("luqr_serve_jobs_submitted_total", label(*svc)),
+              st.submitted);
+    EXPECT_EQ(counter("luqr_serve_jobs_completed_total", label(*svc)),
+              st.completed);
+    const HistogramData lat = latency(label(*svc));
+    EXPECT_EQ(lat.count, st.completed);  // every job here reached Done
+    EXPECT_EQ(lat.quantile(0.50), st.latency_p50_us);
+    EXPECT_EQ(lat.max, st.latency_max_us);
+  }
+}
+
 }  // namespace
 }  // namespace luqr::obs

@@ -14,11 +14,14 @@
 // Panels: per-kernel-class profile (calls/time/model GFLOP/s), engine
 // gauges per engine label (busy fraction, live tasks, ready lanes, steal
 // and completion rates), serve job counters with per-phase latency
-// histograms, and cache traffic. Counter rates are derived by diffing
-// consecutive frames.
+// histograms, and cache traffic. Each service publishes its own series
+// (label `service`): the serve panels sum counters and merge histogram
+// buckets across services, and show the worst health. Counter rates are
+// derived by diffing consecutive frames.
 #include <algorithm>
 #include <cctype>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -172,10 +175,42 @@ struct Sample {
   double value = 0.0;
 };
 
+// One exported histogram series; mean and quantiles are filled by merge().
 struct HistSample {
   LabelMap labels;
   double count = 0, sum = 0, max = 0, mean = 0, p50 = 0, p90 = 0, p99 = 0;
+  std::vector<std::pair<double, double>> buckets;  // (upper edge, raw count)
 };
+
+// One histogram family merged across its label sets: bucket counts add,
+// and the quantiles are read off the merged buckets the way the registry
+// reads its own (the containing bucket's upper edge, clamped to the max) —
+// per-series quantiles cannot be combined.
+HistSample merge(const std::vector<HistSample>& series) {
+  HistSample m;
+  std::map<double, double> buckets;
+  for (const HistSample& h : series) {
+    m.count += h.count;
+    m.sum += h.sum;
+    m.max = std::max(m.max, h.max);
+    for (const auto& b : h.buckets) buckets[b.first] += b.second;
+  }
+  m.mean = m.count > 0 ? m.sum / m.count : 0.0;
+  const auto quantile = [&](double q) {
+    if (m.count <= 0) return 0.0;
+    const double target = std::floor(q * (m.count - 1)) + 1;
+    double seen = 0;
+    for (const auto& b : buckets) {
+      seen += b.second;
+      if (seen >= target) return std::min(b.first, m.max);
+    }
+    return m.max;
+  };
+  m.p50 = quantile(0.50);
+  m.p90 = quantile(0.90);
+  m.p99 = quantile(0.99);
+  return m;
+}
 
 struct Frame {
   double ts_us = 0;
@@ -194,6 +229,13 @@ struct Frame {
     auto it = gauges.find(name);
     return it != gauges.end() && !it->second.empty() ? it->second.front().value
                                                     : 0.0;
+  }
+  double gauge_max(const std::string& name) const {
+    double worst = 0;
+    auto it = gauges.find(name);
+    if (it != gauges.end())
+      for (const Sample& s : it->second) worst = std::max(worst, s.value);
+    return worst;
   }
 };
 
@@ -240,10 +282,11 @@ bool load_frame(const std::string& path, Frame& out, std::string& error) {
       hs.count = h.number("count");
       hs.sum = h.number("sum");
       hs.max = h.number("max");
-      hs.mean = h.number("mean");
-      hs.p50 = h.number("p50");
-      hs.p90 = h.number("p90");
-      hs.p99 = h.number("p99");
+      const JValue* buckets = h.find("buckets");
+      if (buckets != nullptr)
+        for (const JValue& b : buckets->arr)
+          if (b.arr.size() == 2)
+            hs.buckets.emplace_back(b.arr[0].num, b.arr[1].num);
       out.histograms[h.string_of("name")].push_back(std::move(hs));
     }
   return true;
@@ -389,7 +432,7 @@ void render(const Frame& f, const Frame* prev, const std::string& path) {
     for (const auto& ph : kPhases) {
       auto it = f.histograms.find(ph.metric);
       if (it == f.histograms.end() || it->second.empty()) continue;
-      const HistSample& h = it->second.front();
+      const HistSample h = merge(it->second);
       std::printf("  %-8s p50=%s p90=%s p99=%s max=%s mean=%s (n=%s)\n",
                   ph.title, fmt_us(h.p50).c_str(), fmt_us(h.p90).c_str(),
                   fmt_us(h.p99).c_str(), fmt_us(h.max).c_str(),
@@ -400,7 +443,7 @@ void render(const Frame& f, const Frame* prev, const std::string& path) {
   // -- resilience ---------------------------------------------------------
   if (f.counters.count("luqr_serve_shed_total") != 0 ||
       f.gauges.count("luqr_serve_health") != 0) {
-    const double health = f.gauge("luqr_serve_health");
+    const double health = f.gauge_max("luqr_serve_health");
     const char* health_name = health >= 2.0   ? "DRAINING"
                               : health >= 1.0 ? "DEGRADED"
                                               : "healthy";
