@@ -1,4 +1,4 @@
-// Level-3 BLAS-style tile kernels (GEMM, TRSM) built from scratch.
+// Level-3 BLAS-style tile kernels (GEMM, TRSM, TRMM) built from scratch.
 //
 // These are the workhorses of the LU step: the trailing update of variant A1
 // is GEMM(alpha=-1, beta=1) and the panel eliminations are TRSMs. They follow
@@ -92,9 +92,16 @@ void trsm_unblocked(Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
                     ConstMatrixView<T> a, MatrixView<T> b);
 
 /// B <- alpha * op(A) * B (side == Left) or alpha * B * op(A) (side == Right)
-/// with A triangular. Used by the norm estimators and tests.
+/// with A triangular. The Left side is the op(T) * W step of every
+/// compact-WY apply (unmqr, tsmqr, ttmqr). Left calls with a triangle of
+/// m >= 128 and alpha == 1 recurse on halves of the triangle and run the
+/// off-diagonal blocks through gemm_blocked (scratch from `ws`, the calling
+/// thread's arena when null); smaller triangles, other alphas and the Right
+/// side keep the in-place loops. The choice depends on the triangle, never
+/// on the width of B, and each column's arithmetic depends on m alone, so
+/// column j of a W-wide Left trmm equals trmm on column j alone, bitwise.
 template <typename T>
 void trmm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
-          ConstMatrixView<T> a, MatrixView<T> b);
+          ConstMatrixView<T> a, MatrixView<T> b, Workspace* ws = nullptr);
 
 }  // namespace luqr::kern

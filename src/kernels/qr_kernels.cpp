@@ -119,10 +119,11 @@ void geqrt_blocked(MatrixView<T> a, MatrixView<T> t, Workspace* wsp) {
            ConstMatrixView<T>(a.block(j0, 0, mrem, j0)),
            ConstMatrixView<T>(v2), T(0), w, wsp);
       // T12 = -T1 W T2, both triangular products through GEMM on densified
-      // triangles: T1 grows to n - jb and the in-place TRMM's strided dot
-      // loops would dominate the whole factorization (measured >50% of the
-      // blocked kernel at nb = 128); two copies + packed GEMMs are far
-      // cheaper.
+      // triangles. T1 grows to n - jb (96 at nb = 128), under the m >= 128
+      // at which trmm takes its recursive GEMM path, so trmm would run its
+      // dot loops here; those dominated the whole factorization (measured
+      // >50% of the blocked kernel at nb = 128). Two copies + packed GEMMs
+      // are far cheaper.
       MatrixView<T> t1d(ws.alloc<T>(static_cast<std::size_t>(j0) * j0), j0, j0,
                         j0);
       for (int j = 0; j < j0; ++j) {
@@ -195,7 +196,7 @@ void unmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
          ConstMatrixView<T>(c), T(0), w, &ws, dn);
     // W <- op(T) W.
     trmm(Side::Left, Uplo::Upper, trans, Diag::NonUnit, T(1),
-         t.block(0, 0, k, k), w);
+         t.block(0, 0, k, k), w, &ws);
     // C <- C - V W.
     gemm(Trans::No, Trans::No, T(-1), ConstMatrixView<T>(vfull),
          ConstMatrixView<T>(w), T(1), c, &ws, dn);
@@ -214,7 +215,7 @@ void unmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
   }
   // W <- op(T) W.
   trmm(Side::Left, Uplo::Upper, trans, Diag::NonUnit, T(1),
-       t.block(0, 0, k, k), w);
+       t.block(0, 0, k, k), w, &ws);
   // C <- C - V W.
   for (int j = 0; j < n; ++j) {
     for (int i = 0; i < k; ++i) {

@@ -100,7 +100,7 @@ void ttmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
     gemm(Trans::Yes, Trans::No, T(1), ConstMatrixView<T>(vfull),
          ConstMatrixView<T>(c2), T(1), z, &ws, dn);
     trmm(Side::Left, Uplo::Upper, trans, Diag::NonUnit, T(1),
-         t.block(0, 0, nb, nb), z);
+         t.block(0, 0, nb, nb), z, &ws);
     // C1 -= Z ; C2 -= V Z.
     for (int j = 0; j < n; ++j)
       for (int i = 0; i < nb; ++i) c1(i, j) -= z(i, j);
@@ -120,7 +120,7 @@ void ttmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
     }
   }
   trmm(Side::Left, Uplo::Upper, trans, Diag::NonUnit, T(1),
-       t.block(0, 0, nb, nb), z);
+       t.block(0, 0, nb, nb), z, &ws);
   // C1 -= Z ; C2 -= V Z (triangular V).
   for (int j = 0; j < n; ++j) {
     for (int i = 0; i < nb; ++i) c1(i, j) -= z(i, j);

@@ -28,40 +28,36 @@ std::uint64_t HistogramData::quantile(double q) const {
   return max;
 }
 
-namespace {
-
-template <typename Entry, typename Metric>
-Metric& find_or_create(std::vector<Entry>& entries, const std::string& name,
-                       const Labels& labels, const std::string& help) {
-  for (auto& e : entries) {
-    if (e.name == name && e.labels == labels) {
-      if (e.help.empty() && !help.empty()) e.help = help;
-      return *e.metric;
-    }
+template <typename Metric>
+Metric& Registry::find_or_create(Series<Metric>& series, const std::string& name,
+                                 const Labels& labels, const std::string& help) {
+  const auto [it, inserted] =
+      series.index.try_emplace({name, labels}, series.entries.size());
+  if (inserted) {
+    series.entries.push_back(
+        Entry<Metric>{name, labels, help, std::make_unique<Metric>()});
   }
-  entries.push_back(Entry{name, labels, help, std::make_unique<Metric>()});
-  return *entries.back().metric;
+  auto& e = series.entries[it->second];
+  if (e.help.empty() && !help.empty()) e.help = help;
+  return *e.metric;
 }
-
-}  // namespace
 
 Counter& Registry::counter(const std::string& name, const Labels& labels,
                            const std::string& help) {
   std::lock_guard<std::mutex> lk(mu_);
-  return find_or_create<CounterEntry, Counter>(counters_, name, labels, help);
+  return find_or_create(counters_, name, labels, help);
 }
 
 Gauge& Registry::gauge(const std::string& name, const Labels& labels,
                        const std::string& help) {
   std::lock_guard<std::mutex> lk(mu_);
-  return find_or_create<GaugeEntry, Gauge>(gauges_, name, labels, help);
+  return find_or_create(gauges_, name, labels, help);
 }
 
 Histogram& Registry::histogram(const std::string& name, const Labels& labels,
                                const std::string& help) {
   std::lock_guard<std::mutex> lk(mu_);
-  return find_or_create<HistogramEntry, Histogram>(histograms_, name, labels,
-                                                   help);
+  return find_or_create(histograms_, name, labels, help);
 }
 
 Snapshot Registry::snapshot() const {
@@ -71,14 +67,14 @@ Snapshot Registry::snapshot() const {
           std::chrono::system_clock::now().time_since_epoch())
           .count());
   std::lock_guard<std::mutex> lk(mu_);
-  snap.counters.reserve(counters_.size());
-  for (const auto& e : counters_)
+  snap.counters.reserve(counters_.entries.size());
+  for (const auto& e : counters_.entries)
     snap.counters.push_back({e.name, e.labels, e.help, e.metric->value()});
-  snap.gauges.reserve(gauges_.size());
-  for (const auto& e : gauges_)
+  snap.gauges.reserve(gauges_.entries.size());
+  for (const auto& e : gauges_.entries)
     snap.gauges.push_back({e.name, e.labels, e.help, e.metric->value()});
-  snap.histograms.reserve(histograms_.size());
-  for (const auto& e : histograms_)
+  snap.histograms.reserve(histograms_.entries.size());
+  for (const auto& e : histograms_.entries)
     snap.histograms.push_back({e.name, e.labels, e.help, e.metric->snapshot()});
   return snap;
 }

@@ -17,6 +17,7 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -187,6 +188,8 @@ struct Snapshot {
 // Name -> metric map.  Registration is mutex-guarded and idempotent: the
 // same (name, labels) pair always returns the same object, so independent
 // subsystems may resolve the same series.  Metrics are never removed.
+// Lookups go through a (name, labels) index, so resolving the k-th series
+// does not scan the k-1 before it.
 class Registry {
  public:
   Counter& counter(const std::string& name, const Labels& labels = {},
@@ -202,29 +205,28 @@ class Registry {
   static Registry& global();
 
  private:
-  struct CounterEntry {
+  template <typename Metric>
+  struct Entry {
     std::string name;
     Labels labels;
     std::string help;
-    std::unique_ptr<Counter> metric;
+    std::unique_ptr<Metric> metric;
   };
-  struct GaugeEntry {
-    std::string name;
-    Labels labels;
-    std::string help;
-    std::unique_ptr<Gauge> metric;
+  // One metric kind: entries in registration order (the snapshot order),
+  // indexed by (name, labels) so a lookup costs O(log series).
+  template <typename Metric>
+  struct Series {
+    std::vector<Entry<Metric>> entries;
+    std::map<std::pair<std::string, Labels>, std::size_t> index;
   };
-  struct HistogramEntry {
-    std::string name;
-    Labels labels;
-    std::string help;
-    std::unique_ptr<Histogram> metric;
-  };
+  template <typename Metric>
+  static Metric& find_or_create(Series<Metric>& series, const std::string& name,
+                                const Labels& labels, const std::string& help);
 
   mutable std::mutex mu_;
-  std::vector<CounterEntry> counters_;
-  std::vector<GaugeEntry> gauges_;
-  std::vector<HistogramEntry> histograms_;
+  Series<Counter> counters_;
+  Series<Gauge> gauges_;
+  Series<Histogram> histograms_;
 };
 
 }  // namespace obs

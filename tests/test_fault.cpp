@@ -215,6 +215,11 @@ TEST(ServeResilience, ExpiredDeadlineIsShedNotExecuted) {
   cfg.threads = 1;
   cfg.dispatchers = 1;
   cfg.max_inflight = 1;
+  // The watchdog's hard wall is a multiple of the deadline; at the default
+  // multiple a 1us deadline gives an 8us wall, and a scan landing before the
+  // dequeue force-fails the job instead of letting the dispatcher shed it.
+  // A 1s wall keeps the watchdog on without racing the dequeue.
+  cfg.watchdog_wall_multiple = 1000000;
   serve::SolveService svc(cfg);
   const auto big = gen::generate(gen::MatrixKind::Random, 96, 71);
   const auto small = gen::generate(gen::MatrixKind::Random, 24, 72);

@@ -124,6 +124,56 @@ TEST(ObsRegistry, SameNameAndLabelsReturnsSameMetric) {
   EXPECT_EQ(snap.counters.size(), 2u);
 }
 
+// The (name, labels) index: identity per kind over many series, distinct
+// objects for distinct labels, snapshot order = registration order, and the
+// first non-empty help sticks.
+TEST(ObsRegistry, KeyedLookupKeepsIdentityOrderAndHelp) {
+  Registry reg;
+  std::vector<Counter*> counters;
+  std::vector<Gauge*> gauges;
+  std::vector<Histogram*> hists;
+  for (int k = 0; k < 300; ++k) {
+    const Labels l{{"service", std::to_string(k)}};
+    counters.push_back(&reg.counter("c_total", l));
+    gauges.push_back(&reg.gauge("g", l));
+    hists.push_back(&reg.histogram("h_us", l));
+  }
+  for (int k = 0; k < 300; ++k) {
+    const Labels l{{"service", std::to_string(k)}};
+    EXPECT_EQ(&reg.counter("c_total", l), counters[size_t(k)]);
+    EXPECT_EQ(&reg.gauge("g", l), gauges[size_t(k)]);
+    EXPECT_EQ(&reg.histogram("h_us", l), hists[size_t(k)]);
+    if (k > 0) {
+      EXPECT_NE(counters[size_t(k)], counters[size_t(k - 1)]);
+      EXPECT_NE(gauges[size_t(k)], gauges[size_t(k - 1)]);
+      EXPECT_NE(hists[size_t(k)], hists[size_t(k - 1)]);
+    }
+  }
+  // Label order is part of the key; the name alone is not.
+  Counter& ab = reg.counter("pair", {{"a", "1"}, {"b", "2"}});
+  Counter& ba = reg.counter("pair", {{"b", "2"}, {"a", "1"}});
+  EXPECT_NE(&ab, &ba);
+  EXPECT_NE(&reg.counter("pair"), &ab);
+  // Help: empty on first registration, filled by a later one, then kept.
+  reg.counter("late_help_total", {}, "");
+  reg.counter("late_help_total", {}, "first");
+  reg.counter("late_help_total", {}, "second");
+  const Snapshot snap = reg.snapshot();
+  ASSERT_EQ(snap.counters.size(), 300u + 3u + 1u);
+  ASSERT_EQ(snap.gauges.size(), 300u);
+  ASSERT_EQ(snap.histograms.size(), 300u);
+  for (size_t k = 0; k < 300; ++k) {
+    EXPECT_EQ(snap.counters[k].labels[0].second, std::to_string(k));
+    EXPECT_EQ(snap.gauges[k].labels[0].second, std::to_string(k));
+    EXPECT_EQ(snap.histograms[k].labels[0].second, std::to_string(k));
+  }
+  EXPECT_EQ(snap.counters[300].labels, (Labels{{"a", "1"}, {"b", "2"}}));
+  EXPECT_EQ(snap.counters[301].labels, (Labels{{"b", "2"}, {"a", "1"}}));
+  EXPECT_TRUE(snap.counters[302].labels.empty());
+  EXPECT_EQ(snap.counters[303].name, "late_help_total");
+  EXPECT_EQ(snap.counters[303].help, "first");
+}
+
 TEST(ObsRegistry, ConcurrentRegistrationIsRaceFree) {
   Registry reg;
   std::vector<std::thread> threads;
