@@ -6,7 +6,8 @@
 // The headline rows compare the packed cache-blocked GEMM against the
 // seed's axpy/dot loops (gemm_unblocked) for all four transpose variants:
 // the `speedup` metric at nb >= 128 is the number the kernel-layer
-// acceptance criterion tracks. Scale knobs:
+// acceptance criterion tracks. The trmm_lu{n,t}_{n1,nm} rows time the
+// left upper TRMM of order nb on one column and on nb columns. Scale knobs:
 //   LUQR_SAMPLES   best-of-N samples per row              (default 3)
 //   LUQR_FLOPS     target flops per timing sample         (default 2e8)
 #include <algorithm>
@@ -106,6 +107,22 @@ void bench_gemm_variant(bench::JsonReport& report, const char* type_tag,
   table().row({variant + "_speedup", std::to_string(nb),
                fmt_fixed(speedup, 2) + "x", "", ""});
   report.row(variant + "_speedup").metric("nb", nb).metric("speedup", speedup);
+}
+
+// Left upper TRMM, the op(T) * W step of every compact-WY apply: B <-
+// op(T) B with an m x m triangle and n columns (1 = the one-column replay,
+// m = a factor-width update). Each rep restores B first, so repeated
+// products neither overflow nor underflow.
+void bench_trmm(bench::JsonReport& report, Trans trans, int m, int n) {
+  const auto t = rnd_upper(m, 27);
+  const auto b0 = rnd(m, n, 28);
+  Matrix<double> b(m, n);
+  const std::string name = std::string("trmm_lu") + trans_name(trans) +
+                           (n == 1 ? "_n1" : "_nm");
+  run_case(report, name, m, 1.0 * m * m * n, [&] {
+    kern::copy(b0.cview(), b.view());
+    trmm(Side::Left, Uplo::Upper, trans, Diag::NonUnit, 1.0, t.cview(), b.view());
+  });
 }
 
 void bench_factor_kernels(bench::JsonReport& report, int nb) {
@@ -222,6 +239,12 @@ int main(int argc, char** argv) {
     bench_gemm_variant<double>(report, "f64", Trans::Yes, Trans::Yes, nb);
     bench_gemm_variant<float>(report, "f32", Trans::No, Trans::No, nb);
   }
+
+  // TRMM on both sides of its recursion threshold (m = 128), next to the
+  // GEMM rows of the same order.
+  for (int m : {64, 128})
+    for (Trans trans : {Trans::No, Trans::Yes})
+      for (int n : {1, m}) bench_trmm(report, trans, m, n);
 
   // The full tile-kernel roster at the paper's working sizes.
   for (int nb : {64, 240}) bench_factor_kernels(report, nb);

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "core/autotune.hpp"
+#include "core/step_graph.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/parallel_hybrid.hpp"
 
@@ -92,62 +93,66 @@ Backend Solver::resolve_backend(int n_tiles) const {
   return Backend::Parallel;
 }
 
+namespace {
+
+// Run the step graph over `tiles` on the backend the config resolves to:
+// the inline sink (Serial) or the engine sink on the shared engine or a
+// pool of its own. With a `source`, the graph's convert stage fills `tiles`.
+template <typename T>
+core::FactorizationStatsT<T> run_graph(const Solver& solver, TileMatrix<T>& tiles,
+                                       Criterion& criterion,
+                                       core::TransformLogT<T>* log,
+                                       const core::DenseSource<T>* source) {
+  const SolverConfig& cfg = solver.config();
+  const core::HybridOptions options = cfg.hybrid_options();
+  if (solver.resolve_backend(tiles.mt()) == Backend::Serial)
+    return core::factor_inline(tiles, &criterion, options, log, source);
+  if (cfg.engine() != nullptr)
+    return rt::parallel_hybrid_factor_on(*cfg.engine(), tiles, criterion,
+                                         options, log, cfg.scheduler(),
+                                         cfg.scheduler_stats(), source);
+  return rt::parallel_hybrid_factor(tiles, criterion, options,
+                                    solver.resolve_threads(), log,
+                                    cfg.scheduler(), cfg.scheduler_stats(),
+                                    source);
+}
+
+}  // namespace
+
 core::Factorization Solver::factor(const Matrix<double>& a) const {
   LUQR_REQUIRE(a.rows() == a.cols(), "Solver::factor: matrix must be square");
   const core::HybridOptions options = config_.hybrid_options();
   const int nb = config_.tile_size();
-  const int n_tiles = (a.rows() + nb - 1) / nb;
 
   if (config_.precision() != Precision::F64) {
-    // Reduced-precision route: narrow the input, factor in f32 through the
-    // same serial/parallel drivers (the criterion sees double-widened panel
+    // Reduced-precision route: the convert stage narrows the input to float
+    // as it tiles it, the graph factors in f32 through the same
+    // serial/parallel drivers (the criterion sees double-widened panel
     // statistics, so the LU-vs-QR decisions are made exactly as specified),
-    // and retain the f64 original for residuals / the F32_IR fallback.
+    // and the f64 original is retained for residuals / the F32_IR fallback.
     const CriterionSpec spec = effective_criterion(a);
     const auto crit = make_criterion(spec);
-    Matrix<float> af(a.rows(), a.cols());
-    for (int j = 0; j < a.cols(); ++j)
-      for (int i = 0; i < a.rows(); ++i)
-        af(i, j) = static_cast<float>(a(i, j));
-    TileMatrix<float> tiles = TileMatrix<float>::from_dense(af, nb);
+    auto narrowed = Matrix<float>::for_overwrite(a.rows(), a.cols());
+    const core::DenseSource<float> source(a, &narrowed);
+    TileMatrix<float> tiles = source.tiles(nb);
     core::TransformLogT<float> log;
-    core::FactorizationStatsT<float> stats;
-    if (resolve_backend(n_tiles) == Backend::Serial) {
-      stats = core::hybrid_factor(tiles, *crit, options, &log);
-    } else {
-      stats = config_.engine() != nullptr
-                  ? rt::parallel_hybrid_factor_on(
-                        *config_.engine(), tiles, *crit, options, &log,
-                        config_.scheduler(), config_.scheduler_stats())
-                  : rt::parallel_hybrid_factor(
-                        tiles, *crit, options, resolve_threads(), &log,
-                        config_.scheduler(), config_.scheduler_stats());
-    }
-    return core::Factorization::adopt_f32(a, std::move(tiles),
-                                          std::move(stats), std::move(log),
-                                          options, config_.precision(),
-                                          config_.refine(), &spec);
+    core::FactorizationStatsT<float> stats =
+        run_graph(*this, tiles, *crit, &log, &source);
+    return core::Factorization::adopt_f32(
+        a, std::move(narrowed), std::move(tiles), std::move(stats),
+        std::move(log), options, config_.precision(), config_.refine(), &spec);
   }
 
   std::unique_ptr<Criterion> owned;
   Criterion* criterion = resolve_criterion(a, owned);
-
-  if (resolve_backend(n_tiles) == Backend::Serial)
-    return core::Factorization::compute(a, *criterion, nb, options);
-
-  TileMatrix<double> tiles = TileMatrix<double>::from_dense(a, nb);
+  auto original = Matrix<double>::for_overwrite(a.rows(), a.cols());
+  const core::DenseSource<double> source(a, &original);
+  TileMatrix<double> tiles = source.tiles(nb);
   core::TransformLog log;
   core::FactorizationStats stats =
-      config_.engine() != nullptr
-          ? rt::parallel_hybrid_factor_on(*config_.engine(), tiles, *criterion,
-                                          options, &log, config_.scheduler(),
-                                          config_.scheduler_stats())
-          : rt::parallel_hybrid_factor(tiles, *criterion, options,
-                                       resolve_threads(), &log,
-                                       config_.scheduler(),
-                                       config_.scheduler_stats());
-  return core::Factorization::adopt(a, std::move(tiles), std::move(stats),
-                                    std::move(log), options);
+      run_graph(*this, tiles, *criterion, &log, &source);
+  return core::Factorization::adopt(std::move(original), std::move(tiles),
+                                    std::move(stats), std::move(log), options);
 }
 
 core::SolveResult Solver::solve(const Matrix<double>& a,
@@ -165,27 +170,14 @@ core::SolveResult Solver::solve(const Matrix<double>& a,
   }
 
   // Fused-RHS fast path (the paper's experimental setup): factor [A | B],
-  // then back-substitute the transformed B.
-  const core::HybridOptions options = config_.hybrid_options();
+  // tiled by the graph's convert stage, then back-substitute the
+  // transformed B.
   std::unique_ptr<Criterion> owned;
   Criterion* criterion = resolve_criterion(a, owned);
-
-  TileMatrix<double> aug = core::make_augmented(a, b, config_.tile_size());
+  const core::DenseSource<double> source(a, b);
+  TileMatrix<double> aug = source.tiles(config_.tile_size());
   core::SolveResult result;
-  if (resolve_backend(aug.mt()) == Backend::Parallel) {
-    result.stats =
-        config_.engine() != nullptr
-            ? rt::parallel_hybrid_factor_on(
-                  *config_.engine(), aug, *criterion, options,
-                  static_cast<core::TransformLog*>(nullptr),
-                  config_.scheduler(), config_.scheduler_stats())
-            : rt::parallel_hybrid_factor(
-                  aug, *criterion, options, resolve_threads(),
-                  static_cast<core::TransformLog*>(nullptr),
-                  config_.scheduler(), config_.scheduler_stats());
-  } else {
-    result.stats = core::hybrid_factor(aug, *criterion, options);
-  }
+  result.stats = run_graph<double>(*this, aug, *criterion, nullptr, &source);
   result.x = core::solve_augmented(aug, &result.stats, a.rows(), b.cols());
   return result;
 }

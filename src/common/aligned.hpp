@@ -8,6 +8,8 @@
 
 #include <cstddef>
 #include <new>
+#include <type_traits>
+#include <utility>
 
 namespace luqr {
 
@@ -20,7 +22,11 @@ inline constexpr std::size_t align_up(std::size_t n, std::size_t align) {
 }
 
 /// Minimal std::allocator replacement returning 64-byte-aligned storage
-/// (C++17 aligned operator new). Drop-in for std::vector.
+/// (C++17 aligned operator new). Drop-in for std::vector, with one
+/// difference: a vector sized without a fill value (vector(n), resize(n))
+/// default-initializes its elements, so scalar storage is left unset for a
+/// producer that overwrites all of it (the for_overwrite constructors of
+/// Matrix and TileMatrix). Pass a value to get zeros.
 template <typename T, std::size_t Align = kCacheLineBytes>
 struct AlignedAllocator {
   using value_type = T;
@@ -41,6 +47,15 @@ struct AlignedAllocator {
   }
   void deallocate(T* p, std::size_t) noexcept {
     ::operator delete(p, std::align_val_t(Align));
+  }
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
 
   template <typename U>

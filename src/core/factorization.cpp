@@ -5,6 +5,7 @@
 #include <cmath>
 #include <limits>
 
+#include "core/step_graph.hpp"
 #include "kernels/blas.hpp"
 #include "kernels/lapack.hpp"
 #include "kernels/norms.hpp"
@@ -24,15 +25,16 @@ FactorizationT<T> FactorizationT<T>::compute(const Matrix<T>& a,
   LUQR_REQUIRE(a.rows() == a.cols(), "Factorization: matrix must be square");
   FactorizationT f;
   f.n_scalar_ = a.rows();
-  f.original_ = a;
+  f.original_ = Matrix<T>::for_overwrite(a.rows(), a.cols());
   f.options_ = options;
-  f.factored_ = TileMatrix<T>::from_dense(a, nb);
-  f.stats_ = hybrid_factor(f.factored_, criterion, options, &f.log_);
+  const DenseSource<T> source(a, &f.original_);
+  f.factored_ = source.tiles(nb);
+  f.stats_ = factor_inline(f.factored_, &criterion, options, &f.log_, &source);
   return f;
 }
 
 template <typename T>
-FactorizationT<T> FactorizationT<T>::adopt(const Matrix<T>& original,
+FactorizationT<T> FactorizationT<T>::adopt(Matrix<T> original,
                                            TileMatrix<T> factored,
                                            FactorizationStatsT<T> stats,
                                            TransformLogT<T> log,
@@ -47,7 +49,7 @@ FactorizationT<T> FactorizationT<T>::adopt(const Matrix<T>& original,
                "adopt: transform log does not cover every step");
   FactorizationT f;
   f.n_scalar_ = original.rows();
-  f.original_ = original;
+  f.original_ = std::move(original);
   f.options_ = options;
   f.factored_ = std::move(factored);
   f.stats_ = std::move(stats);
@@ -289,14 +291,14 @@ Factorization Factorization::compute(const Matrix<double>& a,
   return f;
 }
 
-Factorization Factorization::adopt(const Matrix<double>& original,
+Factorization Factorization::adopt(Matrix<double> original,
                                    TileMatrix<double> factored,
                                    FactorizationStats stats, TransformLog log,
                                    const HybridOptions& options) {
   Factorization f;
   f.precision_ = Precision::F64;
   f.f64_ = std::make_shared<FactorizationT<double>>(
-      FactorizationT<double>::adopt(original, std::move(factored),
+      FactorizationT<double>::adopt(std::move(original), std::move(factored),
                                     std::move(stats), std::move(log), options));
   f.n_scalar_ = f.f64_->order();
   f.nb_ = f.f64_->tile_size();
@@ -304,7 +306,8 @@ Factorization Factorization::adopt(const Matrix<double>& original,
   return f;
 }
 
-Factorization Factorization::adopt_f32(const Matrix<double>& original,
+Factorization Factorization::adopt_f32(Matrix<double> original,
+                                       Matrix<float> narrowed,
                                        TileMatrix<float> factored,
                                        FactorizationStatsT<float> stats,
                                        TransformLogT<float> log,
@@ -316,15 +319,17 @@ Factorization Factorization::adopt_f32(const Matrix<double>& original,
                "adopt_f32: precision must be F32 or F32_IR");
   LUQR_REQUIRE(precision != Precision::F32_IR || fallback != nullptr,
                "adopt_f32: F32_IR needs a fallback criterion spec");
+  LUQR_REQUIRE(narrowed.rows() == original.rows() &&
+                   narrowed.cols() == original.cols(),
+               "adopt_f32: narrowed copy does not match the original");
   Factorization f;
   f.precision_ = precision;
   f.refine_ = refine;
-  f.original_ = original;
+  f.original_ = std::move(original);
   f.stats_summary_ = widen_stats(stats);
   f.f32_ = std::make_shared<FactorizationT<float>>(
-      FactorizationT<float>::adopt(convert_matrix<float>(original),
-                                   std::move(factored), std::move(stats),
-                                   std::move(log), options));
+      FactorizationT<float>::adopt(std::move(narrowed), std::move(factored),
+                                   std::move(stats), std::move(log), options));
   f.n_scalar_ = f.f32_->order();
   f.nb_ = f.f32_->tile_size();
   f.options_ = options;

@@ -41,19 +41,19 @@ template <typename T>
 class FactorizationT {
  public:
   /// Factor `a` (square). The criterion decides LU vs QR per step exactly
-  /// as in hybrid_solve. `a` itself is copied, padded and factored;
-  /// the original is kept for residual computation (refinement).
+  /// as in hybrid_solve. The step graph's convert stage tiles `a` (padded)
+  /// and copies it into the retained original (for refinement) in one pass.
   static FactorizationT compute(const Matrix<T>& a, Criterion& criterion,
                                 int nb, const HybridOptions& options = {});
 
   /// Assemble a retained factorization from an externally driven factor
-  /// pass — the parallel backend's path: tile `a` with from_dense, run
-  /// rt::parallel_hybrid_factor over the tiles with a TransformLog, then
-  /// adopt the factored tiles, stats and log. `original` is the unfactored
-  /// A (kept for iterative refinement). The tiles/log must describe a
-  /// factorization of exactly that matrix (padded per from_dense).
-  static FactorizationT adopt(const Matrix<T>& original,
-                              TileMatrix<T> factored,
+  /// pass — the parallel backend's path: hand the graph a DenseSource that
+  /// tiles A and fills the retained copy, run rt::parallel_hybrid_factor
+  /// with a TransformLog, then adopt the copy, factored tiles, stats and
+  /// log. `original` is the unfactored A (kept for iterative refinement).
+  /// The tiles/log must describe a factorization of exactly that matrix
+  /// (padded per from_dense).
+  static FactorizationT adopt(Matrix<T> original, TileMatrix<T> factored,
                               FactorizationStatsT<T> stats,
                               TransformLogT<T> log,
                               const HybridOptions& options = {});
@@ -105,19 +105,22 @@ class Factorization {
                                int nb, const HybridOptions& options = {});
 
   /// Adopt an externally driven f64 factor pass (the parallel backend).
-  static Factorization adopt(const Matrix<double>& original,
+  static Factorization adopt(Matrix<double> original,
                              TileMatrix<double> factored,
                              FactorizationStats stats, TransformLog log,
                              const HybridOptions& options = {});
 
   /// Adopt an externally driven f32 factor pass (serial or parallel) as a
-  /// reduced-precision factorization of the f64 `original`. The tiles/log
-  /// must describe a float factorization of exactly float(original).
+  /// reduced-precision factorization of the f64 `original`; `narrowed` is
+  /// float(original), the float engine's retained copy (the convert stage
+  /// writes it alongside the tiles). The tiles/log must describe a float
+  /// factorization of exactly float(original).
   /// `precision` selects F32 (plain reduced-precision solves) or F32_IR
   /// (refine to f64; `refine` caps/targets the loop). `fallback` — required
   /// for F32_IR — is the criterion spec an f64 fallback refactorization
   /// uses when refinement stalls (computed lazily, at most once, serially).
-  static Factorization adopt_f32(const Matrix<double>& original,
+  static Factorization adopt_f32(Matrix<double> original,
+                                 Matrix<float> narrowed,
                                  TileMatrix<float> factored,
                                  FactorizationStatsT<float> stats,
                                  TransformLogT<float> log,

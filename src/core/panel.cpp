@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "core/panel.hpp"
 #include "kernels/lapack.hpp"
@@ -44,29 +45,12 @@ void gather_panel_stats(const TileMatrix<T>& a, int k,
   }
 }
 
-// Backup-Panel: deep copies of the tiles the factor stage will overwrite.
-template <typename T>
-void backup_tiles(const TileMatrix<T>& a, int k, const std::vector<int>& rows,
-                  std::vector<std::vector<T>>& backup) {
-  const int nb = a.nb();
-  backup.clear();
-  backup.reserve(rows.size());
-  for (int r : rows) {
-    auto tile = a.tile(r, k);
-    std::vector<T> buf(static_cast<std::size_t>(nb) * nb);
-    for (int j = 0; j < nb; ++j)
-      for (int i = 0; i < nb; ++i) buf[static_cast<std::size_t>(j) * nb + i] = tile(i, j);
-    backup.push_back(std::move(buf));
-  }
-}
-
 }  // namespace
 
 template <typename T>
 PanelFactorizationT<T> factor_panel(TileMatrix<T>& a, int k,
                                     const std::vector<int>& domain_rows,
-                                    bool exact_inv_norm,
-                                    std::vector<std::vector<T>>& backup) {
+                                    bool exact_inv_norm, T* backup) {
   const int n = a.mt();
   const int nb = a.nb();
   LUQR_REQUIRE(!domain_rows.empty() && domain_rows[0] == k,
@@ -79,7 +63,7 @@ PanelFactorizationT<T> factor_panel(TileMatrix<T>& a, int k,
   pf.stats.panel_rows = n - k;
 
   gather_panel_stats(a, k, domain_rows, pf.stats);
-  backup_tiles(a, k, domain_rows, backup);
+  std::as_const(a).backup_column(k, domain_rows, backup);
 
   // Stacked LU with partial pivoting over the domain.
   const int d = static_cast<int>(domain_rows.size());
@@ -117,8 +101,7 @@ PanelFactorizationT<T> factor_panel(TileMatrix<T>& a, int k,
 }
 
 template <typename T>
-PanelFactorizationT<T> factor_panel_qr_tile(TileMatrix<T>& a, int k,
-                                            std::vector<std::vector<T>>& backup) {
+PanelFactorizationT<T> factor_panel_qr_tile(TileMatrix<T>& a, int k, T* backup) {
   const int nb = a.nb();
   PanelFactorizationT<T> pf;
   pf.k = k;
@@ -127,7 +110,7 @@ PanelFactorizationT<T> factor_panel_qr_tile(TileMatrix<T>& a, int k,
   pf.stats.panel_rows = a.mt() - k;
 
   gather_panel_stats(a, k, pf.domain_rows, pf.stats);
-  backup_tiles(a, k, pf.domain_rows, backup);
+  std::as_const(a).backup_column(k, pf.domain_rows, backup);
 
   pf.diag_t = std::make_shared<Matrix<T>>(nb, nb);
   auto tile = a.tile(k, k);
@@ -146,15 +129,15 @@ PanelFactorizationT<T> factor_panel_qr_tile(TileMatrix<T>& a, int k,
   return pf;
 }
 
-template PanelFactorizationT<double> factor_panel(
-    TileMatrix<double>&, int, const std::vector<int>&, bool,
-    std::vector<std::vector<double>>&);
-template PanelFactorizationT<float> factor_panel(
-    TileMatrix<float>&, int, const std::vector<int>&, bool,
-    std::vector<std::vector<float>>&);
-template PanelFactorizationT<double> factor_panel_qr_tile(
-    TileMatrix<double>&, int, std::vector<std::vector<double>>&);
-template PanelFactorizationT<float> factor_panel_qr_tile(
-    TileMatrix<float>&, int, std::vector<std::vector<float>>&);
+template PanelFactorizationT<double> factor_panel(TileMatrix<double>&, int,
+                                                  const std::vector<int>&, bool,
+                                                  double*);
+template PanelFactorizationT<float> factor_panel(TileMatrix<float>&, int,
+                                                 const std::vector<int>&, bool,
+                                                 float*);
+template PanelFactorizationT<double> factor_panel_qr_tile(TileMatrix<double>&,
+                                                          int, double*);
+template PanelFactorizationT<float> factor_panel_qr_tile(TileMatrix<float>&, int,
+                                                         float*);
 
 }  // namespace luqr::core

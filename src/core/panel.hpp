@@ -34,7 +34,8 @@ struct PanelFactorizationT {
 
 using PanelFactorization = PanelFactorizationT<double>;
 
-/// Back up the domain tiles of column k into `backup`, gather the panel
+/// Back up the domain tiles of column k into `backup` (domain_rows.size()
+/// tiles, see TileMatrix::backup_column), gather the panel
 /// statistics (tile 1-norms below the diagonal, per-column local/away
 /// maxima), factor the stacked domain panel in place, and estimate
 /// ||(A_kk^{(k)})^{-1}||_1 from the factors.
@@ -45,15 +46,14 @@ using PanelFactorization = PanelFactorizationT<double>;
 template <typename T>
 PanelFactorizationT<T> factor_panel(TileMatrix<T>& a, int k,
                                     const std::vector<int>& domain_rows,
-                                    bool exact_inv_norm,
-                                    std::vector<std::vector<T>>& backup);
+                                    bool exact_inv_norm, T* backup);
 
 /// Variant A2/B2 factor stage: GEQRT on the diagonal tile only (no
-/// pivoting). Panel statistics are collected exactly as in factor_panel;
+/// pivoting); `backup` receives the diagonal tile. Panel statistics are
+/// collected exactly as in factor_panel;
 /// ||A_kk^{-1}||_1 is taken as ||R^{-1}||_1 (equal up to the orthogonal
 /// factor) and the MUMPS pivots as |R_jj|.
 template <typename T>
-PanelFactorizationT<T> factor_panel_qr_tile(TileMatrix<T>& a, int k,
-                                            std::vector<std::vector<T>>& backup);
+PanelFactorizationT<T> factor_panel_qr_tile(TileMatrix<T>& a, int k, T* backup);
 
 }  // namespace luqr::core

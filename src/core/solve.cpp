@@ -1,30 +1,18 @@
 #include "core/solve.hpp"
 
+#include <algorithm>
+
+#include "core/step_graph.hpp"
+
 namespace luqr::core {
 
 template <typename T>
 TileMatrix<T> make_augmented(const Matrix<T>& a, const Matrix<T>& b, int nb) {
-  LUQR_REQUIRE(a.rows() == a.cols(), "system matrix must be square");
-  LUQR_REQUIRE(b.rows() == a.rows(), "rhs row count mismatch");
-  LUQR_REQUIRE(nb > 0, "tile size must be positive");
-  const int n_scalar = a.rows();
-  const int mt = (n_scalar + nb - 1) / nb;
-  const int bt = (b.cols() + nb - 1) / nb;
-  TileMatrix<T> aug(mt, mt + bt, nb);
-  // Square part with identity padding (keeps the padded system nonsingular
-  // and the padded solution tail exactly zero).
-  for (int j = 0; j < mt * nb; ++j) {
-    for (int i = 0; i < mt * nb; ++i) {
-      if (i < n_scalar && j < n_scalar) {
-        aug.at(i, j) = a(i, j);
-      } else if (i == j) {
-        aug.at(i, j) = T(1);
-      }
-    }
-  }
-  // RHS columns, zero padded.
-  for (int j = 0; j < b.cols(); ++j)
-    for (int i = 0; i < n_scalar; ++i) aug.at(i, mt * nb + j) = b(i, j);
+  // The convert stage's routine, run column by column on the caller:
+  // identity padding on the square part, zero padding on the RHS rows.
+  const DenseSource<T> source(a, b);
+  TileMatrix<T> aug = source.tiles(nb);
+  for (int j = 0; j < aug.nt(); ++j) source.convert_column(aug, j);
   return aug;
 }
 
@@ -37,9 +25,11 @@ Matrix<T> solve_augmented(const TileMatrix<T>& aug,
   LUQR_REQUIRE(nrhs >= 0 && nrhs <= (aug.nt() - mt) * nb,
                "solve_augmented: more right-hand sides than RHS tile columns");
   Matrix<T> x(mt * nb, nrhs);
-  for (int j = 0; j < nrhs; ++j)
-    for (int i = 0; i < mt * nb; ++i) x(i, j) = aug.at(i, mt * nb + j);
-  back_substitute(aug, stats, x.view());
+  const auto xv = x.view();
+  for (int c0 = 0; c0 < nrhs; c0 += nb)
+    aug.store_column(mt + c0 / nb,
+                     xv.block(0, c0, xv.rows, std::min(nb, nrhs - c0)));
+  back_substitute(aug, stats, xv);
   Matrix<T> top(n_scalar, nrhs);
   for (int j = 0; j < nrhs; ++j)
     for (int i = 0; i < n_scalar; ++i) top(i, j) = x(i, j);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <utility>
 
 #include "core/panel.hpp"
@@ -10,6 +11,7 @@
 #include "kernels/lapack.hpp"
 #include "kernels/norms.hpp"
 #include "kernels/workspace.hpp"
+#include "obs/metrics.hpp"
 
 namespace luqr::core {
 
@@ -23,7 +25,6 @@ template <typename T>
 struct StepGraph<T>::Step {
   int k = 0;
   PanelFactorizationT<T> pf;
-  std::vector<std::vector<T>> backup;  // empty without a panel stage
   bool lu = false;
   // One T factor per QR factor kernel, allocated at emission so the
   // pointers are stable task keys. Shared with the TransformLog's QrOps
@@ -50,12 +51,20 @@ double tile_norm(ConstMatrixView<T> t) {
   return static_cast<double>(kern::lange(kern::Norm::One, t));
 }
 
+// Max tile norm over tile rows [0, mt) of tile column j.
 template <typename T>
-double max_trailing_tile_norm(const TileMatrix<T>& a, int k) {
+double max_column_tile_norm(const TileMatrix<T>& a, int j) {
   double best = 0.0;
-  for (int j = k; j < a.mt(); ++j)
-    for (int i = k; i < a.mt(); ++i) best = std::max(best, tile_norm(a.tile(i, j)));
+  for (int i = 0; i < a.mt(); ++i) best = std::max(best, tile_norm(a.tile(i, j)));
   return best;
+}
+
+// Time the convert stage spends tiling dense input, summed over its tasks.
+obs::Counter& convert_us_total() {
+  static obs::Counter& c = obs::Registry::global().counter(
+      "luqr_driver_convert_us_total", {},
+      "Microseconds the step graph's convert tasks spent tiling dense input");
+  return c;
 }
 
 std::vector<int> rows_for_scope(const ProcessGrid& grid, PivotScope scope, int k,
@@ -129,26 +138,105 @@ void apply_qt_from_right(kern::MatrixView<T> m, ConstMatrixView<T> v,
 
 }  // namespace
 
+template <typename T, typename S>
+void convert_dense_column(TileMatrix<T>& tiles, int tj, ConstMatrixView<S> a,
+                          ConstMatrixView<S> b, Matrix<T>* keep) {
+  const int nb = tiles.nb();
+  const int mt = tiles.mt();
+  if (tj >= mt) {
+    const int c0 = (tj - mt) * nb;
+    tiles.load_column(tj, b.block(0, c0, b.rows, std::min(nb, b.cols - c0)),
+                      /*identity_pad=*/false);
+    return;
+  }
+  const int c0 = tj * nb;
+  const ConstMatrixView<S> cols = a.block(0, c0, a.rows, std::min(nb, a.cols - c0));
+  tiles.load_column(tj, cols, /*identity_pad=*/true);
+  if (keep == nullptr) return;
+  for (int c = 0; c < cols.cols; ++c) {
+    const S* src = &cols(0, c);
+    T* dst = &(*keep)(0, c0 + c);
+    for (int i = 0; i < cols.rows; ++i) dst[i] = static_cast<T>(src[i]);
+  }
+}
+
+template <typename T>
+TileMatrix<T> DenseSource<T>::tiles(int nb) const {
+  LUQR_REQUIRE(nb > 0, "tile size must be positive");
+  const int mt = (n_ + nb - 1) / nb;
+  return TileMatrix<T>::for_overwrite(mt, mt + (nrhs_ + nb - 1) / nb, nb);
+}
+
 template <typename T>
 StepGraph<T>::StepGraph(TileMatrix<T>& a, Criterion* criterion,
-                        const HybridOptions& options, TransformLogT<T>* log)
+                        const HybridOptions& options, TransformLogT<T>* log,
+                        const DenseSource<T>* source)
     : a_(a),
       criterion_(criterion),
       options_(options),
       log_(log),
+      source_(source),
       grid_(options.grid_p, options.grid_q),
       n_(a.mt()),
       steps_(static_cast<std::size_t>(a.mt())) {
   LUQR_REQUIRE(a.nt() >= n_, "matrix must contain its square part");
+  if (source_) {
+    const int nb = a.nb();
+    LUQR_REQUIRE(n_ == (source_->order() + nb - 1) / nb &&
+                     a.nt() == n_ + (source_->rhs_cols() + nb - 1) / nb,
+                 "tile grid does not match the dense source");
+  }
   if (log_) log_->clear();
-  if (options_.track_growth) initial_max_ = max_trailing_tile_norm(a_, 0);
+  if (options_.track_growth && !source_) {
+    double best = 0.0;
+    for (int j = 0; j < n_; ++j) best = std::max(best, max_column_tile_norm(a_, j));
+    initial_max_.store(best, std::memory_order_relaxed);
+  }
+  if (criterion_ != nullptr) {
+    std::size_t tiles = 0;
+    for (int k = 0; k < n_; ++k) tiles = std::max(tiles, panel_rows(k).size());
+    backup_.resize(tiles * static_cast<std::size_t>(a.nb()) * a.nb());
+  }
 }
 
 template <typename T>
 StepGraph<T>::~StepGraph() = default;
 
+// The panel's domain: A2/B1/B2 factor the diagonal tile only (paper
+// §II-C); A1 stacks the rows of the configured pivot scope.
+template <typename T>
+std::vector<int> StepGraph<T>::panel_rows(int k) const {
+  return options_.variant == LuVariant::A1
+             ? rows_for_scope(grid_, options_.scope, k, n_)
+             : std::vector<int>{k};
+}
+
+template <typename T>
+void StepGraph<T>::emit_convert(TaskSink& sink) {
+  for (int j = 0; j < a_.nt(); ++j) {
+    std::vector<Dep> deps;
+    deps.reserve(static_cast<std::size_t>(a_.mt()));
+    for (int i = 0; i < a_.mt(); ++i)
+      deps.push_back({a_.tile_key(i, j), Access::Write});
+    sink.emit([this, j] { convert(j); }, deps, {"convert", TaskRole::Convert, 0, j});
+  }
+}
+
+template <typename T>
+void StepGraph<T>::convert(int j) {
+  const auto t0 = std::chrono::steady_clock::now();
+  source_->convert_column(a_, j);
+  if (options_.track_growth && j < n_)
+    atomic_max(initial_max_, max_column_tile_norm(std::as_const(a_), j));
+  convert_us_total().add(static_cast<std::uint64_t>(
+      std::chrono::duration_cast<std::chrono::microseconds>(
+          std::chrono::steady_clock::now() - t0)
+          .count()));
+}
+
 template <typename T>
 void StepGraph<T>::emit(TaskSink& sink, int k) {
+  if (k == 0 && source_) emit_convert(sink);
   auto& slot = steps_[static_cast<std::size_t>(k)];
   slot = std::make_unique<Step>();
   Step* s = slot.get();
@@ -158,13 +246,9 @@ void StepGraph<T>::emit(TaskSink& sink, int k) {
     return;
   }
 
-  // A2/B1/B2 factor the diagonal tile only (paper §II-C); A1 stacks the
-  // rows of the configured pivot scope.
-  std::vector<int> rows = options_.variant == LuVariant::A1
-                              ? rows_for_scope(grid_, options_.scope, k, n_)
-                              : std::vector<int>{k};
-  // The panel writes its domain tiles and reads the rest of the panel (the
-  // criterion statistics cover the whole panel).
+  std::vector<int> rows = panel_rows(k);
+  // The panel writes its domain tiles and the backup buffer, and reads the
+  // rest of the panel (the criterion statistics cover the whole panel).
   std::vector<Dep> deps;
   std::vector<bool> in_domain(static_cast<std::size_t>(n_), false);
   for (int r : rows) {
@@ -174,15 +258,16 @@ void StepGraph<T>::emit(TaskSink& sink, int k) {
   for (int i = k; i < n_; ++i)
     if (!in_domain[static_cast<std::size_t>(i)])
       deps.push_back({a_.tile_key(i, k), Access::Read});
+  deps.push_back({backup_.data(), Access::Write});
 
   TaskSink* out = &sink;
   sink.emit(
       [this, out, s, rows = std::move(rows)] {
         const bool qr_factor = options_.variant == LuVariant::A2 ||
                                options_.variant == LuVariant::B2;
-        s->pf = qr_factor ? factor_panel_qr_tile(a_, s->k, s->backup)
+        s->pf = qr_factor ? factor_panel_qr_tile(a_, s->k, backup_.data())
                           : factor_panel(a_, s->k, rows, options_.exact_inv_norm,
-                                         s->backup);
+                                         backup_.data());
         s->lu = criterion_->accept_lu(s->pf.stats);
         decide(*out, *s);
       },
@@ -334,21 +419,14 @@ void StepGraph<T>::emit_qr(TaskSink& sink, Step& s, StepLogT<T>* step_log) {
 
   // Propagate's QR branch: drop the LU factorization of the domain and
   // restore the panel from its backup.
-  if (!s.backup.empty()) {
+  if (criterion_ != nullptr) {
     std::vector<Dep> deps;
     for (int r : s.pf.domain_rows)
       deps.push_back({a.tile_key(r, k), Access::ReadWrite});
-    sink.emit(
-        [&a, c, k, nb] {
-          for (std::size_t t = 0; t < c->pf.domain_rows.size(); ++t) {
-            auto tile = a.tile(c->pf.domain_rows[t], k);
-            const auto& buf = c->backup[t];
-            for (int j = 0; j < nb; ++j)
-              for (int i = 0; i < nb; ++i)
-                tile(i, j) = buf[static_cast<std::size_t>(j) * nb + i];
-          }
-        },
-        deps, {"restore", TaskRole::Gate, k, k});
+    deps.push_back({backup_.data(), Access::Read});
+    const T* saved = backup_.data();
+    sink.emit([&a, c, k, saved] { a.restore_column(k, c->pf.domain_rows, saved); },
+              deps, {"restore", TaskRole::Gate, k, k});
   }
 
   const auto list = hqr::elimination_list(grid_.panel_domains(k, n), options_.tree);
@@ -448,12 +526,13 @@ void StepGraph<T>::emit_qr(TaskSink& sink, Step& s, StepLogT<T>* step_log) {
 
 template <typename T>
 FactorizationStatsT<T> StepGraph<T>::take_stats() {
-  if (options_.track_growth && initial_max_ > 0.0) {
+  const double initial_max = initial_max_.load(std::memory_order_relaxed);
+  if (options_.track_growth && initial_max > 0.0) {
     for (const auto& s : steps_) {
       if (!s) continue;  // a failed step cut the decision chain short
       stats_.growth_factor =
           std::max(stats_.growth_factor,
-                   s->step_max.load(std::memory_order_relaxed) / initial_max_);
+                   s->step_max.load(std::memory_order_relaxed) / initial_max);
     }
   }
   return std::move(stats_);
@@ -462,20 +541,34 @@ FactorizationStatsT<T> StepGraph<T>::take_stats() {
 template <typename T>
 FactorizationStatsT<T> factor_inline(TileMatrix<T>& a, Criterion* criterion,
                                      const HybridOptions& options,
-                                     TransformLogT<T>* log) {
-  StepGraph<T> graph(a, criterion, options, log);
+                                     TransformLogT<T>* log,
+                                     const DenseSource<T>* source) {
+  StepGraph<T> graph(a, criterion, options, log, source);
   InlineSink sink;
   if (graph.steps() > 0) sink.run([&] { graph.emit(sink, 0); });
   return graph.take_stats();
 }
 
+template void convert_dense_column(TileMatrix<double>&, int,
+                                   ConstMatrixView<double>,
+                                   ConstMatrixView<double>, Matrix<double>*);
+template void convert_dense_column(TileMatrix<float>&, int,
+                                   ConstMatrixView<float>,
+                                   ConstMatrixView<float>, Matrix<float>*);
+template void convert_dense_column(TileMatrix<float>&, int,
+                                   ConstMatrixView<double>,
+                                   ConstMatrixView<double>, Matrix<float>*);
+template class DenseSource<double>;
+template class DenseSource<float>;
 template class StepGraph<double>;
 template class StepGraph<float>;
 template FactorizationStatsT<double> factor_inline(TileMatrix<double>&, Criterion*,
                                                    const HybridOptions&,
-                                                   TransformLogT<double>*);
+                                                   TransformLogT<double>*,
+                                                   const DenseSource<double>*);
 template FactorizationStatsT<float> factor_inline(TileMatrix<float>&, Criterion*,
                                                   const HybridOptions&,
-                                                  TransformLogT<float>*);
+                                                  TransformLogT<float>*,
+                                                  const DenseSource<float>*);
 
 }  // namespace luqr::core

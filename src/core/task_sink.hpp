@@ -33,6 +33,7 @@ struct Dep {
 /// next panel decision. Only the engine sink reads it (to pick a priority
 /// lane); it never affects results.
 enum class TaskRole {
+  Convert, ///< dense-to-tile copy of tile column j, ahead of step 0
   Panel,   ///< backup + panel factorization + criterion: the decision chain
   Gate,    ///< per-step kernels every update waits on (eliminates, QR
            ///< factor kernels, the panel restore)

@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/aligned.hpp"
 #include "kernels/matrix_view.hpp"
 
 namespace luqr {
@@ -16,6 +17,16 @@ class Matrix {
   Matrix() = default;
   Matrix(int rows, int cols, T value = T(0))
       : rows_(rows), cols_(cols), data_(checked_size(rows, cols), value) {}
+
+  /// A rows x cols matrix whose elements are left unset, for a producer
+  /// that writes every one of them before anything reads the matrix.
+  static Matrix for_overwrite(int rows, int cols) {
+    Matrix m;
+    m.rows_ = rows;
+    m.cols_ = cols;
+    m.data_.resize(checked_size(rows, cols));
+    return m;
+  }
 
   int rows() const { return rows_; }
   int cols() const { return cols_; }
@@ -51,7 +62,7 @@ class Matrix {
 
   int rows_ = 0;
   int cols_ = 0;
-  std::vector<T> data_;
+  std::vector<T, AlignedAllocator<T>> data_;
 };
 
 }  // namespace luqr

@@ -83,8 +83,9 @@ class EngineSink final : public core::TaskSink {
   }
 
   // External engine: the run's last task. Reading every tile orders it
-  // after every task of this run (each declares at least one tile access)
-  // and after nothing else on the shared engine. Idempotent — failure paths
+  // after every task of this run (each declares at least one tile access;
+  // a convert task writes its whole tile column) and after nothing else on
+  // the shared engine. Idempotent — failure paths
   // and the chain end may race to send it.
   void submit_completion() {
     if (completion_sent_.exchange(true)) return;
@@ -106,12 +107,15 @@ class EngineSink final : public core::TaskSink {
   // max(0, L - d), so the columns feeding the next L panel decisions
   // overtake bulk trailing work; an apply gates every update of its column,
   // so it runs one lane above them. The per-step gate kernels sit one lane
-  // above the frontier updates, the panel chain on top. Pure scheduling
-  // hints — results never depend on them.
+  // above the frontier updates, the panel chain on top. The convert of
+  // tile column j gates step 0's tasks on that column: column 0 (the first
+  // panel) runs with the panel chain, later columns a lane lower each.
+  // Pure scheduling hints — results never depend on them.
   int lane(const core::TaskInfo& t) const {
     if (!sched_.priorities) return 0;
     const int la = std::min(std::max(sched_.lookahead, 0), kPriorityLanes - 3);
     switch (t.role) {
+      case core::TaskRole::Convert: return std::max(0, la + 2 - t.j);
       case core::TaskRole::Panel: return la + 2;
       case core::TaskRole::Gate: return la + 1;
       case core::TaskRole::Apply: return std::max(0, la + 1 - (t.j - t.k - 1));
@@ -137,8 +141,9 @@ core::FactorizationStatsT<T> drive(Engine& engine, bool external,
                                    const HybridOptions& options,
                                    core::TransformLogT<T>* log,
                                    const SchedulerOptions& sched,
-                                   SchedulerStats* sched_stats) {
-  core::StepGraph<T> graph(a, &criterion, options, log);
+                                   SchedulerStats* sched_stats,
+                                   const core::DenseSource<T>* source) {
+  core::StepGraph<T> graph(a, &criterion, options, log, source);
 
   // Audit mode: register every tile of the working matrix so each task's
   // actual accesses resolve back to tile coordinates. Scratch the tasks own
@@ -214,10 +219,11 @@ template <typename T>
 core::FactorizationStatsT<T> parallel_hybrid_factor(
     TileMatrix<T>& a, Criterion& criterion, const HybridOptions& options,
     int num_threads, detail::non_deduced<core::TransformLogT<T>*> log,
-    const SchedulerOptions& sched, SchedulerStats* sched_stats) {
+    const SchedulerOptions& sched, SchedulerStats* sched_stats,
+    detail::non_deduced<const core::DenseSource<T>*> source) {
   Engine engine(num_threads, engine_options(sched));
   return drive(engine, /*external=*/false, a, criterion, options, log, sched,
-               sched_stats);
+               sched_stats, source);
 }
 
 template <typename T>
@@ -225,25 +231,30 @@ core::FactorizationStatsT<T> parallel_hybrid_factor_on(
     Engine& engine, TileMatrix<T>& a, Criterion& criterion,
     const HybridOptions& options,
     detail::non_deduced<core::TransformLogT<T>*> log,
-    const SchedulerOptions& sched, SchedulerStats* sched_stats) {
+    const SchedulerOptions& sched, SchedulerStats* sched_stats,
+    detail::non_deduced<const core::DenseSource<T>*> source) {
   LUQR_REQUIRE(!sched.trace,
                "per-task tracing needs a quiescent engine of its own; it is "
                "unavailable on a shared engine");
   return drive(engine, /*external=*/true, a, criterion, options, log, sched,
-               sched_stats);
+               sched_stats, source);
 }
 
 template core::FactorizationStatsT<double> parallel_hybrid_factor(
     TileMatrix<double>&, Criterion&, const HybridOptions&, int,
-    core::TransformLogT<double>*, const SchedulerOptions&, SchedulerStats*);
+    core::TransformLogT<double>*, const SchedulerOptions&, SchedulerStats*,
+    const core::DenseSource<double>*);
 template core::FactorizationStatsT<float> parallel_hybrid_factor(
     TileMatrix<float>&, Criterion&, const HybridOptions&, int,
-    core::TransformLogT<float>*, const SchedulerOptions&, SchedulerStats*);
+    core::TransformLogT<float>*, const SchedulerOptions&, SchedulerStats*,
+    const core::DenseSource<float>*);
 template core::FactorizationStatsT<double> parallel_hybrid_factor_on(
     Engine&, TileMatrix<double>&, Criterion&, const HybridOptions&,
-    core::TransformLogT<double>*, const SchedulerOptions&, SchedulerStats*);
+    core::TransformLogT<double>*, const SchedulerOptions&, SchedulerStats*,
+    const core::DenseSource<double>*);
 template core::FactorizationStatsT<float> parallel_hybrid_factor_on(
     Engine&, TileMatrix<float>&, Criterion&, const HybridOptions&,
-    core::TransformLogT<float>*, const SchedulerOptions&, SchedulerStats*);
+    core::TransformLogT<float>*, const SchedulerOptions&, SchedulerStats*,
+    const core::DenseSource<float>*);
 
 }  // namespace luqr::rt

@@ -21,6 +21,11 @@
 #include "runtime/scheduler.hpp"
 #include "tile/tile_matrix.hpp"
 
+namespace luqr::core {
+template <typename T>
+class DenseSource;
+}  // namespace luqr::core
+
 namespace luqr::rt {
 
 namespace detail {
@@ -69,6 +74,8 @@ struct SchedulerStats {
 /// inline sink records it (same replay order, bitwise-identical factors), so
 /// the result can seed a retained core::Factorization that serves fresh
 /// right-hand sides later.
+/// With a `source`, `a` is the source's empty tile grid and the graph's
+/// convert stage fills it (see core::StepGraph), on the workers.
 /// Instantiated for double and float; the float instantiation backs the
 /// Precision::F32/F32_IR paths (criterion statistics are gathered in double
 /// regardless of T, so the LU-vs-QR decisions match the f64 run shape-wise).
@@ -76,7 +83,8 @@ template <typename T>
 core::FactorizationStatsT<T> parallel_hybrid_factor(
     TileMatrix<T>& a, Criterion& criterion, const core::HybridOptions& options,
     int num_threads, detail::non_deduced<core::TransformLogT<T>*> log = nullptr,
-    const SchedulerOptions& sched = {}, SchedulerStats* sched_stats = nullptr);
+    const SchedulerOptions& sched = {}, SchedulerStats* sched_stats = nullptr,
+    detail::non_deduced<const core::DenseSource<T>*> source = nullptr);
 
 /// Same factorization, but on a caller-provided long-lived engine instead of
 /// a per-call worker pool — the serve subsystem's mode: many factorizations
@@ -92,6 +100,7 @@ core::FactorizationStatsT<T> parallel_hybrid_factor_on(
     Engine& engine, TileMatrix<T>& a, Criterion& criterion,
     const core::HybridOptions& options,
     detail::non_deduced<core::TransformLogT<T>*> log = nullptr,
-    const SchedulerOptions& sched = {}, SchedulerStats* sched_stats = nullptr);
+    const SchedulerOptions& sched = {}, SchedulerStats* sched_stats = nullptr,
+    detail::non_deduced<const core::DenseSource<T>*> source = nullptr);
 
 }  // namespace luqr::rt

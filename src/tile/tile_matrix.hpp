@@ -11,6 +11,13 @@
 // Ã = (A, b)). General N (not a multiple of nb) is handled by embedding the
 // dense matrix into the top-left corner of a padded tiled matrix with an
 // identity tail (§II-D-2's "clean-up" in library form).
+//
+// Dense <-> tile translation runs one tile column at a time (load_column /
+// store_column): each call moves that column's nb dense columns in
+// contiguous runs of up to nb elements, with no per-element tile-index
+// arithmetic. from_dense and to_dense are loops over those helpers, and the
+// step graph's convert stage (core/step_graph.hpp) runs one load_column per
+// tile column as a task of the factorization itself.
 #pragma once
 
 #include <vector>
@@ -36,6 +43,12 @@ class TileMatrix {
         data_(checked_elems(mt, nt, nb), T(0)) {
     LUQR_REQUIRE(mt >= 0 && nt >= 0 && nb > 0, "bad tile grid shape");
   }
+
+  /// An mt x nt grid whose tile elements are left unset, for a producer
+  /// that writes every tile before anything reads it (the step graph's
+  /// convert stage, see DenseSource::tiles). The padding between tiles is
+  /// zeroed, so copies of the grid read only set values.
+  static TileMatrix for_overwrite(int mt, int nt, int nb);
 
   int mt() const { return mt_; }   ///< tile rows
   int nt() const { return nt_; }   ///< tile cols
@@ -83,15 +96,28 @@ class TileMatrix {
   Matrix<T> to_dense(int rows, int cols) const;
   Matrix<T> to_dense() const { return to_dense(rows(), cols()); }
 
+  /// Write every element of tile column `tj` from `src`, the dense columns
+  /// it holds: src.rows <= rows() and src.cols <= nb (fewer at a right
+  /// edge). Elements outside `src` become zero, except that with
+  /// `identity_pad` each diagonal element outside `src` becomes one (the
+  /// padding from_dense documents). A wider source scalar S narrows to T.
+  template <typename S>
+  void load_column(int tj, kern::ConstMatrixView<S> src, bool identity_pad);
+
+  /// Copy the leading dst.rows x dst.cols elements of tile column `tj`
+  /// into `dst` (dst.rows <= rows(), dst.cols <= nb).
+  void store_column(int tj, kern::MatrixView<T> dst) const;
+
   /// Bytes of tile storage this matrix holds (telemetry / cache budgeting).
   std::size_t allocated_bytes() const { return data_.size() * sizeof(T); }
 
-  /// Deep copy of one tile column segment [i0, i1) x {j} into `out` tiles —
-  /// the Backup-Panel operation of the paper's dataflow (Figure 1).
-  void backup_column(int j, int i0, int i1, std::vector<std::vector<T>>& out) const;
+  /// Backup-Panel (the paper's dataflow, Figure 1): copy tiles
+  /// (rows[0], j), (rows[1], j), ... in that order into the contiguous
+  /// buffer `out` of rows.size() * nb * nb elements.
+  void backup_column(int j, const std::vector<int>& rows, T* out) const;
 
   /// Restore tiles saved by backup_column (the QR branch of Propagate).
-  void restore_column(int j, int i0, int i1, const std::vector<std::vector<T>>& saved);
+  void restore_column(int j, const std::vector<int>& rows, const T* saved);
 
  private:
   /// Elements between consecutive tiles: nb*nb rounded up so each tile

@@ -18,6 +18,7 @@
 
 #include "core/hybrid.hpp"
 #include "core/solve.hpp"
+#include "core/step_graph.hpp"
 #include "gen/generators.hpp"
 #include "kernels/access.hpp"
 #include "runtime/audit.hpp"
@@ -421,6 +422,67 @@ TEST(ChaosSchedule, EightPerturbedSchedulesMatchSerialBitwise) {
       ASSERT_EQ(stats.qr_steps, serial_stats.qr_steps) << label;
       expect_tiles_bitwise(tiles, serial, label);
     }
+  }
+}
+
+TEST(ChaosSchedule, ConvertStageUnderChaosMatchesSerialBitwise) {
+  // The graph tiles A itself: one convert task per tile column, declared a
+  // Write of the column's tiles, also filling the retained original and the
+  // growth baseline. Under eight perturbed audited schedules the run must
+  // stay clean and bitwise equal to the inline sink over the same source,
+  // which in turn equals factoring tiles built beforehand.
+  const int n = 100, nb = 16;  // seven tile rows, the last one padded
+  const auto dense = gen::generate(gen::MatrixKind::Random, n, 37);
+  core::HybridOptions opt;
+  opt.grid_p = 2;
+  opt.track_growth = true;
+
+  TileMatrix<double> pretiled = TileMatrix<double>::from_dense(dense, nb);
+  RandomCriterion pretiled_crit(0.5);
+  SchedulerStats pretiled_sched;
+  const auto pretiled_stats = parallel_hybrid_factor(
+      pretiled, pretiled_crit, opt, 4, nullptr, {}, &pretiled_sched);
+
+  Matrix<double> serial_keep(n, n);
+  const core::DenseSource<double> serial_src(dense, &serial_keep);
+  TileMatrix<double> serial = serial_src.tiles(nb);
+  RandomCriterion serial_crit(0.5);
+  core::TransformLog serial_log;
+  const auto serial_stats =
+      core::factor_inline(serial, &serial_crit, opt, &serial_log, &serial_src);
+  ASSERT_GT(serial_stats.lu_steps, 0);
+  ASSERT_GT(serial_stats.qr_steps, 0);
+  expect_tiles_bitwise(serial, pretiled, "inline convert vs pre-tiled");
+  EXPECT_GT(serial_stats.growth_factor, 1.0);
+  EXPECT_EQ(serial_stats.growth_factor, pretiled_stats.growth_factor);
+
+  for (std::uint64_t seed : {1ull, 2ull, 3ull, 0x9e3779b9ull, 42ull,
+                             0xdeadbeefull, 7ull, 1234567ull}) {
+    const std::string label = "seed " + std::to_string(seed);
+    Matrix<double> keep(n, n);
+    const core::DenseSource<double> src(dense, &keep);
+    TileMatrix<double> tiles = src.tiles(nb);
+    RandomCriterion criterion(0.5);
+    core::TransformLog log;
+    SchedulerOptions sched;
+    sched.chaos_seed = seed;
+    sched.audit = true;
+    SchedulerStats sstats;
+    const auto stats = parallel_hybrid_factor(tiles, criterion, opt, 4, &log,
+                                              sched, &sstats, &src);
+    EXPECT_GT(sstats.audited_tasks, 0u) << label;
+    EXPECT_EQ(sstats.audit_access_violations, 0u) << label;
+    EXPECT_EQ(sstats.audit_hb_violations, 0u) << label;
+    // Exactly one more task per tile column than the pre-tiled run.
+    EXPECT_EQ(sstats.tasks_executed,
+              pretiled_sched.tasks_executed + static_cast<std::uint64_t>(tiles.nt()))
+        << label;
+    ASSERT_EQ(stats.qr_steps, serial_stats.qr_steps) << label;
+    EXPECT_EQ(stats.growth_factor, serial_stats.growth_factor) << label;
+    expect_tiles_bitwise(tiles, serial, label);
+    for (int j = 0; j < n; ++j)
+      for (int i = 0; i < n; ++i)
+        ASSERT_EQ(keep(i, j), dense(i, j)) << label << " original " << i << "," << j;
   }
 }
 

@@ -367,6 +367,27 @@ TEST(ObsKprof, ClassLabelsAreStable) {
 }
 
 // ---------------------------------------------------------------------------
+// Driver series
+// ---------------------------------------------------------------------------
+
+TEST(ObsDriver, FactorAddsConvertTime) {
+  // Solver::factor tiles A in the step graph's convert stage; its tasks sum
+  // their time into the registry.
+  Counter& convert = Registry::global().counter("luqr_driver_convert_us_total");
+  for (Backend backend : {Backend::Serial, Backend::Parallel}) {
+    const std::uint64_t before = convert.value();
+    const auto a = random_matrix(512, 512, 7101);
+    const Solver solver(SolverConfig()
+                            .criterion(CriterionSpec::max(100.0))
+                            .tile_size(64)
+                            .backend(backend)
+                            .threads(2));
+    (void)solver.factor(a);
+    EXPECT_GT(convert.value(), before) << static_cast<int>(backend);
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Engine sampler + live trace
 // ---------------------------------------------------------------------------
 

@@ -1,6 +1,10 @@
 // Tests for the tiled container and the 2D block-cyclic process grid.
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "core/solve.hpp"
+#include "core/step_graph.hpp"
 #include "test_helpers.hpp"
 #include "tile/process_grid.hpp"
 #include "tile/tile_matrix.hpp"
@@ -54,15 +58,105 @@ TEST(TileMatrix, PaddingIsIdentity) {
 TEST(TileMatrix, BackupRestoreColumn) {
   const auto dense = random_matrix(16, 16, 3);
   auto tiled = TileMatrix<double>::from_dense(dense, 4);
-  std::vector<std::vector<double>> saved;
-  tiled.backup_column(1, 1, 4, saved);
-  ASSERT_EQ(saved.size(), 3u);
+  // A non-contiguous domain, backed up in its listed order.
+  const std::vector<int> rows = {3, 1, 2};
+  std::vector<double> saved(rows.size() * 16);
+  tiled.backup_column(1, rows, saved.data());
+  for (std::size_t t = 0; t < rows.size(); ++t)
+    EXPECT_EQ(saved[t * 16 + 5], tiled.tile(rows[t], 1)(1, 1));
   // Clobber and restore.
-  for (int i = 1; i < 4; ++i) kern::fill(tiled.tile(i, 1), -1.0);
-  tiled.restore_column(1, 1, 4, saved);
+  for (int i : rows) kern::fill(tiled.tile(i, 1), -1.0);
+  tiled.restore_column(1, rows, saved.data());
   const auto back = tiled.to_dense(16, 16);
   for (int j = 0; j < 16; ++j)
     for (int i = 0; i < 16; ++i) EXPECT_DOUBLE_EQ(back(i, j), dense(i, j));
+}
+
+// The convert stage's per-column routine against an element-wise reference,
+// in both working precisions (float tiles narrow a double source in the
+// same copy). Tiles start as NaN so an element the routine skips shows.
+template <typename T>
+class ConvertColumn : public ::testing::Test {};
+using ConvertScalars = ::testing::Types<double, float>;
+TYPED_TEST_SUITE(ConvertColumn, ConvertScalars);
+
+template <typename T>
+void poison(TileMatrix<T>& t) {
+  for (int j = 0; j < t.nt(); ++j)
+    for (int i = 0; i < t.mt(); ++i)
+      kern::fill(t.tile(i, j), std::numeric_limits<T>::quiet_NaN());
+}
+
+// Expected element (i, j) of the tiled [A | B]: A narrowed, identity on the
+// padded diagonal, B narrowed in the RHS tile columns, zeros elsewhere.
+template <typename T>
+T reference(const Matrix<double>& a, const Matrix<double>& b, int mt, int nb,
+            int i, int j) {
+  const int n = a.rows();
+  if (j < mt * nb) {
+    if (i < n && j < n) return static_cast<T>(a(i, j));
+    return i == j ? T(1) : T(0);
+  }
+  const int c = j - mt * nb;
+  return i < n && c < b.cols() ? static_cast<T>(b(i, c)) : T(0);
+}
+
+TYPED_TEST(ConvertColumn, TilesPaddingAndOriginalMatchElementwiseReference) {
+  using T = TypeParam;
+  const int nb = 8;
+  for (int n : {4 * nb, 4 * nb + 5}) {
+    for (int nrhs : {0, 1, nb + 3}) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " nrhs=" << nrhs);
+      const auto a = random_matrix(n, n, 100 + n);
+      const auto b = random_matrix(n, nrhs, 200 + nrhs);
+      const int mt = (n + nb - 1) / nb;
+
+      // A alone, with the retained copy.
+      Matrix<T> keep(n, n, std::numeric_limits<T>::quiet_NaN());
+      const core::DenseSource<T> alone(a, &keep);
+      TileMatrix<T> tiles = alone.tiles(nb);
+      ASSERT_EQ(tiles.mt(), mt);
+      ASSERT_EQ(tiles.nt(), mt);
+      poison(tiles);
+      for (int j = 0; j < tiles.nt(); ++j) alone.convert_column(tiles, j);
+      for (int j = 0; j < tiles.cols(); ++j)
+        for (int i = 0; i < tiles.rows(); ++i)
+          ASSERT_EQ(tiles.at(i, j), (reference<T>(a, b, mt, nb, i, j)))
+              << i << "," << j;
+      for (int j = 0; j < n; ++j)
+        for (int i = 0; i < n; ++i)
+          ASSERT_EQ(keep(i, j), static_cast<T>(a(i, j)))
+              << "original " << i << "," << j;
+
+      // [A | B] as the fused solve tiles it.
+      const core::DenseSource<T> fused(a, b);
+      TileMatrix<T> aug = fused.tiles(nb);
+      ASSERT_EQ(aug.nt(), mt + (nrhs + nb - 1) / nb);
+      poison(aug);
+      for (int j = 0; j < aug.nt(); ++j) fused.convert_column(aug, j);
+      for (int j = 0; j < aug.cols(); ++j)
+        for (int i = 0; i < aug.rows(); ++i)
+          ASSERT_EQ(aug.at(i, j), (reference<T>(a, b, mt, nb, i, j))) << i << "," << j;
+
+      // The same-precision routes share the routine: from_dense,
+      // make_augmented, and back out through to_dense.
+      using luqr::testing::converted;
+      const auto at = converted<T>(a);
+      const auto bt = converted<T>(b);
+      const auto from = TileMatrix<T>::from_dense(at, nb);
+      const auto made = core::make_augmented(at, bt, nb);
+      for (int j = 0; j < aug.cols(); ++j)
+        for (int i = 0; i < aug.rows(); ++i) {
+          ASSERT_EQ(made.at(i, j), aug.at(i, j)) << i << "," << j;
+          if (j < from.cols()) {
+            ASSERT_EQ(from.at(i, j), aug.at(i, j)) << i << "," << j;
+          }
+        }
+      const auto back = aug.to_dense(n, aug.cols());
+      for (int j = 0; j < back.cols(); ++j)
+        for (int i = 0; i < n; ++i) ASSERT_EQ(back(i, j), aug.at(i, j));
+    }
+  }
 }
 
 TEST(TileMatrix, OutOfRangeTileThrows) {
