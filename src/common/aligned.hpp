@@ -25,8 +25,8 @@ inline constexpr std::size_t align_up(std::size_t n, std::size_t align) {
 /// (C++17 aligned operator new). Drop-in for std::vector, with one
 /// difference: a vector sized without a fill value (vector(n), resize(n))
 /// default-initializes its elements, so scalar storage is left unset for a
-/// producer that overwrites all of it (the for_overwrite constructors of
-/// Matrix and TileMatrix). Pass a value to get zeros.
+/// producer that overwrites all of it (TileMatrix::for_overwrite). Pass a
+/// value to get zeros.
 template <typename T, std::size_t Align = kCacheLineBytes>
 struct AlignedAllocator {
   using value_type = T;

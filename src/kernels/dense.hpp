@@ -2,13 +2,40 @@
 // (users hand the solver a Matrix<double>, the tiled core converts it).
 #pragma once
 
+#include <memory>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "common/aligned.hpp"
 #include "kernels/matrix_view.hpp"
 
 namespace luqr {
+
+/// std::allocator whose construct(p) default-initializes, so resize(n)
+/// leaves scalar storage unset (Matrix::for_overwrite). Allocation itself
+/// is std::allocator's: a Matrix is allocated and freed on every call of
+/// the public API, and plain malloc keeps that path as cheap as it was.
+template <typename T>
+struct DefaultInitAllocator : std::allocator<T> {
+  using value_type = T;
+  template <typename U>
+  struct rebind {
+    using other = DefaultInitAllocator<U>;
+  };
+
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}  // NOLINT: converting
+
+  template <typename U>
+  void construct(U* p) noexcept(std::is_nothrow_default_constructible_v<U>) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
+  }
+};
 
 /// Owning column-major matrix.
 template <typename T>
@@ -62,7 +89,7 @@ class Matrix {
 
   int rows_ = 0;
   int cols_ = 0;
-  std::vector<T, AlignedAllocator<T>> data_;
+  std::vector<T, DefaultInitAllocator<T>> data_;
 };
 
 }  // namespace luqr
