@@ -7,15 +7,16 @@
 // zero-copy submit_many call over shared_ptr handles. Per job, individual
 // submission pays hash + cache probe + a solo solve + a dispatcher
 // round-trip; submit_many keys each distinct matrix once (pointer dedup),
-// skims the hits past staging, and fuses same-factorization members into
-// wide multi-column solves — structure the per-job API cannot express.
+// skims the hits into solve-only chunks, and fuses same-factorization
+// members into wide multi-column solves — structure the per-job API cannot
+// express.
 // CI asserts submit_many_speedup >= 3x on this row.
 //
 // Also reported (informational): the same comparison cold (256 distinct
 // systems, fresh service per sample — factorization compute dominates both
 // sides, so the ratio is near 1 by construction), the library endpoints
 // factor_many / solve_many / factor_solve_many against one-shot Solver
-// loops, and a mixed-size sweep across the staging buckets.
+// loops, and a mixed-size sweep across the per-order chunk groups.
 //
 // Scales via LUQR_N (order, default 64), LUQR_NB (tile, default 64 — a
 // single-tile factor at the default order) and LUQR_SAMPLES.
@@ -223,7 +224,7 @@ int main(int argc, char** argv) {
         .metric("n", n);
   }
 
-  // -- mixed sizes across staging buckets ---------------------------------
+  // -- mixed sizes across per-order chunk groups --------------------------
   {
     std::vector<Matrix<double>> mixed;
     for (int i = 0; i < 96; ++i) {

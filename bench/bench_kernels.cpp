@@ -220,11 +220,12 @@ int main(int argc, char** argv) {
   g_target_flops = env_double("LUQR_FLOPS", 2e8);
 
   bench::JsonReport report("bench_kernels", argc, argv);
-  const GemmBlocking& bl = gemm_blocking();
-  report.config("gemm_mc", bl.mc);
-  report.config("gemm_kc", bl.kc);
-  report.config("gemm_nc", bl.nc);
-  report.config("gemm_small_mnk", bl.small_mnk);
+  report.config("gemm_mc", kGemmMC);
+  report.config("gemm_kc", kGemmKC);
+  report.config("gemm_nc", kGemmNC);
+  report.config("gemm_small_mnk", kGemmSmallMNK);
+  std::printf("gemm blocking: MC=%d KC=%d NC=%d small_mnk=%ld\n", kGemmMC,
+              kGemmKC, kGemmNC, kGemmSmallMNK);
   report.config("samples", g_samples);
   report.config("target_flops", g_target_flops);
 

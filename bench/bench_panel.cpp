@@ -184,12 +184,12 @@ int main(int argc, char** argv) {
   g_target_flops = env_double("LUQR_FLOPS", 2e8);
 
   bench::JsonReport report("bench_panel", argc, argv);
-  const PanelBlocking& pb = panel_blocking();
-  const TrsmBlocking& tb = trsm_blocking();
-  report.config("panel_jb", pb.jb);
-  report.config("panel_small_n", pb.small_n);
-  report.config("trsm_kb", tb.kb);
-  report.config("trsm_small_m", tb.small_m);
+  report.config("panel_jb", kPanelJB);
+  report.config("panel_small_n", kPanelSmallN);
+  report.config("trsm_kb", kTrsmKB);
+  report.config("trsm_small_m", kTrsmSmallM);
+  std::printf("panel blocking: jb=%d small_n=%d; trsm: kb=%d small_m=%d\n",
+              kPanelJB, kPanelSmallN, kTrsmKB, kTrsmSmallM);
   report.config("samples", g_samples);
   report.config("target_flops", g_target_flops);
 

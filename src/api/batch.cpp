@@ -64,8 +64,8 @@ void require_value_criterion(const Solver& solver, const char* what) {
 // Shape-homogeneous execution order: bucket items by order, chunk each
 // bucket independently. `order` receives the permutation; the returned
 // chunks index into it.
-std::vector<core::Chunk> plan(const std::vector<int>& orders, int chunk_size,
-                              int lanes, std::vector<std::size_t>& order) {
+std::vector<core::Chunk> plan(const std::vector<int>& orders, int lanes,
+                              std::vector<std::size_t>& order) {
   order.clear();
   order.reserve(orders.size());
   std::vector<core::Chunk> chunks;
@@ -73,7 +73,7 @@ std::vector<core::Chunk> plan(const std::vector<int>& orders, int chunk_size,
     const std::size_t base = order.size();
     order.insert(order.end(), bucket.begin(), bucket.end());
     for (const core::Chunk& c :
-         core::plan_chunks(bucket.size(), chunk_size, lanes))
+         core::plan_chunks(bucket.size(), 0, lanes))
       chunks.push_back(core::Chunk{base + c.begin, base + c.end});
   }
   return chunks;
@@ -97,8 +97,7 @@ std::vector<FactorOutcome> factor_many(const Solver& solver,
   std::vector<int> orders(as.size());
   for (std::size_t i = 0; i < as.size(); ++i) orders[i] = as[i].rows();
   std::vector<std::size_t> order;
-  const std::vector<core::Chunk> chunks =
-      plan(orders, solver.config().batch().chunk_size, ex.lanes, order);
+  const std::vector<core::Chunk> chunks = plan(orders, ex.lanes, order);
 
   rt::run_chunks_on(
       ex.engine, chunks,
@@ -136,8 +135,7 @@ std::vector<SolveOutcome> solve_many(const Solver& solver,
   for (std::size_t i = 0; i < facs.size(); ++i)
     orders[i] = facs[i] != nullptr ? facs[i]->order() : 0;
   std::vector<std::size_t> order;
-  const std::vector<core::Chunk> chunks =
-      plan(orders, solver.config().batch().chunk_size, ex.lanes, order);
+  const std::vector<core::Chunk> chunks = plan(orders, ex.lanes, order);
 
   rt::run_chunks_on(
       ex.engine, chunks,
@@ -178,8 +176,7 @@ std::vector<FactorSolveOutcome> factor_solve_many(
   std::vector<int> orders(as.size());
   for (std::size_t i = 0; i < as.size(); ++i) orders[i] = as[i].rows();
   std::vector<std::size_t> order;
-  const std::vector<core::Chunk> chunks =
-      plan(orders, solver.config().batch().chunk_size, ex.lanes, order);
+  const std::vector<core::Chunk> chunks = plan(orders, ex.lanes, order);
 
   rt::run_chunks_on(
       ex.engine, chunks,

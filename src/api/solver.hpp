@@ -49,21 +49,6 @@ using core::SolveReport;
 /// available and the problem has enough tiles to keep the workers busy.
 enum class Backend { Serial, Parallel, Auto };
 
-/// Knobs for the batched small-problem backend (batch::factor_many /
-/// solve_many and serve's submit_many). Defaults suit n <= 128 jobs; all
-/// fields are validated by SolverConfig::validate().
-struct BatchOptions {
-  /// Matrices per engine chunk task. 0 = auto (enough chunks to keep the
-  /// engine's lanes overlapped, never so few matrices per chunk that
-  /// per-task scheduling cost returns — see core::auto_chunk_size).
-  int chunk_size = 0;
-  /// serve staging: flush a size bucket to execution at this fill.
-  int flush_count = 32;
-  /// serve staging: max microseconds a staged job waits before its bucket
-  /// is flushed regardless of fill (bounded latency for sparse arrivals).
-  int flush_deadline_us = 2000;
-};
-
 /// Validated, builder-style configuration for luqr::Solver. Every setter
 /// returns *this so configs read as a chain; scalar preconditions are
 /// enforced in the setters, cross-field ones in validate() (run by the
@@ -191,17 +176,6 @@ class SolverConfig {
     engine_ = std::move(e);
     return *this;
   }
-  /// Batched-backend knobs (chunk size, serve staging flush policy). None
-  /// of them affect numerical results — batched solves stay bitwise equal
-  /// to one-shot Solver::solve at any setting.
-  SolverConfig& batch(const BatchOptions& b) {
-    LUQR_REQUIRE(b.chunk_size >= 0, "batch chunk size must be nonnegative");
-    LUQR_REQUIRE(b.flush_count >= 1, "batch flush count must be positive");
-    LUQR_REQUIRE(b.flush_deadline_us >= 0,
-                 "batch flush deadline must be nonnegative");
-    batch_ = b;
-    return *this;
-  }
 
   const CriterionSpec& criterion() const { return criterion_; }
   Criterion* external_criterion() const { return external_; }
@@ -223,7 +197,6 @@ class SolverConfig {
   const rt::SchedulerOptions& scheduler() const { return scheduler_; }
   rt::SchedulerStats* scheduler_stats() const { return sched_stats_; }
   const std::shared_ptr<rt::Engine>& engine() const { return engine_; }
-  const BatchOptions& batch() const { return batch_; }
 
   /// Adopt every knob a low-level HybridOptions carries (used by the
   /// delegating free-function wrappers).
@@ -255,7 +228,6 @@ class SolverConfig {
   rt::SchedulerOptions scheduler_{};
   rt::SchedulerStats* sched_stats_ = nullptr;
   std::shared_ptr<rt::Engine> engine_;
-  BatchOptions batch_{};
 };
 
 /// Session-style entry point: configure once, then factor / solve any number

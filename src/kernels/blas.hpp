@@ -8,7 +8,7 @@
 // GEMM has two code paths: a packed, cache-blocked, register-tiled kernel
 // (kernels/microkernel.hpp + kernels/pack.hpp) for products above a size
 // threshold, and the seed's simple loops for small/edge tiles. gemm()
-// dispatches on size (see pack.hpp for the blocking/threshold knobs); both
+// dispatches on size (see pack.hpp for the blocking/threshold constants); both
 // paths are exposed directly for the parity tests and the kernel bench.
 //
 // Definitions live in gemm.cpp / trsm.cpp with explicit instantiations for

@@ -133,25 +133,24 @@ void gemm_blocked(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a,
   scale_c(beta, c);
   if (alpha == T(0) || m == 0 || n == 0 || k == 0) return;
 
-  const GemmBlocking& bl = gemm_blocking();
   Workspace& ws = workspace_or_tls(wsp);
   Workspace::Frame frame(ws);
   // Panel buffers sized to the smaller of the blocking limit and the actual
   // problem, rounded up to whole micro-panels.
-  const int mc_cap = std::min((m + MR - 1) / MR * MR, (bl.mc + MR - 1) / MR * MR);
-  const int nc_cap = std::min((n + NR - 1) / NR * NR, (bl.nc + NR - 1) / NR * NR);
-  const int kc_cap = std::min(k, bl.kc);
+  const int mc_cap = std::min((m + MR - 1) / MR * MR, (kGemmMC + MR - 1) / MR * MR);
+  const int nc_cap = std::min((n + NR - 1) / NR * NR, (kGemmNC + NR - 1) / NR * NR);
+  const int kc_cap = std::min(k, kGemmKC);
   T* apack = ws.alloc<T>(static_cast<std::size_t>(mc_cap) * kc_cap);
   T* bpack = ws.alloc<T>(static_cast<std::size_t>(kc_cap) * nc_cap);
   alignas(kCacheLineBytes) T ctmp[MR * NR];
 
-  for (int jc = 0; jc < n; jc += bl.nc) {
-    const int nc = std::min(bl.nc, n - jc);
-    for (int pc = 0; pc < k; pc += bl.kc) {
-      const int kc = std::min(bl.kc, k - pc);
+  for (int jc = 0; jc < n; jc += kGemmNC) {
+    const int nc = std::min(kGemmNC, n - jc);
+    for (int pc = 0; pc < k; pc += kGemmKC) {
+      const int kc = std::min(kGemmKC, k - pc);
       pack_b_panel<T, NR>(transb, alpha, kc, nc, b, pc, jc, bpack);
-      for (int ic = 0; ic < m; ic += bl.mc) {
-        const int mc = std::min(bl.mc, m - ic);
+      for (int ic = 0; ic < m; ic += kGemmMC) {
+        const int mc = std::min(kGemmMC, m - ic);
         pack_a_panel<T, MR>(transa, mc, kc, a, ic, pc, apack);
         for (int jr = 0; jr < nc; jr += NR) {
           const int nr = std::min(NR, nc - jr);
@@ -207,14 +206,13 @@ std::size_t gemm_pack_scratch_bytes(int m, int n, int k) {
   if (m <= 0 || n <= 0 || k <= 0) return 0;
   constexpr int MR = MicroTile<T>::MR;
   constexpr int NR = MicroTile<T>::NR;
-  const GemmBlocking& bl = gemm_blocking();
   // Mirror of gemm_blocked's apack/bpack sizing; each alloc() rounds up to a
   // cache line independently, so account for both round-ups.
   const int mc_cap =
-      std::min((m + MR - 1) / MR * MR, (bl.mc + MR - 1) / MR * MR);
+      std::min((m + MR - 1) / MR * MR, (kGemmMC + MR - 1) / MR * MR);
   const int nc_cap =
-      std::min((n + NR - 1) / NR * NR, (bl.nc + NR - 1) / NR * NR);
-  const int kc_cap = std::min(k, bl.kc);
+      std::min((n + NR - 1) / NR * NR, (kGemmNC + NR - 1) / NR * NR);
+  const int kc_cap = std::min(k, kGemmKC);
   const std::size_t a_bytes =
       static_cast<std::size_t>(mc_cap) * kc_cap * sizeof(T);
   const std::size_t b_bytes =

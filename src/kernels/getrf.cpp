@@ -80,7 +80,7 @@ int getrf_blocked_impl(MatrixView<T> a, int lo, std::vector<int>& piv,
   const int k = std::min(m, n);
   piv.assign(static_cast<std::size_t>(k), 0);
   int info = 0;
-  const int jb = panel_blocking().jb;
+  constexpr int jb = kPanelJB;
   std::vector<int> piv_loc;
   for (int j0 = 0; j0 < k; j0 += jb) {
     const int bb = std::min(jb, k - j0);

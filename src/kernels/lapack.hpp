@@ -53,7 +53,7 @@ namespace luqr::kern {
 /// Above the panel dispatch threshold (panel_wants_blocked in
 /// kernels/pack.hpp) the factorization is blocked right-looking: jb-wide
 /// unblocked panels, one TRSM + one packed GEMM per block step. The blocking
-/// is fixed at config time (LUQR_PANEL_JB / LUQR_PANEL_SMALL_N) and
+/// is a compile-time constant (kPanelJB / kPanelSmallN) and
 /// thread-independent, so serial and parallel drivers stay bitwise equal.
 template <typename T>
 int getrf(MatrixView<T> a, std::vector<int>& piv, Workspace* ws = nullptr);

@@ -2,64 +2,22 @@
 
 #include <algorithm>
 
-#include "common/env.hpp"
 #include "kernels/microkernel.hpp"
 
 namespace luqr::kern {
 
-const GemmBlocking& gemm_blocking() {
-  static const GemmBlocking blocking = [] {
-    GemmBlocking b;
-    b.mc = static_cast<int>(env_long("LUQR_GEMM_MC", 256));
-    b.kc = static_cast<int>(env_long("LUQR_GEMM_KC", 256));
-    b.nc = static_cast<int>(env_long("LUQR_GEMM_NC", 2048));
-    b.small_mnk = env_long("LUQR_GEMM_SMALL_MNK", 8192);
-    LUQR_REQUIRE(b.mc > 0 && b.kc > 0 && b.nc > 0,
-                 "LUQR_GEMM_MC/KC/NC must be positive");
-    return b;
-  }();
-  return blocking;
-}
-
 bool gemm_wants_blocked(int m, int n, int k) {
-  return static_cast<long long>(m) * n * k >=
-         static_cast<long long>(gemm_blocking().small_mnk);
-}
-
-const PanelBlocking& panel_blocking() {
-  static const PanelBlocking blocking = [] {
-    PanelBlocking b;
-    b.jb = static_cast<int>(env_long("LUQR_PANEL_JB", 32));
-    b.small_n = static_cast<int>(env_long("LUQR_PANEL_SMALL_N", 64));
-    LUQR_REQUIRE(b.jb > 0 && b.small_n > 0,
-                 "LUQR_PANEL_JB/SMALL_N must be positive");
-    return b;
-  }();
-  return blocking;
+  return static_cast<long long>(m) * n * k >= kGemmSmallMNK;
 }
 
 bool panel_wants_blocked(int m, int n) {
-  const PanelBlocking& b = panel_blocking();
   // Blocking pays once there is more than one block step; m only has to be
   // large enough for the panel/GEMM split to exist at all.
-  return n >= b.small_n && n > b.jb && m > b.jb;
-}
-
-const TrsmBlocking& trsm_blocking() {
-  static const TrsmBlocking blocking = [] {
-    TrsmBlocking b;
-    b.kb = static_cast<int>(env_long("LUQR_TRSM_KB", 64));
-    b.small_m = static_cast<int>(env_long("LUQR_TRSM_SMALL_M", 128));
-    LUQR_REQUIRE(b.kb > 0 && b.small_m > 0,
-                 "LUQR_TRSM_KB/SMALL_M must be positive");
-    return b;
-  }();
-  return blocking;
+  return n >= kPanelSmallN && n > kPanelJB && m > kPanelJB;
 }
 
 bool trsm_wants_blocked(int dim) {
-  const TrsmBlocking& b = trsm_blocking();
-  return dim >= b.small_m && dim > b.kb;
+  return dim >= kTrsmSmallM && dim > kTrsmKB;
 }
 
 template <typename T, int MR>

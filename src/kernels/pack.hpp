@@ -16,10 +16,10 @@
 // MR/NR, which is numerically inert (the padding rows/cols are never written
 // back).
 //
-// Blocking parameters come from the environment once per process
-// (LUQR_GEMM_MC/KC/NC, LUQR_GEMM_SMALL_MNK) and are deliberately
-// independent of thread count: a tile's GEMM performs bit-identical
-// arithmetic whether the serial driver or any engine worker runs it.
+// Blocking parameters are compile-time constants, independent of thread
+// count and of the environment: KC and the panel/TRSM block sizes fix the
+// summation order, so a tile's kernels perform bit-identical arithmetic in
+// every process, whether the serial driver or any engine worker runs them.
 #pragma once
 
 #include <cstddef>
@@ -29,49 +29,32 @@
 
 namespace luqr::kern {
 
-/// Cache-blocking parameters, fixed at first use for the whole process.
-struct GemmBlocking {
-  int mc;         ///< A row-block height        (LUQR_GEMM_MC, default 256)
-  int kc;         ///< shared-dimension depth    (LUQR_GEMM_KC, default 256)
-  int nc;         ///< B/C column-block width    (LUQR_GEMM_NC, default 2048)
-  long small_mnk; ///< m*n*k below which gemm() keeps the simple loops
-                  ///< (LUQR_GEMM_SMALL_MNK, default 8192)
-};
-
-/// The process-wide blocking configuration (env read once, then cached).
-const GemmBlocking& gemm_blocking();
+/// GEMM cache blocking: A row-block height (MC), shared-dimension depth
+/// (KC), B/C column-block width (NC), and the m*n*k below which gemm()
+/// keeps the simple loops.
+inline constexpr int kGemmMC = 256;
+inline constexpr int kGemmKC = 256;
+inline constexpr int kGemmNC = 2048;
+inline constexpr long kGemmSmallMNK = 8192;
 
 /// Dispatch predicate of gemm(): true when an (m x n x k) product is big
 /// enough for the packed path to win over the simple loops.
 bool gemm_wants_blocked(int m, int n, int k);
 
-/// Blocking/dispatch knobs for the blocked panel factorizations (GETRF and
-/// GEQRT): the inner unblocked panel width, and the column count below which
-/// the kernels keep the seed's unblocked loops. Like the GEMM blocking these
-/// are read from the environment once per process and never depend on thread
-/// count, so a panel factorization is bitwise identical on the serial driver
-/// and on any engine worker.
-struct PanelBlocking {
-  int jb;       ///< inner panel width           (LUQR_PANEL_JB, default 32)
-  int small_n;  ///< unblocked below this n      (LUQR_PANEL_SMALL_N, default 64)
-};
-
-/// The process-wide panel blocking configuration (env read once, cached).
-const PanelBlocking& panel_blocking();
+/// Blocked panel factorizations (GETRF and GEQRT): the inner unblocked
+/// panel width, and the column count below which the kernels keep the
+/// seed's unblocked loops.
+inline constexpr int kPanelJB = 32;
+inline constexpr int kPanelSmallN = 64;
 
 /// Dispatch predicate of getrf()/geqrt(): true when an m x n panel is big
 /// enough for the blocked algorithm to win over the unblocked loops.
 bool panel_wants_blocked(int m, int n);
 
-/// Blocking/dispatch knobs for the blocked TRSM.
-struct TrsmBlocking {
-  int kb;       ///< diagonal block size         (LUQR_TRSM_KB, default 64)
-  int small_m;  ///< unblocked below this triangle dim
-                ///<                              (LUQR_TRSM_SMALL_M, default 128)
-};
-
-/// The process-wide TRSM blocking configuration (env read once, cached).
-const TrsmBlocking& trsm_blocking();
+/// Blocked TRSM: the diagonal block size, and the triangle dimension below
+/// which the seed's unblocked loops are kept.
+inline constexpr int kTrsmKB = 64;
+inline constexpr int kTrsmSmallM = 128;
 
 /// Dispatch predicate of trsm(). Depends on the triangle dimension only —
 /// never on the RHS width — so a Left-side solve picks the same kernel for

@@ -88,7 +88,7 @@ void geqrt_blocked(MatrixView<T> a, MatrixView<T> t, Workspace* wsp) {
   // storage across calls.
   fill(t.block(0, 0, n, n), T(0));
   Workspace& ws = workspace_or_tls(wsp);
-  const int jb = panel_blocking().jb;
+  constexpr int jb = kPanelJB;
   for (int j0 = 0; j0 < n; j0 += jb) {
     const int bb = std::min(jb, n - j0);
     MatrixView<T> panel = a.block(j0, j0, m - j0, bb);

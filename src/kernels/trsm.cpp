@@ -110,7 +110,7 @@ template <typename T>
 void trsm_blocked_left(Uplo uplo, Trans trans, Diag diag, ConstMatrixView<T> a,
                        MatrixView<T> b, Workspace* ws) {
   const int m = b.rows, n = b.cols;
-  const int kb = trsm_blocking().kb;
+  constexpr int kb = kTrsmKB;
   const bool forward = (uplo == Uplo::Lower) == (trans == Trans::No);
   const int nblk = (m + kb - 1) / kb;
   for (int step = 0; step < nblk; ++step) {
@@ -153,7 +153,7 @@ template <typename T>
 void trsm_blocked_right(Uplo uplo, Trans trans, Diag diag, ConstMatrixView<T> a,
                         MatrixView<T> b, Workspace* ws) {
   const int m = b.rows, n = b.cols;
-  const int kb = trsm_blocking().kb;
+  constexpr int kb = kTrsmKB;
   const bool forward = (uplo == Uplo::Upper) == (trans == Trans::No);
   const int nblk = (n + kb - 1) / kb;
   for (int step = 0; step < nblk; ++step) {

@@ -68,9 +68,9 @@ std::shared_ptr<JobState> make_job_state(std::uint64_t t_submit_us) {
   return s;
 }
 
-// Smallest chunk execute_staged will carve a staged group into (the last
-// chunk is ragged; a group below the floor runs as one chunk).
-constexpr int kMinStagedChunk = 8;
+// Smallest chunk submit_many cuts a group into (the last chunk is ragged; a
+// group below the floor runs as one chunk).
+constexpr int kMinChunk = 8;
 
 bool is_terminal(JobStatus s) {
   return s == JobStatus::Done || s == JobStatus::Failed ||
@@ -330,7 +330,6 @@ SolveService::SolveService(ServiceConfig config)
   dispatchers_.reserve(static_cast<std::size_t>(n_dispatchers));
   for (int i = 0; i < n_dispatchers; ++i)
     dispatchers_.emplace_back([this] { dispatcher_loop(); });
-  flusher_ = std::thread([this] { flusher_loop(); });
   if (watchdog_enabled()) watchdog_ = std::thread([this] { watchdog_loop(); });
 }
 
@@ -343,12 +342,6 @@ SolveService::~SolveService() {
   set_health(Health::Draining);
   queue_.close();
   for (std::thread& t : dispatchers_) t.join();
-  {
-    std::lock_guard<std::mutex> lock(stage_mu_);
-    stage_closed_ = true;
-  }
-  stage_cv_.notify_all();
-  flusher_.join();  // flushes every staged job as chunk tasks first
   drain();
   // The watchdog outlives drain() on purpose: jobs parked in its backoff
   // queue are still active, and only the watchdog can settle them (the
@@ -386,28 +379,43 @@ void SolveService::drain() {
 // Submission
 // ---------------------------------------------------------------------------
 
-void SolveService::enqueue(Job job) {
-  const std::size_t members = job.members.size();
+void SolveService::admit(std::size_t members) {
   obs_.submitted->add(members);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    active_ += members;
+  std::lock_guard<std::mutex> lock(mu_);
+  active_ += members;
+}
+
+std::vector<SolveService::Job*> SolveService::jobs_of(Work& work) {
+  std::vector<Job*> jobs;
+  if (Chunk* chunk = std::get_if<Chunk>(&work)) {
+    for (ChunkJob& c : *chunk) jobs.push_back(&c.job);
+  } else {
+    jobs.push_back(&std::get<Job>(work));
   }
-  // Keep the states: a push that fails has consumed the job.
+  return jobs;
+}
+
+void SolveService::enqueue(Work work) {
+  // Keep the states: a push that fails has consumed the work. A chunk's
+  // jobs all carry their submit_many call's priority.
   std::vector<std::shared_ptr<JobState>> states;
-  states.reserve(members);
-  for (const Member& m : job.members) states.push_back(m.state);
+  Priority priority = Priority::Normal;
+  for (const Job* job : jobs_of(work)) {
+    priority = job->priority;
+    for (const Member& m : job->members) states.push_back(m.state);
+  }
+  admit(states.size());
   // Degraded admission control: Batch work is the first thing to go — the
   // service keeps its remaining capacity for Interactive/Normal traffic
   // until a quiet recovery window restores health.
-  if (job.priority == Priority::Batch && health() == Health::Degraded) {
+  if (priority == Priority::Batch && health() == Health::Degraded) {
     for (const auto& st : states) settle(st, JobStatus::Shed);
     return;
   }
-  const int lane = static_cast<int>(job.priority);
+  const int lane = static_cast<int>(priority);
   const bool accepted = cfg_.reject_when_full
-                            ? queue_.try_push(std::move(job), lane)
-                            : queue_.push(std::move(job), lane);
+                            ? queue_.try_push(std::move(work), lane)
+                            : queue_.push(std::move(work), lane);
   if (!accepted)
     for (const auto& st : states) settle(st, JobStatus::Rejected);
 }
@@ -534,27 +542,18 @@ std::vector<JobHandle> SolveService::submit_many(
   LUQR_REQUIRE(!as.empty(), "serve: empty submit_many");
   std::vector<JobHandle> handles;
   handles.reserve(as.size());
-  const std::size_t flush_count =
-      static_cast<std::size_t>(cfg_.solver.batch().flush_count);
 
   // One job per distinct matrix pointer, in first-seen order, members in
   // submission order. This is what the shared_ptr form buys: a client's
   // repeated systems hash and cache-probe once per distinct matrix, not per
   // member, and a chunk solves a job's members as one run.
-  std::vector<Staged> jobs;
+  std::vector<ChunkJob> jobs;
   std::unordered_map<const Matrix<double>*, std::size_t> seen;
   SubmitOptions member_opt;
   member_opt.priority = priority;
   for (std::size_t i = 0; i < as.size(); ++i) {
     auto state = new_job_state(member_opt, /*retryable=*/false);
     handles.push_back(JobHandle(state));
-    // Per-member admission accounting (every member executes through a
-    // chunk task rather than enqueue()).
-    obs_.submitted->add(1);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++active_;
-    }
 
     // Malformed members fail alone: bulk submission never throws the whole
     // call away for one bad pair.
@@ -571,174 +570,78 @@ std::vector<JobHandle> SolveService::submit_many(
       bad = "serve: input contains non-finite values (NaN or Inf); set "
             "ServiceConfig::screen_inputs=false to disable input screening";
     if (bad != nullptr) {
+      admit(1);
       settle(state, JobStatus::Failed, std::make_exception_ptr(Error(bad)));
       continue;
     }
 
     const auto slot = seen.emplace(a, jobs.size());
     if (slot.second) {
-      Staged s;
-      s.job.priority = priority;
-      s.job.a = std::move(as[i]);
-      s.hash = cache_.hash_of(*a) ^ config_fp_hash_;
-      s.fac = cache_.find_hashed(*a, config_fp_, s.hash, /*count_miss=*/true);
-      jobs.push_back(std::move(s));
+      ChunkJob c;
+      c.job.priority = priority;
+      c.job.a = std::move(as[i]);
+      c.hash = cache_.hash_of(*a) ^ config_fp_hash_;
+      c.fac = cache_.find_hashed(*a, config_fp_, c.hash, /*count_miss=*/true);
+      jobs.push_back(std::move(c));
     }
-    Staged& s = jobs[slot.first->second];
-    if (s.fac != nullptr) obs_.batch_hits_skimmed->add(1);
-    s.job.members.push_back({std::move(bs[i]), std::move(state)});
+    ChunkJob& c = jobs[slot.first->second];
+    if (c.fac != nullptr) obs_.batch_hits_skimmed->add(1);
+    c.job.members.push_back({std::move(bs[i]), std::move(state)});
   }
-  if (jobs.empty()) return handles;
 
-  bool closed;
-  {
-    std::lock_guard<std::mutex> lock(stage_mu_);
-    closed = stage_closed_;  // shutdown raced the submit
-    if (!closed) {
-      // Skim: a cache hit needs no factorization, so it never waits in a
-      // size bucket for batch-mates that need one. Hit jobs ride a
-      // solve-only group flushed immediately.
-      std::vector<Staged> hits;
-      for (Staged& s : jobs) {
-        if (s.fac != nullptr) {
-          hits.push_back(std::move(s));
-          continue;
-        }
-        // A job fills its bucket member by member and splits where the
-        // bucket reaches flush_count.
-        const int n = s.job.a->rows();
-        while (!s.job.members.empty()) {
-          StageBucket& bucket = staging_[n];
-          if (bucket.jobs.empty()) bucket.oldest_us = now_us();
-          bucket.jobs.push_back(split_front(s, flush_count - bucket.members));
-          bucket.members += bucket.jobs.back().job.members.size();
-          if (bucket.members >= flush_count) {
-            flush_ready_.push_back(std::move(bucket.jobs));
-            staging_.erase(n);
-          }
-        }
-      }
-      if (!hits.empty()) flush_ready_.push_back(std::move(hits));
-    }
+  // Misses group by order, orders in first-seen order; a cache hit needs no
+  // factorization, so the hits ride one solve-only group after them instead
+  // of sharing chunks with misses.
+  std::vector<ChunkJob> misses, hits;
+  for (ChunkJob& c : jobs)
+    (c.fac != nullptr ? hits : misses).push_back(std::move(c));
+  std::vector<int> orders;
+  for (const ChunkJob& c : misses) orders.push_back(c.job.a->rows());
+  for (const std::vector<std::size_t>& bucket : core::bucket_by_order(orders)) {
+    std::vector<ChunkJob> group;
+    for (const std::size_t k : bucket) group.push_back(std::move(misses[k]));
+    enqueue_chunks(std::move(group));
   }
-  if (!closed) {
-    stage_cv_.notify_all();
-    return handles;
-  }
-  for (const Staged& s : jobs)
-    for (const Member& m : s.job.members) settle(m.state, JobStatus::Rejected);
+  if (!hits.empty()) enqueue_chunks(std::move(hits));
   return handles;
 }
 
-// ---------------------------------------------------------------------------
-// submit_many staging: flusher and chunk execution
-// ---------------------------------------------------------------------------
-
-void SolveService::flusher_loop() {
-  std::unique_lock<std::mutex> lock(stage_mu_);
-  for (;;) {
-    // Count-full groups first: they are already at target fill.
-    if (!flush_ready_.empty()) {
-      std::vector<Staged> group = std::move(flush_ready_.front());
-      flush_ready_.erase(flush_ready_.begin());
-      lock.unlock();
-      execute_staged(std::move(group));
-      lock.lock();
-      continue;
-    }
-    if (stage_closed_) {
-      if (staging_.empty()) break;  // everything flushed; exit
-      auto it = staging_.begin();
-      std::vector<Staged> group = std::move(it->second.jobs);
-      staging_.erase(it);
-      lock.unlock();
-      execute_staged(std::move(group));
-      lock.lock();
-      continue;
-    }
-    if (staging_.empty()) {
-      stage_cv_.wait(lock);
-      continue;
-    }
-    // Deadline policy: a bucket whose oldest member has waited
-    // flush_deadline_us flushes regardless of fill — sparse arrivals get
-    // bounded latency, bursts get full chunks.
-    const std::uint64_t deadline =
-        static_cast<std::uint64_t>(cfg_.solver.batch().flush_deadline_us);
-    const std::uint64_t now = now_us();
-    std::uint64_t next_due = ~std::uint64_t{0};
-    int due_order = -1;
-    for (const auto& entry : staging_) {
-      const std::uint64_t due = entry.second.oldest_us + deadline;
-      if (due <= now) {
-        due_order = entry.first;
-        break;
-      }
-      next_due = std::min(next_due, due);
-    }
-    if (due_order >= 0) {
-      auto it = staging_.find(due_order);
-      std::vector<Staged> group = std::move(it->second.jobs);
-      staging_.erase(it);
-      lock.unlock();
-      execute_staged(std::move(group));
-      lock.lock();
-      continue;
-    }
-    stage_cv_.wait_for(lock, std::chrono::microseconds(next_due - now));
-  }
-}
-
-SolveService::Staged SolveService::split_front(Staged& s, std::size_t count) {
-  Staged part;
-  part.job.priority = s.job.priority;
-  part.job.a = s.job.a;
-  part.hash = s.hash;
-  part.fac = s.fac;
-  std::vector<Member>& from = s.job.members;
-  const auto end =
-      from.begin() + static_cast<std::ptrdiff_t>(std::min(count, from.size()));
-  part.job.members.assign(std::make_move_iterator(from.begin()),
-                          std::make_move_iterator(end));
-  from.erase(from.begin(), end);
-  return part;
-}
-
-void SolveService::execute_staged(std::vector<Staged> group) {
-  std::size_t members = 0;
-  for (const Staged& s : group) members += s.job.members.size();
-  if (members == 0) return;
-  // One engine task per chunk. The flusher (a non-worker thread) absorbs
-  // the inflight wait, so client threads never block on admission and the
-  // staging area keeps accumulating while chunks queue up.
-  //
+void SolveService::enqueue_chunks(std::vector<ChunkJob> group) {
   // The library's auto chunk policy optimizes engine overlap (~4 chunks
-  // per lane), which shatters a small staged group into single-member
-  // chunks — per-job overhead with extra steps. The service floors the
-  // chunk size instead: overlap comes from concurrent groups in flight,
-  // amortization from fill. Chunks are planned over members; a job that
-  // straddles a boundary splits there.
-  int chunk_size = cfg_.solver.batch().chunk_size;
-  if (chunk_size <= 0)
-    chunk_size = std::max(core::auto_chunk_size(members, workers_),
-                          kMinStagedChunk);
+  // per lane), which shatters a small group into single-member chunks —
+  // per-job overhead with extra steps. The service floors the chunk size
+  // instead: overlap comes from concurrent chunks in flight, amortization
+  // from fill. Chunks are planned over members; a job that straddles a
+  // boundary splits there.
+  std::size_t members = 0;
+  for (const ChunkJob& c : group) members += c.job.members.size();
+  const int chunk_size =
+      std::max(core::auto_chunk_size(members, workers_), kMinChunk);
   std::size_t next = 0;
   for (const core::Chunk& c :
        core::plan_chunks(members, chunk_size, workers_)) {
-    std::vector<Staged> chunk;
+    Chunk chunk;
     for (std::size_t want = c.size(); want > 0;) {
-      chunk.push_back(split_front(group[next], want));
+      // The chunk takes up to `want` members off the front of the next job.
+      ChunkJob& from = group[next];
+      std::vector<Member>& ms = from.job.members;
+      const auto end =
+          ms.begin() + static_cast<std::ptrdiff_t>(std::min(want, ms.size()));
+      chunk.push_back(
+          {{from.job.priority, from.job.a, {}}, from.hash, from.fac});
+      chunk.back().job.members.assign(std::make_move_iterator(ms.begin()),
+                                      std::make_move_iterator(end));
+      ms.erase(ms.begin(), end);
       want -= chunk.back().job.members.size();
-      if (group[next].job.members.empty()) ++next;
+      if (ms.empty()) ++next;
     }
-    acquire_inflight_slot();
-    submit_chunk_task(std::move(chunk));
+    enqueue(std::move(chunk));
   }
 }
 
-void SolveService::submit_chunk_task(std::vector<Staged> chunk) {
+void SolveService::submit_chunk_task(Chunk chunk) {
   int prio = 0;
-  for (const Staged& s : chunk)
+  for (const ChunkJob& s : chunk)
     prio = std::max(prio, static_cast<int>(s.job.priority));
   const std::uint64_t chunk_job_id =
       chunk.front().job.members.front().state->job_id;
@@ -747,7 +650,7 @@ void SolveService::submit_chunk_task(std::vector<Staged> chunk) {
         std::vector<Outcome> outs;
         outs.reserve(chunk.size());
         std::size_t live = 0;
-        for (const Staged& s : chunk) {
+        for (const ChunkJob& s : chunk) {
           outs.push_back(begin_members(s.job));
           const std::vector<bool>& began = outs.back().live;
           live += static_cast<std::size_t>(
@@ -775,12 +678,12 @@ void SolveService::submit_chunk_task(std::vector<Staged> chunk) {
           // Each job's factorization: its skim hit, else a cache re-probe
           // (an earlier job of this — or a concurrent — chunk may have
           // inserted an equal matrix since the skim), else its own coarse
-          // factorization. Staged misses bypass the pending_ single-flight
+          // factorization. Chunk misses bypass the pending_ single-flight
           // map — a duplicate factorization against a racing per-job miss
           // is possible but benign (insert dedupes, results are bitwise
           // identical either way).
           for (std::size_t j = 0; j < chunk.size(); ++j) {
-            const Staged& s = chunk[j];
+            const ChunkJob& s = chunk[j];
             Outcome& out = outs[j];
             if (!out.any_live()) continue;
             FacPtr fac = s.fac != nullptr
@@ -894,10 +797,10 @@ void SolveService::release_inflight_slot() {
 }
 
 void SolveService::dispatcher_loop() {
-  Job job;
-  while (queue_.pop(job)) {
-    dispatch(std::move(job));
-    job = Job{};  // drop matrix buffers before blocking on the next pop
+  Work work;
+  while (queue_.pop(work)) {
+    dispatch(std::move(work));
+    work = Work{};  // drop matrix buffers before blocking on the next pop
   }
 }
 
@@ -1139,14 +1042,15 @@ void SolveService::settle_cancelled_owner(const Job& job,
   for (const Member& m : job.members) settle(m.state, JobStatus::Shed);
 }
 
-bool SolveService::job_guarded(const Job& job) const {
+bool SolveService::work_guarded(Work& work) const {
   if (!watchdog_enabled()) return false;
-  for (const Member& m : job.members)
-    if (m.state->hard_wall_us == 0) return false;
+  for (const Job* job : jobs_of(work))
+    for (const Member& m : job->members)
+      if (m.state->hard_wall_us == 0) return false;
   return true;
 }
 
-void SolveService::dispatch(Job job) {
+void SolveService::dispatch(Work work) {
   // Members cancelled while queued settle here, and members whose deadline
   // passed while they queued are shed: neither consumes an inflight slot or
   // any engine time.
@@ -1163,20 +1067,36 @@ void SolveService::dispatch(Job job) {
     settle(m.state, JobStatus::Shed);  // a won cancel accounts Cancelled
     return true;
   };
-  job.members.erase(std::remove_if(job.members.begin(), job.members.end(),
-                                   settled_at_dequeue),
-                    job.members.end());
-  if (job.members.empty()) return;
+  std::size_t left = 0;
+  for (Job* job : jobs_of(work)) {
+    job->members.erase(std::remove_if(job->members.begin(),
+                                      job->members.end(), settled_at_dequeue),
+                       job->members.end());
+    left += job->members.size();
+  }
+  if (left == 0) return;
 
   if (fault::plan() != nullptr) {
     fault::maybe_delay(fault::site::kServeDelay);
     // Honor an injected drop only when the watchdog guards every member
-    // (hard wall set): the job vanishes here — before any slot is held —
+    // (hard wall set): the work vanishes here — before any slot is held —
     // and the hard-wall scan recovers it, so clients never hang.
-    if (job_guarded(job) && fault::should_fire(fault::site::kServeDrop)) return;
+    if (work_guarded(work) && fault::should_fire(fault::site::kServeDrop))
+      return;
   }
 
   acquire_inflight_slot();
+  if (Chunk* chunk = std::get_if<Chunk>(&work)) {
+    // A job whose members all settled above leaves its chunk.
+    chunk->erase(std::remove_if(chunk->begin(), chunk->end(),
+                                [](const ChunkJob& c) {
+                                  return c.job.members.empty();
+                                }),
+                 chunk->end());
+    submit_chunk_task(std::move(*chunk));
+    return;
+  }
+  Job job = std::move(std::get<Job>(work));
 
   // Resolve the factorization source: cache hit, attach to an in-flight
   // factorization of the same matrix, or become the owner of a new one.

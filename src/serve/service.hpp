@@ -15,7 +15,8 @@
 // Every job is one shared matrix plus a list of members, each a right-hand
 // side (none for a factor job) with its own handle: submit_solve and
 // submit_factor queue a list of one, submit_batch a list of N, and
-// submit_many stages one job per distinct matrix pointer. Once the job's
+// submit_many builds one job per distinct matrix pointer and queues them in
+// chunks, each chunk one entry of the same admission queue. Once the job's
 // factorization is in hand (cache hit, attached in-flight factorization, or
 // its own), one tail solves and settles every member, on every route.
 // There is one fusion rule: at F64 without refinement sweeps, a job's
@@ -57,12 +58,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "api/solver.hpp"
@@ -263,8 +264,8 @@ struct ServiceStats {
   std::uint64_t batches = 0, batch_members = 0, fused_rhs_columns = 0;
   /// submit_many telemetry: jobs executed through chunked batch tasks,
   /// chunk tasks executed, cache hits skimmed off at submission (served
-  /// without staging), and the mean jobs per executed chunk — the batch
-  /// fill, the number that says whether staging actually amortizes.
+  /// without factoring), and the mean jobs per executed chunk — the batch
+  /// fill, the number that says whether chunking actually amortizes.
   std::uint64_t batched_jobs = 0, batches_executed = 0, batch_hits_skimmed = 0;
   double batch_fill_mean = 0.0;
   std::uint64_t factors_coarse = 0, factors_inline_parallel = 0;
@@ -313,15 +314,18 @@ class SolveService {
                                       Priority priority = Priority::Batch);
 
   /// Enqueue many independent small systems (a_i x_i = b_i), one handle per
-  /// pair. Cache hits are skimmed off at submission and ride solve-only
-  /// chunk tasks flushed at once; misses accumulate in a size-bucketed
-  /// staging area and execute as chunked batch tasks — one engine task
-  /// factors and solves a whole shape-homogeneous chunk inside a single
-  /// workspace frame, so queue/engine/workspace cost is paid per chunk, not
-  /// per member. Members are output-screened like every solve but not
-  /// retried. A bucket flushes when it reaches BatchOptions::flush_count
-  /// members or when its oldest has waited flush_deadline_us (bounded
-  /// latency for sparse arrivals; cfg.solver.batch() carries both knobs).
+  /// pair. The call plans its own chunks (they never span calls): cache
+  /// misses are grouped by matrix order (orders in first-seen order), and
+  /// cache hits found at submission (skim hits) form one solve-only group
+  /// after them; each group is cut into chunks of
+  /// max(core::auto_chunk_size, 8) members, a job split where a chunk ends.
+  /// Every chunk enters the admission queue like any job, in that order —
+  /// queue capacity and reject_when_full, Batch shedding while Degraded,
+  /// cancel while queued and draining at shutdown apply to its members —
+  /// and the dispatcher runs it as one engine task that factors and solves
+  /// the whole chunk inside a single workspace frame, so queue/engine/
+  /// workspace cost is paid per chunk, not per member. Members are
+  /// output-screened like every solve but not retried.
   ///
   /// Per-member error isolation: a malformed pair (non-square a, rhs row
   /// mismatch) fails its own handle only — bulk submission never throws
@@ -389,22 +393,18 @@ class SolveService {
     std::vector<Member> members;
   };
 
-  /// A submit_many job with its submission skim probe. Cache misses wait in
-  /// their size bucket until the chunk flushes; skim hits carry their
-  /// factorization and bypass the buckets entirely — grouped into
-  /// immediately-flushed solve chunks with no staging latency.
-  struct Staged {
+  /// A submit_many job with its submission skim probe: a skim hit carries
+  /// its factorization and needs no factoring in the chunk task.
+  struct ChunkJob {
     Job job;
     std::uint64_t hash = 0;
     FacPtr fac;  ///< set on a skim hit
   };
-
-  /// Staging bucket: same-order jobs awaiting count or deadline flush.
-  struct StageBucket {
-    std::vector<Staged> jobs;
-    std::size_t members = 0;      ///< members across jobs (the flush count)
-    std::uint64_t oldest_us = 0;  ///< staging time of the oldest member
-  };
+  /// submit_many's unit of admission and execution: jobs that one engine
+  /// task factors and solves serially in one workspace frame.
+  using Chunk = std::vector<ChunkJob>;
+  /// One admission-queue entry: a job, or a submit_many chunk.
+  using Work = std::variant<Job, Chunk>;
 
   /// One member's share of a solve_run (fused members share report,
   /// solve_us and error). `poisoned` marks a non-finite x under output
@@ -445,9 +445,13 @@ class SolveService {
   };
 
   std::uint64_t now_us() const;
-  void enqueue(Job job);
+  // Count `members` accepted jobs: submitted, and active until each settles.
+  void admit(std::size_t members);
+  // The jobs of a queue entry (one, or a chunk's).
+  static std::vector<Job*> jobs_of(Work& work);
+  void enqueue(Work work);
   void dispatcher_loop();
-  void dispatch(Job job);
+  void dispatch(Work work);
   bool watchdog_enabled() const { return cfg_.watchdog_period_ms > 0; }
   // Build a job state carrying the deadline / hard-wall / retry budget and
   // register it with the watchdog when it has a wall to enforce.
@@ -458,7 +462,7 @@ class SolveService {
   void screen_input(const Matrix<double>& m) const;
   // Every member has a hard wall (the watchdog will recover it if it is
   // lost) — the precondition for honoring an injected job drop.
-  bool job_guarded(const Job& job) const;
+  bool work_guarded(Work& work) const;
   // Transient-failure classification, with side effects: injected faults
   // count toward faults_injected, allocation pressure triggers the
   // memory-pressure response. Deterministic errors return false.
@@ -524,16 +528,12 @@ class SolveService {
   // and solve one by one otherwise. Never throws.
   std::vector<Solved> solve_run(const core::Factorization& fac,
                                 const std::vector<const Matrix<double>*>& bs);
-  // submit_many machinery: the flusher thread turns staged buckets into
-  // chunk tasks (on count, deadline, or shutdown), carving jobs at chunk
-  // boundaries; each chunk task runs the tail for its jobs serially in one
-  // workspace frame, one job's failure isolated from the next.
-  void flusher_loop();
-  // Move up to `count` members off the front of `s` into a new staged job
-  // on the same matrix and probe.
-  static Staged split_front(Staged& s, std::size_t count);
-  void execute_staged(std::vector<Staged> group);
-  void submit_chunk_task(std::vector<Staged> chunk);
+  // submit_many machinery: enqueue_chunks cuts a group into chunks and
+  // queues each; the dispatcher hands a chunk to submit_chunk_task, whose
+  // one engine task runs the tail for its jobs serially in one workspace
+  // frame, one job's failure isolated from the next.
+  void enqueue_chunks(std::vector<ChunkJob> group);
+  void submit_chunk_task(Chunk chunk);
   // Queued -> Running arbitration against cancel(). start_us != 0 backdates
   // the execution start.
   bool try_begin(const std::shared_ptr<detail::JobState>& state,
@@ -564,7 +564,7 @@ class SolveService {
   std::unique_ptr<Solver> coarse_solver_;  // serial factor, runs inside a task
   std::unique_ptr<Solver> fine_solver_;    // parallel factor on the shared engine
   FactorizationCache cache_;
-  JobQueue<Job> queue_;
+  JobQueue<Work> queue_;
 
   mutable std::mutex mu_;  // pending_, inflight_, inflight_limit_, active_
   std::condition_variable inflight_cv_;
@@ -595,16 +595,6 @@ class SolveService {
 
   std::vector<std::thread> dispatchers_;
   std::chrono::steady_clock::time_point start_;
-
-  // submit_many staging area. stage_mu_ orders bucket mutation against the
-  // flusher and shutdown; full buckets move to flush_ready_ so the client
-  // thread never executes chunks (and never blocks on inflight slots).
-  std::mutex stage_mu_;
-  std::condition_variable stage_cv_;
-  std::map<int, StageBucket> staging_;           // keyed by matrix order
-  std::vector<std::vector<Staged>> flush_ready_;  // count-full groups
-  bool stage_closed_ = false;
-  std::thread flusher_;
 
   /// Registry handles, resolved once at construction under the label
   /// {service="k"} (k = id_). They are this service's only telemetry

@@ -1,8 +1,9 @@
 // Tests for the batched small-problem backend: chunk planning, bitwise
 // parity of factor_many / solve_many / factor_solve_many against one-shot
 // Solver calls at every precision, per-member error isolation (library and
-// service), the serve submit_many staging area (count flush, deadline
-// flush, cache-hit skim, cancellation, telemetry), and 8-seed chaos + audit
+// service), the serve submit_many route (chunks through the admission
+// queue: cache-hit skim, cancel while queued, full-queue rejection, drain
+// at shutdown, telemetry), and 8-seed chaos + audit
 // on the chunked engine tasks. Sized to stay sanitizer-friendly — the CI
 // asan/tsan/ubsan jobs run this whole binary.
 #include <gtest/gtest.h>
@@ -104,21 +105,6 @@ TEST(BatchPlanning, ScratchEstimateIsPositiveAndMonotonicInTile) {
   EXPECT_GT(big, small);
   EXPECT_GT(core::chunk_scratch_bytes_f32(64, 16), 0u);
   EXPECT_EQ(core::chunk_scratch_bytes_f64(0, 16), 0u);
-}
-
-TEST(BatchPlanning, BatchOptionsValidateOnSet) {
-  BatchOptions bad;
-  bad.flush_count = 0;
-  EXPECT_THROW(SolverConfig().batch(bad), Error);
-  bad = BatchOptions{};
-  bad.chunk_size = -1;
-  EXPECT_THROW(SolverConfig().batch(bad), Error);
-  bad = BatchOptions{};
-  bad.flush_deadline_us = -5;
-  EXPECT_THROW(SolverConfig().batch(bad), Error);
-  BatchOptions ok;
-  ok.chunk_size = 16;
-  EXPECT_EQ(SolverConfig().batch(ok).batch().chunk_size, 16);
 }
 
 // ---------------------------------------------------------------------------
@@ -266,7 +252,7 @@ TEST(SubmitMany, MixedShapesMatchOneShotBitwise) {
   EXPECT_EQ(s.failed, 0u);
 }
 
-TEST(SubmitMany, CacheHitsAreSkimmedBeforeStaging) {
+TEST(SubmitMany, CacheHitsAreSkimmedAtSubmission) {
   const auto cfg = service_config();
   serve::SolveService svc(cfg);
   const auto primed = gen::generate(gen::MatrixKind::Random, 32, 11);
@@ -283,25 +269,8 @@ TEST(SubmitMany, CacheHitsAreSkimmedBeforeStaging) {
   handles[2].get();
   const serve::ServiceStats s = svc.stats();
   EXPECT_EQ(s.batch_hits_skimmed, 1u);
-  // All three members execute in chunks; only the two misses were staged.
+  // All three members execute in chunks; only the two misses factor.
   EXPECT_EQ(s.batched_jobs, 3u);
-}
-
-TEST(SubmitMany, DeadlineFlushesPartialBucket) {
-  auto cfg = service_config();
-  BatchOptions bo;
-  bo.flush_count = 1000;  // count flush unreachable
-  bo.flush_deadline_us = 20000;
-  cfg.solver.batch(bo);
-  serve::SolveService svc(cfg);
-  std::vector<Matrix<double>> as;
-  for (int s = 0; s < 3; ++s)
-    as.push_back(gen::generate(gen::MatrixKind::Random, 24, 300 + s));
-  auto handles = svc.submit_many(as, rhs_for(as));
-  for (auto& h : handles) h.get();  // completes only if the deadline fired
-  const serve::ServiceStats s = svc.stats();
-  EXPECT_EQ(s.batched_jobs, 3u);
-  EXPECT_GE(s.batches_executed, 1u);
 }
 
 TEST(SubmitMany, MalformedMemberFailsAloneService) {
@@ -326,40 +295,80 @@ TEST(SubmitMany, MalformedMemberFailsAloneService) {
   EXPECT_EQ(s.completed, handles.size() - 2);
 }
 
-TEST(SubmitMany, CancelWinsWhileStaged) {
-  auto cfg = service_config();
-  BatchOptions bo;
-  bo.flush_count = 1000;
-  bo.flush_deadline_us = 200000;  // long enough for cancel to win the race
-  cfg.solver.batch(bo);
-  serve::SolveService svc(cfg);
-  std::vector<Matrix<double>> as;
-  for (int s = 0; s < 3; ++s)
-    as.push_back(gen::generate(gen::MatrixKind::Random, 16, 600 + s));
-  auto handles = svc.submit_many(as, rhs_for(as));
-  ASSERT_TRUE(handles[1].cancel());
-  EXPECT_THROW(handles[1].get(), Error);
-  handles[0].get();
-  handles[2].get();
-  const serve::ServiceStats s = svc.stats();
-  EXPECT_EQ(s.cancelled, 1u);
-  EXPECT_EQ(s.batched_jobs, 2u);  // the cancelled member never executed
+// One worker held by a gate and one inflight slot: the first chunk waits in
+// the engine holding the slot, so later chunks wait in the admission queue
+// (or at the dispatcher, before their members begin).
+serve::ServiceConfig gated_config() {
+  auto cfg = service_config(1);
+  cfg.max_inflight = 1;
+  return cfg;
 }
 
-TEST(SubmitMany, ShutdownFlushesEverythingStaged) {
-  std::vector<serve::JobHandle> handles;
+std::vector<Matrix<double>> distinct_matrices(int count, int n, int seed) {
   std::vector<Matrix<double>> as;
+  for (int s = 0; s < count; ++s)
+    as.push_back(gen::generate(gen::MatrixKind::Random, n, seed + s));
+  return as;
+}
+
+TEST(SubmitMany, CancelWinsWhileQueued) {
+  serve::SolveService svc(gated_config());
+  luqr::testing::WorkerGate gate(svc.engine());
+  const auto first = distinct_matrices(3, 16, 600);
+  auto running = svc.submit_many(first, rhs_for(first));
+  const auto second = distinct_matrices(1, 16, 610);
+  auto queued = svc.submit_many(second, rhs_for(second));
+  ASSERT_TRUE(queued[0].cancel());
+  gate.release();
+  EXPECT_THROW(queued[0].get(), Error);
+  for (auto& h : running) h.get();
+  svc.drain();  // the cancel is counted when its owner observes it
+  const serve::ServiceStats s = svc.stats();
+  EXPECT_EQ(s.cancelled, 1u);
+  EXPECT_EQ(s.batched_jobs, 3u);  // the cancelled member never executed
+  EXPECT_EQ(s.batches_executed, 1u);
+}
+
+TEST(SubmitMany, FullQueueRejectsMembers) {
+  auto cfg = gated_config();
+  cfg.queue_capacity = 1;
+  cfg.reject_when_full = true;
+  serve::SolveService svc(cfg);
+  luqr::testing::WorkerGate gate(svc.engine());
+  // 64 misses of one order on one worker: four chunks of 16. At most three
+  // are held — one in the engine behind the gate, one at the dispatcher
+  // waiting for the slot, one in the queue — so at least one is rejected.
+  const auto as = distinct_matrices(64, 16, 900);
+  auto handles = svc.submit_many(as, rhs_for(as));
+  gate.release();
+  std::size_t rejected = 0, done = 0;
+  for (auto& h : handles) {
+    h.wait();
+    rejected += h.status() == serve::JobStatus::Rejected ? 1 : 0;
+    done += h.status() == serve::JobStatus::Done ? 1 : 0;
+  }
+  EXPECT_GE(rejected, 16u);
+  EXPECT_EQ(rejected % 16, 0u);  // whole chunks
+  EXPECT_EQ(done + rejected, handles.size());
+  svc.drain();
+  const serve::ServiceStats s = svc.stats();
+  EXPECT_EQ(s.rejected, rejected);
+  EXPECT_EQ(s.submitted, handles.size());
+  EXPECT_EQ(s.submitted,
+            s.completed + s.failed + s.cancelled + s.rejected + s.shed);
+}
+
+TEST(SubmitMany, ShutdownDrainsQueuedChunks) {
+  std::vector<serve::JobHandle> handles;
   {
-    auto cfg = service_config();
-    BatchOptions bo;
-    bo.flush_count = 1000;
-    bo.flush_deadline_us = 60000000;  // only shutdown can flush
-    cfg.solver.batch(bo);
-    serve::SolveService svc(cfg);
-    for (int s = 0; s < 4; ++s)
-      as.push_back(gen::generate(gen::MatrixKind::Random, 16, 700 + s));
+    serve::SolveService svc(gated_config());
+    luqr::testing::WorkerGate gate(svc.engine());
+    // Four chunks of 10: at least two wait in the queue when it closes.
+    const auto as = distinct_matrices(40, 16, 700);
     handles = svc.submit_many(as, rhs_for(as));
-  }  // destructor closes staging, flushes, drains
+    EXPECT_GE(svc.stats().queue_depth, 2u);
+    gate.release();
+  }  // the destructor closes the queue, dispatches what it holds, drains
   for (auto& h : handles) EXPECT_EQ(h.status(), serve::JobStatus::Done);
 }
 

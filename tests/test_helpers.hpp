@@ -3,9 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <condition_variable>
+#include <memory>
+#include <mutex>
+
 #include "common/rng.hpp"
 #include "kernels/dense.hpp"
 #include "kernels/reference.hpp"
+#include "runtime/engine.hpp"
 
 namespace luqr::testing {
 
@@ -79,5 +84,45 @@ void expect_leading_columns_bitwise(const Matrix<T>& got, const Matrix<T>& ref,
     for (int i = 0; i < got.rows(); ++i)
       ASSERT_EQ(got(i, j), ref(i, j)) << what << " @ " << i << "," << j;
 }
+
+/// Holds one worker of an engine until release() (or destruction). A test
+/// gates a service's engine with one gate per worker, so that whatever the
+/// service admits meanwhile stays queued until the test lets it run. The
+/// constructor returns once the gate task occupies its worker.
+class WorkerGate {
+ public:
+  explicit WorkerGate(rt::Engine& engine) : s_(std::make_shared<State>()) {
+    engine.submit(
+        [s = s_] {
+          std::unique_lock<std::mutex> lock(s->mu);
+          s->held = true;
+          s->cv.notify_all();
+          s->cv.wait(lock, [&] { return s->open; });
+        },
+        {}, "test-gate");
+    std::unique_lock<std::mutex> lock(s_->mu);
+    s_->cv.wait(lock, [this] { return s_->held; });
+  }
+  ~WorkerGate() { release(); }
+  WorkerGate(const WorkerGate&) = delete;
+  WorkerGate& operator=(const WorkerGate&) = delete;
+
+  void release() {
+    {
+      std::lock_guard<std::mutex> lock(s_->mu);
+      s_->open = true;
+    }
+    s_->cv.notify_all();
+  }
+
+ private:
+  struct State {
+    std::mutex mu;
+    std::condition_variable cv;
+    bool held = false;
+    bool open = false;
+  };
+  std::shared_ptr<State> s_;
+};
 
 }  // namespace luqr::testing

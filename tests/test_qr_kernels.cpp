@@ -158,7 +158,7 @@ TEST(GeqrtFloat, SinglePrecision) {
 // Exact-width apply: unmqr dispatched at width nb on a W-wide C must equal,
 // bit for bit, nb-wide calls on the same columns — the invariance the
 // exact-width solve replay rests on. nb spans both sides of the packed-GEMM
-// dispatch threshold (nb^3 vs LUQR_GEMM_SMALL_MNK).
+// dispatch threshold (nb^3 vs kGemmSmallMNK).
 template <typename T>
 class UnmqrDispatchWidth : public ::testing::Test {};
 using Scalars = ::testing::Types<double, float>;

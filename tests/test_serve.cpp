@@ -229,12 +229,16 @@ TEST(SolveService, RejectWhenFullPolicy) {
   cfg.max_inflight = 1;
   cfg.reject_when_full = true;
   SolveService svc(cfg);
+  // The gate holds the one worker while the jobs arrive, so the queue
+  // cannot drain between submissions.
+  luqr::testing::WorkerGate gate(svc.engine());
   std::vector<JobHandle> jobs;
   for (int i = 0; i < 12; ++i) {
     const auto a = gen::generate(gen::MatrixKind::Random, 48, 100 + i);
     const auto b = random_matrix(48, 1, 200 + i);
     jobs.push_back(svc.submit_solve(a, b));
   }
+  gate.release();
   int done = 0, rejected = 0;
   for (auto& j : jobs) {
     j.wait();
@@ -270,6 +274,9 @@ TEST(SolveService, InteractiveOvertakesBatchTraffic) {
   ServiceConfig cfg = base_config(1);
   cfg.max_inflight = 1;
   SolveService svc(cfg);
+  // The gate holds the one worker until the urgent job is queued, so the
+  // batch jobs cannot drain before it arrives.
+  luqr::testing::WorkerGate gate(svc.engine());
   std::vector<JobHandle> batch;
   for (int i = 0; i < 12; ++i) {
     const auto a = gen::generate(gen::MatrixKind::Random, 64, 500 + i);
@@ -279,6 +286,7 @@ TEST(SolveService, InteractiveOvertakesBatchTraffic) {
   const auto a = gen::generate(gen::MatrixKind::Random, 32, 700);
   const auto b = random_matrix(32, 1, 701);
   auto urgent = svc.submit_solve(a, b, Priority::Interactive);
+  gate.release();
   (void)urgent.get();
   // The urgent job jumped the queue: batch work must still be outstanding.
   int not_done = 0;

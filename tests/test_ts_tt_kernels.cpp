@@ -213,7 +213,7 @@ TEST(TsqrtFloat, SinglePrecisionRoundtrip) {
 // Exact-width applies: tsmqr/ttmqr dispatched at width nb on a W-wide
 // [C1; C2] must equal, bit for bit, nb-wide calls on the same columns — the
 // invariance the exact-width solve replay rests on. nb spans both sides of
-// the packed-GEMM dispatch threshold (nb^3 vs LUQR_GEMM_SMALL_MNK).
+// the packed-GEMM dispatch threshold (nb^3 vs kGemmSmallMNK).
 template <typename T>
 class StackedApplyDispatchWidth : public ::testing::Test {};
 using Scalars = ::testing::Types<double, float>;

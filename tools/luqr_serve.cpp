@@ -17,9 +17,9 @@
 //                     (default 0 = no batching)
 //   --many K          fold every K-th request into a K-member submit_many
 //                     call with mixed pool picks (default 0 = off); this
-//                     exercises the size-bucketed staging area
+//                     exercises the chunked submit_many route
 //   --small-mix       small-problem preset: sizes 16..128, submit_many
-//                     groups of 8, verification on — the batched-staging
+//                     groups of 8, verification on — the chunked-batch
 //                     stress shape CI runs under TSan
 //   --verify          check every result bitwise against a one-shot
 //                     luqr::Solver reference (results are collected during
@@ -166,7 +166,7 @@ int run_fault_sweep(std::uint64_t first_seed, int nseeds, int nb) {
           std::vector<serve::JobHandle> mine;
           try {
             if (r % 5 == 4) {
-              // A submit_many group: staging buckets + chunk tasks under
+              // A submit_many group: queued chunks + chunk tasks under
               // fault fire (members are non-retryable; they must still
               // settle one way or the other).
               std::vector<Matrix<double>> as, bs;
@@ -553,7 +553,8 @@ int main(int argc, char** argv) {
             std::vector<int> picks;  // pool index per handle, for verification
             if (many_every > 0 && r % many_every == 0) {
               // K independent systems with mixed pool picks in one
-              // submit_many call: lands in the size-bucketed staging area.
+              // submit_many call: queued as per-order chunks plus a chunk
+              // of its cache hits.
               std::vector<Matrix<double>> as;
               for (int k = 0; k < many_every; ++k) {
                 const int p = static_cast<int>(rng.uniform() * pool_size) % pool_size;
@@ -664,7 +665,7 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(s.batches),
                   static_cast<unsigned long long>(s.batch_members),
                   static_cast<unsigned long long>(s.fused_rhs_columns));
-      std::printf("staged batching    %llu jobs / %llu chunks (fill mean %.1f), "
+      std::printf("chunked batching   %llu jobs / %llu chunks (fill mean %.1f), "
                   "%llu cache hits skimmed\n",
                   static_cast<unsigned long long>(s.batched_jobs),
                   static_cast<unsigned long long>(s.batches_executed),
