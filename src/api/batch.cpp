@@ -1,6 +1,7 @@
 #include "api/batch.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 #include "core/batch.hpp"
@@ -84,6 +85,40 @@ std::size_t scratch_estimate(Precision p, int n, int nb) {
                              : core::chunk_scratch_bytes_f32(n, nb);
 }
 
+// The one chunk runner of the three endpoints: items bucketed by order and
+// chunked, each chunk one engine task (or inline) that opens a workspace
+// frame pre-grown to its first item's shape, then runs step(i) for each of
+// its items with that item's failure isolated in out[i].error. shape(i) is
+// item i's {order, tile size}.
+template <typename Outcome, typename Shape, typename Step>
+void run_chunked(const Solver& solver, std::vector<Outcome>& out,
+                 const Shape& shape, const Step& step, const char* name) {
+  Exec ex = make_exec(solver, out.size());
+  std::vector<int> orders(out.size());
+  for (std::size_t i = 0; i < out.size(); ++i) orders[i] = shape(i).first;
+  std::vector<std::size_t> order;
+  const std::vector<core::Chunk> chunks = plan(orders, ex.lanes, order);
+  const Precision precision = solver.config().precision();
+
+  rt::run_chunks_on(
+      ex.engine, chunks,
+      [&](std::size_t begin, std::size_t end) {
+        kern::Workspace& ws = kern::tls_workspace();
+        kern::Workspace::Frame frame(ws);
+        const std::pair<int, int> head = shape(order[begin]);
+        ws.reserve(scratch_estimate(precision, head.first, head.second));
+        for (std::size_t p = begin; p < end; ++p) {
+          const std::size_t i = order[p];
+          try {
+            step(i);
+          } catch (...) {
+            out[i].error = std::current_exception();
+          }
+        }
+      },
+      name);
+}
+
 }  // namespace
 
 std::vector<FactorOutcome> factor_many(const Solver& solver,
@@ -92,30 +127,13 @@ std::vector<FactorOutcome> factor_many(const Solver& solver,
   if (as.empty()) return out;
   require_value_criterion(solver, "factor_many");
   const Solver local = chunk_solver(solver);
-  Exec ex = make_exec(solver, as.size());
-
-  std::vector<int> orders(as.size());
-  for (std::size_t i = 0; i < as.size(); ++i) orders[i] = as[i].rows();
-  std::vector<std::size_t> order;
-  const std::vector<core::Chunk> chunks = plan(orders, ex.lanes, order);
-
-  rt::run_chunks_on(
-      ex.engine, chunks,
-      [&](std::size_t begin, std::size_t end) {
-        kern::Workspace& ws = kern::tls_workspace();
-        kern::Workspace::Frame frame(ws);
-        ws.reserve(scratch_estimate(solver.config().precision(),
-                                    as[order[begin]].rows(),
-                                    solver.config().tile_size()));
-        for (std::size_t p = begin; p < end; ++p) {
-          const std::size_t i = order[p];
-          try {
-            out[i].factorization = std::make_shared<const core::Factorization>(
-                local.factor(as[i]));
-          } catch (...) {
-            out[i].error = std::current_exception();
-          }
-        }
+  const int nb = solver.config().tile_size();
+  run_chunked(
+      solver, out,
+      [&](std::size_t i) { return std::make_pair(as[i].rows(), nb); },
+      [&](std::size_t i) {
+        out[i].factorization =
+            std::make_shared<const core::Factorization>(local.factor(as[i]));
       },
       "batch-factor");
   return out;
@@ -129,33 +147,17 @@ std::vector<SolveOutcome> solve_many(const Solver& solver,
                "solve_many: one right-hand side per factorization");
   std::vector<SolveOutcome> out(facs.size());
   if (facs.empty()) return out;
-  Exec ex = make_exec(solver, facs.size());
-
-  std::vector<int> orders(facs.size());
-  for (std::size_t i = 0; i < facs.size(); ++i)
-    orders[i] = facs[i] != nullptr ? facs[i]->order() : 0;
-  std::vector<std::size_t> order;
-  const std::vector<core::Chunk> chunks = plan(orders, ex.lanes, order);
-
-  rt::run_chunks_on(
-      ex.engine, chunks,
-      [&](std::size_t begin, std::size_t end) {
-        kern::Workspace& ws = kern::tls_workspace();
-        kern::Workspace::Frame frame(ws);
-        const core::Factorization* head = facs[order[begin]].get();
-        if (head != nullptr)
-          ws.reserve(scratch_estimate(solver.config().precision(),
-                                      head->order(), head->tile_size()));
-        for (std::size_t p = begin; p < end; ++p) {
-          const std::size_t i = order[p];
-          try {
-            LUQR_REQUIRE(facs[i] != nullptr,
-                         "solve_many: null factorization entry");
-            out[i].x = facs[i]->solve(bs[i], &out[i].report, refinement_sweeps);
-          } catch (...) {
-            out[i].error = std::current_exception();
-          }
-        }
+  run_chunked(
+      solver, out,
+      [&](std::size_t i) {
+        // A null entry fails in its step; it pre-grows nothing.
+        return facs[i] != nullptr
+                   ? std::make_pair(facs[i]->order(), facs[i]->tile_size())
+                   : std::make_pair(0, 0);
+      },
+      [&](std::size_t i) {
+        LUQR_REQUIRE(facs[i] != nullptr, "solve_many: null factorization entry");
+        out[i].x = facs[i]->solve(bs[i], &out[i].report, refinement_sweeps);
       },
       "batch-solve");
   return out;
@@ -171,32 +173,15 @@ std::vector<FactorSolveOutcome> factor_solve_many(
   require_value_criterion(solver, "factor_solve_many");
   const Solver local = chunk_solver(solver);
   const int sweeps = solver.config().refinement_sweeps();
-  Exec ex = make_exec(solver, as.size());
-
-  std::vector<int> orders(as.size());
-  for (std::size_t i = 0; i < as.size(); ++i) orders[i] = as[i].rows();
-  std::vector<std::size_t> order;
-  const std::vector<core::Chunk> chunks = plan(orders, ex.lanes, order);
-
-  rt::run_chunks_on(
-      ex.engine, chunks,
-      [&](std::size_t begin, std::size_t end) {
-        kern::Workspace& ws = kern::tls_workspace();
-        kern::Workspace::Frame frame(ws);
-        ws.reserve(scratch_estimate(solver.config().precision(),
-                                    as[order[begin]].rows(),
-                                    solver.config().tile_size()));
-        for (std::size_t p = begin; p < end; ++p) {
-          const std::size_t i = order[p];
-          try {
-            auto fac = std::make_shared<const core::Factorization>(
-                local.factor(as[i]));
-            out[i].x = fac->solve(bs[i], &out[i].report, sweeps);
-            out[i].factorization = std::move(fac);
-          } catch (...) {
-            out[i].error = std::current_exception();
-          }
-        }
+  const int nb = solver.config().tile_size();
+  run_chunked(
+      solver, out,
+      [&](std::size_t i) { return std::make_pair(as[i].rows(), nb); },
+      [&](std::size_t i) {
+        auto fac =
+            std::make_shared<const core::Factorization>(local.factor(as[i]));
+        out[i].x = fac->solve(bs[i], &out[i].report, sweeps);
+        out[i].factorization = std::move(fac);
       },
       "batch-factor-solve");
   return out;

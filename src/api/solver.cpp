@@ -183,24 +183,3 @@ core::SolveResult Solver::solve(const Matrix<double>& a,
 }
 
 }  // namespace luqr
-
-// ---------------------------------------------------------------------------
-// Historical free-function entry point, kept as a thin wrapper over the
-// facade. Defined here (not in core/'s .cpp files) so core/ never includes
-// upward into api/.
-// ---------------------------------------------------------------------------
-
-namespace luqr::core {
-
-SolveResult hybrid_solve(const Matrix<double>& a, const Matrix<double>& b,
-                         Criterion& criterion, int nb,
-                         const HybridOptions& options) {
-  return Solver(SolverConfig()
-                    .hybrid_options(options)
-                    .tile_size(nb)
-                    .criterion(criterion)
-                    .backend(Backend::Serial))
-      .solve(a, b);
-}
-
-}  // namespace luqr::core

@@ -1,5 +1,7 @@
 #include "baselines/baselines.hpp"
 
+#include "api/solver.hpp"
+
 namespace luqr::baselines {
 
 core::SolveResult lu_nopiv_solve(const Matrix<double>& a, const Matrix<double>& b,
@@ -7,7 +9,12 @@ core::SolveResult lu_nopiv_solve(const Matrix<double>& a, const Matrix<double>& 
   AlwaysLU criterion;
   core::HybridOptions options;
   options.scope = core::PivotScope::Tile;
-  return core::hybrid_solve(a, b, criterion, nb, options);
+  return Solver(SolverConfig()
+                    .hybrid_options(options)
+                    .tile_size(nb)
+                    .criterion(criterion)
+                    .backend(Backend::Serial))
+      .solve(a, b);
 }
 
 }  // namespace luqr::baselines

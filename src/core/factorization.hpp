@@ -1,6 +1,6 @@
 // Retained hybrid factorization: factor A once, solve many times.
 //
-// The fused-RHS driver (hybrid_solve) is the paper's experimental setup;
+// The fused-RHS driver (Solver::solve) is the paper's experimental setup;
 // this class is the §II-D-1 alternative it mentions: "at the end of the
 // factorization, all needed information about the transformations is stored
 // in place of A, so one can apply the transformations on b during a second
@@ -41,7 +41,7 @@ template <typename T>
 class FactorizationT {
  public:
   /// Factor `a` (square). The criterion decides LU vs QR per step exactly
-  /// as in hybrid_solve. The step graph's convert stage tiles `a` (padded)
+  /// as in Solver::solve. The step graph's convert stage tiles `a` (padded)
   /// and copies it into the retained original (for refinement) in one pass.
   static FactorizationT compute(const Matrix<T>& a, Criterion& criterion,
                                 int nb, const HybridOptions& options = {});

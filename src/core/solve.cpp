@@ -47,7 +47,4 @@ template Matrix<float> solve_augmented(const TileMatrix<float>&,
                                        const FactorizationStatsT<float>*, int,
                                        int);
 
-// hybrid_solve is a thin wrapper over the luqr::Solver facade; its
-// definition lives in api/solver.cpp so this layer never includes upward.
-
 }  // namespace luqr::core

@@ -1,9 +1,8 @@
-// Public dense entry point: solve A x = b with the hybrid LU-QR algorithm.
-//
-// Handles tiling (including padding when N is not a multiple of nb, paper
-// §II-D-2), carries the right-hand side through the factorization as extra
-// tile columns (§II-D-1), and finishes with the panel back-substitution the
-// retained factorization also uses (solve_augmented).
+// The pieces of the fused dense solve A x = b that Solver::solve runs: its
+// result type, the augmented tiling that carries the right-hand side
+// through the factorization as extra tile columns (§II-D-1, with padding
+// when N is not a multiple of nb, §II-D-2), and the panel back-substitution
+// the retained factorization also uses (solve_augmented).
 #pragma once
 
 #include "core/hybrid.hpp"
@@ -21,12 +20,6 @@ struct SolveResult {
   FactorizationStats stats;  ///< per-step LU/QR trace
   SolveReport report;        ///< precision + refinement outcome
 };
-
-/// Solve A x = b. `a` is N x N, `b` is N x nrhs, `nb` the tile size (any
-/// positive value; N is padded internally when nb does not divide it).
-SolveResult hybrid_solve(const Matrix<double>& a, const Matrix<double>& b,
-                         Criterion& criterion, int nb,
-                         const HybridOptions& options = {});
 
 /// Build the augmented tiled matrix [A | b] with identity padding on the
 /// square part and zero padding on the RHS rows. Exposed for drivers that

@@ -25,9 +25,9 @@
 // scheduling and workspace reuse (see api/batch.hpp); the service exposes
 // the same machinery as SolveService::submit_many.
 //
-// The low-level entry points (core::hybrid_solve, core::Factorization::
-// compute) remain available and delegate to the same machinery; parallel
-// solves go through Solver with Backend::Parallel.
+// The low-level entry point core::Factorization::compute remains available
+// and runs the same machinery; parallel solves go through Solver with
+// Backend::Parallel.
 #pragma once
 
 #include "api/batch.hpp"

@@ -1,6 +1,8 @@
 #include "serve/cache.hpp"
 
+#include <atomic>
 #include <cstring>
+#include <string>
 
 #include "obs/metrics.hpp"
 
@@ -8,43 +10,8 @@ namespace luqr::serve {
 
 namespace {
 
-// Process-wide registry mirrors of the cache counters. Each cache instance
-// keeps its own authoritative CacheStats (tests run several services side
-// by side and must not see each other's traffic); the registry series
-// aggregate across every cache in the process, which is exactly what a
-// scrape wants. Bytes/entries are additive gauges, so concurrent caches sum.
-struct CacheObs {
-  obs::Counter& hits;
-  obs::Counter& misses;
-  obs::Counter& inserts;
-  obs::Counter& evictions;
-  obs::Counter& oversize;
-  obs::Gauge& bytes;
-  obs::Gauge& entries;
-};
-
-CacheObs& cache_obs() {
-  static CacheObs* o = [] {
-    obs::Registry& reg = obs::Registry::global();
-    return new CacheObs{
-        reg.counter("luqr_cache_hits_total", {},
-                    "Factorization cache hits (verified probes)"),
-        reg.counter("luqr_cache_misses_total", {},
-                    "Factorization cache misses (first probe per lookup)"),
-        reg.counter("luqr_cache_inserts_total", {},
-                    "Factorizations admitted into a cache"),
-        reg.counter("luqr_cache_evictions_total", {},
-                    "LRU evictions across all caches"),
-        reg.counter("luqr_cache_oversize_rejects_total", {},
-                    "Factorizations larger than an entire cache budget"),
-        reg.gauge("luqr_cache_bytes", {},
-                  "Bytes currently cached, summed over all caches"),
-        reg.gauge("luqr_cache_entries", {},
-                  "Entries currently cached, summed over all caches"),
-    };
-  }();
-  return *o;
-}
+// Process-wide sequence labelling caches built without an owner label.
+std::atomic<std::uint64_t> g_cache_seq{0};
 
 }  // namespace
 
@@ -95,11 +62,34 @@ std::uint64_t FactorizationCache::content_hash(const Matrix<double>& a) {
   return h;
 }
 
+FactorizationCache::FactorizationCache(std::size_t byte_budget, HashFn hash,
+                                       obs::Labels labels)
+    : budget_(byte_budget), hash_(hash != nullptr ? hash : &content_hash) {
+  if (labels.empty())
+    labels = {{"cache", std::to_string(g_cache_seq.fetch_add(1))}};
+  obs::Registry& reg = obs::Registry::global();
+  hits_ = &reg.counter("luqr_cache_hits_total", labels,
+                       "Factorization cache hits (verified probes)");
+  misses_ = &reg.counter("luqr_cache_misses_total", labels,
+                         "Factorization cache misses (first probe per lookup)");
+  inserts_ = &reg.counter("luqr_cache_inserts_total", labels,
+                          "Factorizations admitted into the cache");
+  evictions_ = &reg.counter("luqr_cache_evictions_total", labels,
+                            "LRU evictions");
+  oversize_ = &reg.counter("luqr_cache_oversize_rejects_total", labels,
+                           "Factorizations larger than the whole budget");
+  bytes_gauge_ = &reg.gauge("luqr_cache_bytes", labels, "Bytes cached");
+  entries_gauge_ = &reg.gauge("luqr_cache_entries", labels, "Entries cached");
+}
+
 FactorizationCache::~FactorizationCache() {
-  // Give back this cache's contribution to the additive process-wide
-  // gauges; without this, every retired service leaves phantom bytes in
-  // luqr_cache_bytes.
+  // A retired owner's series keep their counts, but hold no bytes.
   clear();
+}
+
+void FactorizationCache::publish_locked() {
+  bytes_gauge_->set(static_cast<double>(bytes_));
+  entries_gauge_->set(static_cast<double>(lru_.size()));
 }
 
 bool FactorizationCache::matches(const Entry& e, std::uint64_t hash,
@@ -122,14 +112,10 @@ std::shared_ptr<const core::Factorization> FactorizationCache::find_hashed(
   for (auto it = range.first; it != range.second; ++it) {
     if (!matches(*it->second, h, a, config_fp)) continue;  // hash collision
     lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-    ++stats_.hits;
-    cache_obs().hits.add(1);
+    hits_->add(1);
     return it->second->fac;
   }
-  if (count_miss) {
-    ++stats_.misses;
-    cache_obs().misses.add(1);
-  }
+  if (count_miss) misses_->add(1);
   return nullptr;
 }
 
@@ -146,8 +132,7 @@ void FactorizationCache::insert_hashed(
   const std::size_t bytes = fac->memory_bytes();
   std::lock_guard<std::mutex> lock(mu_);
   if (bytes > budget_) {
-    ++stats_.oversize_rejects;
-    cache_obs().oversize.add(1);
+    oversize_->add(1);
     return;
   }
   auto range = index_.equal_range(h);
@@ -158,15 +143,12 @@ void FactorizationCache::insert_hashed(
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  while (stats_.bytes + bytes > budget_ && !lru_.empty()) evict_lru_locked();
+  while (bytes_ + bytes > budget_ && !lru_.empty()) evict_lru_locked();
   lru_.push_front(Entry{h, config_fp, std::move(fac), bytes});
   index_.emplace(h, lru_.begin());
-  stats_.bytes += bytes;
-  ++stats_.entries;
-  CacheObs& obs = cache_obs();
-  obs.inserts.add(1);
-  obs.bytes.add(static_cast<double>(bytes));
-  obs.entries.add(1.0);
+  bytes_ += bytes;
+  inserts_->add(1);
+  publish_locked();
 }
 
 void FactorizationCache::evict_lru_locked() {
@@ -178,14 +160,10 @@ void FactorizationCache::evict_lru_locked() {
       break;
     }
   }
-  stats_.bytes -= victim->bytes;
-  --stats_.entries;
-  ++stats_.evictions;
-  CacheObs& obs = cache_obs();
-  obs.evictions.add(1);
-  obs.bytes.add(-static_cast<double>(victim->bytes));
-  obs.entries.add(-1.0);
+  bytes_ -= victim->bytes;
+  evictions_->add(1);
   lru_.erase(victim);
+  publish_locked();
 }
 
 bool FactorizationCache::erase(const Matrix<double>& a,
@@ -202,12 +180,9 @@ bool FactorizationCache::erase_hashed(const Matrix<double>& a,
     if (!matches(*it->second, h, a, config_fp)) continue;
     auto victim = it->second;
     index_.erase(it);
-    stats_.bytes -= victim->bytes;
-    --stats_.entries;
-    CacheObs& obs = cache_obs();
-    obs.bytes.add(-static_cast<double>(victim->bytes));
-    obs.entries.add(-1.0);
+    bytes_ -= victim->bytes;
     lru_.erase(victim);
+    publish_locked();
     return true;
   }
   return false;
@@ -215,25 +190,29 @@ bool FactorizationCache::erase_hashed(const Matrix<double>& a,
 
 void FactorizationCache::evict_to(std::size_t target_bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  while (stats_.bytes > target_bytes && !lru_.empty()) evict_lru_locked();
+  while (bytes_ > target_bytes && !lru_.empty()) evict_lru_locked();
 }
 
 CacheStats FactorizationCache::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  CacheStats s = stats_;
+  CacheStats s;
+  s.hits = hits_->value();
+  s.misses = misses_->value();
+  s.inserts = inserts_->value();
+  s.evictions = evictions_->value();
+  s.oversize_rejects = oversize_->value();
   s.byte_budget = budget_;
+  std::lock_guard<std::mutex> lock(mu_);
+  s.bytes = bytes_;
+  s.entries = lru_.size();
   return s;
 }
 
 void FactorizationCache::clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  CacheObs& obs = cache_obs();
-  obs.bytes.add(-static_cast<double>(stats_.bytes));
-  obs.entries.add(-static_cast<double>(lru_.size()));
   lru_.clear();
   index_.clear();
-  stats_.bytes = 0;
-  stats_.entries = 0;
+  bytes_ = 0;
+  publish_locked();
 }
 
 }  // namespace luqr::serve

@@ -18,7 +18,11 @@
 // solve in flight.
 //
 // All operations are mutex-guarded and O(1) amortized plus the verify
-// memcmp; the counters are plain fields under the same mutex.
+// memcmp. Hits, misses, inserts, evictions and oversize rejects are counted
+// once, in metrics-registry series under the owner's label (a service
+// passes {service="k"}; a standalone cache labels itself {cache="k"}), and
+// stats() reads them back. Bytes and entries are policy state under the
+// mutex, published as gauges under the same label.
 #pragma once
 
 #include <cstdint>
@@ -29,6 +33,7 @@
 #include <unordered_map>
 
 #include "core/factorization.hpp"
+#include "obs/metrics.hpp"
 
 namespace luqr::serve {
 
@@ -42,6 +47,7 @@ bool matrices_equal(const Matrix<double>& a, const Matrix<double>& b);
 struct CacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  std::uint64_t inserts = 0;
   std::uint64_t evictions = 0;
   std::uint64_t oversize_rejects = 0;  ///< entries bigger than the whole budget
   std::size_t bytes = 0;               ///< currently cached
@@ -60,8 +66,10 @@ class FactorizationCache {
   /// force collisions deterministically. nullptr selects content_hash().
   using HashFn = std::uint64_t (*)(const Matrix<double>&);
 
-  explicit FactorizationCache(std::size_t byte_budget, HashFn hash = nullptr)
-      : budget_(byte_budget), hash_(hash != nullptr ? hash : &content_hash) {}
+  /// `labels` names the owner on every registry series this cache
+  /// publishes; empty selects a process-unique {cache="k"}.
+  explicit FactorizationCache(std::size_t byte_budget, HashFn hash = nullptr,
+                              obs::Labels labels = {});
   ~FactorizationCache();
 
   FactorizationCache(const FactorizationCache&) = delete;
@@ -135,12 +143,23 @@ class FactorizationCache {
                       const std::string& config_fp);
   void evict_lru_locked();
 
+  // Publish bytes_/lru_.size() to the gauges (mu_ held).
+  void publish_locked();
+
   const std::size_t budget_;
   const HashFn hash_;
   mutable std::mutex mu_;
   LruList lru_;  // front = most recently used
   std::unordered_multimap<std::uint64_t, LruList::iterator> index_;
-  CacheStats stats_;
+  std::size_t bytes_ = 0;
+  /// Registry series under the owner's label: the only counter storage.
+  obs::Counter* hits_;
+  obs::Counter* misses_;
+  obs::Counter* inserts_;
+  obs::Counter* evictions_;
+  obs::Counter* oversize_;
+  obs::Gauge* bytes_gauge_;
+  obs::Gauge* entries_gauge_;
 };
 
 }  // namespace luqr::serve

@@ -61,13 +61,6 @@ std::atomic<std::uint64_t> g_job_seq{0};
 // registry series, so concurrent services never share a series.
 std::atomic<std::uint64_t> g_service_seq{0};
 
-std::shared_ptr<JobState> make_job_state(std::uint64_t t_submit_us) {
-  auto s = std::make_shared<JobState>();
-  s->job_id = g_job_seq.fetch_add(1, std::memory_order_relaxed) + 1;
-  s->t_submit_us = t_submit_us;
-  return s;
-}
-
 // Smallest chunk submit_many cuts a group into (the last chunk is ragged; a
 // group below the floor runs as one chunk).
 constexpr int kMinChunk = 8;
@@ -85,6 +78,10 @@ bool finite_matrix(const Matrix<double>& m) {
   if (m.rows() == 0 || m.cols() == 0) return true;
   return std::isfinite(kern::lange(kern::Norm::Fro, m.view()));
 }
+
+constexpr const char* kNonFinite =
+    "serve: input contains non-finite values (NaN or Inf); set "
+    "ServiceConfig::screen_inputs=false to disable input screening";
 
 // A factor member's b is 0x0; every other member is solved, even an n x 0
 // one (its reply is an n x 0 solution, as from one-shot Solver::solve).
@@ -208,7 +205,8 @@ bool JobHandle::cancel() {
 SolveService::SolveService(ServiceConfig config)
     : cfg_(std::move(config)),
       id_(g_service_seq.fetch_add(1, std::memory_order_relaxed)),
-      cache_(cfg_.cache_bytes, cfg_.cache_hash),
+      cache_(cfg_.cache_bytes, cfg_.cache_hash,
+             {{"service", std::to_string(id_)}}),
       queue_(cfg_.queue_capacity) {
   LUQR_REQUIRE(cfg_.solver.external_criterion() == nullptr,
                "serve: the service needs a CriterionSpec-configured solver "
@@ -232,7 +230,7 @@ SolveService::SolveService(ServiceConfig config)
   config_fp_ = fingerprint(cfg_.solver);
   config_fp_hash_ = fingerprint_hash(config_fp_);
 
-  // Request-sized factorizations run as one coarse task on a worker...
+  // Request-sized factorizations run serially inside an engine task...
   coarse_solver_ = std::make_unique<Solver>(
       SolverConfig(cfg_.solver).backend(Backend::Serial));
   // ...big ones as a fine-grained task graph on the same shared engine,
@@ -288,7 +286,7 @@ SolveService::SolveService(ServiceConfig config)
   obs_.batched_jobs = counter("luqr_serve_batched_jobs_total",
                               "submit_many members executed in chunk tasks");
   obs_.batch_chunks = counter("luqr_serve_batch_chunks_total",
-                              "submit_many chunk tasks that executed work");
+                              "Engine tasks that executed submit_many members");
   obs_.batch_hits_skimmed =
       counter("luqr_serve_batch_hits_skimmed_total",
               "submit_many members served by a cache hit found at submission");
@@ -385,25 +383,13 @@ void SolveService::admit(std::size_t members) {
   active_ += members;
 }
 
-std::vector<SolveService::Job*> SolveService::jobs_of(Work& work) {
-  std::vector<Job*> jobs;
-  if (Chunk* chunk = std::get_if<Chunk>(&work)) {
-    for (ChunkJob& c : *chunk) jobs.push_back(&c.job);
-  } else {
-    jobs.push_back(&std::get<Job>(work));
-  }
-  return jobs;
-}
-
-void SolveService::enqueue(Work work) {
-  // Keep the states: a push that fails has consumed the work. A chunk's
+void SolveService::enqueue(Jobs jobs) {
+  // Keep the states: a push that fails has consumed the entry. A chunk's
   // jobs all carry their submit_many call's priority.
   std::vector<std::shared_ptr<JobState>> states;
-  Priority priority = Priority::Normal;
-  for (const Job* job : jobs_of(work)) {
-    priority = job->priority;
-    for (const Member& m : job->members) states.push_back(m.state);
-  }
+  for (const Job& job : jobs)
+    for (const Member& m : job.members) states.push_back(m.state);
+  const Priority priority = jobs.front().priority;
   admit(states.size());
   // Degraded admission control: Batch work is the first thing to go — the
   // service keeps its remaining capacity for Interactive/Normal traffic
@@ -414,15 +400,17 @@ void SolveService::enqueue(Work work) {
   }
   const int lane = static_cast<int>(priority);
   const bool accepted = cfg_.reject_when_full
-                            ? queue_.try_push(std::move(work), lane)
-                            : queue_.push(std::move(work), lane);
+                            ? queue_.try_push(std::move(jobs), lane)
+                            : queue_.push(std::move(jobs), lane);
   if (!accepted)
     for (const auto& st : states) settle(st, JobStatus::Rejected);
 }
 
 std::shared_ptr<JobState> SolveService::new_job_state(const SubmitOptions& opt,
                                                       bool retryable) {
-  auto s = make_job_state(now_us());
+  auto s = std::make_shared<JobState>();
+  s->job_id = g_job_seq.fetch_add(1, std::memory_order_relaxed) + 1;
+  s->t_submit_us = now_us();
   s->max_retries =
       retryable ? (opt.max_retries >= 0 ? opt.max_retries : cfg_.max_retries)
                 : 0;
@@ -438,90 +426,72 @@ std::shared_ptr<JobState> SolveService::new_job_state(const SubmitOptions& opt,
     else if (cfg_.hard_wall_us != 0)
       s->hard_wall_us = s->t_submit_us + cfg_.hard_wall_us;
   }
-  register_job(s);
+  if (s->hard_wall_us != 0) {  // the watchdog's hard-wall scan walks these
+    std::lock_guard<std::mutex> lock(jobs_mu_);
+    live_jobs_.push_back(s);
+  }
   return s;
 }
 
-void SolveService::register_job(const std::shared_ptr<JobState>& state) {
-  if (!watchdog_enabled() || state->hard_wall_us == 0) return;
-  std::lock_guard<std::mutex> lock(jobs_mu_);
-  live_jobs_.push_back(state);
+void SolveService::screen_input(const Matrix<double>& m) const {
+  if (cfg_.screen_inputs && !finite_matrix(m)) throw Error(kNonFinite);
 }
 
-void SolveService::screen_input(const Matrix<double>& m) const {
-  if (!cfg_.screen_inputs || finite_matrix(m)) return;
-  throw Error(
-      "serve: input contains non-finite values (NaN or Inf); set "
-      "ServiceConfig::screen_inputs=false to disable input screening");
+std::vector<JobHandle> SolveService::submit_job(
+    Matrix<double> a, std::vector<Matrix<double>> bs, const SubmitOptions& opt,
+    bool retryable) {
+  LUQR_REQUIRE(a.rows() == a.cols(), "serve: system matrix must be square");
+  for (const auto& b : bs)
+    LUQR_REQUIRE(b.rows() == a.rows(), "serve: rhs row count mismatch");
+  screen_input(a);
+  for (const auto& b : bs) screen_input(b);
+  if (bs.empty()) bs.emplace_back();  // a factor job: one member, never solved
+  Job job;
+  job.priority = opt.priority;
+  job.hash = cache_.hash_of(a) ^ config_fp_hash_;
+  job.a = std::make_shared<Matrix<double>>(std::move(a));
+  std::vector<JobHandle> handles;
+  handles.reserve(bs.size());
+  job.members.reserve(bs.size());
+  for (auto& b : bs) {
+    job.members.push_back({std::move(b), new_job_state(opt, retryable)});
+    handles.push_back(JobHandle(job.members.back().state));
+  }
+  Jobs entry;
+  entry.push_back(std::move(job));
+  enqueue(std::move(entry));
+  return handles;
 }
 
 JobHandle SolveService::submit_solve(Matrix<double> a, Matrix<double> b,
                                      const SubmitOptions& opt) {
-  LUQR_REQUIRE(a.rows() == a.cols(), "serve: system matrix must be square");
-  LUQR_REQUIRE(b.rows() == a.rows(), "serve: rhs row count mismatch");
-  screen_input(a);
-  screen_input(b);
-  Job job;
-  job.priority = opt.priority;
-  job.a = std::make_shared<Matrix<double>>(std::move(a));
-  auto state = new_job_state(opt, /*retryable=*/true);
-  job.members.push_back({std::move(b), state});
-  enqueue(std::move(job));
-  return JobHandle(std::move(state));
+  std::vector<Matrix<double>> bs;
+  bs.push_back(std::move(b));
+  return submit_job(std::move(a), std::move(bs), opt, /*retryable=*/true)[0];
 }
 
 JobHandle SolveService::submit_solve(Matrix<double> a, Matrix<double> b,
                                      Priority priority) {
-  SubmitOptions opt;
-  opt.priority = priority;
-  return submit_solve(std::move(a), std::move(b), opt);
+  return submit_solve(std::move(a), std::move(b), SubmitOptions{priority});
 }
 
 JobHandle SolveService::submit_factor(Matrix<double> a,
                                       const SubmitOptions& opt) {
-  LUQR_REQUIRE(a.rows() == a.cols(), "serve: system matrix must be square");
-  screen_input(a);
-  Job job;
-  job.priority = opt.priority;
-  job.a = std::make_shared<Matrix<double>>(std::move(a));
-  auto state = new_job_state(opt, /*retryable=*/true);
-  job.members.push_back({Matrix<double>{}, state});
-  enqueue(std::move(job));
-  return JobHandle(std::move(state));
+  return submit_job(std::move(a), {}, opt, /*retryable=*/true)[0];
 }
 
 JobHandle SolveService::submit_factor(Matrix<double> a, Priority priority) {
-  SubmitOptions opt;
-  opt.priority = priority;
-  return submit_factor(std::move(a), opt);
+  return submit_factor(std::move(a), SubmitOptions{priority});
 }
 
 std::vector<JobHandle> SolveService::submit_batch(Matrix<double> a,
                                                   std::vector<Matrix<double>> bs,
                                                   Priority priority) {
-  LUQR_REQUIRE(a.rows() == a.cols(), "serve: system matrix must be square");
   LUQR_REQUIRE(!bs.empty(), "serve: empty batch");
-  for (const auto& b : bs)
-    LUQR_REQUIRE(b.rows() == a.rows(), "serve: rhs row count mismatch");
-  screen_input(a);
-  for (const auto& b : bs) screen_input(b);
-  Job job;
-  job.priority = priority;
-  job.a = std::make_shared<Matrix<double>>(std::move(a));
-  SubmitOptions member_opt;
-  member_opt.priority = priority;
-  std::vector<JobHandle> handles;
-  handles.reserve(bs.size());
-  job.members.reserve(bs.size());
-  for (auto& b : bs) {
-    job.members.push_back(
-        {std::move(b), new_job_state(member_opt, /*retryable=*/false)});
-    handles.push_back(JobHandle(job.members.back().state));
-  }
   obs_.batches->add(1);
-  obs_.batch_members->add(handles.size());
-  enqueue(std::move(job));
-  return handles;
+  obs_.batch_members->add(bs.size());
+  return submit_job(std::move(a), std::move(bs), SubmitOptions{priority},
+                    /*retryable=*/false);
 }
 
 std::vector<JobHandle> SolveService::submit_many(std::vector<Matrix<double>> as,
@@ -547,12 +517,10 @@ std::vector<JobHandle> SolveService::submit_many(
   // submission order. This is what the shared_ptr form buys: a client's
   // repeated systems hash and cache-probe once per distinct matrix, not per
   // member, and a chunk solves a job's members as one run.
-  std::vector<ChunkJob> jobs;
+  std::vector<Job> jobs;
   std::unordered_map<const Matrix<double>*, std::size_t> seen;
-  SubmitOptions member_opt;
-  member_opt.priority = priority;
   for (std::size_t i = 0; i < as.size(); ++i) {
-    auto state = new_job_state(member_opt, /*retryable=*/false);
+    auto state = new_job_state(SubmitOptions{priority}, /*retryable=*/false);
     handles.push_back(JobHandle(state));
 
     // Malformed members fail alone: bulk submission never throws the whole
@@ -567,8 +535,7 @@ std::vector<JobHandle> SolveService::submit_many(
       bad = "serve: rhs row count mismatch";
     else if (cfg_.screen_inputs &&
              (!finite_matrix(*a) || !finite_matrix(bs[i])))
-      bad = "serve: input contains non-finite values (NaN or Inf); set "
-            "ServiceConfig::screen_inputs=false to disable input screening";
+      bad = kNonFinite;
     if (bad != nullptr) {
       admit(1);
       settle(state, JobStatus::Failed, std::make_exception_ptr(Error(bad)));
@@ -577,28 +544,29 @@ std::vector<JobHandle> SolveService::submit_many(
 
     const auto slot = seen.emplace(a, jobs.size());
     if (slot.second) {
-      ChunkJob c;
-      c.job.priority = priority;
-      c.job.a = std::move(as[i]);
-      c.hash = cache_.hash_of(*a) ^ config_fp_hash_;
-      c.fac = cache_.find_hashed(*a, config_fp_, c.hash, /*count_miss=*/true);
-      jobs.push_back(std::move(c));
+      Job job;
+      job.priority = priority;
+      job.a = std::move(as[i]);
+      job.hash = cache_.hash_of(*a) ^ config_fp_hash_;
+      job.skimmed = true;
+      job.fac = cache_.find_hashed(*a, config_fp_, job.hash, /*count_miss=*/true);
+      jobs.push_back(std::move(job));
     }
-    ChunkJob& c = jobs[slot.first->second];
-    if (c.fac != nullptr) obs_.batch_hits_skimmed->add(1);
-    c.job.members.push_back({std::move(bs[i]), std::move(state)});
+    Job& job = jobs[slot.first->second];
+    if (job.fac != nullptr) obs_.batch_hits_skimmed->add(1);
+    job.members.push_back({std::move(bs[i]), std::move(state)});
   }
 
   // Misses group by order, orders in first-seen order; a cache hit needs no
   // factorization, so the hits ride one solve-only group after them instead
   // of sharing chunks with misses.
-  std::vector<ChunkJob> misses, hits;
-  for (ChunkJob& c : jobs)
-    (c.fac != nullptr ? hits : misses).push_back(std::move(c));
+  std::vector<Job> misses, hits;
+  for (Job& job : jobs)
+    (job.fac != nullptr ? hits : misses).push_back(std::move(job));
   std::vector<int> orders;
-  for (const ChunkJob& c : misses) orders.push_back(c.job.a->rows());
+  for (const Job& job : misses) orders.push_back(job.a->rows());
   for (const std::vector<std::size_t>& bucket : core::bucket_by_order(orders)) {
-    std::vector<ChunkJob> group;
+    std::vector<Job> group;
     for (const std::size_t k : bucket) group.push_back(std::move(misses[k]));
     enqueue_chunks(std::move(group));
   }
@@ -606,7 +574,7 @@ std::vector<JobHandle> SolveService::submit_many(
   return handles;
 }
 
-void SolveService::enqueue_chunks(std::vector<ChunkJob> group) {
+void SolveService::enqueue_chunks(std::vector<Job> group) {
   // The library's auto chunk policy optimizes engine overlap (~4 chunks
   // per lane), which shatters a small group into single-member chunks —
   // per-job overhead with extra steps. The service floors the chunk size
@@ -614,129 +582,53 @@ void SolveService::enqueue_chunks(std::vector<ChunkJob> group) {
   // from fill. Chunks are planned over members; a job that straddles a
   // boundary splits there.
   std::size_t members = 0;
-  for (const ChunkJob& c : group) members += c.job.members.size();
+  for (const Job& job : group) members += job.members.size();
   const int chunk_size =
       std::max(core::auto_chunk_size(members, workers_), kMinChunk);
   std::size_t next = 0;
   for (const core::Chunk& c :
        core::plan_chunks(members, chunk_size, workers_)) {
-    Chunk chunk;
+    Jobs chunk;
     for (std::size_t want = c.size(); want > 0;) {
       // The chunk takes up to `want` members off the front of the next job.
-      ChunkJob& from = group[next];
-      std::vector<Member>& ms = from.job.members;
+      Job& from = group[next];
+      std::vector<Member>& ms = from.members;
       const auto end =
           ms.begin() + static_cast<std::ptrdiff_t>(std::min(want, ms.size()));
       chunk.push_back(
-          {{from.job.priority, from.job.a, {}}, from.hash, from.fac});
-      chunk.back().job.members.assign(std::make_move_iterator(ms.begin()),
-                                      std::make_move_iterator(end));
+          {from.priority, from.a, from.hash, from.skimmed, from.fac, {}});
+      chunk.back().members.assign(std::make_move_iterator(ms.begin()),
+                                  std::make_move_iterator(end));
       ms.erase(ms.begin(), end);
-      want -= chunk.back().job.members.size();
+      want -= chunk.back().members.size();
       if (ms.empty()) ++next;
     }
     enqueue(std::move(chunk));
   }
 }
 
-void SolveService::submit_chunk_task(Chunk chunk) {
-  int prio = 0;
-  for (const ChunkJob& s : chunk)
-    prio = std::max(prio, static_cast<int>(s.job.priority));
-  const std::uint64_t chunk_job_id =
-      chunk.front().job.members.front().state->job_id;
-  engine_->submit(
-      [this, chunk = std::move(chunk)]() mutable {
-        std::vector<Outcome> outs;
-        outs.reserve(chunk.size());
-        std::size_t live = 0;
-        for (const ChunkJob& s : chunk) {
-          outs.push_back(begin_members(s.job));
-          const std::vector<bool>& began = outs.back().live;
-          live += static_cast<std::size_t>(
-              std::count(began.begin(), began.end(), true));
-        }
-        if (live > 0) {
-          // One workspace frame for the whole chunk, pre-grown to the
-          // shape's pack-scratch high-water: every matrix after the first
-          // bump-allocates the exact bytes the first one released (the
-          // pack data is per-matrix; the allocation is per-chunk).
-          kern::Workspace& ws = kern::tls_workspace();
-          kern::Workspace::Frame frame(ws);
-          const int n = chunk.front().job.a->rows();
-          const int nb = cfg_.solver.tile_size();
-          try {
-            ws.reserve(cfg_.solver.precision() == Precision::F64
-                           ? core::chunk_scratch_bytes_f64(n, nb)
-                           : core::chunk_scratch_bytes_f32(n, nb));
-          } catch (const std::bad_alloc&) {
-            // The reservation is only a pre-grow optimization; under
-            // allocation pressure (or an injected alloc fault) fall through
-            // — allocations below retry, and failures isolate to their job
-            // instead of escaping into the engine.
-          }
-          // Each job's factorization: its skim hit, else a cache re-probe
-          // (an earlier job of this — or a concurrent — chunk may have
-          // inserted an equal matrix since the skim), else its own coarse
-          // factorization. Chunk misses bypass the pending_ single-flight
-          // map — a duplicate factorization against a racing per-job miss
-          // is possible but benign (insert dedupes, results are bitwise
-          // identical either way).
-          for (std::size_t j = 0; j < chunk.size(); ++j) {
-            const ChunkJob& s = chunk[j];
-            Outcome& out = outs[j];
-            if (!out.any_live()) continue;
-            FacPtr fac = s.fac != nullptr
-                             ? s.fac
-                             : cache_.find_hashed(*s.job.a, config_fp_, s.hash,
-                                                  /*count_miss=*/false);
-            out.hit = fac != nullptr;
-            std::exception_ptr error;
-            if (!out.hit) {
-              const std::uint64_t t_factor = now_us();
-              fac = compute_factorization(s.job.a, /*fine=*/false, s.hash,
-                                          error);
-              out.factor_us = now_us() - t_factor;
-            }
-            if (error)
-              fail_members(out, error, classify_transient(error));
-            else
-              solve_members(s.job, fac, out);
-          }
-          obs_.batched_jobs->add(live);
-          obs_.batch_chunks->add(1);
-        }
-        // The chunk's one slot goes back before any of its members settles.
-        release_inflight_slot();
-        for (std::size_t j = 0; j < chunk.size(); ++j)
-          settle_members(chunk[j].job, outs[j]);
-      },
-      {}, {"serve-batch-chunk", prio, -1, chunk_job_id});
-}
-
 // ---------------------------------------------------------------------------
 // State transitions
 // ---------------------------------------------------------------------------
 
-bool SolveService::try_begin(const std::shared_ptr<JobState>& state,
-                             std::uint64_t start_us) {
-  std::lock_guard<std::mutex> lock(state->mu);
-  if (state->status != JobStatus::Queued) return false;  // cancelled
-  const std::uint64_t t = start_us != 0 ? start_us : now_us();
-  // SLO veto: a job whose deadline passed while it waited must not start —
-  // the status stays Queued and the caller settles it Shed.
-  if (state->deadline_us != 0 && t > state->deadline_us) return false;
-  state->status = JobStatus::Running;
-  state->t_start_us = t;
-  return true;
-}
-
-void SolveService::on_terminal() {
-  // Notify under the lock: a drain()er may destroy this service right after
-  // waking, so the broadcast must complete before its wait can return.
-  std::lock_guard<std::mutex> lock(mu_);
-  --active_;
-  drain_cv_.notify_all();
+void SolveService::begin_members(Run& run) {
+  // Queued -> Running, arbitrated against cancel() per member.
+  const std::uint64_t t = run.start_us != 0 ? run.start_us : now_us();
+  run.live.assign(run.job.members.size(), false);
+  run.solved.resize(run.job.members.size());
+  for (std::size_t i = 0; i < run.job.members.size(); ++i) {
+    JobState& st = *run.job.members[i].state;
+    std::lock_guard<std::mutex> lock(st.mu);
+    // A cancelled member stays Cancelled; SLO veto: a member whose deadline
+    // passed while it waited must not start — it stays Queued, and
+    // settle_members sheds it.
+    if (st.status != JobStatus::Queued ||
+        (st.deadline_us != 0 && t > st.deadline_us))
+      continue;
+    st.status = JobStatus::Running;
+    st.t_start_us = t;
+    run.live[i] = true;
+  }
 }
 
 // Counters and histograms update *before* the state turns terminal (inside
@@ -749,9 +641,9 @@ void SolveService::settle(const std::shared_ptr<JobState>& state, JobStatus to,
     std::lock_guard<std::mutex> lock(state->mu);
     if (state->settled) return;
     state->settled = true;
-    // cancel() already won the client-visible state (a job try_begin
-    // refused, or a watchdog force-fail of a job cancelled while queued):
-    // account it as cancelled.
+    // cancel() already won the client-visible state (a member that
+    // begin_members refused, or a watchdog force-fail of a job cancelled
+    // while queued): account it as cancelled.
     if (state->status == JobStatus::Cancelled) to = JobStatus::Cancelled;
     if (to != JobStatus::Rejected)
       obs_.latency_us->record(t - state->t_submit_us);
@@ -772,7 +664,13 @@ void SolveService::settle(const std::shared_ptr<JobState>& state, JobStatus to,
     obs_.settled[static_cast<int>(to)]->add(1);
     state->status = to;
   }
-  on_terminal();
+  {
+    // Notify under the lock: a drain()er may destroy this service right
+    // after waking, so the broadcast must complete before its wait returns.
+    std::lock_guard<std::mutex> lock(mu_);
+    --active_;
+    drain_cv_.notify_all();
+  }
   state->cv.notify_all();
 }
 
@@ -797,10 +695,10 @@ void SolveService::release_inflight_slot() {
 }
 
 void SolveService::dispatcher_loop() {
-  Work work;
-  while (queue_.pop(work)) {
-    dispatch(std::move(work));
-    work = Work{};  // drop matrix buffers before blocking on the next pop
+  Jobs jobs;
+  while (queue_.pop(jobs)) {
+    dispatch(std::move(jobs));
+    jobs = Jobs{};  // drop matrix buffers before blocking on the next pop
   }
 }
 
@@ -819,35 +717,10 @@ SolveService::Waiters SolveService::take_pending_waiters(
   return waiters;
 }
 
-void SolveService::flush_pending(const std::shared_ptr<Pending>& p,
-                                 const FacPtr& fac, std::exception_ptr error) {
-  Waiters waiters = take_pending_waiters(p);
-  for (auto& w : waiters) w(fac, error);
-}
-
 bool SolveService::wants_fine_grained(const Matrix<double>& a) const {
   const int nb = cfg_.solver.tile_size();
   return fine_solver_ != nullptr &&
          (a.rows() + nb - 1) / nb >= cfg_.parallel_factor_tiles;
-}
-
-SolveService::FacPtr SolveService::compute_factorization(
-    const std::shared_ptr<const Matrix<double>>& a, bool fine, std::uint64_t h,
-    std::exception_ptr& error) {
-  FacPtr fac;
-  try {
-    // Fault site: a transient serve-layer failure during factorization.
-    // Inside the try on purpose — the service's own catch absorbs it, so an
-    // injected throw can never poison the shared engine.
-    fault::maybe_throw(fault::site::kServeTask);
-    Solver& solver = fine ? *fine_solver_ : *coarse_solver_;
-    fac = std::make_shared<core::Factorization>(solver.factor(*a));
-    cache_.insert_hashed(*a, config_fp_, h, fac);
-    (fine ? obs_.factors_fine : obs_.factors_coarse)->add(1);
-  } catch (...) {
-    error = std::current_exception();
-  }
-  return fac;
 }
 
 // Settlement discipline for every execution path: finish the computation,
@@ -855,46 +728,13 @@ SolveService::FacPtr SolveService::compute_factorization(
 // client observing a terminal state (or drain() observing active_ == 0) is
 // thus guaranteed the slot is already back and the counters are final.
 
-SolveService::Outcome SolveService::begin_members(const Job& job,
-                                                  std::uint64_t start_us) {
-  Outcome out;
-  out.live.resize(job.members.size());
-  out.solved.resize(job.members.size());
-  for (std::size_t i = 0; i < job.members.size(); ++i)
-    out.live[i] = try_begin(job.members[i].state, start_us);
-  return out;
-}
-
-void SolveService::run_tail(Job job, FacPtr fac, bool hit,
-                            std::uint64_t factor_us, std::uint64_t t_begin_us) {
-  bool any_rhs = false;
-  for (const Member& m : job.members) any_rhs = any_rhs || solves(m.b);
-  const std::uint64_t job_id = job.members.front().state->job_id;
-  const int priority = static_cast<int>(job.priority);
-  auto tail = [this, job = std::move(job), fac = std::move(fac), hit,
-               factor_us, t_begin_us]() mutable {
-    Outcome out = begin_members(job, t_begin_us);
-    out.hit = hit;
-    out.factor_us = factor_us;
-    solve_members(job, fac, out);
-    finish(job, out);
-  };
-  // Nothing left to compute without right-hand sides: settle where the
-  // factorization landed.
-  if (!any_rhs)
-    tail();
-  else
-    engine_->submit(std::move(tail), {}, {"serve-solve", priority, -1, job_id});
-}
-
-void SolveService::solve_members(const Job& job, const FacPtr& fac,
-                                 Outcome& out) {
+void SolveService::solve_members(Run& run) {
   std::vector<std::size_t> index;
   std::vector<const Matrix<double>*> bs;
-  for (std::size_t i = 0; i < job.members.size(); ++i) {
-    if (!out.live[i] || !solves(job.members[i].b)) continue;
+  for (std::size_t i = 0; i < run.job.members.size(); ++i) {
+    if (!run.live[i] || !solves(run.job.members[i].b)) continue;
     index.push_back(i);
-    bs.push_back(&job.members[i].b);
+    bs.push_back(&run.job.members[i].b);
   }
   if (bs.empty()) return;
   std::vector<Solved> solved(bs.size());
@@ -902,7 +742,7 @@ void SolveService::solve_members(const Job& job, const FacPtr& fac,
     // Fault site: transient serve-layer failure during the solve; the
     // catch keeps it out of the engine (and feeds the retry machinery).
     fault::maybe_throw(fault::site::kServeTask);
-    solved = solve_run(*fac, bs);
+    solved = solve_run(*run.fac, bs);
   } catch (...) {
     for (Solved& r : solved) r.error = std::current_exception();
   }
@@ -916,48 +756,34 @@ void SolveService::solve_members(const Job& job, const FacPtr& fac,
     solved[k].poisoned = solved[k].error == nullptr && cfg_.screen_outputs &&
                          !finite_matrix(solved[k].x);
     evict = evict || solved[k].poisoned;
-    out.solved[index[k]] = std::move(solved[k]);
+    run.solved[index[k]] = std::move(solved[k]);
   }
-  if (evict)
-    cache_.erase_hashed(fac->matrix(), config_fp_,
-                        cache_.hash_of(fac->matrix()) ^ config_fp_hash_);
+  if (evict) cache_.erase_hashed(run.fac->matrix(), config_fp_, run.job.hash);
 }
 
-void SolveService::fail_members(Outcome& out, const std::exception_ptr& error,
-                                bool transient) {
-  out.classified = error;
-  out.transient = transient;
-  for (Solved& r : out.solved) r.error = error;
-}
-
-void SolveService::settle_members(Job& job, Outcome& out) {
-  for (std::size_t i = 0; i < job.members.size(); ++i) {
-    Member& m = job.members[i];
-    Solved& r = out.solved[i];
-    if (!out.live[i]) {
+void SolveService::settle_members(Run& run) {
+  for (std::size_t i = 0; i < run.job.members.size(); ++i) {
+    Member& m = run.job.members[i];
+    Solved& r = run.solved[i];
+    if (!run.live[i]) {
       settle(m.state, JobStatus::Shed);
     } else if (r.error != nullptr) {
-      if (r.error != out.classified) {
-        out.classified = r.error;
-        out.transient = classify_transient(r.error);
+      if (r.error != run.error) {
+        run.error = r.error;
+        run.transient = classify_transient(r.error);
       }
-      if (!(out.transient && retry_member(job, m, r.error)))
+      if (!(run.transient && retry_member(run.job, m, r.error)))
         settle(m.state, JobStatus::Failed, r.error);
-    } else if (!(r.poisoned && retry_member(job, m, nullptr))) {
+    } else if (!(r.poisoned && retry_member(run.job, m, nullptr))) {
       SolveReply reply;
       reply.x = std::move(r.x);
-      reply.cache_hit = out.hit;
+      reply.cache_hit = run.hit;
       reply.report = r.report;
-      reply.factor_us = out.factor_us;
+      reply.factor_us = run.factor_us;
       reply.solve_us = r.solve_us;
       settle(m.state, JobStatus::Done, nullptr, std::move(reply));
     }
   }
-}
-
-void SolveService::finish(Job& job, Outcome& out) {
-  release_inflight_slot();
-  settle_members(job, out);
 }
 
 std::vector<SolveService::Solved> SolveService::solve_run(
@@ -1017,43 +843,10 @@ std::vector<SolveService::Solved> SolveService::solve_run(
   return out;
 }
 
-bool SolveService::job_fully_cancelled(const Job& job) const {
-  for (const Member& m : job.members) {
-    std::lock_guard<std::mutex> lock(m.state->mu);
-    if (m.state->status != JobStatus::Cancelled) return false;
-  }
-  return true;
-}
-
-void SolveService::settle_cancelled_owner(const Job& job,
-                                          const std::shared_ptr<Pending>& p,
-                                          bool fine) {
-  // The owner of a pending factorization was refused before its work
-  // began. Claim the entry atomically — erasing it and taking its waiters
-  // in one step, so no waiter can attach to a half-dead entry — and factor
-  // only if someone was already waiting on it.
-  Waiters waiters = take_pending_waiters(p);
-  if (!waiters.empty()) {
-    std::exception_ptr error;
-    FacPtr fac = compute_factorization(job.a, fine, p->hash, error);
-    for (auto& w : waiters) w(fac, error);
-  }
-  release_inflight_slot();
-  for (const Member& m : job.members) settle(m.state, JobStatus::Shed);
-}
-
-bool SolveService::work_guarded(Work& work) const {
-  if (!watchdog_enabled()) return false;
-  for (const Job* job : jobs_of(work))
-    for (const Member& m : job->members)
-      if (m.state->hard_wall_us == 0) return false;
-  return true;
-}
-
-void SolveService::dispatch(Work work) {
+void SolveService::dispatch(Jobs jobs) {
   // Members cancelled while queued settle here, and members whose deadline
   // passed while they queued are shed: neither consumes an inflight slot or
-  // any engine time.
+  // any engine time. A job left without members leaves its entry.
   const std::uint64_t now = now_us();
   const auto settled_at_dequeue = [this, now](const Member& m) {
     bool cancelled;
@@ -1067,55 +860,86 @@ void SolveService::dispatch(Work work) {
     settle(m.state, JobStatus::Shed);  // a won cancel accounts Cancelled
     return true;
   };
-  std::size_t left = 0;
-  for (Job* job : jobs_of(work)) {
-    job->members.erase(std::remove_if(job->members.begin(),
-                                      job->members.end(), settled_at_dequeue),
-                       job->members.end());
-    left += job->members.size();
-  }
-  if (left == 0) return;
+  for (Job& job : jobs)
+    job.members.erase(std::remove_if(job.members.begin(), job.members.end(),
+                                     settled_at_dequeue),
+                      job.members.end());
+  jobs.erase(std::remove_if(jobs.begin(), jobs.end(),
+                            [](const Job& job) { return job.members.empty(); }),
+             jobs.end());
+  if (jobs.empty()) return;
 
   if (fault::plan() != nullptr) {
     fault::maybe_delay(fault::site::kServeDelay);
     // Honor an injected drop only when the watchdog guards every member
-    // (hard wall set): the work vanishes here — before any slot is held —
-    // and the hard-wall scan recovers it, so clients never hang.
-    if (work_guarded(work) && fault::should_fire(fault::site::kServeDrop))
-      return;
+    // (hard wall set): the entry vanishes here — before any slot is held or
+    // any pending factorization registered — and the hard-wall scan
+    // recovers it, so clients never hang.
+    bool guarded = watchdog_enabled();
+    for (const Job& job : jobs)
+      for (const Member& m : job.members)
+        guarded = guarded && m.state->hard_wall_us != 0;
+    if (guarded && fault::should_fire(fault::site::kServeDrop)) return;
   }
 
   acquire_inflight_slot();
-  if (Chunk* chunk = std::get_if<Chunk>(&work)) {
-    // A job whose members all settled above leaves its chunk.
-    chunk->erase(std::remove_if(chunk->begin(), chunk->end(),
-                                [](const ChunkJob& c) {
-                                  return c.job.members.empty();
-                                }),
-                 chunk->end());
-    submit_chunk_task(std::move(*chunk));
+  std::vector<Run> runs;
+  runs.reserve(jobs.size());
+  for (Job& job : jobs) {
+    Run run;
+    run.job = std::move(job);
+    if (!resolve(run)) continue;  // parked: its continuation holds no slot
+    if (run.owned != nullptr && wants_fine_grained(*run.job.a)) {
+      // Fine-grained owners factor right here (the dispatcher is a
+      // non-worker thread, so it may block on the engine). Re-check
+      // cancellation first: the slot wait above can be long, and a job
+      // cancelled during it must not burn an O(n^3) factorization — unless
+      // waiters already parked on the pending entry and need it. The job
+      // starts executing here; its span's exec phase is backdated to this
+      // point so it contains the factorization.
+      bool live = false;
+      for (const Member& m : run.job.members) {
+        std::lock_guard<std::mutex> lock(m.state->mu);
+        live = live || m.state->status != JobStatus::Cancelled;
+      }
+      run.start_us = now_us();
+      factor_owned(run, /*fine=*/true, live);
+      run.owned = nullptr;
+    }
+    runs.push_back(std::move(run));
+  }
+  if (runs.empty()) {
+    release_inflight_slot();  // every job parked on a peer's factorization
     return;
   }
-  Job job = std::move(std::get<Job>(work));
+  launch(std::move(runs), /*holds_slot=*/true);
+}
 
-  // Resolve the factorization source: cache hit, attach to an in-flight
-  // factorization of the same matrix, or become the owner of a new one.
-  // Every O(n^2) byte compare (the verified cache probe and the pending
-  // candidates' identity checks) runs *outside* mu_ — the service lock
-  // guards only map transitions, so job completions, slot releases and
-  // other dispatchers never stall behind a compare. The retry loop absorbs
-  // the races that opens: a candidate that completes mid-verify sends us
-  // back to the cache probe; an entry published after the snapshot gets
-  // verified on the next pass. (A factorization that completes entirely
-  // inside the probe-to-insert window can still slip through and be
-  // factored twice — benign: insert dedupes and results are identical.)
-  const std::uint64_t h = cache_.hash_of(*job.a) ^ config_fp_hash_;
-  bool count_miss = true;  // later passes re-examine one logical lookup
-  std::shared_ptr<Pending> owned;
+bool SolveService::resolve(Run& run) {
+  Job& job = run.job;
+  if (job.fac != nullptr) {  // the submission skim already hit
+    run.fac = std::move(job.fac);
+    run.hit = true;
+    return true;
+  }
+  // Cache hit, attach to an in-flight factorization of the same matrix, or
+  // become the owner of a new one. Every O(n^2) byte compare (the verified
+  // cache probe and the pending candidates' identity checks) runs *outside*
+  // mu_ — the service lock guards only map transitions, so job completions,
+  // slot releases and other dispatchers never stall behind a compare. The
+  // retry loop absorbs the races that opens: a candidate that completes
+  // mid-verify sends us back to the cache probe; an entry published after
+  // the snapshot gets verified on the next pass. (A factorization that
+  // completes entirely inside the probe-to-insert window can still slip
+  // through and be factored twice — benign: insert dedupes and results are
+  // identical.) A skimmed job's miss was counted at submission.
+  const std::uint64_t h = job.hash;
+  bool count_miss = !job.skimmed;  // later passes re-examine one lookup
   for (;;) {
     if (FacPtr fac = cache_.find_hashed(*job.a, config_fp_, h, count_miss)) {
-      run_tail(std::move(job), std::move(fac), /*hit=*/true);
-      return;
+      run.fac = std::move(fac);
+      run.hit = true;
+      return true;
     }
     count_miss = false;
 
@@ -1134,61 +958,58 @@ void SolveService::dispatch(Work work) {
       }
     }
 
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      auto range = pending_.equal_range(h);
-      if (match) {
-        for (auto it = range.first; it != range.second; ++it) {
-          if (it->second == match) {
-            attach_to_pending(*match, std::move(job));
-            return;  // attach only queued a closure; holding the lock is fine
-          }
-        }
-        continue;  // the match completed while we verified: re-probe
-      }
-      bool unseen = false;
+    std::lock_guard<std::mutex> lock(mu_);
+    auto range = pending_.equal_range(h);
+    if (match) {
       for (auto it = range.first; it != range.second; ++it) {
-        bool known = false;
-        for (const auto& c : candidates) known = known || c == it->second;
-        unseen = unseen || !known;
+        if (it->second == match) {
+          attach_to_pending(*match, std::move(job));
+          return false;  // attach only queued a closure; holding the lock is fine
+        }
       }
-      if (unseen) continue;  // new entry since the snapshot: verify it first
-      owned = std::make_shared<Pending>();
-      owned->hash = h;
-      owned->a = job.a;
-      pending_.emplace(h, owned);
+      continue;  // the match completed while we verified: re-probe
     }
-    break;
+    bool unseen = false;
+    for (auto it = range.first; it != range.second; ++it) {
+      bool known = false;
+      for (const auto& c : candidates) known = known || c == it->second;
+      unseen = unseen || !known;
+    }
+    if (unseen) continue;  // new entry since the snapshot: verify it first
+    run.owned = std::make_shared<Pending>();
+    run.owned->hash = h;
+    run.owned->a = job.a;
+    pending_.emplace(h, run.owned);
+    return true;
   }
+}
 
-  // Owner path. Fine-grained factorizations are driven right here (the
-  // dispatcher is a non-worker thread, so it may block on the engine);
-  // coarse ones ride inside the job's own engine task.
-  if (wants_fine_grained(*job.a)) {
-    // Re-check cancellation: the slot wait above can be long, and a job
-    // cancelled during it must not burn an O(n^3) factorization — unless
-    // waiters already attached to the pending entry and need it.
-    if (job_fully_cancelled(job)) {
-      settle_cancelled_owner(job, owned, /*fine=*/true);
-      return;
-    }
-    // The job starts executing here, on the dispatcher — its span's exec
-    // phase is backdated to t0 so it contains the factorization.
-    const std::uint64_t t0 = now_us();
-    std::exception_ptr error;
-    FacPtr fac = compute_factorization(job.a, /*fine=*/true, h, error);
-    const std::uint64_t factor_us = now_us() - t0;
-    flush_pending(owned, fac, error);
-    if (error) {
-      Outcome out = begin_members(job);
-      fail_members(out, error, classify_transient(error));
-      finish(job, out);
-      return;
-    }
-    run_tail(std::move(job), std::move(fac), /*hit=*/false, factor_us, t0);
-    return;
+void SolveService::factor_owned(Run& run, bool fine, bool live) {
+  // An owner whose members were all refused claims its entry atomically —
+  // erasing it and taking its waiters in one step, so no waiter can attach
+  // to a half-dead entry — and factors only if someone was already waiting.
+  Waiters waiters;
+  if (!live) {
+    waiters = take_pending_waiters(run.owned);
+    if (waiters.empty()) return;
   }
-  submit_owner_task(std::move(job), std::move(owned));
+  const std::uint64_t t_factor = now_us();
+  try {
+    // Fault site: a transient serve-layer failure during factorization.
+    // Inside the try on purpose — the service's own catch absorbs it, so an
+    // injected throw can never poison the shared engine.
+    fault::maybe_throw(fault::site::kServeTask);
+    Solver& solver = fine ? *fine_solver_ : *coarse_solver_;
+    run.fac = std::make_shared<core::Factorization>(solver.factor(*run.job.a));
+    cache_.insert_hashed(*run.job.a, config_fp_, run.job.hash, run.fac);
+    (fine ? obs_.factors_fine : obs_.factors_coarse)->add(1);
+  } catch (...) {
+    run.error = std::current_exception();
+  }
+  run.factor_us = now_us() - t_factor;
+  if (live) waiters = take_pending_waiters(run.owned);
+  for (auto& w : waiters) w(run.fac, run.error);
+  if (live && run.error) run.transient = classify_transient(run.error);
 }
 
 void SolveService::attach_to_pending(Pending& p, Job job) {
@@ -1201,42 +1022,74 @@ void SolveService::attach_to_pending(Pending& p, Job job) {
   // The owner already classified the error, so only its kind is read here.
   p.waiters.push_back([this, job = std::move(job)](
                           const FacPtr& fac, std::exception_ptr err) mutable {
-    if (err) {
-      Outcome out = begin_members(job);
-      fail_members(out, err, transient_exception(err));
-      finish(job, out);
-      return;
-    }
-    run_tail(std::move(job), fac, /*hit=*/false);
+    std::vector<Run> runs(1);
+    runs[0].job = std::move(job);
+    runs[0].fac = fac;
+    runs[0].transient = err != nullptr && transient_exception(err);
+    runs[0].error = std::move(err);
+    launch(std::move(runs), /*holds_slot=*/false);
   });
 }
 
-void SolveService::submit_owner_task(Job job, std::shared_ptr<Pending> p) {
-  const std::uint64_t job_id = job.members.front().state->job_id;
-  const int priority = static_cast<int>(job.priority);
+void SolveService::launch(std::vector<Run> runs, bool holds_slot) {
+  int priority = 0;
+  for (const Run& r : runs)
+    priority = std::max(priority, static_cast<int>(r.job.priority));
+  const std::uint64_t job_id = runs.front().job.members.front().state->job_id;
   engine_->submit(
-      [this, job = std::move(job), p = std::move(p)]() mutable {
-        // Did every member get cancelled (or expire) while queued on the
-        // engine? If nobody attached to its pending factorization, the work
-        // can be skipped entirely; otherwise the factorization still has
-        // customers.
-        Outcome out = begin_members(job);
-        if (!out.any_live()) {
-          settle_cancelled_owner(job, p, /*fine=*/false);
-          return;
-        }
-        const std::uint64_t t_factor = now_us();
-        std::exception_ptr error;
-        FacPtr fac = compute_factorization(job.a, /*fine=*/false, p->hash, error);
-        out.factor_us = now_us() - t_factor;
-        flush_pending(p, fac, error);
-        if (error)
-          fail_members(out, error, classify_transient(error));
-        else
-          solve_members(job, fac, out);
-        finish(job, out);
+      [this, runs = std::move(runs), holds_slot]() mutable {
+        execute(runs, holds_slot);
       },
-      {}, {"serve-factor", priority, -1, job_id});
+      {}, {"serve-job", priority, -1, job_id});
+}
+
+void SolveService::execute(std::vector<Run>& runs, bool holds_slot) {
+  std::size_t live = 0, batched = 0;  // batched: live submit_many members
+  for (Run& r : runs) {
+    begin_members(r);
+    const auto began =
+        static_cast<std::size_t>(std::count(r.live.begin(), r.live.end(), true));
+    live += began;
+    if (r.job.skimmed) batched += began;
+  }
+  {
+    // One workspace frame for the whole task, pre-grown to the shape's
+    // pack-scratch high-water: every matrix after the first bump-allocates
+    // the exact bytes the first one released (the pack data is per-matrix;
+    // the allocation is per-task).
+    kern::Workspace& ws = kern::tls_workspace();
+    kern::Workspace::Frame frame(ws);
+    if (live > 0) {
+      const int n = runs.front().job.a->rows();
+      const int nb = cfg_.solver.tile_size();
+      try {
+        ws.reserve(cfg_.solver.precision() == Precision::F64
+                       ? core::chunk_scratch_bytes_f64(n, nb)
+                       : core::chunk_scratch_bytes_f32(n, nb));
+      } catch (const std::bad_alloc&) {
+        // The reservation is only a pre-grow optimization; under
+        // allocation pressure (or an injected alloc fault) fall through —
+        // allocations below retry, and failures isolate to their job
+        // instead of escaping into the engine.
+      }
+    }
+    for (Run& r : runs) {
+      if (r.owned != nullptr) factor_owned(r, /*fine=*/false, r.any_live());
+      if (!r.any_live()) continue;
+      if (r.error == nullptr) {
+        solve_members(r);
+        continue;
+      }
+      for (Solved& m : r.solved) m.error = r.error;
+    }
+  }
+  if (batched > 0) {
+    obs_.batched_jobs->add(batched);
+    obs_.batch_chunks->add(1);
+  }
+  // The entry's one slot goes back before any of its members settles.
+  if (holds_slot) release_inflight_slot();
+  for (Run& r : runs) settle_members(r);
 }
 
 // ---------------------------------------------------------------------------
@@ -1317,6 +1170,7 @@ bool SolveService::retry_member(const Job& job, Member& m,
   Job retry;
   retry.priority = job.priority;
   retry.a = job.a;
+  retry.hash = job.hash;
   retry.members.push_back({std::move(m.b), state});
   bool parked = false;
   {
@@ -1342,7 +1196,9 @@ void SolveService::requeue_retry(RetryItem item) {
   states.reserve(item.job.members.size());
   for (const Member& m : item.job.members) states.push_back(m.state);
   const int lane = static_cast<int>(item.job.priority);
-  if (queue_.try_push(std::move(item.job), lane)) return;
+  Jobs entry;
+  entry.push_back(std::move(item.job));
+  if (queue_.try_push(std::move(entry), lane)) return;
   // Queue closed (shutdown) or full under overload: the retry loses its
   // attempt and the job settles with the failure that triggered it (a
   // cancelled one is accounted as cancelled).

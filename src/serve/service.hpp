@@ -12,13 +12,20 @@
 // misses on the same matrix are deduplicated through a pending-
 // factorization map (one factor run, everyone else attaches).
 //
-// Every job is one shared matrix plus a list of members, each a right-hand
-// side (none for a factor job) with its own handle: submit_solve and
-// submit_factor queue a list of one, submit_batch a list of N, and
+// Every admission-queue entry is one shape, a list of jobs. A job is one
+// shared matrix, its content hash (computed at submission, on the caller's
+// thread) and a list of members, each a right-hand side (none for a factor
+// job) with its own handle: submit_solve, submit_factor and a retry queue a
+// list of one job with one member, submit_batch one job with N members, and
 // submit_many builds one job per distinct matrix pointer and queues them in
-// chunks, each chunk one entry of the same admission queue. Once the job's
-// factorization is in hand (cache hit, attached in-flight factorization, or
-// its own), one tail solves and settles every member, on every route.
+// chunks, each chunk one entry. The dispatcher resolves every job of an
+// entry the same way: its submission skim hit or a cache probe, else it
+// attaches to a pending factorization of an equal matrix, else it owns a
+// new one. Chunk misses are single-flighted like every other job, and the
+// grain is decided per owner on every route: matrices of at least
+// parallel_factor_tiles tile rows factor fine-grained on the dispatcher,
+// the rest inside the entry's one engine task. That task solves and settles
+// every job the dispatcher did not park, in one workspace frame.
 // There is one fusion rule: at F64 without refinement sweeps, a job's
 // members fuse into one wide solve (column j of a wide solve is bitwise the
 // solve of column j alone); every other configuration solves member by
@@ -27,6 +34,12 @@
 // solve, one column or many, replays the factorization at the exact RHS
 // width (Factorization::solve), on QR-heavy and all-LU factorizations
 // alike.
+//
+// Inflight slots (max_inflight): the dispatcher holds one slot per entry,
+// from dispatch until that entry's engine task finishes computing, before
+// any member settles. A job that attaches to a pending factorization gives
+// up its share of the slot at once; the continuation that later solves it
+// holds none.
 //
 //   serve::ServiceConfig cfg;
 //   cfg.solver.criterion(CriterionSpec::max(100.0)).tile_size(64);
@@ -63,7 +76,6 @@
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <variant>
 #include <vector>
 
 #include "api/solver.hpp"
@@ -196,8 +208,9 @@ struct ServiceConfig {
 
   /// Matrices with at least this many tile rows factor fine-grained on the
   /// shared engine (the dispatcher drives the parallel task graph and
-  /// blocks until it completes); smaller ones factor as one coarse task on
-  /// a worker, which is the right grain for request-sized systems. 0
+  /// blocks until it completes); smaller ones factor serially inside their
+  /// entry's engine task, which is the right grain for request-sized
+  /// systems. Decided per job on every route, submit_many included. 0
   /// disables the fine-grained path. Requires > 1 worker.
   int parallel_factor_tiles = 8;
 
@@ -262,9 +275,10 @@ struct ServiceStats {
   /// one slot per quiet watchdog scan, capped at the configured maximum).
   int inflight_limit = 0;
   std::uint64_t batches = 0, batch_members = 0, fused_rhs_columns = 0;
-  /// submit_many telemetry: jobs executed through chunked batch tasks,
-  /// chunk tasks executed, cache hits skimmed off at submission (served
-  /// without factoring), and the mean jobs per executed chunk — the batch
+  /// submit_many telemetry: members executed, engine tasks that executed
+  /// them (a chunk's task, plus one per chunk job that attached to a
+  /// pending factorization), cache hits skimmed off at submission (served
+  /// without factoring), and the mean members per such task — the batch
   /// fill, the number that says whether chunking actually amortizes.
   std::uint64_t batched_jobs = 0, batches_executed = 0, batch_hits_skimmed = 0;
   double batch_fill_mean = 0.0;
@@ -319,13 +333,15 @@ class SolveService {
   /// cache hits found at submission (skim hits) form one solve-only group
   /// after them; each group is cut into chunks of
   /// max(core::auto_chunk_size, 8) members, a job split where a chunk ends.
-  /// Every chunk enters the admission queue like any job, in that order —
+  /// Every chunk enters the admission queue like any entry, in that order —
   /// queue capacity and reject_when_full, Batch shedding while Degraded,
   /// cancel while queued and draining at shutdown apply to its members —
-  /// and the dispatcher runs it as one engine task that factors and solves
-  /// the whole chunk inside a single workspace frame, so queue/engine/
-  /// workspace cost is paid per chunk, not per member. Members are
-  /// output-screened like every solve but not retried.
+  /// and the dispatcher resolves its jobs like any other: a miss on a
+  /// matrix already being factored attaches to that factorization, and a
+  /// tall one factors fine-grained. The rest of the chunk runs as one
+  /// engine task inside a single workspace frame, so queue/engine/workspace
+  /// cost is paid per chunk, not per member. Members are output-screened
+  /// like every solve but not retried.
   ///
   /// Per-member error isolation: a malformed pair (non-square a, rhs row
   /// mismatch) fails its own handle only — bulk submission never throws
@@ -386,25 +402,19 @@ class SolveService {
 
   /// A shared matrix plus the members its one factorization serves
   /// (submit_solve/submit_factor: one member; submit_batch: N; submit_many:
-  /// one job per distinct matrix pointer per call).
+  /// one job per distinct matrix pointer per call), hashed at submission.
   struct Job {
     Priority priority = Priority::Normal;
     std::shared_ptr<const Matrix<double>> a;
+    std::uint64_t hash = 0;  ///< content hash ^ config_fp_hash_
+    /// submit_many probed the cache at submission (its miss is counted
+    /// already); `fac` holds the factorization when that probe hit.
+    bool skimmed = false;
+    FacPtr fac;
     std::vector<Member> members;
   };
-
-  /// A submit_many job with its submission skim probe: a skim hit carries
-  /// its factorization and needs no factoring in the chunk task.
-  struct ChunkJob {
-    Job job;
-    std::uint64_t hash = 0;
-    FacPtr fac;  ///< set on a skim hit
-  };
-  /// submit_many's unit of admission and execution: jobs that one engine
-  /// task factors and solves serially in one workspace frame.
-  using Chunk = std::vector<ChunkJob>;
-  /// One admission-queue entry: a job, or a submit_many chunk.
-  using Work = std::variant<Job, Chunk>;
+  /// One admission-queue entry: a list of one job, or a submit_many chunk.
+  using Jobs = std::vector<Job>;
 
   /// One member's share of a solve_run (fused members share report,
   /// solve_us and error). `poisoned` marks a non-finite x under output
@@ -417,24 +427,6 @@ class SolveService {
     bool poisoned = false;
   };
 
-  /// A job between the tail's two halves: which members began, how its
-  /// factorization was found, and one result per member (a factor member's
-  /// stays empty). A failed factorization leaves its error on every member.
-  struct Outcome {
-    std::vector<bool> live;
-    std::vector<Solved> solved;
-    bool hit = false;
-    std::uint64_t factor_us = 0;  ///< 0 when served by the cache or a peer
-    /// The error last classified, and whether it was transient: fused
-    /// members and a failed factorization share one error, counted once.
-    std::exception_ptr classified;
-    bool transient = false;
-
-    bool any_live() const {
-      return std::find(live.begin(), live.end(), true) != live.end();
-    }
-  };
-
   /// A retry waiting out its backoff in the watchdog's queue. Carries the
   /// failure that triggered it so a retry that cannot be re-enqueued
   /// (service shutting down) still settles its job with a real error.
@@ -444,25 +436,50 @@ class SolveService {
     std::exception_ptr error;
   };
 
+  /// One job's pass through the engine-task body: the factorization the
+  /// dispatcher found for it (a hit, a peer's it attached to, or its own
+  /// fine-grained one) or the pending entry it owns and factors in the
+  /// task; then which members began and one result per member (a factor
+  /// member's stays empty).
+  struct Run {
+    Job job;
+    FacPtr fac;
+    std::shared_ptr<Pending> owned;  ///< factored serially in the task
+    bool hit = false;
+    std::uint64_t factor_us = 0;  ///< 0 when served by the cache or a peer
+    std::uint64_t start_us = 0;   ///< backdated start of a fine-grained owner
+    std::vector<bool> live;
+    std::vector<Solved> solved;
+    /// The error last classified, and whether it was transient: first the
+    /// failed factorization's, then each member error settle_members meets
+    /// (fused members and a failed factorization share one, counted once).
+    std::exception_ptr error;
+    bool transient = false;
+
+    bool any_live() const {
+      return std::find(live.begin(), live.end(), true) != live.end();
+    }
+  };
+
   std::uint64_t now_us() const;
   // Count `members` accepted jobs: submitted, and active until each settles.
   void admit(std::size_t members);
-  // The jobs of a queue entry (one, or a chunk's).
-  static std::vector<Job*> jobs_of(Work& work);
-  void enqueue(Work work);
+  // Validate, screen and hash one matrix and its right-hand sides (none:
+  // one factor member), then queue them as one job — the body of
+  // submit_solve, submit_factor and submit_batch.
+  std::vector<JobHandle> submit_job(Matrix<double> a,
+                                    std::vector<Matrix<double>> bs,
+                                    const SubmitOptions& opt, bool retryable);
+  void enqueue(Jobs jobs);
   void dispatcher_loop();
-  void dispatch(Work work);
+  void dispatch(Jobs jobs);
   bool watchdog_enabled() const { return cfg_.watchdog_period_ms > 0; }
   // Build a job state carrying the deadline / hard-wall / retry budget and
   // register it with the watchdog when it has a wall to enforce.
   std::shared_ptr<detail::JobState> new_job_state(const SubmitOptions& opt,
                                                   bool retryable);
-  void register_job(const std::shared_ptr<detail::JobState>& state);
   // Throws Error when screening is on and m carries a NaN/Inf.
   void screen_input(const Matrix<double>& m) const;
-  // Every member has a hard wall (the watchdog will recover it if it is
-  // lost) — the precondition for honoring an injected job drop.
-  bool work_guarded(Work& work) const;
   // Transient-failure classification, with side effects: injected faults
   // count toward faults_injected, allocation pressure triggers the
   // memory-pressure response. Deterministic errors return false.
@@ -484,70 +501,50 @@ class SolveService {
   // on the shared engine — the one place that decides; the fine path must
   // only ever run on a dispatcher thread (it blocks on the engine).
   bool wants_fine_grained(const Matrix<double>& a) const;
-  // Factorize *a and publish it to the cache (hash `h` precomputed). Never
-  // throws; failure lands in `error`.
-  FacPtr compute_factorization(const std::shared_ptr<const Matrix<double>>& a,
-                               bool fine, std::uint64_t h,
-                               std::exception_ptr& error);
   // Atomically unpublish `p` (no new waiter can attach after this) and
   // take whatever waiters it collected.
   Waiters take_pending_waiters(const std::shared_ptr<Pending>& p);
-  void flush_pending(const std::shared_ptr<Pending>& p, const FacPtr& fac,
-                     std::exception_ptr error);
-  bool job_fully_cancelled(const Job& job) const;
-  // Owner of a pending entry whose members all were refused before its
-  // work began: factor only for parked waiters, then settle. Shared by the
-  // dispatcher (fine) and owner-task (coarse) paths.
-  void settle_cancelled_owner(const Job& job, const std::shared_ptr<Pending>& p,
-                              bool fine);
+  // Resolve a run's factorization source: the job's skim hit, a cache hit,
+  // an in-flight factorization of an equal matrix (the job parks on it and
+  // false is returned: the run is empty), or a new pending entry it owns.
+  bool resolve(Run& run);
+  // The owner's factorization of run.job.a (fine-grained or serial),
+  // published to the cache and handed to every waiter parked on
+  // run.owned. Never throws: fills run.fac/error/transient/factor_us.
+  // `live` false: the owner's members were all refused, so it unpublishes
+  // the entry first and factors only for waiters already parked.
+  void factor_owned(Run& run, bool fine, bool live);
   void attach_to_pending(Pending& p, Job job);
-  void submit_owner_task(Job job, std::shared_ptr<Pending> p);
-  // The job tail, in two halves with the inflight slot released between
-  // them; every route runs it. begin_members runs try_begin on every member
-  // (start_us != 0 backdates the start: the fine-grained path begins
-  // executing on the dispatcher). The solve half is solve_members — solve
-  // the live members on `fac` as one solve_run, screen the outputs, evict a
-  // poisoned factorization — or fail_members when the factorization itself
-  // failed (`transient` classified by the caller). The settle half,
-  // settle_members, drives every member terminal or into a retry. finish
-  // releases a one-job route's slot and settles; a chunk task releases its
-  // one slot and then settles each of its jobs. run_tail runs the tail
-  // where a factorization landed: inline for a job without right-hand
-  // sides, otherwise in one engine task.
-  Outcome begin_members(const Job& job, std::uint64_t start_us = 0);
-  void solve_members(const Job& job, const FacPtr& fac, Outcome& out);
-  void fail_members(Outcome& out, const std::exception_ptr& error,
-                    bool transient);
-  void settle_members(Job& job, Outcome& out);
-  void finish(Job& job, Outcome& out);
-  void run_tail(Job job, FacPtr fac, bool hit, std::uint64_t factor_us = 0,
-                std::uint64_t t_begin_us = 0);
+  // The one engine-task body, for every route: begin every run's members,
+  // factor what the task owns, solve (or fail) the live members, release
+  // the entry's slot when it holds one, then settle. launch submits it.
+  void launch(std::vector<Run> runs, bool holds_slot);
+  void execute(std::vector<Run>& runs, bool holds_slot);
+  // The body's steps. begin_members moves every member Queued -> Running
+  // unless cancel() or its deadline vetoes it (run.start_us backdates the
+  // start). solve_members solves the live members on run.fac as one
+  // solve_run, screens the outputs and evicts a poisoned factorization.
+  // settle_members drives every member terminal or into a retry.
+  void begin_members(Run& run);
+  void solve_members(Run& run);
+  void settle_members(Run& run);
   // The one routine that solves a job's live right-hand sides on `fac`
   // (solve_members calls it on every route). A lone member solves its own
   // b; several fuse into one wide solve at F64 without refinement sweeps
   // and solve one by one otherwise. Never throws.
   std::vector<Solved> solve_run(const core::Factorization& fac,
                                 const std::vector<const Matrix<double>*>& bs);
-  // submit_many machinery: enqueue_chunks cuts a group into chunks and
-  // queues each; the dispatcher hands a chunk to submit_chunk_task, whose
-  // one engine task runs the tail for its jobs serially in one workspace
-  // frame, one job's failure isolated from the next.
-  void enqueue_chunks(std::vector<ChunkJob> group);
-  void submit_chunk_task(Chunk chunk);
-  // Queued -> Running arbitration against cancel(). start_us != 0 backdates
-  // the execution start.
-  bool try_begin(const std::shared_ptr<detail::JobState>& state,
-                 std::uint64_t start_us = 0);
+  // submit_many: cut a group of jobs into chunks and queue each.
+  void enqueue_chunks(std::vector<Job> group);
   // The one routine that moves a job to a terminal state. Exactly-once:
   // a late settler (the watchdog racing the job's own completion) backs
   // off without touching counters. When cancel() already won, the job is
-  // accounted Cancelled whatever `to` says, so callers settle a job
-  // try_begin refused as Shed (its deadline vetoed it unless a cancel
+  // accounted Cancelled whatever `to` says, so callers settle a member
+  // begin_members refused as Shed (its deadline vetoed it unless a cancel
   // won). Done takes the reply (x, cache_hit, report, factor_us,
   // solve_us), Failed the error.
   void settle(const std::shared_ptr<detail::JobState>& state, JobStatus to,
               std::exception_ptr error = nullptr, SolveReply reply = {});
-  void on_terminal();
 
   ServiceConfig cfg_;
   std::uint64_t id_ = 0;  ///< value of the `service` label on its series
@@ -564,7 +561,7 @@ class SolveService {
   std::unique_ptr<Solver> coarse_solver_;  // serial factor, runs inside a task
   std::unique_ptr<Solver> fine_solver_;    // parallel factor on the shared engine
   FactorizationCache cache_;
-  JobQueue<Work> queue_;
+  JobQueue<Jobs> queue_;
 
   mutable std::mutex mu_;  // pending_, inflight_, inflight_limit_, active_
   std::condition_variable inflight_cv_;

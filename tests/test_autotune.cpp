@@ -9,9 +9,12 @@
 #include "core/factorization.hpp"
 #include "core/solve.hpp"
 #include "gen/generators.hpp"
+#include "test_helpers.hpp"
 
 namespace luqr::core {
 namespace {
+
+using luqr::testing::solve_serial;
 
 TEST(AutoTune, HitsMidRangeTargets) {
   // 768/48 = 16 steps -> fractions quantized to 1/16; the criterion's floor
@@ -76,7 +79,7 @@ TEST(AutoTune, TunedAlphaIsReusable) {
   const auto fresh = gen::generate(gen::MatrixKind::Random, 512, 8);
   auto crit = make_criterion("max", r.alpha);
   Matrix<double> b(512, 1);
-  const auto solve = hybrid_solve(fresh, b, *crit, 32, opt);
+  const auto solve = solve_serial(fresh, b, *crit, 32, opt);
   EXPECT_NEAR(solve.stats.lu_fraction(), 0.5, 0.3);
 }
 

@@ -8,8 +8,10 @@
 // asan/tsan/ubsan jobs run this whole binary.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "api/batch.hpp"
@@ -327,6 +329,63 @@ TEST(SubmitMany, CancelWinsWhileQueued) {
   EXPECT_EQ(s.cancelled, 1u);
   EXPECT_EQ(s.batched_jobs, 3u);  // the cancelled member never executed
   EXPECT_EQ(s.batches_executed, 1u);
+}
+
+TEST(SubmitMany, MissAttachesToConcurrentSolveOfEqualMatrix) {
+  // A submit_solve owns the pending factorization of `a` while the gate
+  // holds the one worker; a submit_many miss on an equal matrix, at a
+  // higher priority so its task would run first, attaches to it instead of
+  // factoring again, and gives its slot back while it waits.
+  serve::SolveService svc(service_config(1));
+  const Solver reference(service_config().solver);
+  const auto a = gen::generate(gen::MatrixKind::Random, 48, 1201);
+  const auto b1 = random_matrix(48, 1, 1202);
+  const auto b2 = random_matrix(48, 2, 1203);
+  luqr::testing::WorkerGate gate(svc.engine());
+  auto solo = svc.submit_solve(a, b1);
+  const auto settle_until = [&](auto done) {
+    for (int i = 0; i < 2000 && !done(svc.stats()); ++i)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  };
+  settle_until([](const serve::ServiceStats& s) {
+    return s.queue_depth == 0 && s.pending_factorizations == 1;
+  });
+  auto many = svc.submit_many(std::vector<Matrix<double>>{a},
+                              std::vector<Matrix<double>>{b2},
+                              serve::Priority::Interactive);
+  settle_until([](const serve::ServiceStats& s) {
+    return s.queue_depth == 0 && s.inflight == 1;
+  });
+  gate.release();
+  expect_bitwise(solo.get().x, reference.solve(a, b1).x, "owner");
+  const serve::SolveReply r = many[0].get();
+  expect_bitwise(r.x, reference.solve(a, b2).x, "attached submit_many member");
+  EXPECT_FALSE(r.cache_hit);
+  EXPECT_EQ(r.factor_us, 0u);  // the owner paid for the factorization
+  const serve::ServiceStats s = svc.stats();
+  EXPECT_EQ(s.factors_coarse + s.factors_inline_parallel, 1u);
+}
+
+TEST(SubmitMany, TallMemberFactorsFineGrained) {
+  // The grain is decided per job on every route: a member with at least
+  // parallel_factor_tiles tile rows factors fine-grained on the shared
+  // engine, its short chunk-mate coarse inside the chunk task.
+  auto cfg = service_config(2);
+  cfg.parallel_factor_tiles = 4;  // 96 / 16 = 6 tile rows
+  const Solver reference(cfg.solver);
+  serve::SolveService svc(cfg);
+  const std::vector<Matrix<double>> as = {
+      gen::generate(gen::MatrixKind::Random, 96, 1301),
+      gen::generate(gen::MatrixKind::Random, 32, 1302)};
+  const auto bs = rhs_for(as);
+  auto handles = svc.submit_many(as, bs);
+  for (std::size_t i = 0; i < as.size(); ++i)
+    expect_bitwise(handles[i].get().x, reference.solve(as[i], bs[i]).x,
+                   "graded member");
+  const serve::ServiceStats s = svc.stats();
+  EXPECT_EQ(s.factors_inline_parallel, 1u);
+  EXPECT_EQ(s.factors_coarse, 1u);
+  EXPECT_EQ(s.batched_jobs, as.size());
 }
 
 TEST(SubmitMany, FullQueueRejectsMembers) {

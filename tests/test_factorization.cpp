@@ -17,6 +17,7 @@ namespace luqr::core {
 namespace {
 
 using luqr::testing::random_matrix;
+using luqr::testing::solve_serial;
 
 TEST(Factorization, SecondPassMatchesFusedSolveBitwise) {
   // The fused driver transforms b alongside A; the retained factorization
@@ -28,7 +29,7 @@ TEST(Factorization, SecondPassMatchesFusedSolveBitwise) {
   opt.grid_p = 2;
   opt.grid_q = 2;
   MaxCriterion c1(30.0), c2(30.0);
-  const auto fused = hybrid_solve(a, b, c1, 16, opt);
+  const auto fused = solve_serial(a, b, c1, 16, opt);
   const auto fac = Factorization::compute(a, c2, 16, opt);
   const auto x = fac.solve(b);
   ASSERT_EQ(fac.stats().lu_steps, fused.stats.lu_steps);
@@ -41,7 +42,7 @@ TEST(Factorization, AllQrStepsReplayCorrectly) {
   AlwaysQR c1, c2;
   HybridOptions opt;
   opt.grid_p = 2;
-  const auto fused = hybrid_solve(a, b, c1, 16, opt);
+  const auto fused = solve_serial(a, b, c1, 16, opt);
   const auto fac = Factorization::compute(a, c2, 16, opt);
   const auto x = fac.solve(b);
   for (int i = 0; i < 64; ++i) EXPECT_DOUBLE_EQ(x(i, 0), fused.x(i, 0));

@@ -23,6 +23,7 @@ namespace luqr {
 namespace {
 
 using luqr::testing::random_matrix;
+using luqr::testing::solve_serial;
 
 TEST(FailureInjection, ExactlySingularMatrixViaQrFallback) {
   // Rank-deficient A: the domain factorization fails, every criterion
@@ -33,7 +34,7 @@ TEST(FailureInjection, ExactlySingularMatrixViaQrFallback) {
   for (int j = 0; j < n; ++j) a(n - 1, j) = a(0, j);  // duplicate row
   const auto b = random_matrix(n, 1, 2);
   MaxCriterion crit(10.0);
-  const auto r = core::hybrid_solve(a, b, crit, 8, {});
+  const auto r = solve_serial(a, b, crit, 8, {});
   // The factorization completes; the singularity shows up as an exploding
   // (or non-finite) solution vector. (HPL3 itself deflates by ||x|| and can
   // look deceptively small on singular systems — which is why the HPL
@@ -49,7 +50,7 @@ TEST(FailureInjection, ZeroMatrix) {
   for (const char* kind : {"max", "sum", "mumps", "always-qr"}) {
     auto crit = make_criterion(kind, 10.0);
     EXPECT_NO_THROW({
-      const auto r = core::hybrid_solve(a, b, *crit, 8, {});
+      const auto r = solve_serial(a, b, *crit, 8, {});
       const double h = verify::hpl3(a, r.x, b);
       EXPECT_FALSE(std::isfinite(h) && h < 1.0) << kind;
     }) << kind;
@@ -63,7 +64,7 @@ TEST(FailureInjection, NanPoisonedInputDoesNotCrash) {
   const auto b = random_matrix(n, 1, 5);
   MaxCriterion crit(10.0);
   EXPECT_NO_THROW({
-    const auto r = core::hybrid_solve(a, b, crit, 8, {});
+    const auto r = solve_serial(a, b, crit, 8, {});
     (void)r;
   });
 }
@@ -75,7 +76,7 @@ TEST(FailureInjection, InfPoisonedInput) {
   const auto b = random_matrix(n, 1, 7);
   AlwaysLU crit;
   EXPECT_NO_THROW({
-    const auto r = core::hybrid_solve(a, b, crit, 8, {});
+    const auto r = solve_serial(a, b, crit, 8, {});
     (void)r;
   });
 }
@@ -104,7 +105,7 @@ TEST(FailureInjection, CriterionRescuesSingularDiagonalTile) {
   MaxCriterion crit(1e6);
   core::HybridOptions opt;
   opt.scope = core::PivotScope::Tile;
-  const auto r = core::hybrid_solve(a, b, crit, nb, opt);
+  const auto r = solve_serial(a, b, crit, nb, opt);
   EXPECT_GT(r.stats.qr_steps, 0);
   EXPECT_LT(verify::hpl3(a, r.x, b), 1.0);
 }
@@ -154,7 +155,7 @@ TEST(FailureInjection, TinyProblems) {
   Matrix<double> b(1, 1);
   b(0, 0) = 4.0;
   MaxCriterion crit(10.0);
-  const auto r = core::hybrid_solve(a, b, crit, 8, {});
+  const auto r = solve_serial(a, b, crit, 8, {});
   EXPECT_DOUBLE_EQ(r.x(0, 0), 2.0);
 }
 
@@ -163,8 +164,8 @@ TEST(FailureInjection, HugeAlphaAndZeroAlphaAreTotalOrders) {
   const auto a = gen::generate(gen::MatrixKind::Random, 48, 12);
   const auto b = random_matrix(48, 1, 13);
   MaxCriterion huge(1e300), tiny(1e-300);
-  const auto r1 = core::hybrid_solve(a, b, huge, 16, {});
-  const auto r2 = core::hybrid_solve(a, b, tiny, 16, {});
+  const auto r1 = solve_serial(a, b, huge, 16, {});
+  const auto r2 = solve_serial(a, b, tiny, 16, {});
   EXPECT_GE(r1.stats.lu_fraction(), r2.stats.lu_fraction());
 }
 

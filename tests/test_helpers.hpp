@@ -7,12 +7,28 @@
 #include <memory>
 #include <mutex>
 
+#include "api/solver.hpp"
 #include "common/rng.hpp"
 #include "kernels/dense.hpp"
 #include "kernels/reference.hpp"
 #include "runtime/engine.hpp"
 
 namespace luqr::testing {
+
+/// One-shot solve of A x = b on the serial backend with an external
+/// criterion and explicit hybrid options (the fused driver the tests use
+/// as their reference).
+inline core::SolveResult solve_serial(const Matrix<double>& a,
+                                      const Matrix<double>& b,
+                                      Criterion& criterion, int nb,
+                                      const core::HybridOptions& options = {}) {
+  return Solver(SolverConfig()
+                    .hybrid_options(options)
+                    .tile_size(nb)
+                    .criterion(criterion)
+                    .backend(Backend::Serial))
+      .solve(a, b);
+}
 
 /// Dense random matrix with i.i.d. standard Gaussian entries.
 inline Matrix<double> random_matrix(int rows, int cols, std::uint64_t seed) {

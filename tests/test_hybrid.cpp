@@ -16,13 +16,14 @@ namespace luqr::core {
 namespace {
 
 using luqr::testing::random_matrix;
+using luqr::testing::solve_serial;
 
 // Solve with a manufactured solution and return the max forward error scale
 // (relative residual is the primary metric; forward error needs conditioning).
 double solve_residual(const Matrix<double>& a, Criterion& crit, int nb,
                       const HybridOptions& opt = {}, int nrhs = 1) {
   const auto b = random_matrix(a.rows(), nrhs, 77);
-  const auto result = hybrid_solve(a, b, crit, nb, opt);
+  const auto result = solve_serial(a, b, crit, nb, opt);
   return verify::relative_residual(a, result.x, b);
 }
 
@@ -53,7 +54,7 @@ TEST(HybridSolve, MixedStepsActuallyOccur) {
   HybridOptions opt;
   opt.grid_p = 2;
   opt.grid_q = 2;
-  const auto result = hybrid_solve(a, b, crit, 16, opt);
+  const auto result = solve_serial(a, b, crit, 16, opt);
   EXPECT_GT(result.stats.lu_steps, 0);
   EXPECT_GT(result.stats.qr_steps, 0);
   EXPECT_EQ(result.stats.lu_steps + result.stats.qr_steps, 8);
@@ -68,7 +69,7 @@ TEST(HybridSolve, AlwaysQrMatchesPureHqr) {
   AlwaysQR crit;
   HybridOptions opt;
   opt.grid_p = 2;
-  const auto hybrid = hybrid_solve(a, b, crit, 16, opt);
+  const auto hybrid = solve_serial(a, b, crit, 16, opt);
   const auto pure = baselines::hqr_solve(a, b, 16, 2, 1);
   EXPECT_EQ(hybrid.stats.qr_steps, 4);
   for (int i = 0; i < 64; ++i)
@@ -81,7 +82,7 @@ TEST(HybridSolve, DiagDominantAcceptsEveryLuStep) {
   const auto a = gen::generate(gen::MatrixKind::DiagDominant, 96, 8);
   SumCriterion crit(1.0);
   const auto b = random_matrix(96, 1, 9);
-  const auto result = hybrid_solve(a, b, crit, 16, {});
+  const auto result = solve_serial(a, b, crit, 16, {});
   EXPECT_EQ(result.stats.lu_steps, 6);
   EXPECT_EQ(result.stats.qr_steps, 0);
   EXPECT_LT(verify::relative_residual(a, result.x, b), 1e-14);
@@ -96,7 +97,7 @@ TEST(HybridSolve, PivotScopeTileVsDomainVsPanel) {
     HybridOptions opt;
     opt.scope = scope;
     opt.grid_p = 2;
-    const auto result = hybrid_solve(a, b, crit, 16, opt);
+    const auto result = solve_serial(a, b, crit, 16, opt);
     EXPECT_LT(verify::relative_residual(a, result.x, b), 1e-10)
         << "scope " << static_cast<int>(scope);
   }
@@ -110,7 +111,7 @@ TEST(HybridSolve, GridShapesGiveSameQualitySolutions) {
     HybridOptions opt;
     opt.grid_p = p;
     opt.grid_q = 6 / p;
-    const auto result = hybrid_solve(a, b, crit, 16, opt);
+    const auto result = solve_serial(a, b, crit, 16, opt);
     EXPECT_LT(verify::relative_residual(a, result.x, b), 1e-13) << "p=" << p;
   }
 }
@@ -126,7 +127,7 @@ TEST(HybridSolve, AllReductionTreesAgree) {
       HybridOptions opt;
       opt.grid_p = 2;
       opt.tree = {local, dist};
-      const auto result = hybrid_solve(a, b, crit, 16, opt);
+      const auto result = solve_serial(a, b, crit, 16, opt);
       EXPECT_LT(verify::relative_residual(a, result.x, b), 1e-13)
           << hqr::to_string(local) << "/" << hqr::to_string(dist);
     }
@@ -138,7 +139,7 @@ TEST(HybridSolve, PaddingHandlesNonMultipleSizes) {
     const auto a = gen::generate(gen::MatrixKind::Random, n, 16 + n);
     const auto b = random_matrix(n, 1, 17);
     MaxCriterion crit(50.0);
-    const auto result = hybrid_solve(a, b, crit, 16, {});
+    const auto result = solve_serial(a, b, crit, 16, {});
     ASSERT_EQ(result.x.rows(), n);
     EXPECT_LT(verify::relative_residual(a, result.x, b), 1e-12) << "n=" << n;
   }
@@ -148,7 +149,7 @@ TEST(HybridSolve, MultipleRightHandSides) {
   const auto a = gen::generate(gen::MatrixKind::Random, 64, 18);
   const auto b = random_matrix(64, 5, 19);
   MaxCriterion crit(50.0);
-  const auto result = hybrid_solve(a, b, crit, 16, {});
+  const auto result = solve_serial(a, b, crit, 16, {});
   ASSERT_EQ(result.x.cols(), 5);
   EXPECT_LT(verify::relative_residual(a, result.x, b), 1e-13);
 }
@@ -225,7 +226,7 @@ TEST(HybridSolve, LuFractionDecreasesWithAlpha) {
     MaxCriterion crit(alpha);
     HybridOptions opt;
     opt.exact_inv_norm = true;
-    const auto result = hybrid_solve(a, b, crit, 16, opt);
+    const auto result = solve_serial(a, b, crit, 16, opt);
     const double f = result.stats.lu_fraction();
     EXPECT_LE(f, prev_fraction + 1e-12) << "alpha=" << alpha;
     prev_fraction = f;
@@ -236,7 +237,7 @@ TEST(HybridSolve, SingleTileProblem) {
   const auto a = gen::generate(gen::MatrixKind::Random, 8, 28);
   const auto b = random_matrix(8, 1, 29);
   MaxCriterion crit(50.0);
-  const auto result = hybrid_solve(a, b, crit, 8, {});
+  const auto result = solve_serial(a, b, crit, 8, {});
   EXPECT_LT(verify::relative_residual(a, result.x, b), 1e-13);
 }
 
@@ -244,14 +245,14 @@ TEST(HybridSolve, RhsDimensionMismatchThrows) {
   const auto a = random_matrix(16, 16, 30);
   const auto b = random_matrix(8, 1, 31);
   MaxCriterion crit(1.0);
-  EXPECT_THROW(hybrid_solve(a, b, crit, 8, {}), Error);
+  EXPECT_THROW(solve_serial(a, b, crit, 8, {}), Error);
 }
 
 TEST(HybridSolve, NonSquareMatrixThrows) {
   const auto a = random_matrix(16, 12, 32);
   const auto b = random_matrix(16, 1, 33);
   MaxCriterion crit(1.0);
-  EXPECT_THROW(hybrid_solve(a, b, crit, 8, {}), Error);
+  EXPECT_THROW(solve_serial(a, b, crit, 8, {}), Error);
 }
 
 TEST(BackSubstitute, RequiresRhsColumns) {

@@ -593,7 +593,31 @@ TEST(ObsSpans, EachServiceCountsInItsOwnLabelledSeries) {
     EXPECT_EQ(lat.count, st.completed);  // every job here reached Done
     EXPECT_EQ(lat.quantile(0.50), st.latency_p50_us);
     EXPECT_EQ(lat.max, st.latency_max_us);
+    // Each service's cache counts in its own series too, and its stats()
+    // reads them back.
+    EXPECT_EQ(counter("luqr_cache_hits_total", label(*svc)), st.cache.hits);
+    EXPECT_EQ(counter("luqr_cache_misses_total", label(*svc)),
+              st.cache.misses);
+    EXPECT_EQ(counter("luqr_cache_inserts_total", label(*svc)),
+              st.cache.inserts);
+    double entries = -1.0;
+    for (const auto& g : snap.gauges)
+      if (g.name == "luqr_cache_entries" && g.labels == label(*svc))
+        entries = g.value;
+    EXPECT_EQ(entries, static_cast<double>(st.cache.entries));
   }
+  // Two distinct solve matrices and one factor matrix: three entries, and
+  // every job probed at least once (a repeat that attached to a pending
+  // factorization probed and missed). The idle service's cache saw none.
+  const serve::ServiceStats busy_st = busy.stats();
+  EXPECT_GE(busy_st.cache.misses, 3u);
+  EXPECT_GE(busy_st.cache.hits + busy_st.cache.misses, 6u);
+  EXPECT_EQ(busy_st.cache.inserts, 3u);
+  EXPECT_EQ(busy_st.cache.entries, 3u);
+  const serve::ServiceStats idle_st = idle.stats();
+  EXPECT_EQ(idle_st.cache.hits + idle_st.cache.misses + idle_st.cache.inserts,
+            0u);
+  EXPECT_EQ(idle_st.cache.entries, 0u);
 }
 
 }  // namespace

@@ -21,6 +21,7 @@ namespace luqr::rt {
 namespace {
 
 using luqr::testing::random_matrix;
+using luqr::testing::solve_serial;
 
 TEST(Engine, RunsIndependentTasks) {
   Engine engine(4);
@@ -294,7 +295,7 @@ void expect_bitwise_equal_solve(const Matrix<double>& a, const Matrix<double>& b
                                 const core::HybridOptions& opt, double alpha,
                                 int nb, int threads) {
   MaxCriterion c1(alpha), c2(alpha);
-  const auto seq = core::hybrid_solve(a, b, c1, nb, opt);
+  const auto seq = solve_serial(a, b, c1, nb, opt);
   const auto par = Solver(SolverConfig()
                               .hybrid_options(opt)
                               .tile_size(nb)

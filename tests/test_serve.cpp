@@ -540,9 +540,10 @@ TEST(SolveServiceModel, SeededRandomOpsKeepBooksAndBits) {
   constexpr int kPool = 4;
   const int sizes[kPool] = {24, 32, 48, 64};
   // Route coverage summed over the seeds: the mix must actually reach
-  // cache hits, both factor grains, chunk tasks, won cancels and sheds.
-  std::uint64_t hits = 0, fine = 0, coarse = 0, chunked = 0, cancels_won = 0,
-                sheds = 0;
+  // cache hits, both factor grains, chunk tasks, submit_many members served
+  // through an attached pending factorization, won cancels and sheds.
+  std::uint64_t hits = 0, fine = 0, coarse = 0, chunked = 0, many_attached = 0,
+                cancels_won = 0, sheds = 0;
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     SCOPED_TRACE(seed);
     ServiceConfig cfg = base_config(2);
@@ -564,6 +565,7 @@ TEST(SolveServiceModel, SeededRandomOpsKeepBooksAndBits) {
       Matrix<double> b;  // no rows for a factor job
       bool expired = false;
       bool cancel_won = false;
+      bool many = false;  // a submit_many member
     };
     std::vector<Entry> model;
     Rng rng(seed);
@@ -614,10 +616,12 @@ TEST(SolveServiceModel, SeededRandomOpsKeepBooksAndBits) {
                 random_matrix(as.back()->rows(), 1 + k % 2, bseed + k));
           }
           std::vector<JobHandle> hs = svc.submit_many(as, bs, prio);
-          for (int k = 0; k < members; ++k)
+          for (int k = 0; k < members; ++k) {
             model.push_back(Entry{hs[static_cast<std::size_t>(k)],
                                   picks[static_cast<std::size_t>(k)],
                                   bs[static_cast<std::size_t>(k)]});
+            model.back().many = true;
+          }
           break;
         }
         default: {
@@ -651,7 +655,10 @@ TEST(SolveServiceModel, SeededRandomOpsKeepBooksAndBits) {
       cancelled += st == JobStatus::Cancelled;
       shed += st == JobStatus::Shed;
       if (st != JobStatus::Done) continue;
-      const Matrix<double> x = e.handle.get().x;
+      const SolveReply reply = e.handle.get();
+      const Matrix<double>& x = reply.x;
+      // Neither a hit nor the owner (who pays factor_us): attached.
+      many_attached += e.many && !reply.cache_hit && reply.factor_us == 0;
       if (e.b.rows() == 0) {
         EXPECT_EQ(x.rows(), 0) << i;
         continue;
@@ -668,6 +675,7 @@ TEST(SolveServiceModel, SeededRandomOpsKeepBooksAndBits) {
     EXPECT_EQ(s.shed, shed);
     EXPECT_EQ(s.failed, 0u);
     EXPECT_EQ(s.rejected, 0u);
+    EXPECT_EQ(s.pending_factorizations, 0u);  // every owner flushed its entry
     hits += s.cache.hits;
     fine += s.factors_inline_parallel;
     coarse += s.factors_coarse;
@@ -679,6 +687,7 @@ TEST(SolveServiceModel, SeededRandomOpsKeepBooksAndBits) {
   EXPECT_GT(fine, 0u);
   EXPECT_GT(coarse, 0u);
   EXPECT_GT(chunked, 0u);
+  EXPECT_GT(many_attached, 0u);
   EXPECT_GT(cancels_won, 0u);
   EXPECT_GT(sheds, 0u);
 }

@@ -18,6 +18,7 @@ namespace luqr::core {
 namespace {
 
 using luqr::testing::random_matrix;
+using luqr::testing::solve_serial;
 
 // Well-conditioned kinds where a stable solve must reach ~machine accuracy.
 const std::vector<gen::MatrixKind>& nice_kinds() {
@@ -43,7 +44,7 @@ TEST_P(SolveSweep, HybridSolveIsAccurate) {
   MaxCriterion crit(50.0);
   HybridOptions opt;
   opt.grid_p = p;
-  const auto result = hybrid_solve(a, b, crit, nb, opt);
+  const auto result = solve_serial(a, b, crit, nb, opt);
   EXPECT_LT(verify::relative_residual(a, result.x, b), 1e-12)
       << gen::kind_name(kind) << " nb=" << nb << " p=" << p;
   const int steps = result.stats.lu_steps + result.stats.qr_steps;
@@ -73,7 +74,7 @@ TEST_P(SpecialStability, TightHybridTracksHqr) {
   MaxCriterion tight(0.1);
   HybridOptions opt;
   opt.exact_inv_norm = true;
-  const auto hybrid = hybrid_solve(a, b, tight, nb, opt);
+  const auto hybrid = solve_serial(a, b, tight, nb, opt);
   const double h_hybrid = verify::hpl3(a, hybrid.x, b);
 
   ASSERT_TRUE(std::isfinite(h_hybrid)) << gen::kind_name(kind);
@@ -89,7 +90,7 @@ TEST(SolveProperties, SolutionSatisfiesEachEquationRow) {
   const auto a = gen::generate(gen::MatrixKind::DiagDominant, n, 7);
   const auto b = random_matrix(n, 1, 8);
   MaxCriterion crit(50.0);
-  const auto result = hybrid_solve(a, b, crit, 8, {});
+  const auto result = solve_serial(a, b, crit, 8, {});
   for (int i = 0; i < n; ++i) {
     double ax = 0.0, scale = 0.0;
     for (int j = 0; j < n; ++j) {
@@ -116,8 +117,8 @@ TEST(SolveProperties, ScalingEquivariance) {
   MaxCriterion c1(30.0), c2(30.0);
   HybridOptions opt;
   opt.exact_inv_norm = true;
-  const auto r1 = hybrid_solve(a, b, c1, 16, opt);
-  const auto r2 = hybrid_solve(a2, b2, c2, 16, opt);
+  const auto r1 = solve_serial(a, b, c1, 16, opt);
+  const auto r2 = solve_serial(a2, b2, c2, 16, opt);
   EXPECT_EQ(r1.stats.lu_steps, r2.stats.lu_steps);
   for (int i = 0; i < n; ++i) EXPECT_DOUBLE_EQ(r1.x(i, 0), r2.x(i, 0));
 }
@@ -127,7 +128,7 @@ TEST(SolveProperties, IdentityMatrixSolvesTrivially) {
   const auto a = Matrix<double>::identity(n);
   const auto b = random_matrix(n, 1, 11);
   MaxCriterion crit(10.0);
-  const auto result = hybrid_solve(a, b, crit, 8, {});
+  const auto result = solve_serial(a, b, crit, 8, {});
   for (int i = 0; i < n; ++i) EXPECT_DOUBLE_EQ(result.x(i, 0), b(i, 0));
 }
 
@@ -139,7 +140,7 @@ TEST(SolveProperties, ManufacturedSolutionRecovered) {
   kern::gemm(kern::Trans::No, kern::Trans::No, 1.0, a.cview(), x_true.cview(),
              0.0, b.view());
   MaxCriterion crit(50.0);
-  const auto result = hybrid_solve(a, b, crit, 16, {});
+  const auto result = solve_serial(a, b, crit, 16, {});
   EXPECT_LT(verify::max_abs_error(result.x, x_true), 1e-10);
 }
 
@@ -148,8 +149,8 @@ TEST(SolveProperties, RepeatedSolvesAreDeterministic) {
   const auto a = gen::generate(gen::MatrixKind::Random, n, 14);
   const auto b = random_matrix(n, 1, 15);
   MaxCriterion c1(20.0), c2(20.0);
-  const auto r1 = hybrid_solve(a, b, c1, 16, {});
-  const auto r2 = hybrid_solve(a, b, c2, 16, {});
+  const auto r1 = solve_serial(a, b, c1, 16, {});
+  const auto r2 = solve_serial(a, b, c2, 16, {});
   for (int i = 0; i < n; ++i) EXPECT_DOUBLE_EQ(r1.x(i, 0), r2.x(i, 0));
 }
 

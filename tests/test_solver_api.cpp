@@ -19,6 +19,7 @@ namespace luqr {
 namespace {
 
 using luqr::testing::random_matrix;
+using luqr::testing::solve_serial;
 
 // ---------------------------------------------------------------------------
 // CriterionSpec
@@ -175,7 +176,7 @@ TEST(Solver, OneShotMatchesFreeFunctionBitwise) {
   opt.grid_p = 2;
   opt.grid_q = 2;
   MaxCriterion crit(30.0);
-  const auto expected = core::hybrid_solve(a, b, crit, 16, opt);
+  const auto expected = solve_serial(a, b, crit, 16, opt);
 
   const Solver solver(SolverConfig()
                           .criterion(CriterionSpec::max(30.0))

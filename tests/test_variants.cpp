@@ -20,6 +20,7 @@ namespace luqr::core {
 namespace {
 
 using luqr::testing::random_matrix;
+using luqr::testing::solve_serial;
 
 class VariantSweep : public ::testing::TestWithParam<LuVariant> {};
 
@@ -29,7 +30,7 @@ TEST_P(VariantSweep, AllLuSolveIsAccurate) {
   AlwaysLU crit;
   HybridOptions opt;
   opt.variant = GetParam();
-  const auto r = hybrid_solve(a, b, crit, 16, opt);
+  const auto r = solve_serial(a, b, crit, 16, opt);
   EXPECT_EQ(r.stats.lu_steps, 6);
   EXPECT_LT(verify::relative_residual(a, r.x, b), 1e-10)
       << static_cast<int>(GetParam());
@@ -42,7 +43,7 @@ TEST_P(VariantSweep, MixedStepsUnderCriterion) {
   HybridOptions opt;
   opt.variant = GetParam();
   opt.exact_inv_norm = true;
-  const auto r = hybrid_solve(a, b, crit, 16, opt);
+  const auto r = solve_serial(a, b, crit, 16, opt);
   EXPECT_GT(r.stats.qr_steps, 0);  // tight alpha forces some QR
   EXPECT_LT(verify::relative_residual(a, r.x, b), 1e-12)
       << static_cast<int>(GetParam());
@@ -54,7 +55,7 @@ TEST_P(VariantSweep, DiagDominantMatrix) {
   SumCriterion crit(1.0);
   HybridOptions opt;
   opt.variant = GetParam();
-  const auto r = hybrid_solve(a, b, crit, 16, opt);
+  const auto r = solve_serial(a, b, crit, 16, opt);
   EXPECT_LT(verify::relative_residual(a, r.x, b), 1e-13);
 }
 
@@ -64,7 +65,7 @@ TEST_P(VariantSweep, PaddedSizes) {
   AlwaysLU crit;
   HybridOptions opt;
   opt.variant = GetParam();
-  const auto r = hybrid_solve(a, b, crit, 16, opt);
+  const auto r = solve_serial(a, b, crit, 16, opt);
   EXPECT_LT(verify::relative_residual(a, r.x, b), 1e-10);
 }
 
@@ -82,7 +83,7 @@ TEST(Variants, AllAgreeWithEachOther) {
     AlwaysLU crit;
     HybridOptions opt;
     opt.variant = variant;
-    const auto r = hybrid_solve(a, b, crit, 16, opt);
+    const auto r = solve_serial(a, b, crit, 16, opt);
     if (variant == LuVariant::A1) {
       reference = r.x;
     } else {
@@ -98,7 +99,7 @@ TEST(Variants, B1RecordsDiagonalPivots) {
   AlwaysLU crit;
   HybridOptions opt;
   opt.variant = LuVariant::B1;
-  const auto r = hybrid_solve(a, b, crit, 16, opt);
+  const auto r = solve_serial(a, b, crit, 16, opt);
   for (const auto& s : r.stats.steps) {
     EXPECT_EQ(s.variant, LuVariant::B1);
     EXPECT_EQ(s.diag_piv.size(), 16u);
@@ -111,7 +112,7 @@ TEST(Variants, B2RecordsDiagonalReflectors) {
   AlwaysLU crit;
   HybridOptions opt;
   opt.variant = LuVariant::B2;
-  const auto r = hybrid_solve(a, b, crit, 16, opt);
+  const auto r = solve_serial(a, b, crit, 16, opt);
   for (const auto& s : r.stats.steps) EXPECT_NE(s.diag_t, nullptr);
 }
 
@@ -124,7 +125,7 @@ TEST(Variants, A2QrFallbackWorks) {
   HybridOptions opt;
   opt.variant = LuVariant::A2;
   opt.grid_p = 2;
-  const auto r = hybrid_solve(a, b, crit, 16, opt);
+  const auto r = solve_serial(a, b, crit, 16, opt);
   EXPECT_EQ(r.stats.qr_steps, 4);
   const auto pure = baselines::hqr_solve(a, b, 16, 2, 1);
   for (int i = 0; i < 64; ++i) EXPECT_DOUBLE_EQ(r.x(i, 0), pure.x(i, 0));
@@ -140,7 +141,7 @@ TEST(Variants, BVariantsHandleWilkinsonViaCriterion) {
     HybridOptions opt;
     opt.variant = variant;
     opt.exact_inv_norm = true;
-    const auto r = hybrid_solve(a, b, crit, 8, opt);
+    const auto r = solve_serial(a, b, crit, 8, opt);
     EXPECT_LT(verify::hpl3(a, r.x, b), 1.0) << static_cast<int>(variant);
   }
 }

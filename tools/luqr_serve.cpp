@@ -252,6 +252,14 @@ int run_fault_sweep(std::uint64_t first_seed, int nseeds, int nb) {
                    static_cast<unsigned long long>(st.shed));
       ok = false;
     }
+    // Every pending factorization an owner registered was flushed (factor
+    // error, all members refused, shutdown alike).
+    if (st.pending_factorizations != 0) {
+      std::fprintf(stderr, "seed %llu: %zu pending factorizations left\n",
+                   static_cast<unsigned long long>(seed),
+                   st.pending_factorizations);
+      ok = false;
+    }
 
     // Post-sweep correctness on the SAME service: a fresh system must come
     // back bitwise-identical to the one-shot reference — no poisoned cache

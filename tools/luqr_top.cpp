@@ -225,10 +225,13 @@ struct Frame {
       for (const Sample& s : it->second) total += s.value;
     return total;
   }
+  /// Summed across label sets (e.g. every cache's bytes).
   double gauge(const std::string& name) const {
+    double total = 0;
     auto it = gauges.find(name);
-    return it != gauges.end() && !it->second.empty() ? it->second.front().value
-                                                    : 0.0;
+    if (it != gauges.end())
+      for (const Sample& s : it->second) total += s.value;
+    return total;
   }
   double gauge_max(const std::string& name) const {
     double worst = 0;
