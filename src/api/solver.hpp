@@ -149,10 +149,11 @@ class SolverConfig {
     track_growth_ = on;
     return *this;
   }
-  /// Scheduling knobs for the Parallel backend: critical-path priorities
-  /// with a configurable lookahead depth, and the per-task timing trace
+  /// Run options for the Parallel backend: the per-task timing trace
   /// (rt::SchedulerOptions::trace_path writes a Chrome-tracing JSON file
-  /// after each parallel factorization).
+  /// after each parallel factorization), the dataflow auditor and chaos
+  /// schedules. Task priority lanes are fixed by task role, not configured
+  /// (runtime/parallel_hybrid.hpp).
   SolverConfig& scheduler(const rt::SchedulerOptions& s) {
     scheduler_ = s;
     return *this;

@@ -1,6 +1,5 @@
 #include "obs/kprof.hpp"
 
-#include <cstdlib>
 #include <cstring>
 
 namespace luqr {
@@ -44,14 +43,6 @@ const char* kernel_class_label(KernelClass c) {
   return "unknown";
 }
 
-bool kernel_profiler_enabled() {
-  static const bool enabled = [] {
-    const char* v = std::getenv("LUQR_KPROF");
-    return v == nullptr || std::strcmp(v, "0") != 0;
-  }();
-  return enabled;
-}
-
 namespace detail {
 
 bool& in_kernel_flag() {
@@ -85,7 +76,6 @@ KernelSlot& kernel_slot(KernelClass c) {
 
 KernelProfile kernel_profile() {
   KernelProfile prof{};
-  if (!kernel_profiler_enabled()) return prof;
   for (int i = 0; i < kKernelClassCount; ++i) {
     const detail::KernelSlot& slot = detail::kernel_slot(KernelClass(i));
     prof[size_t(i)].calls = slot.calls->value();

@@ -9,9 +9,8 @@
 //   luqr_kernel_flops_total{class="gemm"}
 //
 // Cost per instrumented call: two steady_clock reads plus three relaxed
-// sharded fetch_adds — cheap enough to default-on (the CI perf floors run
-// with it enabled).  Set LUQR_KPROF=0 to disable, leaving only a
-// thread-local load + branch.
+// sharded fetch_adds — cheap enough to stay on everywhere (the CI perf
+// floors and the end-to-end benchmark run with it).
 //
 // Composite kernels (gessm, ssssm, tsmqr, unmqr, ...) invoke gemm/trsm/trmm
 // internally; a thread-local depth flag suppresses nested scopes so time is
@@ -52,9 +51,6 @@ inline constexpr int kKernelClassCount = int(KernelClass::kCount);
 // Prometheus label value for a class ("gemm", "trsm", ...).
 const char* kernel_class_label(KernelClass c);
 
-// LUQR_KPROF environment toggle, read once; default enabled.
-bool kernel_profiler_enabled();
-
 struct KernelClassStats {
   std::uint64_t calls = 0;
   std::uint64_t time_us = 0;
@@ -88,7 +84,7 @@ class KernelScope {
  public:
   KernelScope(KernelClass c, double model_flops) {
     bool& in_kernel = detail::in_kernel_flag();
-    if (in_kernel || !kernel_profiler_enabled()) return;
+    if (in_kernel) return;
     in_kernel = true;
     active_ = true;
     class_ = c;

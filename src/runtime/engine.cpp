@@ -23,7 +23,7 @@ struct AuditState {
 namespace {
 
 // Which engine (if any) the current thread is a worker of. Submissions from
-// a worker go to its own deque (LIFO); everything else goes to inject_.
+// a worker go to its own deque (LIFO); everything else goes to lanes_[0].
 thread_local Engine* t_engine = nullptr;
 thread_local int t_worker = -1;
 // Id of the task the current thread is executing (0 between tasks / on
@@ -88,18 +88,15 @@ std::uint64_t Engine::now_us() const {
 }
 
 void Engine::push_ready(Task* task, std::size_t* pushed) {
-  if (task->priority > 0) {
-    SharedQueue& lane = high_[task->priority - 1];
-    std::lock_guard<std::mutex> lk(lane.mu);
-    lane.ready.push_back(task);
-    high_count_.fetch_add(1, std::memory_order_relaxed);
-  } else if (t_engine == this && t_worker >= 0) {
+  if (task->priority == 0 && t_engine == this && t_worker >= 0) {
     Worker& self = *workers_[static_cast<std::size_t>(t_worker)];
     std::lock_guard<std::mutex> lk(self.mu);
     self.ready.push_back(task);  // LIFO for the owner
   } else {
-    std::lock_guard<std::mutex> lk(inject_.mu);
-    inject_.ready.push_back(task);
+    SharedQueue& lane = lanes_[task->priority];
+    std::lock_guard<std::mutex> lk(lane.mu);
+    lane.ready.push_back(task);
+    if (task->priority > 0) high_count_.fetch_add(1, std::memory_order_relaxed);
   }
   ready_count_.fetch_add(1, std::memory_order_relaxed);
   ++*pushed;
@@ -188,15 +185,19 @@ TaskId Engine::submit(std::function<void()> fn, const std::vector<Dep>& deps,
 Engine::Task* Engine::try_pop(int self) {
   if (ready_count_.load(std::memory_order_relaxed) <= 0) return nullptr;
   if (chaos_) return try_pop_chaos(self);
+  auto take_front = [this](SharedQueue& q) -> Task* {
+    std::lock_guard<std::mutex> lk(q.mu);
+    if (q.ready.empty()) return nullptr;
+    Task* t = q.ready.front();
+    q.ready.pop_front();
+    ready_count_.fetch_sub(1, std::memory_order_relaxed);
+    return t;
+  };
   // 1. Priority lanes, highest first (FIFO within a lane).
   if (high_count_.load(std::memory_order_relaxed) > 0) {
-    for (int lane = kPriorityLanes - 2; lane >= 0; --lane) {
-      std::lock_guard<std::mutex> lk(high_[lane].mu);
-      if (!high_[lane].ready.empty()) {
-        Task* t = high_[lane].ready.front();
-        high_[lane].ready.pop_front();
+    for (int p = kPriorityLanes - 1; p >= 1; --p) {
+      if (Task* t = take_front(lanes_[p])) {
         high_count_.fetch_sub(1, std::memory_order_relaxed);
-        ready_count_.fetch_sub(1, std::memory_order_relaxed);
         return t;
       }
     }
@@ -212,16 +213,8 @@ Engine::Task* Engine::try_pop(int self) {
       return t;
     }
   }
-  // 3. External submissions, FIFO.
-  {
-    std::lock_guard<std::mutex> lk(inject_.mu);
-    if (!inject_.ready.empty()) {
-      Task* t = inject_.ready.front();
-      inject_.ready.pop_front();
-      ready_count_.fetch_sub(1, std::memory_order_relaxed);
-      return t;
-    }
-  }
+  // 3. Lane 0: external submissions, FIFO.
+  if (Task* t = take_front(lanes_[0])) return t;
   // 4. Steal, FIFO from the victim's front (the oldest — and for LIFO
   //    owners, least cache-warm — task).
   const int n = static_cast<int>(workers_.size());
@@ -265,12 +258,12 @@ Engine::Task* Engine::try_pop_chaos(int self) {
   const int n = static_cast<int>(workers_.size());
   for (int source : order) {
     switch (source) {
-      case 0: {  // priority lanes, rotated scan start, random end
+      case 0: {  // lanes 1.., rotated scan start, random end
         if (high_count_.load(std::memory_order_relaxed) <= 0) break;
         const int start =
             static_cast<int>(chaos_next(s) % (kPriorityLanes - 1));
         for (int l = 0; l < kPriorityLanes - 1; ++l) {
-          Task* t = take(high_[(start + l) % (kPriorityLanes - 1)],
+          Task* t = take(lanes_[1 + (start + l) % (kPriorityLanes - 1)],
                          (chaos_next(s) & 1) != 0);
           if (t != nullptr) {
             high_count_.fetch_sub(1, std::memory_order_relaxed);
@@ -294,8 +287,8 @@ Engine::Task* Engine::try_pop_chaos(int self) {
         }
         break;
       }
-      case 2: {  // injection queue, random end
-        Task* t = take(inject_, (chaos_next(s) & 1) != 0);
+      case 2: {  // lane 0 (injection queue), random end
+        Task* t = take(lanes_[0], (chaos_next(s) & 1) != 0);
         if (t != nullptr) return t;
         break;
       }
@@ -573,17 +566,13 @@ std::vector<TraceEvent> Engine::consume_trace() {
 
 std::vector<std::size_t> Engine::ready_depths() const {
   std::vector<std::size_t> depths(kPriorityLanes, 0);
-  {
-    std::lock_guard<std::mutex> lk(inject_.mu);
-    depths[0] += inject_.ready.size();
+  for (int p = 0; p < kPriorityLanes; ++p) {
+    std::lock_guard<std::mutex> lk(lanes_[p].mu);
+    depths[static_cast<std::size_t>(p)] = lanes_[p].ready.size();
   }
   for (const auto& w : workers_) {
     std::lock_guard<std::mutex> lk(w->mu);
     depths[0] += w->ready.size();
-  }
-  for (int p = 1; p < kPriorityLanes; ++p) {
-    std::lock_guard<std::mutex> lk(high_[p - 1].mu);
-    depths[static_cast<std::size_t>(p)] = high_[p - 1].ready.size();
   }
   return depths;
 }

@@ -13,14 +13,14 @@
 //     (successors it unblocks, or tasks it submits from inside a running
 //     task) are pushed to its own deque and popped LIFO for cache locality;
 //     idle workers steal from other deques FIFO (oldest task first).
-//   - Tasks submitted from non-worker threads land in a shared injection
-//     queue, drained FIFO.
-//   - Tasks carry a priority (0..kPriorityLanes-1); ready tasks with
-//     priority > 0 go to shared high-priority lanes that every worker checks
-//     (highest lane first) before its own deque, so critical-path work (the
-//     hybrid driver's panel/decision chain and the updates that gate the
-//     next few panels, graded by lookahead distance) overtakes bulk trailing
-//     updates.
+//   - Tasks carry a priority (0..kPriorityLanes-1), and each priority has a
+//     shared FIFO lane. Ready tasks with priority > 0 go to their lane, which
+//     every worker checks (highest lane first) before its own deque, so
+//     critical-path work (the hybrid driver's panel/decision chain and the
+//     updates that gate the next two panels) overtakes bulk trailing
+//     updates. Lane 0 is the injection queue: priority-0 tasks submitted
+//     from non-worker threads land there, drained after the worker's own
+//     deque and before stealing.
 //   - Every task's DAG depth is computed at submit time: 1 + the maximum
 //     depth over its inferred predecessors. The depth of a datum's last
 //     writer is kept in the datum history, so chains survive individual
@@ -86,17 +86,18 @@ using Dep = core::Dep;
 
 using TaskId = std::uint64_t;
 
-/// Number of scheduling priority levels. Priority 0 runs from the per-worker
-/// deques; priorities 1..kPriorityLanes-1 each have a shared lane, drained
-/// highest-first before any deque work. Wide enough for the hybrid driver's
-/// lookahead-graded lanes (panel > gates > near-frontier updates > bulk).
-inline constexpr int kPriorityLanes = 8;
+/// Number of scheduling priority levels: exactly the lanes the hybrid
+/// driver's grading uses (panel 4 > gates 3 > near-frontier updates > bulk
+/// 0; runtime/parallel_hybrid.hpp asserts it), which also hold the serve
+/// layer's three client priorities. Priority 0 runs from the per-worker
+/// deques and the injection queue; priorities 1..kPriorityLanes-1 each have
+/// a shared lane, drained highest-first before any deque work.
+inline constexpr int kPriorityLanes = 5;
 
 /// Optional task attributes: a display name for traces, a scheduling
 /// priority (0 = bulk work, higher runs earlier; clamped to
 /// [0, kPriorityLanes-1]), a caller-defined tag recorded in the trace
-/// (the hybrid driver tags every task with its step index k, which is what
-/// the lookahead-depth analysis in bench_scheduler reads back), and a span
+/// (the hybrid driver tags every task with its step index k), and a span
 /// id (`job`) that flows into TraceEvent and the Chrome export so engine
 /// tasks can be correlated with the serve-layer job that submitted them
 /// (0 = no span).
@@ -191,7 +192,7 @@ class Engine {
   /// critical path length, in tasks; computed incrementally at submit time).
   std::uint64_t critical_path_length() const;
   /// Tasks executed per priority lane (index = priority, size
-  /// kPriorityLanes) — shows how much work the lookahead lanes carried.
+  /// kPriorityLanes) — shows how much work the critical-path lanes carried.
   std::vector<std::uint64_t> lane_executed() const;
   /// Graph nodes not yet retired (0 once quiescent — memory is O(frontier)).
   std::size_t live_tasks() const;
@@ -203,9 +204,9 @@ class Engine {
   std::size_t workspace_bytes() const;
   /// Workers currently executing a task body (live gauge; racy by nature).
   int busy_workers() const { return busy_.load(std::memory_order_relaxed); }
-  /// Ready-but-unstarted tasks per priority lane, sampled live. Index 0 is
-  /// the default lane (worker deques + injection queue); index p >= 1 is the
-  /// shared high-priority lane for priority p.
+  /// Ready-but-unstarted tasks per priority lane, sampled live. Index 0
+  /// counts the worker deques and the injection queue (lane 0); index p >= 1
+  /// is the shared lane for priority p.
   std::vector<std::size_t> ready_depths() const;
 
   /// True when constructed with EngineOptions::audit.
@@ -309,10 +310,10 @@ class Engine {
   bool shutdown_ = false;
   std::exception_ptr first_error_;
 
-  SharedQueue inject_;  // submissions from non-worker threads
-  // Shared priority lanes: high_[p - 1] holds ready tasks of priority p.
-  SharedQueue high_[kPriorityLanes - 1];
-  std::atomic<int> high_count_{0};
+  // Shared lanes: lanes_[p] holds ready tasks of priority p; lanes_[0] is
+  // the injection queue (priority-0 submissions from non-worker threads).
+  SharedQueue lanes_[kPriorityLanes];
+  std::atomic<int> high_count_{0};  // ready tasks in lanes 1..kPriorityLanes-1
   std::atomic<long long> ready_count_{0};
   std::atomic<std::uint64_t> steals_{0};
   std::atomic<int> busy_{0};  // workers currently inside a task body

@@ -11,8 +11,17 @@
 // LU-vs-QR *inside the dataflow* and submits the step's updates plus the
 // next step's panel itself, so the submitting thread never joins and the
 // workers keep lookahead across as many steps as the dependences allow.
-// SchedulerOptions grades the tasks into critical-path priority lanes and
-// enables the per-task timing trace and the auditor (runtime/scheduler.hpp).
+//
+// Every task runs in a priority lane fixed by its role. With d = j - k - 1
+// the distance of trailing column j from the next panel (step k):
+//   convert of tile column j  max(0, 4 - j)
+//   panel/decision            4
+//   gate (eliminate, QR factor kernels, restore)  3
+//   apply                     max(0, 3 - d)
+//   update                    max(0, 2 - d)
+// and the run's completion task in lane 0. SchedulerOptions enables the
+// per-task timing trace, the auditor and chaos schedules
+// (runtime/scheduler.hpp).
 #pragma once
 
 #include "core/hybrid.hpp"
@@ -40,17 +49,21 @@ using non_deduced = typename NonDeduced<U>::type;
 }  // namespace detail
 
 /// Engine-level telemetry of one parallel factorization (optional out-param
-/// of parallel_hybrid_factor; filled after the graph drains). On an owned
-/// engine (parallel_hybrid_factor) every field describes exactly this run;
-/// on a caller-provided shared engine (parallel_hybrid_factor_on) all of
-/// them — including critical_path and lane_tasks — are engine-lifetime
-/// totals across every job the pool has executed, not per-run deltas (a
-/// running max cannot be rewound, and concurrent jobs interleave).
+/// of parallel_hybrid_factor; filled after the run completes). On an owned
+/// engine (parallel_hybrid_factor) every field describes exactly this run,
+/// whose tasks include its completion task (a no-op in lane 0 that reads
+/// every tile); on a caller-provided shared engine (parallel_hybrid_factor_on)
+/// all of them — including critical_path and lane_tasks — are
+/// engine-lifetime totals across every job the pool has executed, not
+/// per-run deltas (a running max cannot be rewound, and concurrent jobs
+/// interleave).
 struct SchedulerStats {
   std::uint64_t tasks_executed = 0;
   std::uint64_t steals = 0;
   /// Longest dependence chain of the submitted task graph (in tasks) — the
-  /// DAG critical path the lookahead lanes are racing.
+  /// DAG critical path the priority lanes are racing. Measured over the
+  /// live graph (retired readers drop out of a datum's history), so it
+  /// varies from run to run with timing: not a determinism check.
   std::uint64_t critical_path = 0;
   /// Tasks executed per engine priority lane (index = priority).
   std::vector<std::uint64_t> lane_tasks;
@@ -68,7 +81,8 @@ struct SchedulerStats {
 
 /// Parallel equivalent of core::hybrid_factor: same options (every variant,
 /// HybridOptions::track_growth), bitwise-identical tiles, statistics and
-/// growth factor.
+/// growth factor. Runs on an Engine of `num_threads` workers built for this
+/// call.
 ///
 /// When `log` is non-null, every transformation is recorded exactly as the
 /// inline sink records it (same replay order, bitwise-identical factors), so
@@ -90,11 +104,13 @@ core::FactorizationStatsT<T> parallel_hybrid_factor(
 /// a per-call worker pool — the serve subsystem's mode: many factorizations
 /// multiplex onto one shared pool, concurrently if the caller wishes (their
 /// task graphs touch disjoint tiles, so the engine keeps them independent).
-/// Returns once this run's tasks have all completed; errors are captured per
-/// run and rethrown here, never parked in the shared engine's global error
-/// slot. SchedulerOptions::trace is unsupported (it needs a quiescent
-/// engine); SchedulerStats, when requested, reports engine-wide lifetime
-/// totals (see the struct comment), not this run's share.
+/// Runs the same path as parallel_hybrid_factor: returns once this run's
+/// completion task has run; errors are captured per run and rethrown here,
+/// never parked in the engine's global error slot. SchedulerOptions::trace
+/// is unsupported and happens-before certification is skipped (both need a
+/// quiescent engine of the run's own); SchedulerStats, when requested,
+/// reports engine-wide lifetime totals (see the struct comment), not this
+/// run's share.
 template <typename T>
 core::FactorizationStatsT<T> parallel_hybrid_factor_on(
     Engine& engine, TileMatrix<T>& a, Criterion& criterion,

@@ -1,10 +1,11 @@
-// Scheduler knobs for the task-parallel driver (shared with the api layer).
+// Run options for the task-parallel driver (shared with the api layer).
 //
 // The driver runs the paper's continuation style: each step's panel
 // task decides LU-vs-QR inside the dataflow and submits the step's updates
-// plus the next step's panel, so workers keep lookahead across steps. These
-// knobs control the engine's critical-path priorities, the per-task timing
-// trace, and the correctness auditor.
+// plus the next step's panel, so workers keep lookahead across steps. The
+// tasks' priority lanes are a fixed function of their role (see
+// runtime/parallel_hybrid.hpp); these options control the per-task timing
+// trace, the correctness auditor and adversarial schedule exploration.
 #pragma once
 
 #include <cstdint>
@@ -14,17 +15,6 @@ namespace luqr::rt {
 
 /// Scheduling configuration for parallel_hybrid_factor.
 struct SchedulerOptions {
-  /// Give critical-path tasks (panel/decision, and the updates that unblock
-  /// the next panel column) elevated engine priority.
-  bool priorities = true;
-  /// Lookahead depth of the priority grading (with priorities on): update
-  /// tasks on trailing column k+1+d run in lane max(0, lookahead - d), so
-  /// the columns feeding the next `lookahead` panel decisions overtake bulk
-  /// trailing work; the panel chain itself sits two lanes above that and the
-  /// per-step gate kernels (eliminates, QR factor kernels, restores) one.
-  /// Clamped to the engine's lane budget (rt::kPriorityLanes). 0 keeps only
-  /// the panel/gate split.
-  int lookahead = 2;
   /// Record per-task timing in the engine (needed for trace_path and for
   /// SchedulerStats::trace).
   bool trace = false;

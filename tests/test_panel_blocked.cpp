@@ -480,13 +480,15 @@ TEST(EngineLanes, WidenedLanesDrainHighestFirst) {
   engine.submit([&gate] {
     while (!gate.load()) std::this_thread::yield();
   }, {});
-  for (int p = 1; p <= 7; ++p)
+  const int top = kPriorityLanes - 1;
+  for (int p = 1; p <= top; ++p)
     engine.submit([&order, p] { order.push_back(p); }, {}, {"p", p});
   engine.submit([&order] { order.push_back(0); }, {});
   gate.store(true);
   engine.wait_all();
-  ASSERT_EQ(order.size(), 8u);
-  for (int i = 0; i < 7; ++i) EXPECT_EQ(order[static_cast<std::size_t>(i)], 7 - i);
+  ASSERT_EQ(order.size(), static_cast<std::size_t>(kPriorityLanes));
+  for (int i = 0; i < top; ++i)
+    EXPECT_EQ(order[static_cast<std::size_t>(i)], top - i);
   EXPECT_EQ(order.back(), 0);
 }
 

@@ -7,10 +7,13 @@
 #include <cstdio>
 #include <functional>
 #include <numeric>
+#include <set>
+#include <string>
 
 #include "api/solver.hpp"
 #include "core/hybrid.hpp"
 #include "core/solve.hpp"
+#include "core/step_graph.hpp"
 #include "gen/generators.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/parallel_hybrid.hpp"
@@ -429,18 +432,6 @@ TEST(ParallelHybrid, EngineSinkMatchesSerialBitwise) {
   }
 }
 
-TEST(ParallelHybrid, PrioritiesOffStillBitwiseIdentical) {
-  const auto a = gen::generate(gen::MatrixKind::Random, 80, 23);
-  core::HybridOptions opt;
-  opt.grid_p = 2;
-  SchedulerOptions plain;
-  SchedulerOptions unprioritized;
-  unprioritized.priorities = false;
-  const auto x = factor_tiles(a, 20.0, 16, opt, 4, plain);
-  const auto y = factor_tiles(a, 20.0, 16, opt, 4, unprioritized);
-  expect_tiles_equal(x, y, "priorities-off");
-}
-
 TEST(ParallelHybrid, TrackGrowthMatchesSerialBitwise) {
   // Both sinks reduce the growth factor over the same final-writer tile
   // norms, so it is identical for all-LU and for mixed LU/QR runs.
@@ -478,6 +469,59 @@ TEST(ParallelHybrid, SchedulerStatsReportTelemetry) {
   for (const auto& e : stats.trace)
     if (e.name == "panel") ++panels;
   EXPECT_EQ(panels, 4);  // 64 / 16 tiles
+}
+
+TEST(ParallelHybrid, LanesAreFixedByTaskRole) {
+  // The lane grading, read back from a traced run that converts A on the
+  // workers and mixes LU and QR steps: panel 4, gates 3, updates at most 2,
+  // only column 0's convert with the panel chain, the completion task in
+  // lane 0, and nothing above the engine's top lane (so Engine::submit
+  // never clamps a driver task).
+  const int n = 100, nb = 16;
+  const auto dense = gen::generate(gen::MatrixKind::Random, n, 37);
+  const core::DenseSource<double> source(dense);
+  TileMatrix<double> tiles = source.tiles(nb);
+  RandomCriterion criterion(0.5);
+  core::HybridOptions opt;
+  opt.grid_p = 2;
+  opt.grid_q = 2;
+  SchedulerOptions sched;
+  sched.trace = true;
+  SchedulerStats stats;
+  const auto fs = parallel_hybrid_factor(tiles, criterion, opt, 4, nullptr,
+                                         sched, &stats, &source);
+  ASSERT_GT(fs.lu_steps, 0);
+  ASSERT_GT(fs.qr_steps, 0);
+  ASSERT_EQ(stats.trace.size(), stats.tasks_executed);
+
+  const std::set<std::string> gates = {"restore", "geqrt", "tsqrt", "ttqrt",
+                                       "trsm"};
+  const std::set<std::string> updates = {"gemm", "unmqr", "tsmqr", "ttmqr"};
+  int panels = 0, top_converts = 0, completions = 0;
+  for (const TraceEvent& e : stats.trace) {
+    EXPECT_GE(e.priority, 0) << e.name;
+    EXPECT_LE(e.priority, kPriorityLanes - 1) << e.name;
+    if (e.name == "panel") {
+      ++panels;
+      EXPECT_EQ(e.priority, 4);
+    } else if (gates.count(e.name) != 0) {
+      EXPECT_EQ(e.priority, 3) << e.name << " step " << e.tag;
+    } else if (updates.count(e.name) != 0) {
+      EXPECT_LE(e.priority, 2) << e.name << " step " << e.tag;
+    } else if (e.name == "swptrsm") {
+      EXPECT_LE(e.priority, 3) << "step " << e.tag;
+    } else if (e.name == "convert") {
+      if (e.priority == 4) ++top_converts;
+    } else if (e.name == "job-done") {
+      ++completions;
+      EXPECT_EQ(e.priority, 0);
+    } else {
+      ADD_FAILURE() << "unexpected task " << e.name;
+    }
+  }
+  EXPECT_EQ(panels, tiles.mt());
+  EXPECT_EQ(top_converts, 1);
+  EXPECT_EQ(completions, 1);
 }
 
 TEST(Engine, IdleAndWaitIdleHooks) {

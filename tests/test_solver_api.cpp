@@ -129,15 +129,12 @@ TEST(SolverConfig, HybridOptionsRoundTrip) {
 
 TEST(SolverConfig, SchedulerKnobsRoundTrip) {
   rt::SchedulerOptions sched;
-  sched.priorities = false;
   sched.trace = true;
   sched.trace_path = "t.json";
   const SolverConfig cfg = SolverConfig().scheduler(sched);
-  EXPECT_FALSE(cfg.scheduler().priorities);
   EXPECT_TRUE(cfg.scheduler().trace);
   EXPECT_EQ(cfg.scheduler().trace_path, "t.json");
-  // Default: priorities on, no trace.
-  EXPECT_TRUE(SolverConfig().scheduler().priorities);
+  // Default: no trace.
   EXPECT_FALSE(SolverConfig().scheduler().trace);
 }
 

@@ -12,10 +12,6 @@
 //   --variant A1|A2|B1|B2                                  (default A1)
 //   --threads <n>      run the parallel backend with n worker threads
 //                      (default: serial backend)
-//   --no-priorities    disable critical-path task priorities
-//   --lookahead N      priority-lane lookahead depth: updates feeding the
-//                      next N panel decisions overtake bulk trailing work
-//                      (default 2; parallel backend)
 //   --trace f.json     write a Chrome-tracing JSON of the parallel
 //                      factorization's tasks (open via chrome://tracing)
 //   --audit            run the parallel factorization under the dataflow
@@ -31,6 +27,8 @@
 //                      kernel profiler: calls, wall time, share and model
 //                      GFLOP/s per class, serial or parallel; with --threads
 //                      also critical-path length and per-lane task counts
+//                      (lanes 0-4, fixed by task role; the run's completion
+//                      task counts in lane 0)
 //   --refine <n>       iterative-refinement sweeps (default 0)
 //   --precision P      working precision: f64 (default), f32 (single
 //                      precision throughout), or f32_ir (factor in f32,
@@ -54,7 +52,6 @@ namespace {
   std::fprintf(stderr,
                "usage: %s A.mtx [b.mtx] [--criterion C] [--alpha V] [--lu-fraction T]\n"
                "       [--nb V] [--grid PxQ] [--variant A1|A2|B1|B2] [--threads N]\n"
-               "       [--no-priorities] [--lookahead N]\n"
                "       [--trace f.json] [--profile] [--audit] [--chaos-seed N]\n"
                "       [--refine N] [--precision f64|f32|f32_ir] [--out x.mtx]\n",
                argv0);
@@ -71,8 +68,8 @@ int main(int argc, char** argv) {
   std::string criterion = "max", variant = "A1";
   std::string precision = "f64";
   double alpha = 100.0, lu_fraction = -1.0;
-  int nb = 64, refine = 0, grid_p = 4, grid_q = 4, threads = 0, lookahead = -1;
-  bool priorities = true, profile = false, audit = false;
+  int nb = 64, refine = 0, grid_p = 4, grid_q = 4, threads = 0;
+  bool profile = false, audit = false;
   unsigned long long chaos_seed = 0;
 
   for (int i = 1; i < argc; ++i) {
@@ -97,10 +94,6 @@ int main(int argc, char** argv) {
       precision = need_value();
     } else if (arg == "--variant") {
       variant = need_value();
-    } else if (arg == "--no-priorities") {
-      priorities = false;
-    } else if (arg == "--lookahead") {
-      lookahead = std::atoi(need_value());
     } else if (arg == "--profile") {
       profile = true;
     } else if (arg == "--audit") {
@@ -157,8 +150,6 @@ int main(int argc, char** argv) {
     else LUQR_REQUIRE(precision == "f64", "unknown precision: " + precision);
 
     rt::SchedulerOptions sched;
-    sched.priorities = priorities;
-    if (lookahead >= 0) sched.lookahead = lookahead;
     if (!trace_path.empty()) {
       LUQR_REQUIRE(threads > 0, "--trace requires the parallel backend (--threads)");
       sched.trace = true;
@@ -174,10 +165,6 @@ int main(int argc, char** argv) {
       sched.chaos_seed = chaos_seed;
     }
     rt::SchedulerStats sched_stats;
-    if (profile)
-      LUQR_REQUIRE(obs::kernel_profiler_enabled(),
-                   "--profile reads the kernel profiler, which LUQR_KPROF=0 "
-                   "disabled in this environment");
     config.scheduler(sched);
     if (threads > 0) config.scheduler_stats(&sched_stats);
 
@@ -211,8 +198,7 @@ int main(int argc, char** argv) {
                 n, nb, spec.name().c_str(), grid_p, grid_q, variant.c_str(),
                 threads > 0 ? "parallel" : "serial");
     if (threads > 0)
-      std::printf("threads: %d%s\n", solver.resolve_threads(),
-                  priorities ? "" : "   (no priorities)");
+      std::printf("threads: %d\n", solver.resolve_threads());
     if (!trace_path.empty())
       std::printf("task trace written to %s\n", trace_path.c_str());
     if (audit)
@@ -254,9 +240,8 @@ int main(int argc, char** argv) {
                     secs > 0 ? flops * 1e-9 / secs : 0.0);
       }
       if (threads > 0) {
-        std::printf("  critical path: %llu tasks   lookahead: %d\n",
-                    static_cast<unsigned long long>(sched_stats.critical_path),
-                    sched.lookahead);
+        std::printf("  critical path: %llu tasks\n",
+                    static_cast<unsigned long long>(sched_stats.critical_path));
         std::printf("  lane tasks:");
         for (std::size_t l = 0; l < sched_stats.lane_tasks.size(); ++l)
           std::printf(" L%zu=%llu", l,
