@@ -278,19 +278,6 @@ double scaled_residual(const Matrix<double>& r, const Matrix<double>& x,
 
 }  // namespace
 
-Factorization Factorization::compute(const Matrix<double>& a,
-                                     Criterion& criterion, int nb,
-                                     const HybridOptions& options) {
-  Factorization f;
-  f.precision_ = Precision::F64;
-  f.f64_ = std::make_shared<FactorizationT<double>>(
-      FactorizationT<double>::compute(a, criterion, nb, options));
-  f.n_scalar_ = f.f64_->order();
-  f.nb_ = f.f64_->tile_size();
-  f.options_ = options;
-  return f;
-}
-
 Factorization Factorization::adopt(Matrix<double> original,
                                    TileMatrix<double> factored,
                                    FactorizationStats stats, TransformLog log,

@@ -100,10 +100,6 @@ class FactorizationT {
 /// float engine and the retained f64 original (see the header comment).
 class Factorization {
  public:
-  /// Factor `a` in double (Precision::F64). Unchanged legacy entry point.
-  static Factorization compute(const Matrix<double>& a, Criterion& criterion,
-                               int nb, const HybridOptions& options = {});
-
   /// Adopt an externally driven f64 factor pass (the parallel backend).
   static Factorization adopt(Matrix<double> original,
                              TileMatrix<double> factored,

@@ -25,9 +25,9 @@
 // scheduling and workspace reuse (see api/batch.hpp); the service exposes
 // the same machinery as SolveService::submit_many.
 //
-// The low-level entry point core::Factorization::compute remains available
-// and runs the same machinery; parallel solves go through Solver with
-// Backend::Parallel.
+// Every factorization goes through Solver::factor (Backend::Serial runs the
+// step graph on the calling thread, Backend::Parallel on the task engine);
+// the returned core::Factorization is the same handle on either backend.
 #pragma once
 
 #include "api/batch.hpp"

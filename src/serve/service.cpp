@@ -753,8 +753,8 @@ void SolveService::solve_members(Run& run) {
   // returns as-is once the budget is spent.
   bool evict = false;
   for (std::size_t k = 0; k < solved.size(); ++k) {
-    solved[k].poisoned = solved[k].error == nullptr && cfg_.screen_outputs &&
-                         !finite_matrix(solved[k].x);
+    solved[k].poisoned =
+        solved[k].error == nullptr && !finite_matrix(solved[k].x);
     evict = evict || solved[k].poisoned;
     run.solved[index[k]] = std::move(solved[k]);
   }

@@ -30,10 +30,13 @@
 // members fuse into one wide solve (column j of a wide solve is bitwise the
 // solve of column j alone); every other configuration solves member by
 // member (refined precisions iterate on the joint residual, which fusing
-// would couple). Every solved member is output-screened. Every cached
-// solve, one column or many, replays the factorization at the exact RHS
-// width (Factorization::solve), on QR-heavy and all-LU factorizations
-// alike.
+// would couple). Every solved member is output-screened: a non-finite x
+// evicts its factorization from the cache (it must never serve another
+// hit) and the solve retries from scratch; with the retry budget spent
+// (batch and submit_many members have none) the result returns as-is, since
+// a singular system can legitimately produce Inf. Every cached solve, one
+// column or many, replays the factorization at the exact RHS width
+// (Factorization::solve), on QR-heavy and all-LU factorizations alike.
 //
 // Inflight slots (max_inflight): the dispatcher holds one slot per entry,
 // from dispatch until that entry's engine task finishes computing, before
@@ -224,13 +227,6 @@ struct ServiceConfig {
   /// could then be cached and served to other clients. One O(n^2) Frobenius
   /// pass per submitted matrix.
   bool screen_inputs = true;
-  /// Screen the results of every solve (submit_solve, submit_batch and
-  /// submit_many members): a non-finite solution evicts its factorization
-  /// from the cache (it must never serve another hit) and the solve retries
-  /// from scratch; with the retry budget exhausted (batch and submit_many
-  /// members have none) the result is returned as-is (a legitimately
-  /// singular system can produce Inf).
-  bool screen_outputs = true;
 
   /// Default retry budget for transient failures (injected faults,
   /// allocation pressure); deterministic failures (singular systems, shape
@@ -417,8 +413,7 @@ class SolveService {
   using Jobs = std::vector<Job>;
 
   /// One member's share of a solve_run (fused members share report,
-  /// solve_us and error). `poisoned` marks a non-finite x under output
-  /// screening.
+  /// solve_us and error). `poisoned` marks a non-finite x.
   struct Solved {
     Matrix<double> x;
     SolveReport report;

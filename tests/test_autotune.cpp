@@ -14,6 +14,7 @@
 namespace luqr::core {
 namespace {
 
+using luqr::testing::factor_serial;
 using luqr::testing::solve_serial;
 
 TEST(AutoTune, HitsMidRangeTargets) {
@@ -53,7 +54,7 @@ TEST(AutoTune, WorksForSumAndMumps) {
     EXPECT_GT(r.alpha, 0.0) << kind;
     // The tuner's count is the one a real factorization at that alpha gets.
     const CriterionSpec spec = CriterionSpec::parse(kind, 1.0);
-    const auto fac = Factorization::compute(
+    const auto fac = factor_serial(
         sample, *make_criterion(spec.with_alpha(r.alpha)), 32, opt);
     EXPECT_EQ(r.achieved_lu_fraction, fac.stats().lu_fraction()) << kind;
   }

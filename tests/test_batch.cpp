@@ -1,17 +1,14 @@
-// Tests for the batched small-problem backend: chunk planning, bitwise
-// parity of factor_many / solve_many / factor_solve_many against one-shot
-// Solver calls at every precision, per-member error isolation (library and
-// service), the serve submit_many route (chunks through the admission
-// queue: cache-hit skim, cancel while queued, full-queue rejection, drain
-// at shutdown, telemetry), and 8-seed chaos + audit
-// on the chunked engine tasks. Sized to stay sanitizer-friendly — the CI
+// Tests for the batched small-problem backend (test_routes checks the
+// batch and submit_many routes against the serial retained solve): chunk
+// planning, per-member error isolation (library and service), the serve
+// submit_many route (chunks through the admission queue: cache-hit skim,
+// cancel while queued, full-queue rejection, drain at shutdown, telemetry),
+// and 8-seed chaos + audit on the chunked engine tasks. Sized to stay sanitizer-friendly — the CI
 // asan/tsan/ubsan jobs run this whole binary.
 #include <gtest/gtest.h>
 
-#include <chrono>
 #include <cmath>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "api/batch.hpp"
@@ -26,19 +23,11 @@
 namespace luqr {
 namespace {
 
+using luqr::testing::expect_bitwise;
 using luqr::testing::random_matrix;
 
 SolverConfig small_config() {
   return SolverConfig().criterion(CriterionSpec::max(50.0)).tile_size(16);
-}
-
-void expect_bitwise(const Matrix<double>& got, const Matrix<double>& want,
-                    const char* what) {
-  ASSERT_EQ(got.rows(), want.rows()) << what;
-  ASSERT_EQ(got.cols(), want.cols()) << what;
-  for (int j = 0; j < want.cols(); ++j)
-    for (int i = 0; i < want.rows(); ++i)
-      ASSERT_EQ(got(i, j), want(i, j)) << what << " @ " << i << "," << j;
 }
 
 // Mixed small orders, including non-tile-multiples; distinct seeds so no
@@ -110,62 +99,8 @@ TEST(BatchPlanning, ScratchEstimateIsPositiveAndMonotonicInTile) {
 }
 
 // ---------------------------------------------------------------------------
-// Library endpoints: bitwise parity and isolation
+// Library endpoints: error isolation
 // ---------------------------------------------------------------------------
-
-TEST(BatchLibrary, FactorManyMatchesOneShotFactorBitwise) {
-  const Solver solver(small_config().threads(2));
-  const auto as = mixed_matrices();
-  const auto bs = rhs_for(as);
-  const auto outcomes = batch::factor_many(solver, as);
-  ASSERT_EQ(outcomes.size(), as.size());
-  for (std::size_t i = 0; i < as.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].ok()) << i;
-    const auto want = solver.factor(as[i]).solve(bs[i]);
-    expect_bitwise(outcomes[i].factorization->solve(bs[i]), want,
-                   "factor_many solve");
-  }
-}
-
-TEST(BatchLibrary, FactorSolveManyMatchesOneShotAtEveryPrecision) {
-  for (const Precision p :
-       {Precision::F64, Precision::F32, Precision::F32_IR}) {
-    const Solver solver(small_config().precision(p).threads(2));
-    const auto as = mixed_matrices();
-    const auto bs = rhs_for(as);
-    const auto outcomes = batch::factor_solve_many(solver, as, bs);
-    ASSERT_EQ(outcomes.size(), as.size());
-    for (std::size_t i = 0; i < as.size(); ++i) {
-      ASSERT_TRUE(outcomes[i].ok()) << static_cast<int>(p) << " @ " << i;
-      const auto want = solver.solve(as[i], bs[i]);
-      expect_bitwise(outcomes[i].x, want.x, "factor_solve_many x");
-      EXPECT_EQ(outcomes[i].report.precision, p);
-      if (p == Precision::F32_IR) {
-        EXPECT_TRUE(outcomes[i].report.converged) << i;
-        EXPECT_EQ(outcomes[i].report.fell_back, want.report.fell_back) << i;
-      }
-      // The retained factorization serves follow-up right-hand sides too.
-      const auto b2 = random_matrix(as[i].rows(), 2, 777 + static_cast<int>(i));
-      expect_bitwise(outcomes[i].factorization->solve(b2),
-                     solver.factor(as[i]).solve(b2), "retained follow-up");
-    }
-  }
-}
-
-TEST(BatchLibrary, SolveManyMatchesRetainedSolves) {
-  const Solver solver(small_config().threads(2));
-  const auto as = mixed_matrices();
-  const auto bs = rhs_for(as);
-  const auto factored = batch::factor_many(solver, as);
-  std::vector<batch::FactorizationPtr> facs;
-  for (const auto& o : factored) facs.push_back(o.factorization);
-  const auto outcomes = batch::solve_many(solver, facs, bs, /*sweeps=*/1);
-  ASSERT_EQ(outcomes.size(), as.size());
-  for (std::size_t i = 0; i < as.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].ok()) << i;
-    expect_bitwise(outcomes[i].x, facs[i]->solve(bs[i], 1), "solve_many x");
-  }
-}
 
 TEST(BatchLibrary, MalformedMemberFailsAloneLibrary) {
   const Solver solver(small_config());
@@ -231,27 +166,6 @@ serve::ServiceConfig service_config(int threads = 2) {
   cfg.solver = small_config();
   cfg.threads = threads;
   return cfg;
-}
-
-TEST(SubmitMany, MixedShapesMatchOneShotBitwise) {
-  const auto cfg = service_config();
-  const Solver reference(cfg.solver);
-  serve::SolveService svc(cfg);
-  const auto as = mixed_matrices();
-  const auto bs = rhs_for(as);
-  auto handles = svc.submit_many(as, bs);
-  ASSERT_EQ(handles.size(), as.size());
-  for (std::size_t i = 0; i < as.size(); ++i) {
-    const serve::SolveReply r = handles[i].get();
-    expect_bitwise(r.x, reference.solve(as[i], bs[i]).x, "submit_many");
-  }
-  const serve::ServiceStats s = svc.stats();
-  EXPECT_EQ(s.batched_jobs, as.size());
-  EXPECT_GE(s.batches_executed, 1u);
-  EXPECT_LE(s.batches_executed, s.batched_jobs);
-  EXPECT_GE(s.batch_fill_mean, 1.0);
-  EXPECT_EQ(s.completed, as.size());
-  EXPECT_EQ(s.failed, 0u);
 }
 
 TEST(SubmitMany, CacheHitsAreSkimmedAtSubmission) {
@@ -331,41 +245,6 @@ TEST(SubmitMany, CancelWinsWhileQueued) {
   EXPECT_EQ(s.batches_executed, 1u);
 }
 
-TEST(SubmitMany, MissAttachesToConcurrentSolveOfEqualMatrix) {
-  // A submit_solve owns the pending factorization of `a` while the gate
-  // holds the one worker; a submit_many miss on an equal matrix, at a
-  // higher priority so its task would run first, attaches to it instead of
-  // factoring again, and gives its slot back while it waits.
-  serve::SolveService svc(service_config(1));
-  const Solver reference(service_config().solver);
-  const auto a = gen::generate(gen::MatrixKind::Random, 48, 1201);
-  const auto b1 = random_matrix(48, 1, 1202);
-  const auto b2 = random_matrix(48, 2, 1203);
-  luqr::testing::WorkerGate gate(svc.engine());
-  auto solo = svc.submit_solve(a, b1);
-  const auto settle_until = [&](auto done) {
-    for (int i = 0; i < 2000 && !done(svc.stats()); ++i)
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  };
-  settle_until([](const serve::ServiceStats& s) {
-    return s.queue_depth == 0 && s.pending_factorizations == 1;
-  });
-  auto many = svc.submit_many(std::vector<Matrix<double>>{a},
-                              std::vector<Matrix<double>>{b2},
-                              serve::Priority::Interactive);
-  settle_until([](const serve::ServiceStats& s) {
-    return s.queue_depth == 0 && s.inflight == 1;
-  });
-  gate.release();
-  expect_bitwise(solo.get().x, reference.solve(a, b1).x, "owner");
-  const serve::SolveReply r = many[0].get();
-  expect_bitwise(r.x, reference.solve(a, b2).x, "attached submit_many member");
-  EXPECT_FALSE(r.cache_hit);
-  EXPECT_EQ(r.factor_us, 0u);  // the owner paid for the factorization
-  const serve::ServiceStats s = svc.stats();
-  EXPECT_EQ(s.factors_coarse + s.factors_inline_parallel, 1u);
-}
-
 TEST(SubmitMany, TallMemberFactorsFineGrained) {
   // The grain is decided per job on every route: a member with at least
   // parallel_factor_tiles tile rows factors fine-grained on the shared
@@ -429,79 +308,6 @@ TEST(SubmitMany, ShutdownDrainsQueuedChunks) {
     gate.release();
   }  // the destructor closes the queue, dispatches what it holds, drains
   for (auto& h : handles) EXPECT_EQ(h.status(), serve::JobStatus::Done);
-}
-
-TEST(SubmitMany, PrecisionF32IRMatchesOneShot) {
-  auto cfg = service_config();
-  cfg.solver.precision(Precision::F32_IR);
-  const Solver reference(cfg.solver);
-  serve::SolveService svc(cfg);
-  const auto as = mixed_matrices();
-  const auto bs = rhs_for(as);
-  auto handles = svc.submit_many(as, bs);
-  for (std::size_t i = 0; i < as.size(); ++i) {
-    const serve::SolveReply r = handles[i].get();
-    expect_bitwise(r.x, reference.solve(as[i], bs[i]).x, "f32_ir member");
-    EXPECT_EQ(r.report.precision, Precision::F32_IR);
-  }
-}
-
-TEST(SubmitMany, SharedPointerRepeatsFuseAndMatchOneShot) {
-  // The zero-copy overload: 24 jobs over 4 distinct matrices. Repeated
-  // pointers must key/factor once per distinct matrix and fuse same-
-  // factorization members into one wide solve — and every member must
-  // still be bitwise identical to its one-shot Solver::solve.
-  const auto cfg = service_config();
-  const Solver reference(cfg.solver);
-  serve::SolveService svc(cfg);
-  std::vector<std::shared_ptr<const Matrix<double>>> pool;
-  for (int i = 0; i < 4; ++i)
-    pool.push_back(std::make_shared<const Matrix<double>>(
-        gen::generate(gen::MatrixKind::Random, 48, 7100 + i)));
-  std::vector<std::shared_ptr<const Matrix<double>>> as;
-  std::vector<Matrix<double>> bs;
-  for (int i = 0; i < 24; ++i) {
-    as.push_back(pool[i % 4]);
-    bs.push_back(random_matrix(48, 1, 9000 + i));
-  }
-  auto handles = svc.submit_many(as, bs);
-  ASSERT_EQ(handles.size(), as.size());
-  for (std::size_t i = 0; i < as.size(); ++i) {
-    const serve::SolveReply r = handles[i].get();
-    expect_bitwise(r.x, reference.solve(*as[i], bs[i]).x, "shared-ptr member");
-    EXPECT_EQ(r.report.precision, Precision::F64);
-  }
-  const serve::ServiceStats s = svc.stats();
-  EXPECT_EQ(s.batched_jobs, as.size());
-  EXPECT_GT(s.fused_rhs_columns, 0u);  // repeats actually fused
-  EXPECT_EQ(s.cache.misses, 4u);       // one probe miss per distinct matrix
-}
-
-TEST(SubmitMany, SharedPointerRepeatsF32IRStayUnfused) {
-  // Iterative refinement couples the members of a multi-column solve
-  // through the joint residual, so fusion is gated off outside plain F64:
-  // repeated pointers must still match one-shot bitwise, member by member.
-  auto cfg = service_config();
-  cfg.solver.precision(Precision::F32_IR);
-  const Solver reference(cfg.solver);
-  serve::SolveService svc(cfg);
-  std::vector<std::shared_ptr<const Matrix<double>>> pool;
-  for (int i = 0; i < 3; ++i)
-    pool.push_back(std::make_shared<const Matrix<double>>(
-        gen::generate(gen::MatrixKind::Random, 32, 7300 + i)));
-  std::vector<std::shared_ptr<const Matrix<double>>> as;
-  std::vector<Matrix<double>> bs;
-  for (int i = 0; i < 12; ++i) {
-    as.push_back(pool[i % 3]);
-    bs.push_back(random_matrix(32, 1, 9300 + i));
-  }
-  auto handles = svc.submit_many(as, bs);
-  for (std::size_t i = 0; i < as.size(); ++i) {
-    const serve::SolveReply r = handles[i].get();
-    expect_bitwise(r.x, reference.solve(*as[i], bs[i]).x, "f32_ir repeat");
-    EXPECT_EQ(r.report.precision, Precision::F32_IR);
-  }
-  EXPECT_EQ(svc.stats().fused_rhs_columns, 0u);  // the no-fuse gate held
 }
 
 TEST(SubmitMany, PoisonedMemberEvictsItsFactorization) {

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <random>
@@ -19,11 +20,14 @@
 namespace luqr::rt {
 namespace {
 
+// Slot values wrap modulo 2^64: the long graphs overflow any signed type.
+using Value = std::uint64_t;
+
 // One randomly generated task: reads some slots, read-writes one target.
 struct FuzzTask {
   std::vector<int> reads;
   int target = 0;
-  long coeff = 0;
+  Value coeff = 0;
 };
 
 std::vector<FuzzTask> make_graph(int tasks, int slots, std::uint64_t seed) {
@@ -36,16 +40,16 @@ std::vector<FuzzTask> make_graph(int tasks, int slots, std::uint64_t seed) {
     for (int r = 0; r < nreads; ++r)
       ft.reads.push_back(static_cast<int>(rng.below(static_cast<std::uint64_t>(slots))));
     ft.target = static_cast<int>(rng.below(static_cast<std::uint64_t>(slots)));
-    ft.coeff = 1 + static_cast<long>(rng.below(7));
+    ft.coeff = 1 + rng.below(7);
     graph.push_back(std::move(ft));
   }
   return graph;
 }
 
-// target <- target * coeff + sum(reads) — deliberately non-commutative
+// target <- target * coeff + sum(reads) (mod 2^64) — deliberately non-commutative
 // across tasks so any ordering violation changes the result.
-void apply(const FuzzTask& t, std::vector<long>& data) {
-  long acc = 0;
+void apply(const FuzzTask& t, std::vector<Value>& data) {
+  Value acc = 0;
   for (int r : t.reads) acc += data[static_cast<std::size_t>(r)];
   auto& slot = data[static_cast<std::size_t>(t.target)];
   slot = slot * t.coeff + acc;
@@ -54,21 +58,21 @@ void apply(const FuzzTask& t, std::vector<long>& data) {
 // apply() plus explicit access reports, for the audited-fuzz tests below
 // (kernel entry points report automatically; these synthetic task bodies
 // must report by hand to come under the auditor's eye).
-void audited_apply(const FuzzTask& t, std::vector<long>& data) {
+void audited_apply(const FuzzTask& t, std::vector<Value>& data) {
   for (int r : t.reads)
-    kern::note_access(&data[static_cast<std::size_t>(r)], sizeof(long), false);
-  kern::note_access(&data[static_cast<std::size_t>(t.target)], sizeof(long), true);
+    kern::note_access(&data[static_cast<std::size_t>(r)], sizeof(Value), false);
+  kern::note_access(&data[static_cast<std::size_t>(t.target)], sizeof(Value), true);
   apply(t, data);
 }
 
 // One RAII registration per slot, so the auditor can resolve and label them.
 std::vector<std::unique_ptr<ScopedDatumRegistration>> register_slots(
-    std::vector<long>& data) {
+    std::vector<Value>& data) {
   std::vector<std::unique_ptr<ScopedDatumRegistration>> regs;
   regs.reserve(data.size());
   for (std::size_t s = 0; s < data.size(); ++s)
     regs.push_back(std::make_unique<ScopedDatumRegistration>(
-        &data[s], sizeof(long), "slot" + std::to_string(s)));
+        &data[s], sizeof(Value), "slot" + std::to_string(s)));
   return regs;
 }
 
@@ -88,12 +92,12 @@ TEST_P(EngineFuzz, MatchesSequentialSemantics) {
   const auto graph = make_graph(tasks, slots, static_cast<std::uint64_t>(seed));
 
   // Sequential reference.
-  std::vector<long> expected(slots, 1);
+  std::vector<Value> expected(slots, 1);
   for (const auto& t : graph) apply(t, expected);
 
   // Concurrent execution with declared accesses.
   for (int threads : {1, 2, 4}) {
-    std::vector<long> data(slots, 1);
+    std::vector<Value> data(slots, 1);
     {
       Engine engine(threads);
       for (const auto& t : graph) {
@@ -118,11 +122,11 @@ TEST(EngineFuzz, ContinuationSubmissionMatchesSequential) {
   for (int seed : {31, 32, 33}) {
     const int slots = 10, tasks = 240, burst = 30;
     const auto graph = make_graph(tasks, slots, static_cast<std::uint64_t>(seed));
-    std::vector<long> expected(slots, 1);
+    std::vector<Value> expected(slots, 1);
     for (const auto& t : graph) apply(t, expected);
 
     for (int threads : {2, 4}) {
-      std::vector<long> data(slots, 1);
+      std::vector<Value> data(slots, 1);
       {
         Engine engine(threads);
         std::function<void(int)> submit_burst = [&](int first) {
@@ -154,11 +158,11 @@ TEST(EngineFuzz, RandomPrioritiesPreserveSemantics) {
   for (int seed : {41, 42}) {
     const int slots = 8, tasks = 200;
     const auto graph = make_graph(tasks, slots, static_cast<std::uint64_t>(seed));
-    std::vector<long> expected(slots, 1);
+    std::vector<Value> expected(slots, 1);
     for (const auto& t : graph) apply(t, expected);
 
     Rng prio_rng(static_cast<std::uint64_t>(seed) * 77);
-    std::vector<long> data(slots, 1);
+    std::vector<Value> data(slots, 1);
     {
       Engine engine(4);
       for (const auto& t : graph) {
@@ -181,10 +185,10 @@ TEST(EngineFuzz, InterleavedSubmissionAndWaiting) {
   // semantics must be unchanged.
   const int slots = 8;
   const auto graph = make_graph(200, slots, 999);
-  std::vector<long> expected(slots, 1);
+  std::vector<Value> expected(slots, 1);
   for (const auto& t : graph) apply(t, expected);
 
-  std::vector<long> data(slots, 1);
+  std::vector<Value> data(slots, 1);
   {
     Engine engine(3);
     for (std::size_t i = 0; i < graph.size(); ++i) {
@@ -209,10 +213,10 @@ TEST(EngineFuzz, AuditedChaosGraphsMatchSequentialAndCertify) {
     const std::uint64_t chaos = fresh_chaos_seed();
     const int slots = 10, tasks = 200;
     const auto graph = make_graph(tasks, slots, static_cast<std::uint64_t>(seed));
-    std::vector<long> expected(slots, 1);
+    std::vector<Value> expected(slots, 1);
     for (const auto& t : graph) apply(t, expected);
 
-    std::vector<long> data(slots, 1);
+    std::vector<Value> data(slots, 1);
     const auto regs = register_slots(data);
     {
       EngineOptions opts;
@@ -249,7 +253,7 @@ TEST(EngineFuzz, AuditCatchesRandomlyPlantedUndeclaredAccess) {
     Rng rng(static_cast<std::uint64_t>(seed) * 131);
     const int rogue = static_cast<int>(rng.below(tasks));
 
-    std::vector<long> data(slots, 1);
+    std::vector<Value> data(slots, 1);
     const auto regs = register_slots(data);
     EngineOptions opts;
     opts.audit = true;
@@ -269,7 +273,7 @@ TEST(EngineFuzz, AuditCatchesRandomlyPlantedUndeclaredAccess) {
             audited_apply(t, data);
             if (planted)
               kern::note_access(&data[static_cast<std::size_t>(off)],
-                                sizeof(long), true);
+                                sizeof(Value), true);
           },
           deps, planted ? TaskAttrs{"planted-rogue"} : TaskAttrs{"fuzz"});
     }

@@ -19,13 +19,14 @@
 namespace luqr::serve {
 namespace {
 
+using luqr::testing::factor_serial;
 using luqr::testing::random_matrix;
 
 std::shared_ptr<const core::Factorization> factor_of(const Matrix<double>& a,
                                                      int nb = 8) {
   MaxCriterion crit(50.0);
   return std::make_shared<const core::Factorization>(
-      core::Factorization::compute(a, crit, nb, {}));
+      factor_serial(a, crit, nb));
 }
 
 constexpr const char* kFp = "cfg-A";

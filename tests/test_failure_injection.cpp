@@ -22,6 +22,7 @@
 namespace luqr {
 namespace {
 
+using luqr::testing::factor_serial;
 using luqr::testing::random_matrix;
 using luqr::testing::solve_serial;
 
@@ -235,7 +236,7 @@ TEST(FailureInjection, RefinementOnSingularSystemStaysFinite) {
   for (int i = 0; i < n - 1; ++i) a(i, i) = 1.0;  // rank n-1
   const auto b = random_matrix(n, 1, 14);
   AlwaysQR crit;
-  const auto fac = core::Factorization::compute(a, crit, 8, {});
+  const auto fac = factor_serial(a, crit, 8);
   EXPECT_NO_THROW({
     const auto x = fac.solve(b, 2);
     (void)x;

@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <condition_variable>
+#include <cstring>
 #include <memory>
 #include <mutex>
+#include <string>
 
 #include "api/solver.hpp"
 #include "common/rng.hpp"
@@ -28,6 +30,18 @@ inline core::SolveResult solve_serial(const Matrix<double>& a,
                     .criterion(criterion)
                     .backend(Backend::Serial))
       .solve(a, b);
+}
+
+/// The retained factorization of A on the serial Solver solve_serial uses.
+inline core::Factorization factor_serial(const Matrix<double>& a,
+                                         Criterion& criterion, int nb,
+                                         const core::HybridOptions& options = {}) {
+  return Solver(SolverConfig()
+                    .hybrid_options(options)
+                    .tile_size(nb)
+                    .criterion(criterion)
+                    .backend(Backend::Serial))
+      .factor(a);
 }
 
 /// Dense random matrix with i.i.d. standard Gaussian entries.
@@ -87,6 +101,24 @@ Matrix<T> padded_to_tiles(const Matrix<T>& c, int nb, std::uint64_t seed) {
   for (int j = 0; j < c.cols(); ++j)
     for (int i = 0; i < c.rows(); ++i) out(i, j) = c(i, j);
   return out;
+}
+
+/// EXPECT that `got` equals `want` bit for bit, naming the first element
+/// that differs.
+inline void expect_bitwise(const Matrix<double>& got, const Matrix<double>& want,
+                           const std::string& what) {
+  if (got.rows() != want.rows() || got.cols() != want.cols()) {
+    ADD_FAILURE() << what << ": " << got.rows() << "x" << got.cols()
+                  << ", want " << want.rows() << "x" << want.cols();
+    return;
+  }
+  for (int j = 0; j < want.cols(); ++j)
+    for (int i = 0; i < want.rows(); ++i)
+      if (std::memcmp(&got(i, j), &want(i, j), sizeof(double)) != 0) {
+        ADD_FAILURE() << what << " @ " << i << "," << j << ": " << got(i, j)
+                      << ", want " << want(i, j);
+        return;
+      }
 }
 
 /// ASSERT that every column of `got` equals the same column of `ref` bit

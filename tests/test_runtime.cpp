@@ -1,6 +1,7 @@
 // Tests for the dataflow engine (dependency inference, continuations,
 // priorities, work-stealing, retirement, stress) and the task-parallel
-// hybrid driver (the engine sink agrees bitwise with the inline sink).
+// hybrid driver: telemetry, lanes and per-run error isolation on a shared
+// engine (test_routes checks its factors against the inline sink's).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -24,7 +25,6 @@ namespace luqr::rt {
 namespace {
 
 using luqr::testing::random_matrix;
-using luqr::testing::solve_serial;
 
 TEST(Engine, RunsIndependentTasks) {
   Engine engine(4);
@@ -294,76 +294,6 @@ TEST(Engine, TraceRecordsExecutedTasks) {
 // Parallel hybrid driver
 // ---------------------------------------------------------------------------
 
-void expect_bitwise_equal_solve(const Matrix<double>& a, const Matrix<double>& b,
-                                const core::HybridOptions& opt, double alpha,
-                                int nb, int threads) {
-  MaxCriterion c1(alpha), c2(alpha);
-  const auto seq = solve_serial(a, b, c1, nb, opt);
-  const auto par = Solver(SolverConfig()
-                              .hybrid_options(opt)
-                              .tile_size(nb)
-                              .criterion(c2)
-                              .backend(Backend::Parallel)
-                              .threads(threads))
-                       .solve(a, b);
-  ASSERT_EQ(seq.stats.lu_steps, par.stats.lu_steps);
-  ASSERT_EQ(seq.stats.qr_steps, par.stats.qr_steps);
-  for (int j = 0; j < seq.x.cols(); ++j)
-    for (int i = 0; i < seq.x.rows(); ++i)
-      ASSERT_EQ(seq.x(i, j), par.x(i, j)) << "element " << i << "," << j;
-}
-
-// Factor a fresh tiling of `a` with the given scheduler and return the tiles.
-TileMatrix<double> factor_tiles(const Matrix<double>& a, double alpha, int nb,
-                                const core::HybridOptions& opt, int threads,
-                                const SchedulerOptions& sched,
-                                core::FactorizationStats* stats_out = nullptr,
-                                core::TransformLog* log = nullptr) {
-  TileMatrix<double> tiles = TileMatrix<double>::from_dense(a, nb);
-  MaxCriterion criterion(alpha);
-  auto stats = parallel_hybrid_factor(tiles, criterion, opt, threads, log, sched);
-  if (stats_out) *stats_out = std::move(stats);
-  return tiles;
-}
-
-void expect_tiles_equal(const TileMatrix<double>& x, const TileMatrix<double>& y,
-                        const char* label) {
-  ASSERT_EQ(x.mt(), y.mt());
-  ASSERT_EQ(x.nt(), y.nt());
-  for (int j = 0; j < x.cols(); ++j)
-    for (int i = 0; i < x.rows(); ++i)
-      ASSERT_EQ(x.at(i, j), y.at(i, j)) << label << " element " << i << "," << j;
-}
-
-TEST(ParallelHybrid, BitwiseMatchesSequentialAllLu) {
-  const auto a = gen::generate(gen::MatrixKind::DiagDominant, 96, 1);
-  const auto b = random_matrix(96, 1, 2);
-  expect_bitwise_equal_solve(a, b, {}, 1e30, 16, 4);
-}
-
-TEST(ParallelHybrid, BitwiseMatchesSequentialMixed) {
-  const auto a = gen::generate(gen::MatrixKind::Random, 96, 3);
-  const auto b = random_matrix(96, 2, 4);
-  core::HybridOptions opt;
-  opt.grid_p = 2;
-  opt.grid_q = 2;
-  expect_bitwise_equal_solve(a, b, opt, 20.0, 16, 4);
-}
-
-TEST(ParallelHybrid, BitwiseMatchesSequentialAllQr) {
-  const auto a = gen::generate(gen::MatrixKind::Random, 64, 5);
-  const auto b = random_matrix(64, 1, 6);
-  core::HybridOptions opt;
-  opt.grid_p = 2;
-  expect_bitwise_equal_solve(a, b, opt, 0.0, 16, 3);
-}
-
-TEST(ParallelHybrid, SingleThreadAgrees) {
-  const auto a = gen::generate(gen::MatrixKind::Random, 64, 7);
-  const auto b = random_matrix(64, 1, 8);
-  expect_bitwise_equal_solve(a, b, {}, 10.0, 16, 1);
-}
-
 TEST(ParallelHybrid, QrStepsWithAllTrees) {
   const auto a = gen::generate(gen::MatrixKind::Random, 64, 9);
   const auto b = random_matrix(64, 1, 10);
@@ -381,76 +311,6 @@ TEST(ParallelHybrid, QrStepsWithAllTrees) {
                        .solve(a, b);
     EXPECT_LT(verify::relative_residual(a, r.x, b), 1e-13)
         << hqr::to_string(local);
-  }
-}
-
-TEST(ParallelHybrid, EngineSinkMatchesSerialBitwise) {
-  // The engine sink reproduces the inline sink's factors and TransformLog
-  // exactly: tiles, step decisions, LU replay data, and every QR operation
-  // (kind, killer, killed, T-factor contents) — the data
-  // Factorization::solve replays on cache hits.
-  const auto a = gen::generate(gen::MatrixKind::Random, 96, 21);
-  core::HybridOptions opt;
-  opt.grid_p = 2;
-  opt.grid_q = 2;
-  const double alpha = 20.0;
-  const int nb = 16, threads = 4;
-
-  TileMatrix<double> serial_tiles = TileMatrix<double>::from_dense(a, nb);
-  core::TransformLog serial_log;
-  MaxCriterion serial_crit(alpha);
-  const auto serial_stats =
-      core::hybrid_factor(serial_tiles, serial_crit, opt, &serial_log);
-  ASSERT_GT(serial_stats.lu_steps, 0);
-  ASSERT_GT(serial_stats.qr_steps, 0);
-
-  core::FactorizationStats stats;
-  core::TransformLog log;
-  const auto tiles = factor_tiles(a, alpha, nb, opt, threads, {}, &stats, &log);
-  ASSERT_EQ(stats.lu_steps, serial_stats.lu_steps);
-  ASSERT_EQ(stats.qr_steps, serial_stats.qr_steps);
-  expect_tiles_equal(tiles, serial_tiles, "engine");
-  ASSERT_EQ(log.size(), serial_log.size());
-  for (std::size_t k = 0; k < log.size(); ++k) {
-    EXPECT_EQ(log[k].lu, serial_log[k].lu) << "step " << k;
-    EXPECT_EQ(log[k].piv, serial_log[k].piv) << "step " << k;
-    EXPECT_EQ(log[k].domain_rows, serial_log[k].domain_rows) << "step " << k;
-    ASSERT_EQ(log[k].qr_ops.size(), serial_log[k].qr_ops.size()) << "step " << k;
-    for (std::size_t o = 0; o < log[k].qr_ops.size(); ++o) {
-      const auto& got = log[k].qr_ops[o];
-      const auto& want = serial_log[k].qr_ops[o];
-      EXPECT_EQ(got.kind, want.kind) << "step " << k << " op " << o;
-      EXPECT_EQ(got.killer, want.killer) << "step " << k << " op " << o;
-      EXPECT_EQ(got.killed, want.killed) << "step " << k << " op " << o;
-      ASSERT_NE(got.t, nullptr);
-      ASSERT_NE(want.t, nullptr);
-      for (int j = 0; j < nb; ++j)
-        for (int i = 0; i < nb; ++i)
-          ASSERT_EQ((*got.t)(i, j), (*want.t)(i, j))
-              << "step " << k << " op " << o << " T(" << i << "," << j << ")";
-    }
-  }
-}
-
-TEST(ParallelHybrid, TrackGrowthMatchesSerialBitwise) {
-  // Both sinks reduce the growth factor over the same final-writer tile
-  // norms, so it is identical for all-LU and for mixed LU/QR runs.
-  for (double alpha : {1e30, 20.0}) {
-    const auto a = gen::generate(gen::MatrixKind::Random, 96, 25);
-    core::HybridOptions opt;
-    opt.grid_p = 2;
-    opt.grid_q = 2;
-    opt.track_growth = true;
-
-    TileMatrix<double> serial_tiles = TileMatrix<double>::from_dense(a, 16);
-    MaxCriterion serial_crit(alpha);
-    const auto serial_stats = core::hybrid_factor(serial_tiles, serial_crit, opt);
-    ASSERT_GE(serial_stats.growth_factor, 1.0);
-
-    core::FactorizationStats stats;
-    factor_tiles(a, alpha, 16, opt, 4, {}, &stats);
-    EXPECT_EQ(stats.growth_factor, serial_stats.growth_factor)
-        << "alpha " << alpha;
   }
 }
 
@@ -537,42 +397,6 @@ TEST(Engine, IdleAndWaitIdleHooks) {
   engine.submit([&ran] { ran.fetch_add(1); }, {});
   engine.wait_idle();
   EXPECT_EQ(ran.load(), 17);
-}
-
-TEST(ExternalEngineFactor, MatchesOwnedPoolBitwise) {
-  const auto a = gen::generate(gen::MatrixKind::Random, 80, 71);
-  core::HybridOptions opt;
-  opt.grid_p = 2;
-
-  TileMatrix<double> owned_tiles = TileMatrix<double>::from_dense(a, 16);
-  MaxCriterion c0(20.0);
-  core::TransformLog owned_log;
-  const auto owned_stats =
-      parallel_hybrid_factor(owned_tiles, c0, opt, 3, &owned_log);
-
-  Engine engine(3);
-  for (int run = 0; run < 2; ++run) {  // the shared engine is reusable
-    TileMatrix<double> tiles = TileMatrix<double>::from_dense(a, 16);
-    MaxCriterion criterion(20.0);
-    core::TransformLog log;
-    const auto stats =
-        parallel_hybrid_factor_on(engine, tiles, criterion, opt, &log);
-    EXPECT_EQ(stats.lu_steps, owned_stats.lu_steps);
-    EXPECT_EQ(stats.qr_steps, owned_stats.qr_steps);
-    for (int tj = 0; tj < tiles.nt(); ++tj)
-      for (int ti = 0; ti < tiles.mt(); ++ti) {
-        const auto got = tiles.tile(ti, tj);
-        const auto want = owned_tiles.tile(ti, tj);
-        for (int j = 0; j < 16; ++j)
-          for (int i = 0; i < 16; ++i)
-            ASSERT_EQ(got(i, j), want(i, j))
-                << "run " << run << " tile " << ti << ","
-                << tj;
-      }
-    ASSERT_EQ(log.size(), owned_log.size());
-    engine.wait_idle();
-    EXPECT_TRUE(engine.idle());
-  }
 }
 
 TEST(ExternalEngineFactor, ErrorsAreIsolatedPerRun) {

@@ -1,7 +1,7 @@
-// Tests for the luqr::Solver facade: config validation, backend-agnostic
-// retained factorizations (serial vs parallel bitwise identity), concurrent
-// solves from one factorization, and the CriterionSpec plumbing shared with
-// the auto-tuner.
+// Tests for the luqr::Solver facade: config validation, concurrent solves
+// from one factorization and one shared engine, and the CriterionSpec
+// plumbing shared with the auto-tuner. test_routes checks that every
+// backend returns the serial retained solve bit for bit.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -166,26 +166,6 @@ TEST(Solver, BackendResolution) {
 // Facade vs the historical entry points
 // ---------------------------------------------------------------------------
 
-TEST(Solver, OneShotMatchesFreeFunctionBitwise) {
-  const auto a = gen::generate(gen::MatrixKind::Random, 96, 1);
-  const auto b = random_matrix(96, 1, 2);
-  core::HybridOptions opt;
-  opt.grid_p = 2;
-  opt.grid_q = 2;
-  MaxCriterion crit(30.0);
-  const auto expected = solve_serial(a, b, crit, 16, opt);
-
-  const Solver solver(SolverConfig()
-                          .criterion(CriterionSpec::max(30.0))
-                          .tile_size(16)
-                          .grid(2, 2)
-                          .backend(Backend::Serial));
-  const auto got = solver.solve(a, b);
-  ASSERT_EQ(got.stats.lu_steps, expected.stats.lu_steps);
-  ASSERT_EQ(got.stats.qr_steps, expected.stats.qr_steps);
-  for (int i = 0; i < 96; ++i) ASSERT_EQ(got.x(i, 0), expected.x(i, 0)) << i;
-}
-
 TEST(Solver, ExternalCriterionInstanceIsUsed) {
   // A stateful external criterion must drive the decisions directly (the
   // compatibility path the delegating free functions rely on).
@@ -202,75 +182,6 @@ TEST(Solver, ExternalCriterionInstanceIsUsed) {
 // ---------------------------------------------------------------------------
 // Retained factorizations across backends
 // ---------------------------------------------------------------------------
-
-void expect_bitwise_equal_retained(const CriterionSpec& spec, int n, int nrhs,
-                                   std::uint64_t seed) {
-  const auto a = gen::generate(gen::MatrixKind::Random, n, seed);
-  const auto b = random_matrix(n, nrhs, seed + 1);
-  for (auto variant : {core::LuVariant::A1, core::LuVariant::A2,
-                       core::LuVariant::B1, core::LuVariant::B2}) {
-    const SolverConfig base =
-        SolverConfig().criterion(spec).tile_size(16).grid(2, 2).variant(variant);
-
-    const core::Factorization serial =
-        Solver(SolverConfig(base).backend(Backend::Serial)).factor(a);
-    const core::Factorization parallel =
-        Solver(SolverConfig(base).backend(Backend::Parallel).threads(4)).factor(a);
-
-    ASSERT_EQ(serial.stats().lu_steps, parallel.stats().lu_steps);
-    ASSERT_EQ(serial.stats().qr_steps, parallel.stats().qr_steps);
-
-    const auto xs = serial.solve(b);
-    const auto xp = parallel.solve(b);
-    for (int j = 0; j < nrhs; ++j)
-      for (int i = 0; i < n; ++i)
-        ASSERT_EQ(xs(i, j), xp(i, j)) << "variant " << static_cast<int>(variant)
-                                      << " element " << i << "," << j;
-    EXPECT_LT(verify::relative_residual(a, xp, b), 1e-10);
-  }
-}
-
-TEST(Solver, RetainedSerialVsParallelBitwiseMixed) {
-  expect_bitwise_equal_retained(CriterionSpec::max(20.0), 96, 2, 5);
-}
-
-TEST(Solver, RetainedSerialVsParallelBitwiseAllLu) {
-  expect_bitwise_equal_retained(CriterionSpec::always_lu(), 96, 1, 7);
-}
-
-TEST(Solver, RetainedSerialVsParallelBitwiseAllQr) {
-  expect_bitwise_equal_retained(CriterionSpec::always_qr(), 64, 1, 9);
-}
-
-TEST(Solver, ParallelRetainedMatchesFusedSolveBitwise) {
-  // The parallel retained second pass must reproduce the fused-RHS solve of
-  // the same configuration exactly, like the serial one does.
-  const auto a = gen::generate(gen::MatrixKind::Random, 96, 11);
-  const auto b = random_matrix(96, 1, 12);
-  const SolverConfig cfg = SolverConfig()
-                               .criterion(CriterionSpec::max(20.0))
-                               .tile_size(16)
-                               .grid(2, 2)
-                               .backend(Backend::Parallel)
-                               .threads(3);
-  const Solver solver(cfg);
-  const auto fused = solver.solve(a, b);
-  const auto x = solver.factor(a).solve(b);
-  for (int i = 0; i < 96; ++i) ASSERT_EQ(x(i, 0), fused.x(i, 0)) << i;
-}
-
-TEST(Solver, ParallelRetainedPaddedSizes) {
-  const auto a = gen::generate(gen::MatrixKind::Random, 53, 13);
-  const auto b = random_matrix(53, 1, 14);
-  const Solver solver(SolverConfig()
-                          .criterion(CriterionSpec::max(40.0))
-                          .tile_size(16)
-                          .backend(Backend::Parallel)
-                          .threads(2));
-  const auto fac = solver.factor(a);
-  EXPECT_EQ(fac.order(), 53);
-  EXPECT_LT(verify::relative_residual(a, fac.solve(b), b), 1e-12);
-}
 
 TEST(Solver, ConcurrentSolvesFromOneFactorization) {
   // One retained factorization serving many RHS batches from concurrent
@@ -311,21 +222,6 @@ TEST(Solver, ConcurrentSolvesFromOneFactorization) {
                 expected[static_cast<std::size_t>(t)](i, 0))
           << "thread " << t << " row " << i;
   }
-}
-
-TEST(Solver, TrackGrowthOnParallelBackendMatchesSerial) {
-  const auto a = gen::generate(gen::MatrixKind::Random, 96, 33);
-  const SolverConfig base = SolverConfig()
-                                .criterion(CriterionSpec::max(25.0))
-                                .tile_size(16)
-                                .grid(2, 2)
-                                .track_growth(true);
-  const auto serial =
-      Solver(SolverConfig(base).backend(Backend::Serial)).factor(a);
-  const auto parallel =
-      Solver(SolverConfig(base).backend(Backend::Parallel).threads(4)).factor(a);
-  EXPECT_GE(serial.stats().growth_factor, 1.0);
-  EXPECT_EQ(parallel.stats().growth_factor, serial.stats().growth_factor);
 }
 
 TEST(Solver, SchedulerTraceFileWritten) {
@@ -431,38 +327,6 @@ TEST(Solver, AutotuneTargetThroughConfig) {
   const auto r = solver.solve(a, b);
   EXPECT_NEAR(r.stats.lu_fraction(), 0.5, 0.3);
   EXPECT_LT(verify::hpl3(a, r.x, b), 16.0);
-}
-
-TEST(Solver, SharedEngineFactorsBitwiseIdenticalToOwnedPool) {
-  // The shared-engine handle reuses one long-lived pool across Solver
-  // calls; factorizations and solves must not change by a bit.
-  const auto a = gen::generate(gen::MatrixKind::Random, 96, 31);
-  const auto b = random_matrix(96, 2, 32);
-  const SolverConfig base =
-      SolverConfig().criterion(CriterionSpec::max(20.0)).tile_size(16).grid(2, 2);
-
-  auto engine = std::make_shared<rt::Engine>(3);
-  const Solver shared(SolverConfig(base).backend(Backend::Parallel).engine(engine));
-  const Solver owned(SolverConfig(base).backend(Backend::Parallel).threads(3));
-
-  EXPECT_EQ(shared.resolve_threads(), 3);  // the engine defines the pool size
-
-  const auto fs = shared.factor(a);
-  const auto fo = owned.factor(a);
-  const auto xs = fs.solve(b);
-  const auto xo = fo.solve(b);
-  for (int j = 0; j < 2; ++j)
-    for (int i = 0; i < 96; ++i) ASSERT_EQ(xs(i, j), xo(i, j));
-
-  // One-shot fused solves ride the shared engine too.
-  const auto rs = shared.solve(a, b);
-  const auto ro = owned.solve(a, b);
-  for (int j = 0; j < 2; ++j)
-    for (int i = 0; i < 96; ++i) ASSERT_EQ(rs.x(i, j), ro.x(i, j));
-
-  // The engine outlives the solvers and is reusable afterwards.
-  engine->wait_idle();
-  EXPECT_TRUE(engine->idle());
 }
 
 TEST(Solver, ConcurrentFactorizationsShareOneEngine) {

@@ -6,13 +6,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <memory>
-#include <string>
 
 #include "baselines/baselines.hpp"
 #include "core/solve.hpp"
 #include "gen/generators.hpp"
-#include "runtime/parallel_hybrid.hpp"
 #include "test_helpers.hpp"
 #include "verify/verify.hpp"
 
@@ -143,80 +140,6 @@ TEST(Variants, BVariantsHandleWilkinsonViaCriterion) {
     opt.exact_inv_norm = true;
     const auto r = solve_serial(a, b, crit, 8, opt);
     EXPECT_LT(verify::hpl3(a, r.x, b), 1.0) << static_cast<int>(variant);
-  }
-}
-
-// Engine sink vs inline sink for one variant at precision T: tiles, step
-// trace (including the B1 pivots and B2 reflector factors), TransformLog and
-// growth factor must all match bitwise.
-template <typename T>
-void expect_engine_matches_inline(LuVariant variant, int threads) {
-  const auto dense = gen::generate(gen::MatrixKind::Random, 96, 19);
-  Matrix<T> a(dense.rows(), dense.cols());
-  for (int j = 0; j < a.cols(); ++j)
-    for (int i = 0; i < a.rows(); ++i) a(i, j) = static_cast<T>(dense(i, j));
-  HybridOptions opt;
-  opt.variant = variant;
-  opt.grid_p = 2;
-  opt.track_growth = true;
-  const std::string label = "variant " + std::to_string(static_cast<int>(variant)) +
-                            " threads " + std::to_string(threads) + " " +
-                            (sizeof(T) == 8 ? "f64" : "f32");
-
-  TileMatrix<T> inline_tiles = TileMatrix<T>::from_dense(a, 16);
-  TransformLogT<T> inline_log;
-  RandomCriterion c1(0.5);
-  const auto want = hybrid_factor(inline_tiles, c1, opt, &inline_log);
-  ASSERT_GT(want.lu_steps, 0) << label;
-  ASSERT_GT(want.qr_steps, 0) << label;
-
-  TileMatrix<T> tiles = TileMatrix<T>::from_dense(a, 16);
-  TransformLogT<T> log;
-  RandomCriterion c2(0.5);
-  const auto got = rt::parallel_hybrid_factor(tiles, c2, opt, threads, &log);
-
-  for (int j = 0; j < tiles.cols(); ++j)
-    for (int i = 0; i < tiles.rows(); ++i)
-      ASSERT_EQ(tiles.at(i, j), inline_tiles.at(i, j))
-          << label << " element " << i << "," << j;
-  EXPECT_EQ(got.growth_factor, want.growth_factor) << label;
-  auto same_matrix = [](const std::shared_ptr<Matrix<T>>& x,
-                        const std::shared_ptr<Matrix<T>>& y) {
-    if (!x || !y) return !x && !y;
-    for (int j = 0; j < x->cols(); ++j)
-      for (int i = 0; i < x->rows(); ++i)
-        if ((*x)(i, j) != (*y)(i, j)) return false;
-    return x->rows() == y->rows() && x->cols() == y->cols();
-  };
-  ASSERT_EQ(got.steps.size(), want.steps.size()) << label;
-  for (std::size_t k = 0; k < got.steps.size(); ++k) {
-    EXPECT_EQ(got.steps[k].kind, want.steps[k].kind) << label << " step " << k;
-    EXPECT_EQ(got.steps[k].diag_piv, want.steps[k].diag_piv) << label << " step " << k;
-    EXPECT_TRUE(same_matrix(got.steps[k].diag_t, want.steps[k].diag_t))
-        << label << " step " << k;
-  }
-  ASSERT_EQ(log.size(), inline_log.size()) << label;
-  for (std::size_t k = 0; k < log.size(); ++k) {
-    EXPECT_EQ(log[k].lu, inline_log[k].lu) << label << " step " << k;
-    EXPECT_EQ(log[k].piv, inline_log[k].piv) << label << " step " << k;
-    EXPECT_EQ(log[k].domain_rows, inline_log[k].domain_rows) << label << " step " << k;
-    EXPECT_TRUE(same_matrix(log[k].diag_t, inline_log[k].diag_t))
-        << label << " step " << k;
-    ASSERT_EQ(log[k].qr_ops.size(), inline_log[k].qr_ops.size()) << label;
-    for (std::size_t o = 0; o < log[k].qr_ops.size(); ++o) {
-      EXPECT_EQ(log[k].qr_ops[o].kind, inline_log[k].qr_ops[o].kind) << label;
-      EXPECT_EQ(log[k].qr_ops[o].killer, inline_log[k].qr_ops[o].killer) << label;
-      EXPECT_EQ(log[k].qr_ops[o].killed, inline_log[k].qr_ops[o].killed) << label;
-      EXPECT_TRUE(same_matrix(log[k].qr_ops[o].t, inline_log[k].qr_ops[o].t))
-          << label << " step " << k << " op " << o;
-    }
-  }
-}
-
-TEST_P(VariantSweep, EngineSinkMatchesInlineSinkBitwise) {
-  for (int threads : {1, 4}) {
-    expect_engine_matches_inline<double>(GetParam(), threads);
-    expect_engine_matches_inline<float>(GetParam(), threads);
   }
 }
 
