@@ -1,9 +1,9 @@
 // Tests for the retained Factorization API (§II-D-1 second pass): replayed
-// transformations must solve accurately across variants and trees, and
-// reproduce the fused-RHS driver exactly in f32 and f64 up to nb = 128
-// (test_routes checks every solve route against the retained solve);
-// iterative refinement must improve LU-heavy solves; repeated solves must
-// be independent.
+// transformations must solve accurately across trees, and reproduce the
+// fused-RHS driver exactly in f32 and f64 up to nb = 128; iterative
+// refinement must improve LU-heavy solves. test_routes checks every solve
+// route, variant, padded order and repeated solve against the retained
+// solve.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -37,20 +37,6 @@ TEST(Factorization, TreeVariationsReplay) {
   }
 }
 
-TEST(Factorization, EveryLuVariantReplays) {
-  const auto a = gen::generate(gen::MatrixKind::Random, 80, 7);
-  const auto b = random_matrix(80, 2, 8);
-  for (auto variant : {LuVariant::A1, LuVariant::A2, LuVariant::B1, LuVariant::B2}) {
-    AlwaysLU crit;
-    HybridOptions opt;
-    opt.variant = variant;
-    const auto fac = factor_serial(a, crit, 16, opt);
-    const auto x = fac.solve(b);
-    EXPECT_LT(verify::relative_residual(a, x, b), 1e-10)
-        << static_cast<int>(variant);
-  }
-}
-
 TEST(Factorization, ManySolvesFromOneFactorization) {
   const auto a = gen::generate(gen::MatrixKind::Random, 64, 9);
   MaxCriterion crit(40.0);
@@ -60,29 +46,6 @@ TEST(Factorization, ManySolvesFromOneFactorization) {
     const auto x = fac.solve(b);
     EXPECT_LT(verify::relative_residual(a, x, b), 1e-12) << "rhs " << s;
   }
-}
-
-TEST(Factorization, SolvesAreIndependent) {
-  // Solving with one b must not perturb a later solve with another.
-  const auto a = gen::generate(gen::MatrixKind::Random, 48, 10);
-  MaxCriterion crit(40.0);
-  const auto fac = factor_serial(a, crit, 16, {});
-  const auto b1 = random_matrix(48, 1, 11);
-  const auto b2 = random_matrix(48, 1, 12);
-  const auto x2_first = fac.solve(b2);
-  (void)fac.solve(b1);
-  const auto x2_second = fac.solve(b2);
-  for (int i = 0; i < 48; ++i) EXPECT_DOUBLE_EQ(x2_first(i, 0), x2_second(i, 0));
-}
-
-TEST(Factorization, PaddedSizes) {
-  const auto a = gen::generate(gen::MatrixKind::Random, 53, 13);
-  const auto b = random_matrix(53, 1, 14);
-  MaxCriterion crit(40.0);
-  const auto fac = factor_serial(a, crit, 16, {});
-  EXPECT_EQ(fac.order(), 53);
-  const auto x = fac.solve(b);
-  EXPECT_LT(verify::relative_residual(a, x, b), 1e-12);
 }
 
 TEST(Factorization, RefinementImprovesUnstableSolve) {

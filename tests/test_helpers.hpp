@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <cstring>
 #include <memory>
 #include <mutex>
 #include <string>
+#include <thread>
 
 #include "api/solver.hpp"
 #include "common/rng.hpp"
@@ -17,31 +19,30 @@
 
 namespace luqr::testing {
 
-/// One-shot solve of A x = b on the serial backend with an external
-/// criterion and explicit hybrid options (the fused driver the tests use
-/// as their reference).
+/// The serial Solver with an external criterion and explicit hybrid options,
+/// whose fused solve and retained factorization the tests use as references.
+inline Solver serial_solver(Criterion& criterion, int nb,
+                            const core::HybridOptions& options = {}) {
+  return Solver(SolverConfig()
+                    .hybrid_options(options)
+                    .tile_size(nb)
+                    .criterion(criterion)
+                    .backend(Backend::Serial));
+}
+
+/// One-shot solve of A x = b on serial_solver.
 inline core::SolveResult solve_serial(const Matrix<double>& a,
                                       const Matrix<double>& b,
                                       Criterion& criterion, int nb,
                                       const core::HybridOptions& options = {}) {
-  return Solver(SolverConfig()
-                    .hybrid_options(options)
-                    .tile_size(nb)
-                    .criterion(criterion)
-                    .backend(Backend::Serial))
-      .solve(a, b);
+  return serial_solver(criterion, nb, options).solve(a, b);
 }
 
-/// The retained factorization of A on the serial Solver solve_serial uses.
+/// The retained factorization of A on serial_solver.
 inline core::Factorization factor_serial(const Matrix<double>& a,
                                          Criterion& criterion, int nb,
                                          const core::HybridOptions& options = {}) {
-  return Solver(SolverConfig()
-                    .hybrid_options(options)
-                    .tile_size(nb)
-                    .criterion(criterion)
-                    .backend(Backend::Serial))
-      .factor(a);
+  return serial_solver(criterion, nb, options).factor(a);
 }
 
 /// Dense random matrix with i.i.d. standard Gaussian entries.
@@ -131,6 +132,20 @@ void expect_leading_columns_bitwise(const Matrix<T>& got, const Matrix<T>& ref,
   for (int j = 0; j < got.cols(); ++j)
     for (int i = 0; i < got.rows(); ++i)
       ASSERT_EQ(got(i, j), ref(i, j)) << what << " @ " << i << "," << j;
+}
+
+/// Poll a service's stats until `done(stats)` holds. Fails the test, naming
+/// `what`, if that takes more than ten seconds.
+template <typename Service, typename Done>
+void settle_until(Service& svc, Done done, const char* what) {
+  const auto end = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!done(svc.stats())) {
+    if (std::chrono::steady_clock::now() > end) {
+      ADD_FAILURE() << "the service did not settle: " << what;
+      return;
+    }
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
 }
 
 /// Holds one worker of an engine until release() (or destruction). A test

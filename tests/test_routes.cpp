@@ -10,12 +10,16 @@
 // of b, 0 or 2 refinement sweeps, growth tracking and the serve owner's
 // grain, and every route in kRouteName solves the drawn A x = b. Each must
 // return, bit for bit, the x of one reference, the serial retained solve,
-// with its step counts, growth factor and solve report. At F64 without
-// sweeps solve/serial is the fused driver, so the reference equals it.
-// Multi-member routes solve a split of b's columns, each member against its
-// own reference; where columns fuse, column j of the W-wide reference equals
-// column j solved alone. Engine-backend draws also compare the engine sink's
-// tiles, step trace and transform log with the inline sink's.
+// with its step counts, growth factor and solve report. The reference is
+// built apart from the spec Solver (an external criterion instance at F64,
+// float factors adopted by hand at reduced precision), so factor/serial is
+// checked too. At F64 without sweeps solve/serial is the fused driver, so the
+// reference equals it. Multi-member routes solve a split of b's columns, each
+// member against its own reference; where columns fuse, column j of the
+// W-wide reference equals column j solved alone. The submit_many miss also
+// sends a second matrix, against that matrix's reference. Engine-backend
+// draws also compare the engine sink's tiles, step trace and transform log
+// with the inline sink's.
 //
 // Each checked route marks its cell (route, precision, variant, decision
 // mix, padded or not, width class). The test prints the table and asserts
@@ -24,8 +28,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
+#include <atomic>
 #include <cstdio>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -49,6 +54,7 @@ namespace {
 using core::LuVariant;
 using luqr::testing::expect_bitwise;
 using luqr::testing::random_matrix;
+using luqr::testing::settle_until;
 
 constexpr const char* kVariantName[] = {"A1", "A2", "B1", "B2"};
 
@@ -96,7 +102,9 @@ int cell(Route route, Precision p, LuVariant v, Mix mix, bool padded, Width w) {
 }
 
 // The knobs a must-reach row fixes. nb = 0, sweeps = -1 and growth = -1
-// leave those drawn; growth = 1 turns growth tracking on.
+// leave those drawn; growth = 1 turns growth tracking on. A deep row fixes
+// six 16-wide tile rows on a 2x2 grid and, on a pool, four threads: the
+// deepest graphs, with look-ahead across the most steps.
 struct Row {
   Precision precision;
   LuVariant variant;
@@ -108,29 +116,29 @@ struct Row {
   int nb = 0;
   int sweeps = -1;
   int growth = -1;
+  bool deep = false;
 };
 
 using P = Precision;
 using V = LuVariant;
-constexpr bool kPad = true, kExact = false;
+constexpr bool kPad = true, kExact = false, kDeep = true;
 
 // The first rows hold the configurations the former pairwise parity tests
 // checked (named in the comments); the rest reach cells no test did.
 const Row kMustReach[] = {
-    // SecondPassMatchesFusedSolveBitwise, one-shot == serial driver, parallel
-    // retained == fused, serve cold and warm hits; growth on both backends
-    // and sinks, mixed and all-LU.
-    {P::F64, V::A1, Mix::Mixed, kExact, Width::One, Where::Pool, Grain::Coarse, 0, -1, 1},
-    {P::F64, V::A1, Mix::LU, kExact, Width::One, Where::Pool, Grain::Coarse, 0, -1, 1},
+    // SecondPassMatchesFusedSolveBitwise, one-shot == serial driver, serve
+    // cold and warm hits; deep: serial == parallel, the engine sink and the
+    // growth factor on both sinks, mixed and all-LU.
+    {P::F64, V::A1, Mix::Mixed, kExact, Width::One, Where::Pool, Grain::Coarse, 0, -1, 1, kDeep},
+    {P::F64, V::A1, Mix::LU, kExact, Width::One, Where::Pool, Grain::Coarse, 0, -1, 1, kDeep},
     // AllQrStepsReplayCorrectly; serial == parallel all-QR.
     {P::F64, V::A1, Mix::QR, kExact, Width::One, Where::Pool, Grain::Fine},
     // ExactWidthPanelOnAllLuFactorizations.
     {P::F64, V::A1, Mix::LU, kExact, Width::UpToNb, Where::Shared, Grain::Coarse},
     {P::F64, V::A1, Mix::LU, kPad, Width::One, Where::Serial, Grain::Fine},
-    // Shared engine == owned pool; fine-grained serve owner; PrecisionBitwise
-    // at F64; serial == parallel mixed at two columns (and at one thread,
-    // SingleThreadAgrees, on the pool draws with threads = 1).
-    {P::F64, V::A1, Mix::Mixed, kExact, Width::UpToNb, Where::Shared, Grain::Fine},
+    // Deep: shared engine == owned pool == serial, mixed, 2..nb columns;
+    // fine-grained serve owner. SingleThreadAgrees: pool draws of 1 thread.
+    {P::F64, V::A1, Mix::Mixed, kExact, Width::UpToNb, Where::Shared, Grain::Fine, 0, -1, -1, kDeep},
     // RetainedMatchesFusedBitwiseAtEveryWidth; SmallTilesUnblockedMirror
     // (nb = 8 keeps the tile products on the unpacked loops).
     {P::F64, V::A1, Mix::Mixed, kExact, Width::BeyondNb, Where::Pool, Grain::Coarse, 8},
@@ -142,27 +150,25 @@ const Row kMustReach[] = {
     {P::F64, V::A1, Mix::Mixed, kExact, Width::UpToNb, Where::Pool, Grain::Coarse, 0, 2},
     // BlockedPanelParity: nb = 64 puts the panels on the blocked kernels.
     {P::F64, V::A1, Mix::Mixed, kExact, Width::UpToNb, Where::Pool, Grain::Fine, 64},
-    // RetainedMatchesFusedQrStepsAndVariants; serial == parallel and the
-    // engine sink with its growth factor, per variant.
-    {P::F64, V::A2, Mix::Mixed, kExact, Width::UpToNb, Where::Pool, Grain::Coarse, 0, -1, 1},
-    {P::F64, V::B1, Mix::Mixed, kExact, Width::UpToNb, Where::Pool, Grain::Fine, 0, -1, 1},
-    {P::F64, V::B2, Mix::Mixed, kExact, Width::UpToNb, Where::Shared, Grain::Coarse, 0, -1, 1},
+    // RetainedMatchesFusedQrStepsAndVariants; deep: serial == parallel and
+    // the engine sink with its growth factor, per variant.
+    {P::F64, V::A2, Mix::Mixed, kExact, Width::UpToNb, Where::Pool, Grain::Coarse, 0, -1, 1, kDeep},
+    {P::F64, V::B1, Mix::Mixed, kExact, Width::UpToNb, Where::Pool, Grain::Fine, 0, -1, 1, kDeep},
+    {P::F64, V::B2, Mix::Mixed, kExact, Width::UpToNb, Where::Shared, Grain::Coarse, 0, -1, 1, kDeep},
     {P::F64, V::A2, Mix::LU, kExact, Width::BeyondNb, Where::Pool, Grain::Fine},
-    {P::F64, V::B1, Mix::LU, kExact, Width::One, Where::Pool, Grain::Coarse},
+    {P::F64, V::B1, Mix::LU, kExact, Width::One, Where::Pool, Grain::Coarse, 0, -1, -1, kDeep},
     {P::F64, V::B2, Mix::LU, kExact, Width::BeyondNb, Where::Pool, Grain::Coarse},
     {P::F64, V::A2, Mix::QR, kExact, Width::One, Where::Pool, Grain::Coarse},
     {P::F64, V::B1, Mix::QR, kExact, Width::One, Where::Shared, Grain::Fine},
     {P::F64, V::B2, Mix::QR, kExact, Width::One, Where::Pool, Grain::Fine},
-    // PrecisionBitwise at F32 and F32_IR; batch members at every precision
-    // (F32_IR without sweeps: only the serve fusion gate keeps them apart,
-    // SharedPointerRepeatsF32IRStayUnfused); factor_solve_many and
-    // submit_many at F32_IR, padded.
-    {P::F32, V::A1, Mix::Mixed, kExact, Width::UpToNb, Where::Pool, Grain::Coarse, 0, -1, 1},
+    // PrecisionBitwise; deep: the f32 engine sink with growth. F32_IR
+    // without sweeps: only the serve fusion gate keeps members apart.
+    {P::F32, V::A1, Mix::Mixed, kExact, Width::UpToNb, Where::Pool, Grain::Coarse, 0, -1, 1, kDeep},
     {P::F32_IR, V::A1, Mix::Mixed, kExact, Width::UpToNb, Where::Pool, Grain::Fine, 0, 0},
     {P::F32_IR, V::A1, Mix::Mixed, kPad, Width::One, Where::Shared, Grain::Coarse},
     // No test reached these: every route under A2/B1/B2 at reduced
-    // precision, padded and beyond nb, and the f32 engine sink's growth.
-    {P::F32, V::A2, Mix::Mixed, kPad, Width::One, Where::Shared, Grain::Fine, 0, -1, 1},
+    // precision, padded and beyond nb.
+    {P::F32, V::A2, Mix::Mixed, kPad, Width::One, Where::Shared, Grain::Fine, 0, -1, 1, kDeep},
     {P::F32, V::B1, Mix::QR, kExact, Width::BeyondNb, Where::Serial, Grain::Coarse},
     {P::F32, V::B2, Mix::LU, kPad, Width::UpToNb, Where::Pool, Grain::Fine},
     {P::F32_IR, V::A2, Mix::LU, kExact, Width::UpToNb, Where::Pool, Grain::Coarse},
@@ -207,6 +213,8 @@ struct Draw {
   // Column j of a W-wide solve is column j solved alone: no sweeps couple
   // the columns, and F32_IR (which iterates on the joint residual) is off.
   bool fuses() const { return sweeps == 0 && row.precision != Precision::F32_IR; }
+  // The service solves a job's members in one wide solve only at F64.
+  bool serve_fuses() const { return sweeps == 0 && row.precision == Precision::F64; }
 
   std::string describe() const {
     char buf[256];
@@ -252,22 +260,24 @@ Draw make_draw(std::uint64_t seed, const Row* row) {
                     static_cast<Width>(pick(kWidths)),
                     static_cast<Where>(pick(3)), static_cast<Grain>(pick(2))};
   static constexpr int kTiles[] = {8, 16, 32};
-  d.nb = d.row.nb != 0 ? d.row.nb : kTiles[pick(3)];
+  d.nb = d.row.deep ? 16 : d.row.nb != 0 ? d.row.nb : kTiles[pick(3)];
   // At most four tile rows and n <= 96 below nb = 64; a mix needs two.
   const int max_mt = std::max(2, std::min(4, 96 / d.nb));
-  const int mt =
-      d.row.mix == Mix::Mixed ? 2 + pick(max_mt - 1) : 1 + pick(max_mt);
+  const int mt = d.row.deep               ? 6
+                 : d.row.mix == Mix::Mixed ? 2 + pick(max_mt - 1)
+                                           : 1 + pick(max_mt);
   d.n = mt * d.nb - (d.row.padded ? 1 + pick(d.nb - 1) : 0);
+  // Beyond nb: just past one tile of columns, or past two.
   d.width = d.row.width == Width::One      ? 1
             : d.row.width == Width::UpToNb ? 2 + pick(d.nb - 1)
-                                           : d.nb + 1 + pick(4);
+                                           : (1 + pick(2)) * d.nb + 1 + pick(4);
   d.sweeps = d.row.sweeps >= 0 ? d.row.sweeps : 2 * pick(2);
   d.growth = d.row.growth >= 0 ? d.row.growth == 1 : pick(2) == 1;
-  d.threads = 1 + pick(3);
+  d.threads = d.row.deep ? 4 : 1 + pick(3);
   d.tree = {static_cast<hqr::LocalTree>(pick(5)),
             static_cast<hqr::DistTree>(pick(4))};
   static constexpr int kGrids[][2] = {{1, 1}, {2, 1}, {1, 2}, {2, 2}, {3, 1}};
-  const int g = pick(5);
+  const int g = d.row.deep ? 3 : pick(5);
   d.grid_p = kGrids[g][0];
   d.grid_q = kGrids[g][1];
   d.scope = static_cast<core::PivotScope>(pick(3));
@@ -368,18 +378,13 @@ void expect_same_factor_data(const Draw& d, const Matrix<double>& a,
   }
 }
 
-template <typename Done>
-void settle_until(serve::SolveService& svc, Done done) {
-  for (int i = 0; i < 20000 && !done(svc.stats()); ++i)
-    std::this_thread::sleep_for(std::chrono::microseconds(50));
-}
-
+// The replies' answers; `hits` counts the cache hits among them.
 std::vector<Answer> answers(std::vector<serve::JobHandle>& handles,
-                            bool want_hit) {
+                            std::size_t& hits) {
   std::vector<Answer> out;
   for (serve::JobHandle& h : handles) {
     serve::SolveReply r = h.get();
-    EXPECT_EQ(r.cache_hit, want_hit);
+    hits += r.cache_hit ? 1 : 0;
     out.push_back(Answer{std::move(r.x), r.report});
   }
   return out;
@@ -412,11 +417,14 @@ class Oracle {
           std::string("tree ") + (d.default_tree() ? "default " : "other ") +
               kVariantName[static_cast<int>(d.row.variant)],
           "nb " + std::to_string(d.nb), "sweeps " + std::to_string(d.sweeps),
+          "tile rows " + std::to_string((d.n + d.nb - 1) / d.nb),
+          "W/nb " + std::to_string(d.width / d.nb),
           std::string("growth ") + (d.growth ? "on" : "off")})
       ++knobs_[knob];
 
     if (!reference()) return;
-    serve::SolveService miss_svc(service_config(1)), svc(service_config(2));
+    serve::SolveService miss_svc(service_config(1)),
+        svc(service_config(d.row.grain == Grain::Fine ? 2 : 1));
     std::vector<serve::JobHandle> miss = start_many_miss(miss_svc);
     Served served = start_serve_routes(svc);
     solver_routes();
@@ -431,23 +439,59 @@ class Oracle {
     check_serve_routes(svc, served);
   }
 
+  // Add another oracle's cells and knob counts to this one's.
+  void merge(const Oracle& other) {
+    reached_.insert(other.reached_.begin(), other.reached_.end());
+    for (const auto& [knob, count] : other.knobs_) knobs_[knob] += count;
+  }
+
   const std::set<int>& reached() const { return reached_; }
   // Draws per value of the knobs outside the cells.
   const std::map<std::string, int>& knobs() const { return knobs_; }
 
  private:
-  // The serial retained solve of b and of each member. At F64 the serial
-  // Solver takes an external criterion instance made from the spec (reduced
-  // precision needs the spec itself), so the spec routes check that path.
-  // False when the factorization has the wrong shape.
-  bool reference() {
-    if (d_.row.precision == Precision::F64) {
-      const auto criterion = make_criterion(d_.criterion);
-      ref_ = std::make_shared<core::Factorization>(luqr::testing::factor_serial(
-          a_, *criterion, d_.nb, d_.config().hybrid_options()));
-    } else {
-      ref_ = std::make_shared<core::Factorization>(solver(Where::Serial).factor(a_));
+  // The serial retained factorization of `a`, built apart from the spec
+  // Solver the factor/serial route runs. At F64 the serial Solver takes an
+  // external criterion instance made from the spec. Reduced precision needs
+  // the spec itself, so there the inline sink factors from_dense tiles of
+  // float(a) and the float factors are adopted by hand.
+  std::shared_ptr<core::Factorization> reference_factor(
+      const Matrix<double>& a) const {
+    const auto criterion = make_criterion(d_.criterion);
+    const core::HybridOptions opt = d_.config().hybrid_options();
+    if (d_.row.precision == Precision::F64)
+      return std::make_shared<core::Factorization>(
+          luqr::testing::factor_serial(a, *criterion, d_.nb, opt));
+    Matrix<float> narrowed = luqr::testing::converted<float>(a);
+    TileMatrix<float> tiles = TileMatrix<float>::from_dense(narrowed, d_.nb);
+    core::TransformLogT<float> log;
+    auto stats = core::hybrid_factor(tiles, *criterion, opt, &log);
+    return std::make_shared<core::Factorization>(core::Factorization::adopt_f32(
+        a, std::move(narrowed), std::move(tiles), std::move(stats),
+        std::move(log), opt, d_.row.precision, d_.config().refine(),
+        &d_.criterion));
+  }
+
+  // fac's answer to b (one entry) and to each member. Where columns fuse,
+  // a member's answer is its columns of the W-wide solve.
+  void expected(const core::Factorization& fac, std::vector<Answer>& whole,
+                std::vector<Answer>& members) const {
+    whole.assign(1, Answer{});
+    whole[0].x = fac.solve(b_, &whole[0].report, d_.sweeps);
+    members.clear();
+    for (int k = 0, c0 = 0; k < static_cast<int>(members_.size()); ++k) {
+      const int w = members_[k].cols();
+      Answer m{columns(whole[0].x, c0, w), whole[0].report};
+      if (!d_.fuses()) m.x = fac.solve(members_[k], &m.report, d_.sweeps);
+      members.push_back(std::move(m));
+      c0 += w;
     }
+  }
+
+  // The reference's answers to b and to each member. False when its
+  // factorization has the wrong shape.
+  bool reference() {
+    ref_ = reference_factor(a_);
     const core::FactorizationStats& st = ref_->stats();
     const int steps = st.lu_steps + st.qr_steps;
     if (ref_->order() != d_.n || steps != (d_.n + d_.nb - 1) / d_.nb) {
@@ -456,30 +500,17 @@ class Oracle {
       return false;
     }
     mix_ = st.lu_steps == 0 ? Mix::QR : st.qr_steps == 0 ? Mix::LU : Mix::Mixed;
-    if (d_.growth) {
-      EXPECT_GE(st.growth_factor, 1.0);
-    }
-    want_.assign(1, Answer{});
-    want_[0].x = ref_->solve(b_, &want_[0].report, d_.sweeps);
+    EXPECT_TRUE(!d_.growth || st.growth_factor >= 1.0) << st.growth_factor;
+    expected(*ref_, want_, member_want_);
     const SolveReport& report = want_[0].report;
     EXPECT_EQ(report.precision, d_.row.precision);
     EXPECT_TRUE(report.converged || report.fell_back);  // never silent
     const double residual = verify::relative_residual(a_, want_[0].x, b_);
-    EXPECT_LT(residual, d_.row.precision == Precision::F32 ? 1e-4 : 1e-12);
-
-    member_want_.clear();
-    for (int k = 0, c0 = 0; k < static_cast<int>(members_.size()); ++k) {
-      const int w = members_[k].cols();
-      Answer m{columns(want_[0].x, c0, w), report};
-      if (!d_.fuses()) m.x = ref_->solve(members_[k], &m.report, d_.sweeps);
-      member_want_.push_back(std::move(m));
-      c0 += w;
-    }
+    EXPECT_LT(residual, d_.row.precision == Precision::F32 ? 1e-4 : 1e-13);
     if (d_.fuses())
       for (int j = 0; j < d_.width; ++j)
         expect_bitwise(ref_->solve(columns(b_, j, 1)), columns(want_[0].x, j, 1),
                        "column " + std::to_string(j) + " of the W-wide reference");
-    check(kFactorSerial, {Answer{want_[0].x, report, &st}}, want_);
     return true;
   }
 
@@ -523,30 +554,30 @@ class Oracle {
     return Solver(cfg);
   }
 
-  // Solver::solve on the serial backend, then Solver::solve and
-  // Solver::factor + Factorization::solve on the draw's engine backend.
+  // Solver::solve and Solver::factor + Factorization::solve on the serial
+  // backend and on the draw's engine backend.
   void solver_routes() {
-    const Where where = d_.row.where;
-    const core::SolveResult serial = solver(Where::Serial).solve(a_, b_);
-    check(kSolveSerial, {Answer{serial.x, serial.report, &serial.stats}}, want_);
-    if (where == Where::Serial) return;
-    const Solver s = solver(where);
-    if (where == Where::Shared) {
-      EXPECT_EQ(s.resolve_threads(), shared_->num_threads());
+    std::vector<Where> backends = {Where::Serial};
+    if (d_.row.where != Where::Serial) backends.push_back(d_.row.where);
+    for (const Where where : backends) {
+      const Solver s = solver(where);
+      const int offset = static_cast<int>(where);
+      if (where == Where::Shared) {
+        EXPECT_EQ(s.resolve_threads(), shared_->num_threads());
+      }
+      const core::SolveResult one_shot = s.solve(a_, b_);
+      check(static_cast<Route>(kSolveSerial + offset),
+            {Answer{one_shot.x, one_shot.report, &one_shot.stats}}, want_);
+      const core::Factorization fac = s.factor(a_);
+      EXPECT_EQ(fac.order(), d_.n);
+      Answer got{{}, {}, &fac.stats()};
+      got.x = fac.solve(b_, &got.report, d_.sweeps);
+      check(static_cast<Route>(kFactorSerial + offset), {got}, want_);
     }
-    const core::SolveResult one_shot = s.solve(a_, b_);
-    check(static_cast<Route>(kSolveSerial + static_cast<int>(where)),
-          {Answer{one_shot.x, one_shot.report, &one_shot.stats}}, want_);
-    const core::Factorization fac = s.factor(a_);
-    EXPECT_EQ(fac.order(), d_.n);
-    Answer got{{}, {}, &fac.stats()};
-    got.x = fac.solve(b_, &got.report, d_.sweeps);
-    check(static_cast<Route>(kFactorSerial + static_cast<int>(where)), {got},
-          want_);
   }
 
-  // Two workers (the fine grain needs more than one); a second dispatcher
-  // lets a job attach while the first blocks in a fine-grained factorization.
+  // Two workers (the fine grain needs more than one). A fine-grained owner
+  // blocks its dispatcher, so a second one lets a job attach meanwhile.
   serve::ServiceConfig service_config(int dispatchers) const {
     serve::ServiceConfig cfg;
     cfg.solver = d_.config();
@@ -558,18 +589,12 @@ class Oracle {
     return cfg;
   }
 
-  // Columns a fused multi-member job solves in one wide solve.
-  std::uint64_t fused_columns() const {
-    const bool fused = members_.size() > 1 && d_.sweeps == 0 &&
-                       d_.row.precision == Precision::F64;
-    return fused ? static_cast<std::uint64_t>(d_.width) : 0;
-  }
-
   // One service's routes: the owner of a miss with a submit_many member
   // attached to its pending factorization, then a cache hit, submit_batch
-  // and submit_many skim hits.
+  // and submit_many skim hits. The marker factors a one-tile matrix.
   struct Served {
     serve::SolveReply owner;
+    serve::JobHandle marker;
     std::vector<serve::JobHandle> attached, hit, batch, skim;
   };
 
@@ -582,15 +607,26 @@ class Oracle {
       // submit_many member has attached to it.
       luqr::testing::WorkerGate g0(svc.engine()), g1(svc.engine());
       owner = svc.submit_solve(a_, b_);
-      settle_until(svc, [](const serve::ServiceStats& s) {
-        return s.queue_depth == 0 && s.pending_factorizations == 1;
-      });
+      settle_until(
+          svc,
+          [](const serve::ServiceStats& s) {
+            return s.queue_depth == 0 && s.pending_factorizations == 1;
+          },
+          "the owner's factorization pending");
       out.attached = svc.submit_many(std::vector<Matrix<double>>{a_},
                                      std::vector<Matrix<double>>{b_},
                                      serve::Priority::Interactive);
-      settle_until(svc, [](const serve::ServiceStats& s) {
-        return s.queue_depth == 0 && s.inflight == 1;
-      });
+      // One dispatcher is free, so it resolves the marker, a miss on
+      // another matrix, only after the member: the marker's probe miss
+      // shows that the member has attached.
+      out.marker = svc.submit_factor(
+          gen::generate(gen::MatrixKind::Random, d_.nb, d_.seed + 3));
+      settle_until(
+          svc,
+          [](const serve::ServiceStats& s) {
+            return s.queue_depth == 0 && s.cache.misses == 3;
+          },
+          "the submit_many member attached");
     }
     out.owner = owner.get();  // cached from here on
     out.hit.push_back(svc.submit_solve(a_, b_));
@@ -606,53 +642,83 @@ class Oracle {
     check(d_.row.grain == Grain::Coarse ? kServeCoarse : kServeFine,
           {Answer{std::move(served.owner.x), served.owner.report}}, want_);
     serve::SolveReply r = served.attached[0].get();
-    const bool attached = !r.cache_hit && r.factor_us == 0;
-    EXPECT_TRUE(attached) << "the submit_many member did not attach";
-    if (attached) {
-      check(kManyAttach, {Answer{std::move(r.x), r.report}}, want_);
-    }
-    check(kServeHit, answers(served.hit, true), want_);
-    check(kServeBatch, answers(served.batch, true), member_want_);
-    check(kManySkim, answers(served.skim, true), member_want_);
+    EXPECT_FALSE(r.cache_hit) << "the submit_many member did not attach";
+    EXPECT_EQ(r.factor_us, 0u) << "the submit_many member did not attach";
+    check(kManyAttach, {Answer{std::move(r.x), r.report}}, want_);
+    const std::uint64_t m = members_.size();
+    std::size_t hits = 0;
+    check(kServeHit, answers(served.hit, hits), want_);
+    check(kServeBatch, answers(served.batch, hits), member_want_);
+    check(kManySkim, answers(served.skim, hits), member_want_);
+    EXPECT_EQ(hits, 1 + 2 * m);
+    const serve::SolveReply marker = served.marker.get();
+    EXPECT_FALSE(marker.cache_hit);
+    EXPECT_GT(marker.factor_us, 0u);
 
     const serve::ServiceStats s = svc.stats();
-    const std::uint64_t m = members_.size();
-    EXPECT_EQ(s.factors_coarse, d_.row.grain == Grain::Coarse ? 1u : 0u);
-    EXPECT_EQ(s.factors_inline_parallel, d_.row.grain == Grain::Fine ? 1u : 0u);
-    EXPECT_EQ(s.cache.misses, 2u);   // the owner's probe, the attach's skim
+    EXPECT_EQ(s.factors_coarse, d_.row.grain == Grain::Coarse ? 2u : 0u);
+    EXPECT_EQ(s.factors_inline_parallel, d_.row.grain == Grain::Fine ? 2u : 0u);
+    EXPECT_EQ(s.cache.misses, 3u);  // the owner's and marker's probes, the skim
     EXPECT_EQ(s.cache.hits, 2 + m);  // the hit, the batch, the skims
     EXPECT_EQ(s.batches, 1u);
     EXPECT_EQ(s.batch_members, m);
     EXPECT_EQ(s.batch_hits_skimmed, m);
     EXPECT_EQ(s.batched_jobs, 1 + m);
-    EXPECT_EQ(s.fused_rhs_columns, fused_columns());
-    EXPECT_EQ(s.completed, 3 + 2 * m);
+    const bool fused = m > 1 && d_.serve_fuses();  // the batch's members
+    EXPECT_EQ(s.fused_rhs_columns, fused ? static_cast<std::uint64_t>(d_.width) : 0u);
+    EXPECT_EQ(s.completed, 4 + 2 * m);
     EXPECT_EQ(s.failed, 0u);
   }
 
-  // A fresh service: one submit_many call whose members share one matrix
-  // pointer, so they form one job that misses, factors once and fuses.
+  // A fresh service: one submit_many call of kManyMissCalls members, more
+  // than two chunks' worth (the service's chunks hold at least 8), that
+  // alternate by shared pointer between A and a second matrix. Each matrix
+  // gets every member once, then repeats of the one-column member 0. Each
+  // matrix's members form one job that misses once and factors once; its
+  // members straddle chunk boundaries, split there and fuse within each piece.
+  static constexpr int kManyMissCalls = 18;
+
+  std::size_t many_miss_member(int i) const {
+    const std::size_t k = static_cast<std::size_t>(i / 2);
+    return k < members_.size() ? k : 0;
+  }
+
   std::vector<serve::JobHandle> start_many_miss(serve::SolveService& svc) {
-    const auto a = std::make_shared<const Matrix<double>>(a_);
-    return svc.submit_many(
-        std::vector<std::shared_ptr<const Matrix<double>>>(members_.size(), a),
-        members_);
+    a2_ = gen::generate(gen::MatrixKind::Random, d_.n, d_.seed + 2);
+    const std::shared_ptr<const Matrix<double>> matrix[] = {
+        std::make_shared<const Matrix<double>>(a_),
+        std::make_shared<const Matrix<double>>(a2_)};
+    std::vector<std::shared_ptr<const Matrix<double>>> as;
+    std::vector<Matrix<double>> bs;
+    for (int i = 0; i < kManyMissCalls; ++i) {
+      as.push_back(matrix[i % 2]);
+      bs.push_back(members_[many_miss_member(i)]);
+    }
+    return svc.submit_many(as, bs);
   }
 
   void check_many_miss(serve::SolveService& svc,
                        std::vector<serve::JobHandle>& handles) {
-    check(kManyMiss, answers(handles, false), member_want_);
+    std::vector<Answer> whole2, member_want2, want;
+    expected(*reference_factor(a2_), whole2, member_want2);
+    for (int i = 0; i < kManyMissCalls; ++i)
+      want.push_back((i % 2 == 0 ? member_want_ : member_want2)[many_miss_member(i)]);
+    std::size_t hits = 0;  // a piece after the first may find its matrix cached
+    check(kManyMiss, answers(handles, hits), want);
     const serve::ServiceStats s = svc.stats();
-    const std::uint64_t m = members_.size();
-    EXPECT_EQ(s.cache.misses, 1u);
-    EXPECT_EQ(s.factors_coarse + s.factors_inline_parallel, 1u);
-    EXPECT_EQ(s.factors_inline_parallel, d_.row.grain == Grain::Fine ? 1u : 0u);
-    EXPECT_EQ(s.batched_jobs, m);
-    EXPECT_GE(s.batches_executed, 1u);
-    EXPECT_LE(s.batches_executed, m);
-    EXPECT_GE(s.batch_fill_mean, 1.0);
-    EXPECT_EQ(s.fused_rhs_columns, fused_columns());
-    EXPECT_EQ(s.completed, m);
+    EXPECT_EQ(s.cache.misses, 2u);  // one probe miss per distinct matrix
+    // Once per matrix, unless a piece's probe and pending check straddle its
+    // owner's completion (a benign double factorization): at most once per
+    // piece of the three chunks.
+    const std::uint64_t factors = s.factors_coarse + s.factors_inline_parallel;
+    EXPECT_GE(factors, 2u);
+    EXPECT_LE(factors, 4u);
+    EXPECT_EQ(s.factors_inline_parallel, d_.row.grain == Grain::Fine ? factors : 0u);
+    EXPECT_EQ(s.batched_jobs, static_cast<std::uint64_t>(kManyMissCalls));
+    EXPECT_GE(s.batches_executed, 2u);
+    EXPECT_LE(s.batches_executed, static_cast<std::uint64_t>(kManyMissCalls));
+    EXPECT_EQ(s.fused_rhs_columns > 0, d_.serve_fuses());
+    EXPECT_EQ(s.completed, static_cast<std::uint64_t>(kManyMissCalls));
     EXPECT_EQ(s.failed, 0u);
   }
 
@@ -691,7 +757,7 @@ class Oracle {
   std::set<int> reached_;
   std::map<std::string, int> knobs_;
   Draw d_;
-  Matrix<double> a_, b_;
+  Matrix<double> a_, a2_, b_;
   std::vector<Matrix<double>> members_;
   std::shared_ptr<core::Factorization> ref_;
   Mix mix_ = Mix::Mixed;
@@ -700,59 +766,71 @@ class Oracle {
 
 void print_coverage(const Oracle& oracle, std::size_t must_reach, int draws) {
   const std::set<int>& reached = oracle.reached();
+  // Cells reached among the shapes of (route, precision, variant) blocks
+  // [lo, hi).
+  const auto count = [&reached](int lo, int hi) {
+    return static_cast<int>(std::distance(reached.lower_bound(lo * kShapes),
+                                          reached.lower_bound(hi * kShapes)));
+  };
+  constexpr int kBlocks = kPrecisions * kVariants;
   std::printf(
       "route-equivalence coverage: %zu of %d cells in %d draws (must-reach "
       "list: %zu cells); per precision and variant, the (mix, padded, width) "
       "shapes reached of %d\n%-24s %5s | F64 A1..B2  | F32         | F32_IR\n",
       reached.size(), kCells, draws, must_reach, kShapes, "route", "cells");
   for (int r = 0; r < kRoutes; ++r) {
-    const int base = r * kPrecisions * kVariants;
-    std::string line;
-    for (int pv = 0; pv < kPrecisions * kVariants; ++pv) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "%s%2d", pv % kVariants ? " " : " | ",
-                    static_cast<int>(std::distance(
-                        reached.lower_bound((base + pv) * kShapes),
-                        reached.lower_bound((base + pv + 1) * kShapes))));
-      line += buf;
-    }
-    std::printf("%-24s %5d%s\n", kRouteName[r],
-                static_cast<int>(std::distance(
-                    reached.lower_bound(base * kShapes),
-                    reached.lower_bound((base + kPrecisions * kVariants) * kShapes))),
-                line.c_str());
+    std::printf("%-24s %5d", kRouteName[r], count(r * kBlocks, (r + 1) * kBlocks));
+    for (int pv = 0; pv < kBlocks; ++pv)
+      std::printf("%s%2d", pv % kVariants ? " " : " | ",
+                  count(r * kBlocks + pv, r * kBlocks + pv + 1));
+    std::printf("\n");
   }
   std::printf("draws per knob:");
-  for (const auto& [knob, count] : oracle.knobs())
-    std::printf(" %s=%d", knob.c_str(), count);
+  for (const auto& [knob, n] : oracle.knobs())
+    std::printf(" %s=%d", knob.c_str(), n);
   std::printf("\n");
 }
 
 TEST(RouteOracle, EveryRouteMatchesTheSerialRetainedReference) {
+  std::vector<Draw> draws;
+  for (const Row& row : kMustReach)
+    draws.push_back(make_draw(1000 + draws.size(), &row));
+  for (int k = 0; k < kFreeDraws; ++k)
+    draws.push_back(make_draw(1 + static_cast<std::uint64_t>(k), nullptr));
+
+  // Two oracles take the draws in turn, each on its own thread; most of a
+  // draw waits on pools and services, so the two overlap.
   const auto engine = std::make_shared<rt::Engine>(3);
-  Oracle oracle(engine);
+  Oracle oracle(engine), helper_oracle(engine);
+  std::atomic<std::size_t> next{0};
+  const auto work = [&draws, &next](Oracle& o) {
+    for (std::size_t i; (i = next++) < draws.size();) o.run(draws[i]);
+  };
+  std::thread helper(work, std::ref(helper_oracle));
+  work(oracle);
+  helper.join();
+  oracle.merge(helper_oracle);
+
   std::set<int> must;
-  int draws = 0;
-  for (const Row& row : kMustReach) {
-    const Draw d = make_draw(1000 + static_cast<std::uint64_t>(draws++), &row);
-    oracle.run(d);
+  for (std::size_t i = 0; i < std::size(kMustReach); ++i) {
+    const Row& row = kMustReach[i];
     for (Route route : routes_of(row.where, row.grain)) {
       const int c = cell(route, row.precision, row.variant, row.mix,
                          row.padded, row.width);
       must.insert(c);
       EXPECT_EQ(oracle.reached().count(c), 1u)
           << kRouteName[route] << " missed its must-reach cell: "
-          << d.describe();
+          << draws[i].describe();
     }
   }
-  for (int k = 0; k < kFreeDraws; ++k, ++draws)
-    oracle.run(make_draw(1 + static_cast<std::uint64_t>(k), nullptr));
-  print_coverage(oracle, must.size(), draws);
+  print_coverage(oracle, must.size(), static_cast<int>(draws.size()));
 
   // Every draw runs the serve, submit_many and batch routes; some ran them
   // on a non-default tree under A2, B1 and B2.
   for (const char* v : {"A2", "B1", "B2"})
     EXPECT_GT(oracle.knobs().count(std::string("tree other ") + v), 0u) << v;
+  // Some draws solved more than two tiles of columns at once.
+  EXPECT_GT(oracle.knobs().count("W/nb 2"), 0u);
   // The shared engine served every draw and is idle and reusable after.
   engine->wait_idle();
   EXPECT_TRUE(engine->idle());

@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -23,6 +22,7 @@ namespace {
 
 using luqr::testing::expect_bitwise;
 using luqr::testing::random_matrix;
+using luqr::testing::settle_until;
 
 SolverConfig base_solver() {
   return SolverConfig()
@@ -63,27 +63,24 @@ TEST(SolveService, HashCollisionOwnsItsOwnFactorization) {
   const auto a2 = gen::generate(gen::MatrixKind::Random, 48, 1502);
   const auto b1 = random_matrix(48, 1, 1503);
   const auto b2 = random_matrix(48, 2, 1504);
-  const auto settle_until = [&](std::size_t pending) {
-    for (int i = 0; i < 2000; ++i) {
-      const ServiceStats s = svc.stats();
-      if (s.queue_depth == 0 && s.pending_factorizations == pending) return;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
+  const auto pending = [](std::size_t count) {
+    return [count](const ServiceStats& s) {
+      return s.queue_depth == 0 && s.pending_factorizations == count;
+    };
   };
   JobHandle first, second;
   {
     luqr::testing::WorkerGate gate(svc.engine());
     first = svc.submit_solve(a1, b1);
-    settle_until(1);
+    settle_until(svc, pending(1), "one pending factorization");
     second = svc.submit_solve(a2, b2);
-    settle_until(2);
-    EXPECT_EQ(svc.stats().pending_factorizations, 2u);
+    settle_until(svc, pending(2), "two pending factorizations");
   }
-  const SolveReply r1 = first.get();
+  expect_bitwise(first.get().x, reference.solve(a1, b1).x,
+                 "first of a colliding pair");
   const SolveReply r2 = second.get();
   EXPECT_FALSE(r2.cache_hit);
   EXPECT_GT(r2.factor_us, 0u);  // not an attached waiter
-  expect_bitwise(r1.x, reference.solve(a1, b1).x, "first of a colliding pair");
   expect_bitwise(r2.x, reference.solve(a2, b2).x, "second of a colliding pair");
   const ServiceStats s = svc.stats();
   EXPECT_EQ(s.factors_coarse + s.factors_inline_parallel, 2u);

@@ -21,18 +21,6 @@ using luqr::testing::solve_serial;
 
 class VariantSweep : public ::testing::TestWithParam<LuVariant> {};
 
-TEST_P(VariantSweep, AllLuSolveIsAccurate) {
-  const auto a = gen::generate(gen::MatrixKind::Random, 96, 1);
-  const auto b = random_matrix(96, 2, 2);
-  AlwaysLU crit;
-  HybridOptions opt;
-  opt.variant = GetParam();
-  const auto r = solve_serial(a, b, crit, 16, opt);
-  EXPECT_EQ(r.stats.lu_steps, 6);
-  EXPECT_LT(verify::relative_residual(a, r.x, b), 1e-10)
-      << static_cast<int>(GetParam());
-}
-
 TEST_P(VariantSweep, MixedStepsUnderCriterion) {
   const auto a = gen::generate(gen::MatrixKind::Random, 96, 3);
   const auto b = random_matrix(96, 1, 4);
