@@ -125,6 +125,34 @@ void bench_trmm(bench::JsonReport& report, Trans trans, int m, int n) {
   });
 }
 
+// The one-column replay of a retained factorization: UNMQR and TTMQR from a
+// reflector packed once (as the factor's gate task builds it), applied to a
+// single column. Each rep restores the column first.
+void bench_replay_n1(bench::JsonReport& report, int nb) {
+  auto v = rnd(nb, nb, 31);
+  Matrix<double> t(nb, nb);
+  geqrt(v.view(), t.view());
+  const PackedReflector<double> q(QrKind::Geqrt, Trans::Yes, v.cview(), t.cview());
+  const auto c0 = rnd(nb, 1, 32);
+  Matrix<double> c(nb, 1);
+  run_case(report, "unmqr_n1", nb, 4.0 * nb * nb, [&] {
+    kern::copy(c0.cview(), c.view());
+    unmqr(q, c.view());
+  });
+  auto r1 = rnd_upper(nb, 33);
+  auto r2 = rnd_upper(nb, 34);
+  Matrix<double> tt(nb, nb);
+  ttqrt(r1.view(), r2.view(), tt.view());
+  const PackedReflector<double> qt(QrKind::Tt, Trans::Yes, r2.cview(), tt.cview());
+  const auto d0 = rnd(nb, 1, 35), e0 = rnd(nb, 1, 36);
+  Matrix<double> d(nb, 1), e(nb, 1);
+  run_case(report, "ttmqr_n1", nb, 2.0 * nb * nb, [&] {
+    kern::copy(d0.cview(), d.view());
+    kern::copy(e0.cview(), e.view());
+    ttmqr(qt, d.view(), e.view());
+  });
+}
+
 void bench_factor_kernels(bench::JsonReport& report, int nb) {
   // GETRF.
   {
@@ -247,8 +275,10 @@ int main(int argc, char** argv) {
     for (Trans trans : {Trans::No, Trans::Yes})
       for (int n : {1, m}) bench_trmm(report, trans, m, n);
 
-  // The full tile-kernel roster at the paper's working sizes.
-  for (int nb : {64, 240}) bench_factor_kernels(report, nb);
+  // The full tile-kernel roster at the paper's working sizes (128: the
+  // default workload's tile), and the one-column replay of the applies.
+  for (int nb : {64, 128, 240}) bench_factor_kernels(report, nb);
+  for (int nb : {64, 128}) bench_replay_n1(report, nb);
 
   std::printf("%s", table().str().c_str());
   report.write();

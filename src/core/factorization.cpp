@@ -79,9 +79,11 @@ FactorizationT<T> FactorizationT<T>::adopt(Matrix<T> original,
 //       the blocked TRSM dispatches on the triangle dimension alone and
 //       runs its inner updates through the packed GEMM unconditionally (see
 //       trsm_wants_blocked).
-//   (3) The orthogonal applies (UNMQR/TSMQR/TTMQR) take the same dispatch
-//       width nb, which fixes both their densified-V/loop branch and their
-//       inner GEMMs' paths; TRMM and their loop branches are per-column.
+//   (3) The orthogonal applies (UNMQR/TSMQR/TTMQR) replay the reflectors
+//       the factor retained. A packed reflector runs the packed-A GEMMs,
+//       whose per-element sums depend only on KC, as in (1); a loop-branch
+//       reflector (small tiles) dispatches at width nb, and TRMM and the
+//       loops are per-column.
 //
 // The contract (asserted by the tests) is bitwise equality with the
 // fused-RHS driver (make_augmented + hybrid_factor + solve_augmented): the
@@ -150,9 +152,8 @@ void FactorizationT<T>::apply_transformations(Matrix<T>& wb) const {
         kern::trsm(Side::Left, Uplo::Lower, Trans::No, Diag::Unit, T(1),
                    ConstMatrixView<T>(factored_.tile(k, k)), bk);
       } else if (variant == LuVariant::A2) {
-        // b_k <- Q^T b_k from the diagonal GEQRT, dispatched at width nb.
-        kern::unmqr(Trans::Yes, ConstMatrixView<T>(factored_.tile(k, k)),
-                    step.diag_t->cview(), rb(k), nullptr, nb);
+        // b_k <- Q^T b_k from the diagonal GEQRT's reflector.
+        step.diag_t->apply_qt(rb(k), rb(k));
       }
       // B1/B2: row k is untouched (block LU).
       // Eliminations: one full-width GEMM per trailing tile row,
@@ -162,28 +163,10 @@ void FactorizationT<T>::apply_transformations(Matrix<T>& wb) const {
                    ConstMatrixView<T>(factored_.tile(i, k)),
                    ConstMatrixView<T>(rb(k)), T(1), rb(i), nullptr, nb);
     } else {
-      // QR step: orthogonal ops in execution order, dispatched at width nb.
-      for (const QrOpT<T>& op : step.qr_ops) {
-        switch (op.kind) {
-          case QrKind::Geqrt:
-            kern::unmqr(Trans::Yes,
-                        ConstMatrixView<T>(factored_.tile(op.killer, k)),
-                        op.t->cview(), rb(op.killer), nullptr, nb);
-            break;
-          case QrKind::Ts:
-            kern::tsmqr(Trans::Yes,
-                        ConstMatrixView<T>(factored_.tile(op.killed, k)),
-                        op.t->cview(), rb(op.killer), rb(op.killed), nullptr,
-                        nb);
-            break;
-          case QrKind::Tt:
-            kern::ttmqr(Trans::Yes,
-                        ConstMatrixView<T>(factored_.tile(op.killed, k)),
-                        op.t->cview(), rb(op.killer), rb(op.killed), nullptr,
-                        nb);
-            break;
-        }
-      }
+      // QR step: orthogonal ops in execution order, each from its
+      // retained reflector (for Geqrt killed == killer).
+      for (const QrOpT<T>& op : step.qr_ops)
+        op.reflector->apply_qt(rb(op.killer), rb(op.killed));
     }
   }
 }
@@ -197,15 +180,9 @@ std::size_t FactorizationT<T>::memory_bytes() const {
   for (const StepLogT<T>& step : log_) {
     bytes += sizeof(StepLogT<T>);
     bytes += step.domain_rows.size() * sizeof(int) + step.piv.size() * sizeof(int);
-    if (step.diag_t)
-      bytes += static_cast<std::size_t>(step.diag_t->rows()) *
-               step.diag_t->cols() * sizeof(T);
-    for (const QrOpT<T>& op : step.qr_ops) {
-      bytes += sizeof(QrOpT<T>);
-      if (op.t)
-        bytes += static_cast<std::size_t>(op.t->rows()) * op.t->cols() *
-                 sizeof(T);
-    }
+    if (step.diag_t) bytes += step.diag_t->bytes();
+    for (const QrOpT<T>& op : step.qr_ops)
+      bytes += sizeof(QrOpT<T>) + op.reflector->bytes();
   }
   for (const StepRecordT<T>& rec : stats_.steps) {
     bytes += sizeof(StepRecordT<T>) + rec.diag_piv.size() * sizeof(int);

@@ -77,6 +77,10 @@ class FactorizationT {
   int tile_size() const { return factored_.nb(); }
   const Matrix<T>& matrix() const { return original_; }
   const HybridOptions& options() const { return options_; }
+  /// The transformation log the solves replay.
+  const TransformLogT<T>& log() const { return log_; }
+  /// Resident bytes: the working struct, factored tiles, retained original,
+  /// log (with its reflectors) and step trace.
   std::size_t memory_bytes() const;
 
  private:
@@ -150,7 +154,7 @@ class Factorization {
   }
 
   /// Approximate resident footprint: factored tiles + retained original +
-  /// transformation log (pivot sequences and block-reflector T factors),
+  /// transformation log (pivot sequences and block reflectors),
   /// plus the f64 fallback factorization once it has been materialized.
   /// What the serve FactorizationCache charges against its byte budget.
   std::size_t memory_bytes() const;

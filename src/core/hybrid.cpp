@@ -46,8 +46,7 @@ void back_substitute(const TileMatrix<T>& u, const FactorizationStatsT<T>* stats
                  kern::Diag::Unit, T(1), diag, xk);
     } else if (b2) {
       // x_k = A_kk^{-1} y = R^{-1} Q^T y.
-      kern::unmqr(kern::Trans::Yes, diag, rec->diag_t->cview(), xk, nullptr,
-                  nb);
+      rec->diag_t->apply_qt(xk, xk);
     }
     kern::trsm(kern::Side::Left, kern::Uplo::Upper, kern::Trans::No,
                kern::Diag::NonUnit, T(1), diag, xk);

@@ -66,7 +66,7 @@ struct StepRecordT {
   /// A_kk^{-1} during the block back-substitution).
   std::vector<int> diag_piv;
   /// B2 only: the block-reflector factor of the diagonal-tile GEQRT.
-  std::shared_ptr<Matrix<T>> diag_t;
+  std::shared_ptr<ReflectorT<T>> diag_t;
 };
 
 using StepRecord = StepRecordT<double>;

@@ -5,6 +5,7 @@
 #include "core/panel.hpp"
 #include "kernels/lapack.hpp"
 #include "kernels/norms.hpp"
+#include "kernels/workspace.hpp"
 
 namespace luqr::core {
 
@@ -101,7 +102,9 @@ PanelFactorizationT<T> factor_panel(TileMatrix<T>& a, int k,
 }
 
 template <typename T>
-PanelFactorizationT<T> factor_panel_qr_tile(TileMatrix<T>& a, int k, T* backup) {
+PanelFactorizationT<T> factor_panel_qr_tile(TileMatrix<T>& a, int k, T* backup,
+                                            std::shared_ptr<ReflectorT<T>> diag_t,
+                                            bool keep_t) {
   const int nb = a.nb();
   PanelFactorizationT<T> pf;
   pf.k = k;
@@ -112,9 +115,16 @@ PanelFactorizationT<T> factor_panel_qr_tile(TileMatrix<T>& a, int k, T* backup) 
   gather_panel_stats(a, k, pf.domain_rows, pf.stats);
   std::as_const(a).backup_column(k, pf.domain_rows, backup);
 
-  pf.diag_t = std::make_shared<Matrix<T>>(nb, nb);
   auto tile = a.tile(k, k);
-  kern::geqrt(tile, pf.diag_t->view());
+  {
+    kern::Workspace& ws = kern::tls_workspace();
+    kern::Workspace::Frame frame(ws);
+    MatrixView<T> t(ws.alloc<T>(static_cast<std::size_t>(nb) * nb), nb, nb, nb);
+    kern::geqrt(tile, t, &ws);
+    diag_t->set(QrKind::Geqrt, ConstMatrixView<T>(tile), ConstMatrixView<T>(t),
+                keep_t);
+  }
+  pf.diag_t = std::move(diag_t);
 
   pf.stats.pivots.assign(static_cast<std::size_t>(nb), 0.0);
   for (int j = 0; j < nb; ++j)
@@ -135,9 +145,9 @@ template PanelFactorizationT<double> factor_panel(TileMatrix<double>&, int,
 template PanelFactorizationT<float> factor_panel(TileMatrix<float>&, int,
                                                  const std::vector<int>&, bool,
                                                  float*);
-template PanelFactorizationT<double> factor_panel_qr_tile(TileMatrix<double>&,
-                                                          int, double*);
-template PanelFactorizationT<float> factor_panel_qr_tile(TileMatrix<float>&, int,
-                                                         float*);
+template PanelFactorizationT<double> factor_panel_qr_tile(
+    TileMatrix<double>&, int, double*, std::shared_ptr<ReflectorT<double>>, bool);
+template PanelFactorizationT<float> factor_panel_qr_tile(
+    TileMatrix<float>&, int, float*, std::shared_ptr<ReflectorT<float>>, bool);
 
 }  // namespace luqr::core

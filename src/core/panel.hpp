@@ -11,6 +11,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/transform_log.hpp"
 #include "criteria/criteria.hpp"
 #include "tile/tile_matrix.hpp"
 
@@ -28,8 +29,8 @@ struct PanelFactorizationT {
   int info = 0;                  ///< getrf info (0, or first zero pivot)
   PanelInfo stats;               ///< criterion inputs (norms, pivots, maxima)
   /// A2/B2: the diagonal tile was factored with GEQRT instead; this is its
-  /// block-reflector factor (empty for LU-factored panels).
-  std::shared_ptr<Matrix<T>> diag_t;
+  /// block reflector (empty for LU-factored panels).
+  std::shared_ptr<ReflectorT<T>> diag_t;
 };
 
 using PanelFactorization = PanelFactorizationT<double>;
@@ -49,11 +50,14 @@ PanelFactorizationT<T> factor_panel(TileMatrix<T>& a, int k,
                                     bool exact_inv_norm, T* backup);
 
 /// Variant A2/B2 factor stage: GEQRT on the diagonal tile only (no
-/// pivoting); `backup` receives the diagonal tile. Panel statistics are
+/// pivoting), its reflector recorded in `diag_t` (keeping T as well with
+/// `keep_t`); `backup` receives the diagonal tile. Panel statistics are
 /// collected exactly as in factor_panel;
 /// ||A_kk^{-1}||_1 is taken as ||R^{-1}||_1 (equal up to the orthogonal
 /// factor) and the MUMPS pivots as |R_jj|.
 template <typename T>
-PanelFactorizationT<T> factor_panel_qr_tile(TileMatrix<T>& a, int k, T* backup);
+PanelFactorizationT<T> factor_panel_qr_tile(TileMatrix<T>& a, int k, T* backup,
+                                            std::shared_ptr<ReflectorT<T>> diag_t,
+                                            bool keep_t);
 
 }  // namespace luqr::core

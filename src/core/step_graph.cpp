@@ -26,10 +26,10 @@ struct StepGraph<T>::Step {
   int k = 0;
   PanelFactorizationT<T> pf;
   bool lu = false;
-  // One T factor per QR factor kernel, allocated at emission so the
+  // One block reflector per QR factor kernel, allocated at emission so the
   // pointers are stable task keys. Shared with the TransformLog's QrOps
-  // when a log is kept: the tasks fill them in.
-  std::vector<std::shared_ptr<Matrix<T>>> t_factors;
+  // when a log is kept: the factor tasks fill them in.
+  std::vector<std::shared_ptr<ReflectorT<T>>> reflectors;
   // track_growth: max tile 1-norm over the trailing submatrix (rows/cols
   // >= k+1) after this step, reduced over the final writer of each tile.
   std::atomic<double> step_max{0.0};
@@ -259,15 +259,24 @@ void StepGraph<T>::emit(TaskSink& sink, int k) {
     if (!in_domain[static_cast<std::size_t>(i)])
       deps.push_back({a_.tile_key(i, k), Access::Read});
   deps.push_back({backup_.data(), Access::Write});
+  // A2/B2 factor the diagonal tile by GEQRT; the panel task builds its
+  // reflector, which the step's applies read.
+  const bool qr_factor =
+      options_.variant == LuVariant::A2 || options_.variant == LuVariant::B2;
+  std::shared_ptr<ReflectorT<T>> diag_q;
+  if (qr_factor) {
+    diag_q = std::make_shared<ReflectorT<T>>();
+    deps.push_back({diag_q.get(), Access::Write});
+  }
 
   TaskSink* out = &sink;
   sink.emit(
-      [this, out, s, rows = std::move(rows)] {
-        const bool qr_factor = options_.variant == LuVariant::A2 ||
-                               options_.variant == LuVariant::B2;
-        s->pf = qr_factor ? factor_panel_qr_tile(a_, s->k, backup_.data())
-                          : factor_panel(a_, s->k, rows, options_.exact_inv_norm,
-                                         backup_.data());
+      [this, out, s, rows = std::move(rows), diag_q = std::move(diag_q)] {
+        s->pf = diag_q ? factor_panel_qr_tile(
+                             a_, s->k, backup_.data(), diag_q,
+                             /*keep_t=*/options_.variant == LuVariant::B2)
+                       : factor_panel(a_, s->k, rows, options_.exact_inv_norm,
+                                      backup_.data());
         s->lu = criterion_->accept_lu(s->pf.stats);
         decide(*out, *s);
       },
@@ -340,7 +349,10 @@ void StepGraph<T>::emit_lu(TaskSink& sink, Step& s) {
       std::vector<Dep> deps;
       for (int r : s.pf.domain_rows)
         deps.push_back({a.tile_key(r, j), Access::ReadWrite});
-      deps.push_back({diag, Access::Read});
+      deps.push_back({variant == LuVariant::A1
+                          ? diag
+                          : static_cast<const void*>(s.pf.diag_t.get()),
+                      Access::Read});
       if (variant == LuVariant::A1) {
         sink.emit(
             [&a, c, j, k] {
@@ -352,8 +364,8 @@ void StepGraph<T>::emit_lu(TaskSink& sink, Step& s) {
       } else {
         sink.emit(
             [&a, c, j, k] {
-              kern::unmqr(Trans::Yes, std::as_const(a).tile(k, k),
-                          c->pf.diag_t->cview(), a.tile(k, j));
+              c->pf.diag_t->apply_qt(a.tile(k, j), a.tile(k, j),
+                                     &kern::tls_workspace());
             },
             deps, {"unmqr", TaskRole::Apply, k, j});
       }
@@ -377,10 +389,15 @@ void StepGraph<T>::emit_lu(TaskSink& sink, Step& s) {
                        akk, aik);
             permute_columns_right(aik, c->pf.piv);
           } else if (variant == LuVariant::B2) {
-            apply_qt_from_right(aik, akk, c->pf.diag_t->cview());
+            apply_qt_from_right(aik, akk, c->pf.diag_t->t.cview());
           }
         },
-        {{a.tile_key(i, k), Access::ReadWrite}, {diag, Access::Read}},
+        variant == LuVariant::B2
+            ? std::vector<Dep>{{a.tile_key(i, k), Access::ReadWrite},
+                               {diag, Access::Read},
+                               {s.pf.diag_t.get(), Access::Read}}
+            : std::vector<Dep>{{a.tile_key(i, k), Access::ReadWrite},
+                               {diag, Access::Read}},
         {"trsm", TaskRole::Gate, k, k});
   }
 
@@ -431,69 +448,85 @@ void StepGraph<T>::emit_qr(TaskSink& sink, Step& s, StepLogT<T>* step_log) {
 
   const auto list = hqr::elimination_list(grid_.panel_domains(k, n), options_.tree);
 
-  // Allocate the block-reflector factors, walking the elimination list in
-  // replay order: each row is GEQRT'd before it first acts (as a killer, or
-  // in a TT elimination), then the elimination itself. The log's QrOps are
-  // recorded in that order, referencing the storage the tasks fill in. A
+  // Allocate the block reflectors, walking the elimination list in replay
+  // order: each row is GEQRT'd before it first acts (as a killer, or in a
+  // TT elimination), then the elimination itself. The log's QrOps are
+  // recorded in that order, referencing the reflectors the tasks fill in. A
   // row's GEQRT only touches that row, which no earlier elimination of the
   // step has touched, so emitting all GEQRTs first is equivalent.
-  std::vector<Matrix<T>*> row_t(static_cast<std::size_t>(n), nullptr);
-  std::vector<Matrix<T>*> elim_t;
-  elim_t.reserve(list.size());
-  auto new_t = [&](QrKind kind, int killer, int killed) {
-    auto t = std::make_shared<Matrix<T>>(nb, nb);
-    s.t_factors.push_back(t);
-    if (step_log) step_log->qr_ops.push_back({kind, killer, killed, t});
-    return t.get();
+  std::vector<ReflectorT<T>*> row_q(static_cast<std::size_t>(n), nullptr);
+  std::vector<ReflectorT<T>*> elim_q;
+  elim_q.reserve(list.size());
+  auto new_q = [&](QrKind kind, int killer, int killed) {
+    auto q = std::make_shared<ReflectorT<T>>();
+    s.reflectors.push_back(q);
+    if (step_log) step_log->qr_ops.push_back({kind, killer, killed, q});
+    return q.get();
   };
   auto plan_geqrt = [&](int row) {
-    if (row_t[static_cast<std::size_t>(row)] == nullptr)
-      row_t[static_cast<std::size_t>(row)] = new_t(QrKind::Geqrt, row, row);
+    if (row_q[static_cast<std::size_t>(row)] == nullptr)
+      row_q[static_cast<std::size_t>(row)] = new_q(QrKind::Geqrt, row, row);
   };
   for (const auto& e : list) {
     plan_geqrt(e.killer);
     if (e.kernel == hqr::ElimKernel::TT) plan_geqrt(e.killed);
-    elim_t.push_back(new_t(
+    elim_q.push_back(new_q(
         e.kernel == hqr::ElimKernel::TS ? QrKind::Ts : QrKind::Tt, e.killer,
         e.killed));
   }
   // Single-row panel: still triangularize the diagonal tile.
   if (list.empty()) plan_geqrt(k);
 
+  // Each factor task computes T into its worker's arena and builds the
+  // reflector from it and the tile's fresh V. The updates read only the
+  // reflector, so the factor task's next write of its tiles (a later TS/TT
+  // elimination) need not wait for them.
   for (int row = k; row < n; ++row) {
-    Matrix<T>* t = row_t[static_cast<std::size_t>(row)];
-    if (t == nullptr) continue;
-    sink.emit([&a, row, k, t] { kern::geqrt(a.tile(row, k), t->view()); },
-              {{a.tile_key(row, k), Access::ReadWrite}, {t->data(), Access::Write}},
-              {"geqrt", TaskRole::Gate, k, k});
+    ReflectorT<T>* q = row_q[static_cast<std::size_t>(row)];
+    if (q == nullptr) continue;
+    sink.emit(
+        [&a, row, k, nb, q] {
+          kern::Workspace& ws = kern::tls_workspace();
+          kern::Workspace::Frame frame(ws);
+          kern::MatrixView<T> t(ws.alloc<T>(static_cast<std::size_t>(nb) * nb),
+                                nb, nb, nb);
+          kern::geqrt(a.tile(row, k), t, &ws);
+          q->set(QrKind::Geqrt, std::as_const(a).tile(row, k),
+                 ConstMatrixView<T>(t));
+        },
+        {{a.tile_key(row, k), Access::ReadWrite}, {q, Access::Write}},
+        {"geqrt", TaskRole::Gate, k, k});
     for (int j = k + 1; j < nt; ++j) {
       sink.emit(
-          [&a, row, j, k, t] {
-            kern::unmqr(Trans::Yes, std::as_const(a).tile(row, k), t->cview(),
-                        a.tile(row, j), &kern::tls_workspace());
+          [&a, row, j, q] {
+            q->apply_qt(a.tile(row, j), a.tile(row, j), &kern::tls_workspace());
           },
-          {{a.tile_key(row, j), Access::ReadWrite},
-           {a.tile_key(row, k), Access::Read},
-           {t->data(), Access::Read}},
+          {{a.tile_key(row, j), Access::ReadWrite}, {q, Access::Read}},
           {"unmqr", TaskRole::Update, k, j});
     }
   }
 
   for (std::size_t ei = 0; ei < list.size(); ++ei) {
     const auto& e = list[ei];
-    Matrix<T>* t = elim_t[ei];
+    ReflectorT<T>* q = elim_q[ei];
     const bool ts = e.kernel == hqr::ElimKernel::TS;
     sink.emit(
-        [&a, e, k, t, ts] {
+        [&a, e, k, nb, q, ts] {
+          kern::Workspace& ws = kern::tls_workspace();
+          kern::Workspace::Frame frame(ws);
+          kern::MatrixView<T> t(ws.alloc<T>(static_cast<std::size_t>(nb) * nb),
+                                nb, nb, nb);
           if (ts) {
-            kern::tsqrt(a.tile(e.killer, k), a.tile(e.killed, k), t->view());
+            kern::tsqrt(a.tile(e.killer, k), a.tile(e.killed, k), t, &ws);
           } else {
-            kern::ttqrt(a.tile(e.killer, k), a.tile(e.killed, k), t->view());
+            kern::ttqrt(a.tile(e.killer, k), a.tile(e.killed, k), t, &ws);
           }
+          q->set(ts ? QrKind::Ts : QrKind::Tt, std::as_const(a).tile(e.killed, k),
+                 ConstMatrixView<T>(t));
         },
         {{a.tile_key(e.killer, k), Access::ReadWrite},
          {a.tile_key(e.killed, k), Access::ReadWrite},
-         {t->data(), Access::Write}},
+         {q, Access::Write}},
         {ts ? "tsqrt" : "ttqrt", TaskRole::Gate, k, k});
     for (int j = k + 1; j < nt; ++j) {
       // A row is killed exactly once and never reappears in the list, so
@@ -501,24 +534,15 @@ void StepGraph<T>::emit_qr(TaskSink& sink, Step& s, StepLogT<T>* step_log) {
       // — the growth contribution. (Killer rows > k get their final write
       // where they are later killed; row k is outside the trailing block.)
       sink.emit(
-          [&a, c, e, j, k, n, t, ts, growth] {
-            kern::Workspace& ws = kern::tls_workspace();
-            if (ts) {
-              kern::tsmqr(Trans::Yes, std::as_const(a).tile(e.killed, k),
-                          t->cview(), a.tile(e.killer, j), a.tile(e.killed, j),
-                          &ws);
-            } else {
-              kern::ttmqr(Trans::Yes, std::as_const(a).tile(e.killed, k),
-                          t->cview(), a.tile(e.killer, j), a.tile(e.killed, j),
-                          &ws);
-            }
+          [&a, c, e, j, n, q, growth] {
+            q->apply_qt(a.tile(e.killer, j), a.tile(e.killed, j),
+                        &kern::tls_workspace());
             if (growth && j < n)
               atomic_max(c->step_max, tile_norm(std::as_const(a).tile(e.killed, j)));
           },
           {{a.tile_key(e.killer, j), Access::ReadWrite},
            {a.tile_key(e.killed, j), Access::ReadWrite},
-           {a.tile_key(e.killed, k), Access::Read},
-           {t->data(), Access::Read}},
+           {q, Access::Read}},
           {ts ? "tsmqr" : "ttmqr", TaskRole::Update, k, j});
     }
   }

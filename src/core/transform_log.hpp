@@ -5,21 +5,52 @@
 //
 // The in-place factored matrix already holds the L blocks and Householder
 // vectors; the log adds what is *not* in the tiles: the pivot sequences,
-// the block-reflector T factors, and the order of the QR eliminations.
+// the block reflectors, and the order of the QR eliminations.
 //
 // Templated on the working scalar (float for the reduced-precision path,
 // double for the default); the unsuffixed names are the double aliases.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 #include <vector>
 
 #include "kernels/dense.hpp"
+#include "kernels/lapack.hpp"
 
 namespace luqr::core {
 
 /// Kind of one orthogonal operation of a QR elimination step.
-enum class QrKind { Geqrt, Ts, Tt };
+using QrKind = kern::QrKind;
+
+/// The block reflector of one orthogonal operation, in the form its applies
+/// read. On tiles whose applies take the packed branch
+/// (kern::apply_wants_packed at width nb) it is a kern::PackedReflector for
+/// Q^T, built once by the task that factors it; otherwise copies of V and T
+/// for the loop branch. Either way an apply reads only this, never V's
+/// tile, so the factor's update tasks and every replay of a retained
+/// factorization depend on the reflector alone.
+template <typename T>
+struct ReflectorT {
+  QrKind kind = QrKind::Geqrt;
+  kern::PackedReflector<T> packed;  ///< Q^T's operands (packed branch)
+  Matrix<T> v;  ///< V (loop branch only)
+  Matrix<T> t;  ///< T (loop branch, or kept on request)
+
+  /// Record the reflector (V, T) of a `kind` elimination, V m x k on k-wide
+  /// tiles. `keep_t` keeps T beside the packed form, for a caller that also
+  /// applies Q from the right (the B2 eliminate).
+  void set(QrKind k, kern::ConstMatrixView<T> vv, kern::ConstMatrixView<T> tt,
+           bool keep_t = false);
+
+  /// Q^T applied to C1 (Geqrt; `c2` unused) or to the stacked [C1; C2] (Ts,
+  /// Tt), dispatched as for a tile-wide C.
+  void apply_qt(kern::MatrixView<T> c1, kern::MatrixView<T> c2,
+                kern::Workspace* ws = nullptr) const;
+
+  /// Bytes this reflector holds.
+  std::size_t bytes() const;
+};
 
 /// One orthogonal operation of a QR elimination step, in execution order.
 template <typename T>
@@ -28,7 +59,7 @@ struct QrOpT {
   QrKind kind = QrKind::Geqrt;
   int killer = 0;  ///< for Geqrt: the factored row (killed unused)
   int killed = 0;
-  std::shared_ptr<Matrix<T>> t;  ///< block-reflector factor
+  std::shared_ptr<ReflectorT<T>> reflector;
 };
 
 /// Replay record for one elimination step.
@@ -38,7 +69,7 @@ struct StepLogT {
   // LU-step data (variant-dependent; unused fields stay empty):
   std::vector<int> domain_rows;  ///< A1: stacked domain rows (k first)
   std::vector<int> piv;          ///< A1/B1: pivot sequence of the factor stage
-  std::shared_ptr<Matrix<T>> diag_t;  ///< A2/B2: diagonal GEQRT T factor
+  std::shared_ptr<ReflectorT<T>> diag_t;  ///< A2/B2: diagonal GEQRT reflector
   // QR-step data:
   std::vector<QrOpT<T>> qr_ops;  ///< ordered orthogonal operations
 };
@@ -46,6 +77,7 @@ struct StepLogT {
 template <typename T>
 using TransformLogT = std::vector<StepLogT<T>>;
 
+using Reflector = ReflectorT<double>;
 using QrOp = QrOpT<double>;
 using StepLog = StepLogT<double>;
 using TransformLog = TransformLogT<double>;

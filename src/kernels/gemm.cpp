@@ -202,6 +202,79 @@ void gemm(Trans transa, Trans transb, T alpha, ConstMatrixView<T> a,
 }
 
 template <typename T>
+void gemm_packed_a(const PackedA<T>& a, T alpha, Trans transb,
+                   ConstMatrixView<T> b, T beta, MatrixView<T> c,
+                   Workspace* wsp) {
+  constexpr int MR = MicroTile<T>::MR;
+  constexpr int NR = MicroTile<T>::NR;
+  const int m = c.rows, n = c.cols, k = a.depth;
+  LUQR_REQUIRE(a.rows == m && (transb == Trans::No ? b.rows : b.cols) == k &&
+                   (transb == Trans::No ? b.cols : b.rows) == n,
+               "gemm dimension mismatch");
+  note_read(b);
+  note_write(c);
+  obs::KernelScope prof(obs::KernelClass::Gemm, obs::gemm_model_flops(m, n, k));
+  scale_c(beta, c);
+  if (alpha == T(0) || m == 0 || n == 0 || k == 0) return;
+
+  Workspace& ws = workspace_or_tls(wsp);
+  Workspace::Frame frame(ws);
+  const int nc_cap = std::min((n + NR - 1) / NR * NR, (kGemmNC + NR - 1) / NR * NR);
+  const int kc_cap = std::min(k, kGemmKC);
+  T* bpack = ws.alloc<T>(static_cast<std::size_t>(kc_cap) * nc_cap);
+  alignas(kCacheLineBytes) T ctmp[MR * NR];
+
+  // gemm_blocked's nest. A is packed whole, micro-panel after micro-panel,
+  // so `off` walks the panels of each MC block once per NR column strip.
+  for (int jc = 0; jc < n; jc += kGemmNC) {
+    const int nc = std::min(kGemmNC, n - jc);
+    for (int pc = 0; pc < k; pc += kGemmKC) {
+      const int kc = std::min(kGemmKC, k - pc);
+      pack_b_panel<T, NR>(transb, alpha, kc, nc, b, pc, jc, bpack);
+      std::size_t block_off = 0;
+      for (int ic = 0; ic < m; ic += kGemmMC) {
+        const int mc = std::min(kGemmMC, m - ic);
+        std::size_t off = block_off;
+        for (int jr = 0; jr < nc; jr += NR) {
+          const int nr = std::min(NR, nc - jr);
+          off = block_off;
+          for (int ir = 0; ir < mc; ir += MR) {
+            const int mr = std::min(MR, mc - ir);
+            int lo, hi;
+            band_range(a.band, ic + ir, mr, k, lo, hi);
+            // This KC slice of the panel's live range. An empty one still
+            // runs the kernel (kc = 0 adds zeros), as the dense product's
+            // partial sum would.
+            const int l0 = std::max(lo, pc), l1 = std::min(hi, pc + kc);
+            const int len = std::max(0, l1 - l0);
+            const T* ap = len > 0 ? a.data + off +
+                                        static_cast<std::ptrdiff_t>(l0 - lo) * MR
+                                  : a.data;
+            const T* bp = bpack + static_cast<std::ptrdiff_t>(jr) * kc +
+                          (len > 0 ? static_cast<std::ptrdiff_t>(l0 - pc) * NR : 0);
+            off += static_cast<std::size_t>(hi - lo) * MR;
+            T* cblk = &c(ic + ir, jc + jr);
+            if (mr == MR && nr == NR) {
+              microkernel<T>(len, ap, bp, cblk, c.ld);
+            } else {
+              for (int i = 0; i < MR * NR; ++i) ctmp[i] = T(0);
+              microkernel<T>(len, ap, bp, ctmp, MR);
+              for (int j = 0; j < nr; ++j)
+                for (int i = 0; i < mr; ++i)
+                  cblk[i + static_cast<std::ptrdiff_t>(j) * c.ld] +=
+                      ctmp[i + j * MR];
+            }
+          }
+        }
+        block_off = off;
+      }
+    }
+  }
+  if (fault::should_fire(fault::site::kGemmNan))
+    c(0, 0) = std::numeric_limits<T>::quiet_NaN();
+}
+
+template <typename T>
 std::size_t gemm_pack_scratch_bytes(int m, int n, int k) {
   if (m <= 0 || n <= 0 || k <= 0) return 0;
   constexpr int MR = MicroTile<T>::MR;
@@ -225,6 +298,9 @@ std::size_t gemm_pack_scratch_bytes(int m, int n, int k) {
   template void gemm<T>(Trans, Trans, T, ConstMatrixView<T>,                  \
                         ConstMatrixView<T>, T, MatrixView<T>, Workspace*,     \
                         int);                                                 \
+  template void gemm_packed_a<T>(const PackedA<T>&, T, Trans,                 \
+                                 ConstMatrixView<T>, T, MatrixView<T>,        \
+                                 Workspace*);                                 \
   template void gemm_blocked<T>(Trans, Trans, T, ConstMatrixView<T>,          \
                                 ConstMatrixView<T>, T, MatrixView<T>,         \
                                 Workspace*);                                  \

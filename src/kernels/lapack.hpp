@@ -17,23 +17,35 @@
 //
 // Kernels that need scratch (the compact-WY applies and the panel
 // factorizations' work vectors) take an optional Workspace*; nullptr means
-// the calling thread's arena (each engine worker owns one). The apply
-// kernels (TSMQR/TTMQR/UNMQR) route their W = V^T C / C -= V W products
-// through the packed blocked GEMM above the gemm dispatch threshold.
+// the calling thread's arena (each engine worker owns one).
 //
-// Each apply kernel also takes a dispatch width (0: C's own width). The
-// kernel picks its densified-V/packed-GEMM branch or its loop branch — and
-// its inner GEMMs their paths — as if C were that many columns wide. Every
+// The compact-WY applies (UNMQR/TSMQR/TTMQR) have one implementation each
+// above the apply dispatch threshold (apply_wants_packed): three packed-A
+// GEMMs, W = V^T C, W2 = op(T) W, C -= V W2, over a PackedReflector that
+// holds V^T, V and op(T) packed once, each trimmed to its zero structure.
+// The factor builds one reflector per elimination and every trailing update
+// and every replay of the retained factorization reads it; the (V, T)
+// overloads pack one per call into the workspace, with the same arithmetic.
+// Below the threshold the seed's loops and TRMM run on V and T directly.
+//
+// Each (V, T) apply also takes a dispatch width (0: C's own width). The
+// kernel picks its packed branch or its loop branch — and the loop branch's
+// inner GEMMs their paths — as if C were that many columns wide. Every
 // branch works column by column, so an apply to a W-wide C dispatched at
 // width nb is bitwise equal to W/nb applies to nb-wide slices of it: the
-// solve replays Q^T at the exact RHS width this way. Factor-path callers
-// leave it at 0.
+// solve replays Q^T at the exact RHS width this way. A PackedReflector
+// apply is the packed branch at any width. Factor-path callers leave the
+// width at 0.
 #pragma once
 
+#include <cstddef>
 #include <vector>
+
+#include "common/aligned.hpp"
 
 #include "kernels/blas.hpp"
 #include "kernels/matrix_view.hpp"
+#include "kernels/pack.hpp"
 #include "kernels/workspace.hpp"
 
 namespace luqr::kern {
@@ -115,11 +127,71 @@ void geqrt_unblocked(MatrixView<T> a, MatrixView<T> t, Workspace* ws = nullptr);
 template <typename T>
 void geqrt_blocked(MatrixView<T> a, MatrixView<T> t, Workspace* ws = nullptr);
 
+/// The three eliminations whose block reflectors the applies use.
+enum class QrKind { Geqrt, Ts, Tt };
+
+/// Dispatch predicate of the applies: true when op(Q) of an m x k reflector
+/// applied to n columns takes the packed branch (the packed GEMM's own
+/// threshold on the m x n x k product).
+bool apply_wants_packed(int m, int n, int k);
+
+/// The block reflector of one elimination, packed once as the A-operands of
+/// its applies' three GEMMs (kernels/pack.hpp):
+///   Geqrt  V^T upper, V lower (m x k unit-lower trapezoid), op(T)
+///   Ts     V^T and V dense (the square part of [I; V])
+///   Tt     V^T lower, V upper (V is the upper triangle of the killed tile)
+/// and op(T) upper for Trans::No, lower (T^T) for Trans::Yes. The structural
+/// zeros of V are written as zeros, never read, so V's tile may hold R or
+/// older reflectors there. Moving keeps the packed storage in place.
+template <typename T>
+class PackedReflector {
+ public:
+  PackedReflector() = default;
+  /// Pack (V, T) into storage this reflector owns.
+  PackedReflector(QrKind kind, Trans trans, ConstMatrixView<T> v,
+                  ConstMatrixView<T> t);
+  /// Pack (V, T) into `ws`, valid until the caller's frame closes.
+  PackedReflector(QrKind kind, Trans trans, ConstMatrixView<T> v,
+                  ConstMatrixView<T> t, Workspace& ws);
+  PackedReflector(PackedReflector&&) = default;
+  PackedReflector& operator=(PackedReflector&&) = default;
+
+  bool empty() const { return data_ == nullptr; }
+  QrKind kind() const { return kind_; }
+  Trans trans() const { return trans_; }
+  int rows() const { return v_.rows; }   ///< m, the rows of V
+  int cols() const { return vt_.rows; }  ///< k, the reflector count
+  const PackedA<T>& vt() const { return vt_; }
+  const PackedA<T>& v() const { return v_; }
+  const PackedA<T>& t() const { return t_; }
+  /// The packed storage: size() elements from data().
+  const T* data() const { return data_; }
+  std::size_t size() const { return size_; }
+
+  /// Elements of the packed storage of a `kind` reflector with V m x k.
+  static std::size_t size_for(QrKind kind, Trans trans, int m, int k);
+
+ private:
+  void pack(QrKind kind, Trans trans, ConstMatrixView<T> v,
+            ConstMatrixView<T> t, T* dst);
+
+  QrKind kind_ = QrKind::Geqrt;
+  Trans trans_ = Trans::Yes;
+  PackedA<T> vt_, v_, t_;
+  const T* data_ = nullptr;
+  std::size_t size_ = 0;
+  std::vector<T, AlignedAllocator<T>> owned_;
+};
+
 /// UNMQR: apply Q or Q^T from a GEQRT factorization to C (m x n), from the
 /// left: C <- op(Q) C, with V m x k, T k x k.
 template <typename T>
 void unmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t, MatrixView<T> c,
            Workspace* ws = nullptr, int dispatch_n = 0);
+
+/// UNMQR from a packed Geqrt reflector: C <- op(Q) C with op = q.trans().
+template <typename T>
+void unmqr(const PackedReflector<T>& q, MatrixView<T> c, Workspace* ws = nullptr);
 
 /// TSQRT (triangle on top of square): QR factorization of the stacked tile
 ///   [ R ]   (nb x nb, upper triangular, updated in place)
@@ -138,6 +210,11 @@ void tsmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
            MatrixView<T> c1, MatrixView<T> c2, Workspace* ws = nullptr,
            int dispatch_n = 0);
 
+/// TSMQR from a packed Ts reflector (op = q.trans()).
+template <typename T>
+void tsmqr(const PackedReflector<T>& q, MatrixView<T> c1, MatrixView<T> c2,
+           Workspace* ws = nullptr);
+
 /// TTQRT (triangle on top of triangle): QR factorization of the stacked tile
 ///   [ R1 ]  (nb x nb upper triangular, updated in place)
 ///   [ R2 ]  (nb x nb upper triangular; on exit holds V, upper triangular)
@@ -152,6 +229,11 @@ template <typename T>
 void ttmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
            MatrixView<T> c1, MatrixView<T> c2, Workspace* ws = nullptr,
            int dispatch_n = 0);
+
+/// TTMQR from a packed Tt reflector (op = q.trans()).
+template <typename T>
+void ttmqr(const PackedReflector<T>& q, MatrixView<T> c1, MatrixView<T> c2,
+           Workspace* ws = nullptr);
 
 // ---------------------------------------------------------------------------
 // Incremental (pairwise) pivoting kernels — the LU IncPiv baseline

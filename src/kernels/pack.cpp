@@ -78,7 +78,52 @@ void pack_b_panel(Trans trans, T alpha, int kc, int nc, ConstMatrixView<T> b,
   }
 }
 
+template <typename T>
+std::size_t packed_a_elems(int rows, int depth, Band band) {
+  constexpr int MR = MicroTile<T>::MR;
+  std::size_t elems = 0;
+  for (int i0 = 0; i0 < rows; i0 += MR) {
+    int lo, hi;
+    band_range(band, i0, std::min(MR, rows - i0), depth, lo, hi);
+    elems += static_cast<std::size_t>(hi - lo) * MR;
+  }
+  return elems;
+}
+
+template <typename T>
+PackedA<T> pack_a_operand(Trans trans, ConstMatrixView<T> a, Band band,
+                          bool unit_diag, T* dst) {
+  constexpr int MR = MicroTile<T>::MR;
+  PackedA<T> out;
+  out.rows = trans == Trans::No ? a.rows : a.cols;
+  out.depth = trans == Trans::No ? a.cols : a.rows;
+  out.band = band;
+  out.data = dst;
+  for (int i0 = 0; i0 < out.rows; i0 += MR) {
+    const int mr = std::min(MR, out.rows - i0);
+    int lo, hi;
+    band_range(band, i0, mr, out.depth, lo, hi);
+    for (int l = lo; l < hi; ++l) {
+      T* d = dst + static_cast<std::ptrdiff_t>(l - lo) * MR;
+      for (int i = 0; i < MR; ++i) {
+        const int r = i0 + i;
+        const bool live = i < mr && (band == Band::Dense ||
+                                     (band == Band::Lower ? l <= r : l >= r));
+        d[i] = !live                      ? T(0)
+               : unit_diag && l == r      ? T(1)
+               : trans == Trans::No       ? a(r, l)
+                                          : a(l, r);
+      }
+    }
+    dst += static_cast<std::ptrdiff_t>(hi - lo) * MR;
+  }
+  return out;
+}
+
 #define LUQR_INST(T)                                                        \
+  template std::size_t packed_a_elems<T>(int, int, Band);                   \
+  template PackedA<T> pack_a_operand<T>(Trans, ConstMatrixView<T>, Band,    \
+                                        bool, T*);                          \
   template void pack_a_panel<T, MicroTile<T>::MR>(Trans, int, int,          \
                                                   ConstMatrixView<T>, int,  \
                                                   int, T*);                 \

@@ -26,6 +26,7 @@
 
 #include "kernels/blas.hpp"
 #include "kernels/matrix_view.hpp"
+#include "kernels/workspace.hpp"
 
 namespace luqr::kern {
 
@@ -69,6 +70,66 @@ bool trsm_wants_blocked(int dim);
 /// the chunk reuses the same pack scratch without growing the arena.
 template <typename T>
 std::size_t gemm_pack_scratch_bytes(int m, int n, int k);
+
+/// Packed-A operands: a GEMM A-operand packed once and applied to many B's.
+///
+/// The block reflector of a QR elimination is the A-operand of every apply
+/// of that elimination (W = V^T C, W2 = op(T) W, C -= V W2), so it is packed
+/// once (see kern::PackedReflector in kernels/lapack.hpp). Each operand
+/// records its zero structure as a band: row i of op(A) may be nonzero only
+/// in columns [lo(i), hi(i)). An MR-row micro-panel stores just the union of
+/// its rows' ranges, element (i, l) at data[off + (l - lo) * MR + i], with
+/// explicit zeros where a row's own range is narrower, so triangles take
+/// about half the storage and half the micro-kernel flops.
+enum class Band {
+  Dense,  ///< every column
+  Lower,  ///< columns l <= i (lower triangle or trapezoid)
+  Upper,  ///< columns l >= i (upper triangle or trapezoid)
+};
+
+/// Columns [lo, hi) a band leaves live in the micro-panel of rows
+/// [i0, i0 + mr) of an operand with `depth` columns.
+inline void band_range(Band band, int i0, int mr, int depth, int& lo, int& hi) {
+  lo = 0;
+  hi = depth;
+  if (band == Band::Lower) hi = i0 + mr < depth ? i0 + mr : depth;
+  if (band == Band::Upper) lo = i0 < depth ? i0 : depth;
+}
+
+/// op(A) (rows x depth) packed by pack_a_operand.
+template <typename T>
+struct PackedA {
+  int rows = 0;   ///< rows of op(A), the GEMM's m
+  int depth = 0;  ///< columns of op(A), the GEMM's shared dimension k
+  Band band = Band::Dense;
+  const T* data = nullptr;
+};
+
+/// Elements a packed operand of this shape stores.
+template <typename T>
+std::size_t packed_a_elems(int rows, int depth, Band band);
+
+/// Pack op(A) of `a` (op(A)(i, l) is a(i, l) or a(l, i)) into dst, which
+/// holds packed_a_elems(...) elements on a 64-byte boundary. Entries outside
+/// the band are written as zero without reading `a`, so the storage there
+/// may hold anything (R above a GEQRT's V, older reflectors below a TT V).
+/// With `unit_diag` the diagonal reads as one (GEQRT's implicit unit).
+template <typename T>
+PackedA<T> pack_a_operand(Trans trans, ConstMatrixView<T> a, Band band,
+                          bool unit_diag, T* dst);
+
+/// C <- alpha * A * op(B) + beta * C with A packed: gemm_blocked's loop nest
+/// and KC blocking, with each micro-panel's shared range trimmed to its
+/// band. The trim skips only structural zeros, so for finite operands the
+/// result is bitwise gemm_blocked's on the dense op(A) (the skipped terms
+/// add exact zeros to each partial sum); a NaN or Inf in B still reaches
+/// every element of C whose row reads it inside the band. Column by column
+/// at any width of C, like gemm_blocked. Shares gemm()'s footprint report,
+/// kernel profile class and NaN fault site.
+template <typename T>
+void gemm_packed_a(const PackedA<T>& a, T alpha, Trans transb,
+                   ConstMatrixView<T> b, T beta, MatrixView<T> c,
+                   Workspace* ws = nullptr);
 
 /// Pack the [i0, i0+mc) x [p0, p0+kc) block of op(A) into MR-row panels at
 /// dst (size >= round_up(mc, MR) * kc). op(A)(i, l) is a(i, l) or a(l, i).

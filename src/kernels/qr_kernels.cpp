@@ -162,6 +162,81 @@ void geqrt(MatrixView<T> a, MatrixView<T> t, Workspace* wsp) {
   }
 }
 
+bool apply_wants_packed(int m, int n, int k) {
+  return gemm_wants_blocked(m, n, k);
+}
+
+namespace {
+
+// Elements that keep the next packed operand on a cache-line boundary.
+template <typename T>
+std::size_t line_elems(std::size_t count) {
+  return align_up(count * sizeof(T), kCacheLineBytes) / sizeof(T);
+}
+
+// Bands of V^T and V per elimination kind (op(A) coordinates), and whether
+// V's diagonal is GEQRT's implicit unit.
+struct VBands {
+  Band vt, v;
+  bool unit;
+};
+
+VBands v_bands(QrKind kind) {
+  switch (kind) {
+    case QrKind::Geqrt: return {Band::Upper, Band::Lower, true};
+    case QrKind::Ts: return {Band::Dense, Band::Dense, false};
+    case QrKind::Tt: return {Band::Lower, Band::Upper, false};
+  }
+  throw Error("unknown reflector kind");
+}
+
+// op(T) of the upper-triangular T.
+Band t_band(Trans trans) { return trans == Trans::No ? Band::Upper : Band::Lower; }
+
+}  // namespace
+
+template <typename T>
+std::size_t PackedReflector<T>::size_for(QrKind kind, Trans trans, int m, int k) {
+  const VBands b = v_bands(kind);
+  return line_elems<T>(packed_a_elems<T>(k, m, b.vt)) +
+         line_elems<T>(packed_a_elems<T>(m, k, b.v)) +
+         line_elems<T>(packed_a_elems<T>(k, k, t_band(trans)));
+}
+
+template <typename T>
+void PackedReflector<T>::pack(QrKind kind, Trans trans, ConstMatrixView<T> v,
+                              ConstMatrixView<T> t, T* dst) {
+  const int m = v.rows, k = v.cols;
+  LUQR_REQUIRE(t.rows >= k && t.cols >= k &&
+                   (kind != QrKind::Geqrt || m >= k) &&
+                   (kind != QrKind::Tt || m == k),
+               "reflector shape mismatch");
+  const VBands b = v_bands(kind);
+  kind_ = kind;
+  trans_ = trans;
+  data_ = dst;
+  vt_ = pack_a_operand(Trans::Yes, v, b.vt, b.unit, dst);
+  dst += line_elems<T>(packed_a_elems<T>(k, m, b.vt));
+  v_ = pack_a_operand(Trans::No, v, b.v, b.unit, dst);
+  dst += line_elems<T>(packed_a_elems<T>(m, k, b.v));
+  t_ = pack_a_operand(trans, t.block(0, 0, k, k), t_band(trans), false, dst);
+}
+
+template <typename T>
+PackedReflector<T>::PackedReflector(QrKind kind, Trans trans,
+                                    ConstMatrixView<T> v, ConstMatrixView<T> t)
+    : size_(size_for(kind, trans, v.rows, v.cols)), owned_(size_) {
+  pack(kind, trans, v, t, owned_.data());
+}
+
+template <typename T>
+PackedReflector<T>::PackedReflector(QrKind kind, Trans trans,
+                                    ConstMatrixView<T> v, ConstMatrixView<T> t,
+                                    Workspace& ws)
+    : size_(size_for(kind, trans, v.rows, v.cols)) {
+  pack(kind, trans, v, t, ws.alloc<T>(size_));
+}
+
 template <typename T>
 void unmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
            MatrixView<T> c, Workspace* wsp, int dispatch_n) {
@@ -176,36 +251,15 @@ void unmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
                         obs::unmqr_model_flops(m, n, k));
   Workspace& ws = workspace_or_tls(wsp);
   Workspace::Frame frame(ws);
-  MatrixView<T> w(ws.alloc<T>(static_cast<std::size_t>(k) * n), k, n, k);
-
-  if (gemm_wants_blocked(k, dn, m)) {
-    // Big tiles: materialize the unit-lower-trapezoidal V densely (the
-    // upper triangle of its storage holds R and must read as zero, the
-    // diagonal as one) so both halves of the compact-WY apply are packed
-    // GEMMs — the W = V^T C / C -= V W shapes that dominate the QR step.
-    MatrixView<T> vfull(ws.alloc<T>(static_cast<std::size_t>(m) * k), m, k, m);
-    for (int j = 0; j < k; ++j) {
-      T* col = &vfull(0, j);
-      for (int i = 0; i < j; ++i) col[i] = T(0);
-      col[j] = T(1);
-      const T* src = &v(0, j);
-      for (int i = j + 1; i < m; ++i) col[i] = src[i];
-    }
-    // W = V^T C.
-    gemm(Trans::Yes, Trans::No, T(1), ConstMatrixView<T>(vfull),
-         ConstMatrixView<T>(c), T(0), w, &ws, dn);
-    // W <- op(T) W.
-    trmm(Side::Left, Uplo::Upper, trans, Diag::NonUnit, T(1),
-         t.block(0, 0, k, k), w, &ws);
-    // C <- C - V W.
-    gemm(Trans::No, Trans::No, T(-1), ConstMatrixView<T>(vfull),
-         ConstMatrixView<T>(w), T(1), c, &ws, dn);
+  if (apply_wants_packed(m, dn, k)) {
+    unmqr(PackedReflector<T>(QrKind::Geqrt, trans, v, t, ws), c, &ws);
     return;
   }
 
   // Small tiles: trapezoidal loops, no value-based short-circuits (a NaN in
   // W must reach every row of C it mathematically touches).
   // W = V^T C with V unit lower trapezoidal (implicit unit diagonal).
+  MatrixView<T> w(ws.alloc<T>(static_cast<std::size_t>(k) * n), k, n, k);
   for (int j = 0; j < n; ++j) {
     for (int i = 0; i < k; ++i) {
       T acc = c(i, j);  // unit diagonal element of column i
@@ -226,12 +280,35 @@ void unmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
   }
 }
 
+template <typename T>
+void unmqr(const PackedReflector<T>& q, MatrixView<T> c, Workspace* wsp) {
+  LUQR_REQUIRE(!q.empty() && q.kind() == QrKind::Geqrt && c.rows == q.rows(),
+               "unmqr shape mismatch");
+  note_access(q.data(), q.size() * sizeof(T), /*write=*/false);
+  note_write(c);
+  const int m = c.rows, n = c.cols, k = q.cols();
+  if (m == 0 || n == 0 || k == 0) return;
+  obs::KernelScope prof(obs::KernelClass::Unmqr,
+                        obs::unmqr_model_flops(m, n, k));
+  Workspace& ws = workspace_or_tls(wsp);
+  Workspace::Frame frame(ws);
+  MatrixView<T> w(ws.alloc<T>(static_cast<std::size_t>(k) * n), k, n, k);
+  MatrixView<T> w2(ws.alloc<T>(static_cast<std::size_t>(k) * n), k, n, k);
+  // W = V^T C; W2 = op(T) W; C <- C - V W2.
+  gemm_packed_a(q.vt(), T(1), Trans::No, ConstMatrixView<T>(c), T(0), w, &ws);
+  gemm_packed_a(q.t(), T(1), Trans::No, ConstMatrixView<T>(w), T(0), w2, &ws);
+  gemm_packed_a(q.v(), T(-1), Trans::No, ConstMatrixView<T>(w2), T(1), c, &ws);
+}
+
 #define LUQR_INST(T)                                                          \
   template void geqrt<T>(MatrixView<T>, MatrixView<T>, Workspace*);           \
   template void geqrt_unblocked<T>(MatrixView<T>, MatrixView<T>, Workspace*); \
   template void geqrt_blocked<T>(MatrixView<T>, MatrixView<T>, Workspace*);   \
   template void unmqr<T>(Trans, ConstMatrixView<T>, ConstMatrixView<T>,       \
-                         MatrixView<T>, Workspace*, int);
+                         MatrixView<T>, Workspace*, int);                     \
+  template void unmqr<T>(const PackedReflector<T>&, MatrixView<T>,            \
+                         Workspace*);                                         \
+  template class PackedReflector<T>;
 LUQR_INST(double)
 LUQR_INST(float)
 #undef LUQR_INST

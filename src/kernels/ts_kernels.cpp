@@ -79,7 +79,11 @@ void tsmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
   const int dn = dispatch_n > 0 ? dispatch_n : n;
   Workspace& ws = workspace_or_tls(wsp);
   Workspace::Frame frame(ws);
-  // Z = C1 + V^T C2  (the stacked reflectors are [I; V]).
+  if (apply_wants_packed(m, dn, nb)) {
+    tsmqr(PackedReflector<T>(QrKind::Ts, trans, v, t, ws), c1, c2, &ws);
+    return;
+  }
+  // Small tiles: Z = C1 + V^T C2 (the stacked reflectors are [I; V]).
   MatrixView<T> z(ws.alloc<T>(static_cast<std::size_t>(nb) * n), nb, n, nb);
   copy(ConstMatrixView<T>(c1), z);
   gemm(Trans::Yes, Trans::No, T(1), v, ConstMatrixView<T>(c2), T(1), z, &ws,
@@ -94,11 +98,39 @@ void tsmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
        dn);
 }
 
+template <typename T>
+void tsmqr(const PackedReflector<T>& q, MatrixView<T> c1, MatrixView<T> c2,
+           Workspace* wsp) {
+  const int nb = q.cols(), m = q.rows(), n = c1.cols;
+  LUQR_REQUIRE(!q.empty() && q.kind() == QrKind::Ts && c1.rows == nb &&
+                   c2.rows == m && c2.cols == n,
+               "tsmqr shape mismatch");
+  note_access(q.data(), q.size() * sizeof(T), /*write=*/false);
+  note_write(c1);
+  note_write(c2);
+  if (n == 0) return;
+  obs::KernelScope prof(obs::KernelClass::Tsmqr,
+                        obs::tsmqr_model_flops(m, n, nb));
+  Workspace& ws = workspace_or_tls(wsp);
+  Workspace::Frame frame(ws);
+  MatrixView<T> z(ws.alloc<T>(static_cast<std::size_t>(nb) * n), nb, n, nb);
+  MatrixView<T> w(ws.alloc<T>(static_cast<std::size_t>(nb) * n), nb, n, nb);
+  // Z = C1 + V^T C2; W = op(T) Z; C1 -= W; C2 -= V W.
+  copy(ConstMatrixView<T>(c1), z);
+  gemm_packed_a(q.vt(), T(1), Trans::No, ConstMatrixView<T>(c2), T(1), z, &ws);
+  gemm_packed_a(q.t(), T(1), Trans::No, ConstMatrixView<T>(z), T(0), w, &ws);
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < nb; ++i) c1(i, j) -= w(i, j);
+  gemm_packed_a(q.v(), T(-1), Trans::No, ConstMatrixView<T>(w), T(1), c2, &ws);
+}
+
 #define LUQR_INST(T)                                                      \
   template void tsqrt<T>(MatrixView<T>, MatrixView<T>, MatrixView<T>,     \
                          Workspace*);                                     \
   template void tsmqr<T>(Trans, ConstMatrixView<T>, ConstMatrixView<T>,   \
-                         MatrixView<T>, MatrixView<T>, Workspace*, int);
+                         MatrixView<T>, MatrixView<T>, Workspace*, int);  \
+  template void tsmqr<T>(const PackedReflector<T>&, MatrixView<T>,        \
+                         MatrixView<T>, Workspace*);
 LUQR_INST(double)
 LUQR_INST(float)
 #undef LUQR_INST

@@ -81,37 +81,16 @@ void ttmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
   const int dn = dispatch_n > 0 ? dispatch_n : n;
   Workspace& ws = workspace_or_tls(wsp);
   Workspace::Frame frame(ws);
-  MatrixView<T> z(ws.alloc<T>(static_cast<std::size_t>(nb) * n), nb, n, nb);
-  copy(ConstMatrixView<T>(c1), z);
-
-  if (gemm_wants_blocked(nb, dn, nb)) {
-    // Big tiles: materialize the triangular V as a dense tile (the storage
-    // below its diagonal belongs to earlier reflectors and must read as
-    // zero) and ride the packed GEMM for both V^T C2 and V Z. The explicit
-    // zeros double the nominal flop count but run at blocked-kernel speed,
-    // which overtakes the short triangular loops well before nb = 64.
-    MatrixView<T> vfull(ws.alloc<T>(static_cast<std::size_t>(nb) * nb), nb, nb, nb);
-    for (int j = 0; j < nb; ++j) {
-      T* col = &vfull(0, j);
-      for (int i = 0; i <= j; ++i) col[i] = v(i, j);
-      for (int i = j + 1; i < nb; ++i) col[i] = T(0);
-    }
-    // Z = C1 + V^T C2.
-    gemm(Trans::Yes, Trans::No, T(1), ConstMatrixView<T>(vfull),
-         ConstMatrixView<T>(c2), T(1), z, &ws, dn);
-    trmm(Side::Left, Uplo::Upper, trans, Diag::NonUnit, T(1),
-         t.block(0, 0, nb, nb), z, &ws);
-    // C1 -= Z ; C2 -= V Z.
-    for (int j = 0; j < n; ++j)
-      for (int i = 0; i < nb; ++i) c1(i, j) -= z(i, j);
-    gemm(Trans::No, Trans::No, T(-1), ConstMatrixView<T>(vfull),
-         ConstMatrixView<T>(z), T(1), c2, &ws, dn);
+  if (apply_wants_packed(nb, dn, nb)) {
+    ttmqr(PackedReflector<T>(QrKind::Tt, trans, v, t, ws), c1, c2, &ws);
     return;
   }
 
   // Small tiles: triangular loops touch half the elements; no value-based
   // short-circuits (NaN/Inf in C2/Z must propagate).
   // Z = C1 + V^T C2 with V upper triangular.
+  MatrixView<T> z(ws.alloc<T>(static_cast<std::size_t>(nb) * n), nb, n, nb);
+  copy(ConstMatrixView<T>(c1), z);
   for (int j = 0; j < n; ++j) {
     for (int i = 0; i < nb; ++i) {
       T acc = T(0);
@@ -131,11 +110,39 @@ void ttmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
   }
 }
 
+template <typename T>
+void ttmqr(const PackedReflector<T>& q, MatrixView<T> c1, MatrixView<T> c2,
+           Workspace* wsp) {
+  const int nb = q.cols(), n = c1.cols;
+  LUQR_REQUIRE(!q.empty() && q.kind() == QrKind::Tt && c1.rows == nb &&
+                   c2.rows == nb && c2.cols == n,
+               "ttmqr shape mismatch");
+  note_access(q.data(), q.size() * sizeof(T), /*write=*/false);
+  note_write(c1);
+  note_write(c2);
+  if (n == 0) return;
+  obs::KernelScope prof(obs::KernelClass::Ttmqr, obs::ttmqr_model_flops(n, nb));
+  Workspace& ws = workspace_or_tls(wsp);
+  Workspace::Frame frame(ws);
+  MatrixView<T> z(ws.alloc<T>(static_cast<std::size_t>(nb) * n), nb, n, nb);
+  MatrixView<T> w(ws.alloc<T>(static_cast<std::size_t>(nb) * n), nb, n, nb);
+  // Z = C1 + V^T C2; W = op(T) Z; C1 -= W; C2 -= V W — V's triangles and
+  // op(T)'s trimmed to their halves.
+  copy(ConstMatrixView<T>(c1), z);
+  gemm_packed_a(q.vt(), T(1), Trans::No, ConstMatrixView<T>(c2), T(1), z, &ws);
+  gemm_packed_a(q.t(), T(1), Trans::No, ConstMatrixView<T>(z), T(0), w, &ws);
+  for (int j = 0; j < n; ++j)
+    for (int i = 0; i < nb; ++i) c1(i, j) -= w(i, j);
+  gemm_packed_a(q.v(), T(-1), Trans::No, ConstMatrixView<T>(w), T(1), c2, &ws);
+}
+
 #define LUQR_INST(T)                                                      \
   template void ttqrt<T>(MatrixView<T>, MatrixView<T>, MatrixView<T>,     \
                          Workspace*);                                     \
   template void ttmqr<T>(Trans, ConstMatrixView<T>, ConstMatrixView<T>,   \
-                         MatrixView<T>, MatrixView<T>, Workspace*, int);
+                         MatrixView<T>, MatrixView<T>, Workspace*, int);  \
+  template void ttmqr<T>(const PackedReflector<T>&, MatrixView<T>,        \
+                         MatrixView<T>, Workspace*);
 LUQR_INST(double)
 LUQR_INST(float)
 #undef LUQR_INST

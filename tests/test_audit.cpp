@@ -11,7 +11,11 @@
 // factorization deterministic.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <functional>
+#include <iterator>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -384,6 +388,95 @@ TEST(DriverAudit, AllQrFactorizationPasses) {
   EXPECT_GT(stats.audited_tasks, 0u);
   EXPECT_EQ(stats.audit_access_violations, 0u);
   EXPECT_EQ(stats.audit_hb_violations, 0u);
+}
+
+// Records every emitted task's declarations and runs it at once, as the
+// inline sink does.
+class CapturingSink final : public core::TaskSink {
+ public:
+  struct Task {
+    core::TaskInfo info;
+    std::vector<core::Dep> deps;
+  };
+  void emit(std::function<void()> fn, const std::vector<core::Dep>& deps,
+            const core::TaskInfo& info) override {
+    tasks.push_back({info, deps});
+    fn();
+  }
+  void advance(std::function<void()> next) override { next_ = std::move(next); }
+  void run(std::function<void()> first) {
+    next_ = std::move(first);
+    while (next_) std::exchange(next_, nullptr)();
+  }
+  std::vector<Task> tasks;
+
+ private:
+  std::function<void()> next_;
+};
+
+TEST(DriverAudit, QrUpdatesReadTheirEliminationsReflector) {
+  // Every QR update (and every A2 diagonal apply) declares a Read of the
+  // reflector its step's factor task declared a Write of, and no access to
+  // the factored column k, whose tiles it never reads. Both sides of the
+  // packed-apply threshold: nb = 16 keeps the loop branch's V/T copies.
+  const std::string apply_of[] = {"unmqr", "tsmqr", "ttmqr"};
+  const std::string factor_of[] = {"geqrt", "tsqrt", "ttqrt"};
+  for (int nb : {16, 32}) {
+    for (core::LuVariant variant : kVariants) {
+      const auto dense = gen::generate(gen::MatrixKind::Random, 4 * nb, 23);
+      TileMatrix<double> tiles = TileMatrix<double>::from_dense(dense, nb);
+      core::HybridOptions opt;
+      opt.grid_p = 2;
+      opt.variant = variant;
+      RandomCriterion criterion(0.5);
+      core::StepGraph<double> graph(tiles, &criterion, opt, nullptr);
+      CapturingSink sink;
+      sink.run([&] { graph.emit(sink, 0); });
+      const auto stats = graph.take_stats();
+      ASSERT_GT(stats.qr_steps, 0);
+
+      std::map<const void*, int> tile_column;
+      for (int j = 0; j < tiles.nt(); ++j)
+        for (int i = 0; i < tiles.mt(); ++i) tile_column[tiles.tile_key(i, j)] = j;
+      // Reflector key -> (step, name of the task that wrote it).
+      std::map<const void*, std::pair<int, std::string>> writer;
+      int updates = 0;
+      for (const CapturingSink::Task& task : sink.tasks) {
+        const std::string name = task.info.name;
+        const int k = task.info.k;
+        SCOPED_TRACE(::testing::Message() << "nb=" << nb << " variant="
+                                          << static_cast<int>(variant) << " "
+                                          << name << " k=" << k);
+        for (const core::Dep& d : task.deps)
+          if (d.mode == core::Access::Write && tile_column.count(d.key) == 0)
+            writer[d.key] = {k, name};
+        const auto kind = std::find(std::begin(apply_of), std::end(apply_of), name) -
+                          std::begin(apply_of);
+        const bool update = task.info.role == core::TaskRole::Update && kind < 3;
+        const bool diag_apply = task.info.role == core::TaskRole::Apply &&
+                                variant == core::LuVariant::A2;
+        if (!update && !diag_apply) continue;
+        ++updates;
+        int reflector_reads = 0;
+        for (const core::Dep& d : task.deps) {
+          const auto col = tile_column.find(d.key);
+          if (col != tile_column.end()) {
+            EXPECT_NE(col->second, k) << "declares a tile of the factored column";
+            EXPECT_NE(d.mode, core::Access::Read);
+            continue;
+          }
+          ++reflector_reads;
+          EXPECT_EQ(d.mode, core::Access::Read);
+          const auto w = writer.find(d.key);
+          ASSERT_NE(w, writer.end()) << "reads a datum no earlier task wrote";
+          EXPECT_EQ(w->second.first, k);
+          EXPECT_EQ(w->second.second, diag_apply ? "panel" : factor_of[kind]);
+        }
+        EXPECT_EQ(reflector_reads, 1);
+      }
+      EXPECT_GT(updates, 0);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 // Tests for the retained Factorization API (§II-D-1 second pass): replayed
 // transformations must solve accurately across trees, and reproduce the
-// fused-RHS driver exactly in f32 and f64 up to nb = 128; iterative
-// refinement must improve LU-heavy solves. test_routes checks every solve
-// route, variant, padded order and repeated solve against the retained
-// solve.
+// fused-RHS driver exactly in f64 up to nb = 128; iterative refinement
+// must improve LU-heavy solves. test_routes checks every solve route,
+// variant, padded order and repeated solve against the retained solve, and
+// float fused == float retained (its fused/core route).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -136,22 +136,19 @@ class AlternatingCriterion : public Criterion {
   std::string name() const override { return "alternating"; }
 };
 
-// One configuration of ExactWidthPanelOnQrFactorizations, in scalar T.
-template <typename T>
+// One configuration of ExactWidthPanelOnQrFactorizations.
 void expect_retained_matches_fused(int nb, const HybridOptions& opt,
                                    std::uint64_t seed) {
-  using luqr::testing::converted;
   const int n = 3 * nb + nb / 2;  // four tile rows, the last one padded
-  const auto a =
-      converted<T>(gen::generate(gen::MatrixKind::Random, n, seed));
+  const auto a = gen::generate(gen::MatrixKind::Random, n, seed);
   AlternatingCriterion crit;
-  const auto fac = FactorizationT<T>::compute(a, crit, nb, opt);
+  const auto fac = FactorizationT<double>::compute(a, crit, nb, opt);
   ASSERT_GT(fac.stats().qr_steps, 0);
   ASSERT_GT(fac.stats().lu_steps, 0);
   // Nine columns: at nb = 32 a kernel re-dispatched on its own width would
   // leave the simple loops there, but not for a single column.
   for (int cols : {1, 3, 9}) {
-    const auto b = converted<T>(random_matrix(n, cols, seed + cols));
+    const auto b = random_matrix(n, cols, seed + cols);
     AlternatingCriterion fused_crit;
     const auto x_fused = fused_solve(a, b, fused_crit, nb, opt);
     const auto x = fac.solve(b);
@@ -166,7 +163,8 @@ TEST(Factorization, ExactWidthPanelOnQrFactorizations) {
   // the A2/B2 diagonal applies at the exact RHS width, each kernel
   // dispatched as for an nb-wide tile: still bitwise vs the fused driver.
   // nb spans both sides of the packed-GEMM threshold; grid_p = 2 adds the
-  // distributed TT tree on top of the local FlatTS/Greedy one.
+  // distributed TT tree on top of the local FlatTS/Greedy one. The float
+  // half of this check is test_routes' fused/core route.
   std::uint64_t seed = 40;
   for (auto variant :
        {LuVariant::A1, LuVariant::A2, LuVariant::B1, LuVariant::B2})
@@ -182,8 +180,7 @@ TEST(Factorization, ExactWidthPanelOnQrFactorizations) {
           opt.grid_p = grid_p;
           opt.tree.local = local;
           ++seed;
-          expect_retained_matches_fused<double>(nb, opt, seed);
-          expect_retained_matches_fused<float>(nb, opt, seed);
+          expect_retained_matches_fused(nb, opt, seed);
         }
 }
 
@@ -195,6 +192,47 @@ TEST(Factorization, MemoryBytesAccountsForTilesAndLog) {
   EXPECT_GE(fac.memory_bytes(), 2u * 64u * 64u * sizeof(double));
   EXPECT_EQ(fac.matrix().rows(), 64);
   EXPECT_EQ(fac.matrix().cols(), 64);
+}
+
+TEST(Factorization, MemoryBytesIsTheSumOfItsParts) {
+  // A QR-heavy A2 factorization (QR steps plus diagonal GEQRT reflectors on
+  // its LU steps) at a padded order. nb = 32 retains packed reflectors and
+  // no T; nb = 16 stays below the packed-apply threshold and keeps V and T.
+  for (int nb : {16, 32}) {
+    SCOPED_TRACE(::testing::Message() << "nb=" << nb);
+    const int n = 4 * nb - 5, mt = 4;
+    const auto a = gen::generate(gen::MatrixKind::Random, n, 28);
+    AlternatingCriterion crit;
+    HybridOptions opt;
+    opt.variant = LuVariant::A2;
+    const auto fac = FactorizationT<double>::compute(a, crit, nb, opt);
+    ASSERT_GT(fac.stats().qr_steps, 0);
+    ASSERT_GT(fac.stats().lu_steps, 0);
+    const bool packed = kern::apply_wants_packed(nb, nb, nb);
+    EXPECT_EQ(packed, nb == 32);
+    const auto reflector_bytes = [&](const Reflector& q) {
+      EXPECT_EQ(q.packed.empty(), !packed);
+      const std::size_t elems =
+          packed ? kern::PackedReflector<double>::size_for(q.kind, kern::Trans::Yes,
+                                                           nb, nb)
+                 : 2u * nb * nb;  // V and T
+      return sizeof(Reflector) + elems * sizeof(double);
+    };
+    std::size_t want = sizeof(fac) +
+                       static_cast<std::size_t>(mt * mt) * nb * nb * sizeof(double) +
+                       static_cast<std::size_t>(n) * n * sizeof(double);
+    for (const StepLog& step : fac.log()) {
+      want += sizeof(StepLog) +
+              (step.domain_rows.size() + step.piv.size()) * sizeof(int);
+      EXPECT_EQ(step.diag_t != nullptr, step.lu);
+      if (step.diag_t) want += reflector_bytes(*step.diag_t);
+      for (const QrOp& op : step.qr_ops)
+        want += sizeof(QrOp) + reflector_bytes(*op.reflector);
+    }
+    for (const StepRecord& rec : fac.stats().steps)
+      want += sizeof(StepRecord) + rec.diag_piv.size() * sizeof(int);
+    EXPECT_EQ(fac.memory_bytes(), want);
+  }
 }
 
 TEST(Factorization, RejectsWrongShapes) {

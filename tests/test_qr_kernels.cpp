@@ -5,6 +5,7 @@
 
 #include <cmath>
 #include <tuple>
+#include <vector>
 
 #include "kernels/lapack.hpp"
 #include "kernels/reference.hpp"
@@ -181,6 +182,70 @@ TYPED_TEST(UnmqrDispatchWidth, WideCallMatchesNbWideSlicesBitwise) {
         unmqr(Trans::Yes, vr.cview(), t.cview(),
               tiled.view().block(0, c0, nb, nb));
       luqr::testing::expect_leading_columns_bitwise(wide, tiled, "unmqr");
+    }
+  }
+}
+
+// The widths a prebuilt-reflector apply is checked at: one column, 2..nb and
+// nb+1..nb+4, all dispatched at width nb on the per-call side.
+std::vector<int> apply_widths(int nb) {
+  return {1, 2, 3, nb / 2 + 1, nb - 1, nb, nb + 1, nb + 4};
+}
+
+// A reflector built once (the factor's gate task, the retained
+// factorization) applies bit for bit as the per-call (V, T) apply, which
+// packs one in its workspace: square V and trapezoidal V (m > k, as in the
+// blocked GEQRT's inner update), for Q^T and Q.
+TYPED_TEST(UnmqrDispatchWidth, PrebuiltReflectorMatchesPerCallApplyBitwise) {
+  using T = TypeParam;
+  using luqr::testing::converted;
+  for (int nb : {32, 64, 128}) {
+    for (int m : {nb, nb + 40}) {
+      auto vr = converted<T>(random_matrix(m, nb, 800 + m + nb));
+      Matrix<T> t(nb, nb);
+      geqrt(vr.view(), t.view());
+      for (Trans trans : {Trans::Yes, Trans::No}) {
+        const PackedReflector<T> q(QrKind::Geqrt, trans, vr.cview(), t.cview());
+        ASSERT_EQ(q.size(), PackedReflector<T>::size_for(QrKind::Geqrt, trans, m, nb));
+        for (int w : apply_widths(nb)) {
+          SCOPED_TRACE(::testing::Message() << "nb=" << nb << " m=" << m
+                                            << " W=" << w);
+          const auto c = converted<T>(random_matrix(m, w, 900 + w));
+          Matrix<T> per_call = c, prebuilt = c;
+          unmqr(trans, vr.cview(), t.cview(), per_call.view(), nullptr, nb);
+          unmqr(q, prebuilt.view());
+          luqr::testing::expect_leading_columns_bitwise(prebuilt, per_call,
+                                                        "unmqr prebuilt");
+        }
+      }
+    }
+  }
+}
+
+// The packed operands skip only structural zeros: an Inf or NaN in C still
+// reaches every output element that depends on it (the nonzeros of Q^T e_r,
+// its finite response), and no other column.
+TEST(Unmqr, NonFiniteInputReachesEveryDependentOutput) {
+  const int nb = 32;
+  auto vr = random_matrix(nb, nb, 950);
+  Matrix<double> t(nb, nb);
+  geqrt(vr.view(), t.view());
+  const PackedReflector<double> q(QrKind::Geqrt, Trans::Yes, vr.cview(), t.cview());
+  for (double bad : {INFINITY, NAN}) {
+    for (int r : {0, nb / 2, nb - 1}) {
+      SCOPED_TRACE(::testing::Message() << "bad=" << bad << " row=" << r);
+      Matrix<double> e(nb, 1);
+      e(r, 0) = 1.0;
+      unmqr(q, e.view());
+      auto c = random_matrix(nb, 3, 960 + r);
+      c(r, 1) = bad;
+      unmqr(q, c.view());
+      for (int i = 0; i < nb; ++i) {
+        if (e(i, 0) != 0.0) {
+          EXPECT_FALSE(std::isfinite(c(i, 1))) << i;
+        }
+        EXPECT_TRUE(std::isfinite(c(i, 0)) && std::isfinite(c(i, 2))) << i;
+      }
     }
   }
 }

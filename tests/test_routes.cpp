@@ -10,7 +10,10 @@
 // of b, 0 or 2 refinement sweeps, growth tracking and the serve owner's
 // grain, and every route in kRouteName solves the drawn A x = b. Each must
 // return, bit for bit, the x of one reference, the serial retained solve,
-// with its step counts, growth factor and solve report. The reference is
+// with its step counts, growth factor and solve report. Where columns fuse,
+// fused/core runs the core fused-RHS driver (tile [A | b], factor, back-
+// substitute) in the working precision, so F32 draws check float fused ==
+// float retained, which no Solver route runs. The reference is
 // built apart from the spec Solver (an external criterion instance at F64,
 // float factors adopted by hand at reduced precision), so factor/serial is
 // checked too. At F64 without sweeps solve/serial is the fused driver, so the
@@ -41,6 +44,7 @@
 #include "api/batch.hpp"
 #include "api/solver.hpp"
 #include "core/hybrid.hpp"
+#include "core/solve.hpp"
 #include "gen/generators.hpp"
 #include "runtime/engine.hpp"
 #include "runtime/parallel_hybrid.hpp"
@@ -70,15 +74,18 @@ enum Route {
   kServeHit, kServeBatch,                     // submit_solve hit, submit_batch
   kManyMiss, kManySkim, kManyAttach,          // submit_many
   kFactorSolveMany, kSolveMany,               // batch::
+  kFusedCore,                                 // core fused-RHS driver in T
   kRoutes
 };
 constexpr const char* kRouteName[kRoutes] = {
     "solve/serial", "solve/pool",   "solve/shared", "factor/serial",
     "factor/pool",  "factor/shared", "serve/coarse", "serve/fine",
     "serve/hit",    "serve/batch",  "many/miss",    "many/skim",
-    "many/attach",  "batch/factor_solve_many",      "batch/solve_many"};
+    "many/attach",  "batch/factor_solve_many",      "batch/solve_many",
+    "fused/core"};
 
-// The routes a draw on this backend and grain runs.
+// The routes a draw on this backend and grain runs (and fused/core where its
+// columns fuse).
 std::vector<Route> routes_of(Where where, Grain grain) {
   std::vector<Route> r = {kSolveSerial, kFactorSerial,
                           grain == Grain::Coarse ? kServeCoarse : kServeFine,
@@ -175,6 +182,15 @@ const Row kMustReach[] = {
     {P::F32_IR, V::B1, Mix::Mixed, kPad, Width::BeyondNb, Where::Pool, Grain::Fine, 0, 0, 1},
     {P::F32_IR, V::B2, Mix::Mixed, kPad, Width::One, Where::Shared, Grain::Coarse, 0, -1, 1},
     {P::F64, V::B1, Mix::Mixed, kPad, Width::BeyondNb, Where::Serial, Grain::Fine},
+    // Float fused == float retained (fused/core) on QR-heavy draws, up to
+    // nb + 4 columns, nb = 128 (blocked panels, packed reflectors) included;
+    // formerly the f32 half of ExactWidthPanelOnQrFactorizations.
+    {P::F32, V::A1, Mix::QR, kExact, Width::BeyondNb, Where::Serial, Grain::Coarse, 128, 0},
+    {P::F32, V::A2, Mix::Mixed, kPad, Width::UpToNb, Where::Pool, Grain::Fine, 128, 0},
+    {P::F32, V::B2, Mix::Mixed, kExact, Width::BeyondNb, Where::Shared, Grain::Coarse, 128, 0},
+    {P::F32, V::B1, Mix::Mixed, kPad, Width::BeyondNb, Where::Pool, Grain::Coarse, 32, 0},
+    {P::F32, V::B2, Mix::QR, kExact, Width::One, Where::Serial, Grain::Fine, 32, 0},
+    {P::F32, V::A1, Mix::Mixed, kExact, Width::UpToNb, Where::Shared, Grain::Coarse, 16, 0},
 };
 
 constexpr int kFreeDraws = 4;
@@ -349,11 +365,18 @@ void expect_same_factor_data(const Draw& d, const Matrix<double>& a,
     for (int i = 0; i < got.rows(); ++i)
       ASSERT_EQ(got.at(i, j), want.at(i, j)) << "tile element " << i << "," << j;
   EXPECT_EQ(stats.growth_factor, want_stats.growth_factor);
-  const auto same = [](const std::shared_ptr<Matrix<T>>& x,
-                       const std::shared_ptr<Matrix<T>>& y) {
+  const auto same_matrix = [](const Matrix<T>& x, const Matrix<T>& y) {
+    return x.rows() == y.rows() && x.cols() == y.cols() &&
+           std::equal(x.data(), x.data() + x.rows() * x.cols(), y.data());
+  };
+  // A block reflector: its packed operands or its loop-branch V and T.
+  const auto same = [&](const std::shared_ptr<core::ReflectorT<T>>& x,
+                        const std::shared_ptr<core::ReflectorT<T>>& y) {
     if (!x || !y) return !x && !y;
-    return x->rows() == y->rows() && x->cols() == y->cols() &&
-           std::equal(x->data(), x->data() + x->rows() * x->cols(), y->data());
+    return x->kind == y->kind && x->packed.size() == y->packed.size() &&
+           std::equal(x->packed.data(), x->packed.data() + x->packed.size(),
+                      y->packed.data()) &&
+           same_matrix(x->v, y->v) && same_matrix(x->t, y->t);
   };
   ASSERT_EQ(stats.steps.size(), want_stats.steps.size());
   ASSERT_EQ(log.size(), want_log.size());
@@ -373,7 +396,7 @@ void expect_same_factor_data(const Draw& d, const Matrix<double>& a,
       EXPECT_EQ(g.kind, w.kind) << "op " << o;
       EXPECT_EQ(g.killer, w.killer) << "op " << o;
       EXPECT_EQ(g.killed, w.killed) << "op " << o;
-      EXPECT_TRUE(same(g.t, w.t)) << "op " << o;
+      EXPECT_TRUE(same(g.reflector, w.reflector)) << "op " << o;
     }
   }
 }
@@ -428,6 +451,7 @@ class Oracle {
     std::vector<serve::JobHandle> miss = start_many_miss(miss_svc);
     Served served = start_serve_routes(svc);
     solver_routes();
+    fused_route();
     if (d.row.where != Where::Serial) {
       if (d.row.precision == Precision::F64)
         expect_same_factor_data<double>(d, a_, *shared_);
@@ -574,6 +598,31 @@ class Oracle {
       got.x = fac.solve(b_, &got.report, d_.sweeps);
       check(static_cast<Route>(kFactorSerial + offset), {got}, want_);
     }
+  }
+
+  // The core fused-RHS driver on the draw's matrix in the working scalar:
+  // make_augmented + hybrid_factor on the inline sink + solve_augmented,
+  // then widened. Only where columns fuse (no sweeps, not F32_IR).
+  template <typename T>
+  Matrix<double> fused_core() const {
+    using luqr::testing::converted;
+    const Matrix<T> at = converted<T>(a_), bt = converted<T>(b_);
+    TileMatrix<T> aug = core::make_augmented(at, bt, d_.nb);
+    const auto crit = make_criterion(d_.criterion);
+    const auto stats =
+        core::hybrid_factor(aug, *crit, d_.config().hybrid_options());
+    const Matrix<T> x = core::solve_augmented(aug, &stats, d_.n, d_.width);
+    Matrix<double> wide(x.rows(), x.cols());
+    for (int j = 0; j < x.cols(); ++j)
+      for (int i = 0; i < x.rows(); ++i) wide(i, j) = static_cast<double>(x(i, j));
+    return wide;
+  }
+
+  void fused_route() {
+    if (!d_.fuses()) return;
+    Matrix<double> x = d_.row.precision == Precision::F64 ? fused_core<double>()
+                                                          : fused_core<float>();
+    check(kFusedCore, {Answer{std::move(x), want_[0].report}}, want_);
   }
 
   // Two workers (the fine grain needs more than one). A fine-grained owner
@@ -814,7 +863,10 @@ TEST(RouteOracle, EveryRouteMatchesTheSerialRetainedReference) {
   std::set<int> must;
   for (std::size_t i = 0; i < std::size(kMustReach); ++i) {
     const Row& row = kMustReach[i];
-    for (Route route : routes_of(row.where, row.grain)) {
+    std::vector<Route> routes = routes_of(row.where, row.grain);
+    if (row.sweeps == 0 && row.precision != Precision::F32_IR)
+      routes.push_back(kFusedCore);
+    for (Route route : routes) {
       const int c = cell(route, row.precision, row.variant, row.mix,
                          row.padded, row.width);
       must.insert(c);

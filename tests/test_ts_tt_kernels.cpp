@@ -262,5 +262,101 @@ TYPED_TEST(StackedApplyDispatchWidth, WideCallMatchesNbWideSlicesBitwise) {
   }
 }
 
+// A prebuilt TS/TT reflector applies bit for bit as the per-call (V, T)
+// apply at every width class, for Q^T and Q. The TT reflector is packed from
+// a V whose strictly lower part holds garbage: its structural zeros are
+// never read.
+TYPED_TEST(StackedApplyDispatchWidth, PrebuiltReflectorMatchesPerCallApplyBitwise) {
+  using T = TypeParam;
+  using luqr::testing::converted;
+  for (int nb : {32, 64, 128}) {
+    auto ts_r = converted<T>(random_upper(nb, 1600 + nb));
+    auto ts_v = converted<T>(random_matrix(nb, nb, 1610 + nb));
+    auto tt_r = converted<T>(random_upper(nb, 1620 + nb));
+    auto tt_v = converted<T>(random_upper(nb, 1630 + nb));
+    Matrix<T> ts_t(nb, nb), tt_t(nb, nb);
+    tsqrt(ts_r.view(), ts_v.view(), ts_t.view());
+    ttqrt(tt_r.view(), tt_v.view(), tt_t.view());
+    Matrix<T> tt_dirty = tt_v;
+    for (int j = 0; j < nb; ++j)
+      for (int i = j + 1; i < nb; ++i) tt_dirty(i, j) = T(1e30);
+    for (Trans trans : {Trans::Yes, Trans::No}) {
+      const PackedReflector<T> ts_q(QrKind::Ts, trans, ts_v.cview(), ts_t.cview());
+      const PackedReflector<T> tt_q(QrKind::Tt, trans, tt_dirty.cview(),
+                                    tt_t.cview());
+      for (int w : {1, 2, 3, nb / 2 + 1, nb - 1, nb, nb + 1, nb + 4}) {
+        SCOPED_TRACE(::testing::Message() << "nb=" << nb << " W=" << w);
+        const auto c1 = converted<T>(random_matrix(nb, w, 1700 + w));
+        const auto c2 = converted<T>(random_matrix(nb, w, 1710 + w));
+        for (bool tt : {false, true}) {
+          Matrix<T> p1 = c1, p2 = c2, q1 = c1, q2 = c2;
+          if (tt) {
+            ttmqr(trans, tt_v.cview(), tt_t.cview(), p1.view(), p2.view(),
+                  nullptr, nb);
+            ttmqr(tt_q, q1.view(), q2.view());
+          } else {
+            tsmqr(trans, ts_v.cview(), ts_t.cview(), p1.view(), p2.view(),
+                  nullptr, nb);
+            tsmqr(ts_q, q1.view(), q2.view());
+          }
+          const char* what = tt ? "ttmqr prebuilt" : "tsmqr prebuilt";
+          luqr::testing::expect_leading_columns_bitwise(q1, p1, what);
+          luqr::testing::expect_leading_columns_bitwise(q2, p2, what);
+        }
+      }
+    }
+  }
+}
+
+// An Inf or NaN in either block of [C1; C2] reaches every output element
+// that depends on it (the nonzeros of the finite response Q^T e_r), and no
+// other column: the trimmed triangles of the TT reflector drop only
+// structural zeros.
+TEST(StackedApply, NonFiniteInputReachesEveryDependentOutput) {
+  const int nb = 32;
+  auto ts_r = random_upper(nb, 1800);
+  auto ts_v = random_matrix(nb, nb, 1801);
+  auto tt_r = random_upper(nb, 1802);
+  auto tt_v = random_upper(nb, 1803);
+  Matrix<double> ts_t(nb, nb), tt_t(nb, nb);
+  tsqrt(ts_r.view(), ts_v.view(), ts_t.view());
+  ttqrt(tt_r.view(), tt_v.view(), tt_t.view());
+  const PackedReflector<double> ts_q(QrKind::Ts, Trans::Yes, ts_v.cview(),
+                                     ts_t.cview());
+  const PackedReflector<double> tt_q(QrKind::Tt, Trans::Yes, tt_v.cview(),
+                                     tt_t.cview());
+  for (bool tt : {false, true}) {
+    const auto apply = [&](Matrix<double>& c1, Matrix<double>& c2) {
+      if (tt)
+        ttmqr(tt_q, c1.view(), c2.view());
+      else
+        tsmqr(ts_q, c1.view(), c2.view());
+    };
+    for (double bad : {INFINITY, NAN}) {
+      for (int r : {0, nb / 2, nb - 1, nb, 3 * nb / 2, 2 * nb - 1}) {
+        SCOPED_TRACE(::testing::Message() << (tt ? "tt" : "ts") << " bad=" << bad
+                                          << " stacked row=" << r);
+        Matrix<double> e1(nb, 1), e2(nb, 1);
+        (r < nb ? e1(r, 0) : e2(r - nb, 0)) = 1.0;
+        apply(e1, e2);
+        auto c1 = random_matrix(nb, 3, 1900 + r);
+        auto c2 = random_matrix(nb, 3, 1950 + r);
+        (r < nb ? c1(r, 1) : c2(r - nb, 1)) = bad;
+        apply(c1, c2);
+        for (int i = 0; i < nb; ++i) {
+          if (e1(i, 0) != 0.0) {
+            EXPECT_FALSE(std::isfinite(c1(i, 1))) << "C1 " << i;
+          }
+          if (e2(i, 0) != 0.0) {
+            EXPECT_FALSE(std::isfinite(c2(i, 1))) << "C2 " << i;
+          }
+          for (int j : {0, 2})
+            EXPECT_TRUE(std::isfinite(c1(i, j)) && std::isfinite(c2(i, j))) << i;
+        }
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace luqr::kern
