@@ -218,6 +218,18 @@ TYPED_TEST(UnmqrDispatchWidth, PrebuiltReflectorMatchesPerCallApplyBitwise) {
                                                         "unmqr prebuilt");
         }
       }
+      // Q (Q^T C) = C: both packed reflectors are the operator they claim,
+      // which the per-call comparison alone (same code) cannot show.
+      const PackedReflector<T> qt(QrKind::Geqrt, Trans::Yes, vr.cview(), t.cview());
+      const PackedReflector<T> qn(QrKind::Geqrt, Trans::No, vr.cview(), t.cview());
+      const auto c = converted<T>(random_matrix(m, 5, 990 + m));
+      Matrix<T> round = c;
+      unmqr(qt, round.view());
+      unmqr(qn, round.view());
+      const double tol = sizeof(T) == sizeof(double) ? 1e-12 : 1e-4;
+      for (int j = 0; j < 5; ++j)
+        for (int i = 0; i < m; ++i)
+          ASSERT_NEAR(round(i, j), c(i, j), tol) << "Q Q^T C, nb=" << nb << " m=" << m;
     }
   }
 }

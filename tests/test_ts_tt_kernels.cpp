@@ -305,6 +305,31 @@ TYPED_TEST(StackedApplyDispatchWidth, PrebuiltReflectorMatchesPerCallApplyBitwis
         }
       }
     }
+    // Q (Q^T [C1; C2]) = [C1; C2]: the packed reflectors are the operators
+    // they claim, which the per-call comparison alone (same code) cannot show.
+    const double tol = sizeof(T) == sizeof(double) ? 1e-11 : 1e-3;
+    for (bool tt : {false, true}) {
+      const Matrix<T>& v = tt ? tt_dirty : ts_v;
+      const Matrix<T>& t = tt ? tt_t : ts_t;
+      const QrKind kind = tt ? QrKind::Tt : QrKind::Ts;
+      const PackedReflector<T> qt(kind, Trans::Yes, v.cview(), t.cview());
+      const PackedReflector<T> qn(kind, Trans::No, v.cview(), t.cview());
+      const auto c1 = converted<T>(random_matrix(nb, 5, 1720));
+      const auto c2 = converted<T>(random_matrix(nb, 5, 1721));
+      Matrix<T> r1 = c1, r2 = c2;
+      if (tt) {
+        ttmqr(qt, r1.view(), r2.view());
+        ttmqr(qn, r1.view(), r2.view());
+      } else {
+        tsmqr(qt, r1.view(), r2.view());
+        tsmqr(qn, r1.view(), r2.view());
+      }
+      for (int j = 0; j < 5; ++j)
+        for (int i = 0; i < nb; ++i) {
+          ASSERT_NEAR(r1(i, j), c1(i, j), tol) << (tt ? "tt" : "ts") << " nb=" << nb;
+          ASSERT_NEAR(r2(i, j), c2(i, j), tol) << (tt ? "tt" : "ts") << " nb=" << nb;
+        }
+    }
   }
 }
 
