@@ -8,6 +8,9 @@
 //     the QR-heavy hit over the all-LU hit (CI asserts a ceiling: both
 //     replay at the exact RHS width, so a one-column hit is O(n^2) either
 //     way)
+//   - the same systems without the service (no hashing or screening of
+//     A): Solver::factor and the one-column Factorization::solve, QR-heavy
+//     over all-LU
 //   - batched vs individual throughput for many small solves on one matrix
 //   - a mixed multi-client stress summary (jobs/s, p50/p99)
 //
@@ -64,6 +67,31 @@ ColdHit cold_and_hit(const bench::Config& c, gen::MatrixKind kind) {
   return r;
 }
 
+struct FactorSolve {
+  double factor = 1e30, solve = 1e30;  // best-of seconds
+};
+
+// The service's solver on one `kind` system, apart from the service:
+// Solver::factor, and the one-column solve from the retained factorization.
+FactorSolve factor_and_solve(const bench::Config& c, gen::MatrixKind kind) {
+  FactorSolve r;
+  const Solver solver(service_config(c.nb).solver);
+  const auto a = gen::generate(kind, c.n_max, 4242);
+  const auto b = bench::rhs_for(c.n_max);
+  for (int s = 0; s < c.samples; ++s) {
+    Timer t;
+    (void)solver.factor(a);
+    r.factor = std::min(r.factor, t.seconds());
+  }
+  const core::Factorization fac = solver.factor(a);
+  for (int s = 0; s < 5 * c.samples; ++s) {
+    Timer t;
+    (void)fac.solve(b);
+    r.solve = std::min(r.solve, t.seconds());
+  }
+  return r;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -99,6 +127,26 @@ int main(int argc, char** argv) {
   report.row("cold_request_qr").metric("ms", 1e3 * qr.cold).metric("n", n);
   report.row("cache_hit_request_qr").metric("ms", 1e3 * qr.hit).metric("n", n);
   report.row("qr_hit_over_lu_hit").metric("ratio", qr_over_lu).metric("n", n);
+
+  // The same two kinds of system without the service.
+  const FactorSolve lu_fs = factor_and_solve(c, gen::MatrixKind::DiagDominant);
+  const FactorSolve qr_fs = factor_and_solve(c, gen::MatrixKind::Random);
+  const double factor_ratio = qr_fs.factor / lu_fs.factor;
+  const double solve_ratio = qr_fs.solve / lu_fs.solve;
+  std::printf("factor         QR-heavy %8.3f ms   all-LU %8.3f ms   (%.2fx)\n",
+              1e3 * qr_fs.factor, 1e3 * lu_fs.factor, factor_ratio);
+  std::printf("1-column solve QR-heavy %8.3f ms   all-LU %8.3f ms   (%.2fx)\n",
+              1e3 * qr_fs.solve, 1e3 * lu_fs.solve, solve_ratio);
+  report.row("qr_factor_over_lu_factor")
+      .metric("ratio", factor_ratio)
+      .metric("qr_ms", 1e3 * qr_fs.factor)
+      .metric("lu_ms", 1e3 * lu_fs.factor)
+      .metric("n", n);
+  report.row("qr_solve_over_lu_solve")
+      .metric("ratio", solve_ratio)
+      .metric("qr_ms", 1e3 * qr_fs.solve)
+      .metric("lu_ms", 1e3 * lu_fs.solve)
+      .metric("n", n);
 
   // -- batched vs individual small solves ---------------------------------
   {

@@ -121,8 +121,11 @@ PanelFactorizationT<T> factor_panel_qr_tile(TileMatrix<T>& a, int k, T* backup,
     kern::Workspace::Frame frame(ws);
     MatrixView<T> t(ws.alloc<T>(static_cast<std::size_t>(nb) * nb), nb, nb, nb);
     kern::geqrt(tile, t, &ws);
-    diag_t->set(QrKind::Geqrt, ConstMatrixView<T>(tile), ConstMatrixView<T>(t),
-                keep_t);
+    diag_t->set(QrKind::Geqrt, ConstMatrixView<T>(tile), ConstMatrixView<T>(t));
+    if (keep_t) {
+      pf.diag_tfactor = Matrix<T>::for_overwrite(nb, nb);
+      kern::copy(ConstMatrixView<T>(t), pf.diag_tfactor.view());
+    }
   }
   pf.diag_t = std::move(diag_t);
 

@@ -31,6 +31,10 @@ struct PanelFactorizationT {
   /// A2/B2: the diagonal tile was factored with GEQRT instead; this is its
   /// block reflector (empty for LU-factored panels).
   std::shared_ptr<ReflectorT<T>> diag_t;
+  /// B2: the T factor of that GEQRT, for the step's right applies of Q^T
+  /// (the eliminate tasks). It lives with the step, not in the retained
+  /// reflector: no replay reads it.
+  Matrix<T> diag_tfactor;
 };
 
 using PanelFactorization = PanelFactorizationT<double>;
@@ -50,9 +54,9 @@ PanelFactorizationT<T> factor_panel(TileMatrix<T>& a, int k,
                                     bool exact_inv_norm, T* backup);
 
 /// Variant A2/B2 factor stage: GEQRT on the diagonal tile only (no
-/// pivoting), its reflector recorded in `diag_t` (keeping T as well with
-/// `keep_t`); `backup` receives the diagonal tile. Panel statistics are
-/// collected exactly as in factor_panel;
+/// pivoting), its reflector recorded in `diag_t` (and its T factor in
+/// `diag_tfactor` with `keep_t`); `backup` receives the diagonal tile.
+/// Panel statistics are collected exactly as in factor_panel;
 /// ||A_kk^{-1}||_1 is taken as ||R^{-1}||_1 (equal up to the orthogonal
 /// factor) and the MUMPS pivots as |R_jj|.
 template <typename T>

@@ -389,15 +389,10 @@ void StepGraph<T>::emit_lu(TaskSink& sink, Step& s) {
                        akk, aik);
             permute_columns_right(aik, c->pf.piv);
           } else if (variant == LuVariant::B2) {
-            apply_qt_from_right(aik, akk, c->pf.diag_t->t.cview());
+            apply_qt_from_right(aik, akk, c->pf.diag_tfactor.cview());
           }
         },
-        variant == LuVariant::B2
-            ? std::vector<Dep>{{a.tile_key(i, k), Access::ReadWrite},
-                               {diag, Access::Read},
-                               {s.pf.diag_t.get(), Access::Read}}
-            : std::vector<Dep>{{a.tile_key(i, k), Access::ReadWrite},
-                               {diag, Access::Read}},
+        {{a.tile_key(i, k), Access::ReadWrite}, {diag, Access::Read}},
         {"trsm", TaskRole::Gate, k, k});
   }
 

@@ -17,8 +17,7 @@ Matrix<T> copy_of(ConstMatrixView<T> src) {
 }  // namespace
 
 template <typename T>
-void ReflectorT<T>::set(QrKind k, ConstMatrixView<T> vv, ConstMatrixView<T> tt,
-                        bool keep_t) {
+void ReflectorT<T>::set(QrKind k, ConstMatrixView<T> vv, ConstMatrixView<T> tt) {
   kind = k;
   const int nb = vv.cols;
   const ConstMatrixView<T> t_block = tt.block(0, 0, nb, nb);
@@ -26,8 +25,8 @@ void ReflectorT<T>::set(QrKind k, ConstMatrixView<T> vv, ConstMatrixView<T> tt,
     packed = kern::PackedReflector<T>(k, Trans::Yes, vv, t_block);
   } else {
     v = copy_of(vv);
+    t = copy_of(t_block);
   }
-  if (packed.empty() || keep_t) t = copy_of(t_block);
 }
 
 template <typename T>

@@ -35,13 +35,11 @@ struct ReflectorT {
   QrKind kind = QrKind::Geqrt;
   kern::PackedReflector<T> packed;  ///< Q^T's operands (packed branch)
   Matrix<T> v;  ///< V (loop branch only)
-  Matrix<T> t;  ///< T (loop branch, or kept on request)
+  Matrix<T> t;  ///< T (loop branch only)
 
   /// Record the reflector (V, T) of a `kind` elimination, V m x k on k-wide
-  /// tiles. `keep_t` keeps T beside the packed form, for a caller that also
-  /// applies Q from the right (the B2 eliminate).
-  void set(QrKind k, kern::ConstMatrixView<T> vv, kern::ConstMatrixView<T> tt,
-           bool keep_t = false);
+  /// tiles.
+  void set(QrKind k, kern::ConstMatrixView<T> vv, kern::ConstMatrixView<T> tt);
 
   /// Q^T applied to C1 (Geqrt; `c2` unused) or to the stacked [C1; C2] (Ts,
   /// Tt), dispatched as for a tile-wide C.

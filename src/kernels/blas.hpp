@@ -92,16 +92,13 @@ void trsm_unblocked(Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
                     ConstMatrixView<T> a, MatrixView<T> b);
 
 /// B <- alpha * op(A) * B (side == Left) or alpha * B * op(A) (side == Right)
-/// with A triangular. The Left side is the op(T) * W step of every
-/// compact-WY apply (unmqr, tsmqr, ttmqr). Left calls with a triangle of
-/// m >= 128 and alpha == 1 recurse on halves of the triangle and run the
-/// off-diagonal blocks through gemm_blocked (scratch from `ws`, the calling
-/// thread's arena when null); smaller triangles, other alphas and the Right
-/// side keep the in-place loops. The choice depends on the triangle, never
-/// on the width of B, and each column's arithmetic depends on m alone, so
-/// column j of a W-wide Left trmm equals trmm on column j alone, bitwise.
+/// with A triangular, by in-place loops. The compact-WY applies use it for
+/// op(T) * W only on their loop branch below the packed-apply threshold
+/// (kern::apply_wants_packed); above it op(T) * W is a packed GEMM. A Left
+/// trmm works column by column, so column j of a W-wide Left trmm equals
+/// trmm on column j alone, bitwise.
 template <typename T>
 void trmm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
-          ConstMatrixView<T> a, MatrixView<T> b, Workspace* ws = nullptr);
+          ConstMatrixView<T> a, MatrixView<T> b);
 
 }  // namespace luqr::kern

@@ -233,12 +233,6 @@ void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
 
 namespace {
 
-// Triangle dimension from which a Left trmm takes the recursive path, and
-// the leaf size at which the recursion falls back to the dot loops. Fixed
-// here (no environment knob): both are part of every column's arithmetic.
-constexpr int kTrmmRecursiveMinM = 128;
-constexpr int kTrmmLeafM = 16;
-
 // B <- alpha op(A) B by in-place dot form over the stored triangle, per
 // column of B. The traversal direction is chosen so each b(i, j) is
 // overwritten only after every element that reads it: op(A) upper ->
@@ -281,49 +275,11 @@ void trmm_left_unblocked(Uplo uplo, Trans trans, Diag diag, T alpha,
   }
 }
 
-// B <- op(A) B by recursive halving (GEMM-based level-3 BLAS): with m1 =
-// round_up(m/2, 8), the two diagonal triangles recurse and the off-diagonal
-// block op(A)12 (or op(A)21) is one packed GEMM with beta = 1. For op(A)
-// upper, B1 <- op(A11) B1 first, then B1 += op(A)12 B2 reads B2 before
-// B2 <- op(A22) B2 overwrites it; op(A) lower runs the mirror order. The
-// split points, the leaf loops and gemm_blocked's KC-only sums all depend
-// on m alone, so every column of B sees the same arithmetic at any width.
-template <typename T>
-void trmm_left_recursive(Uplo uplo, Trans trans, Diag diag,
-                         const ConstMatrixView<T>& a, const MatrixView<T>& b,
-                         Workspace* ws) {
-  const int m = b.rows, n = b.cols;
-  if (m <= kTrmmLeafM) {
-    trmm_left_unblocked(uplo, trans, diag, T(1), a, b);
-    return;
-  }
-  const int m1 = (m / 2 + 7) / 8 * 8;
-  const int m2 = m - m1;
-  const ConstMatrixView<T> a11 = a.block(0, 0, m1, m1);
-  const ConstMatrixView<T> a22 = a.block(m1, m1, m2, m2);
-  // The stored off-diagonal block; Trans::Yes reads it transposed.
-  const ConstMatrixView<T> off =
-      uplo == Uplo::Upper ? a.block(0, m1, m1, m2) : a.block(m1, 0, m2, m1);
-  const MatrixView<T> b1 = b.block(0, 0, m1, n);
-  const MatrixView<T> b2 = b.block(m1, 0, m2, n);
-  if ((uplo == Uplo::Upper) == (trans == Trans::No)) {
-    trmm_left_recursive(uplo, trans, diag, a11, b1, ws);
-    gemm_blocked(trans, Trans::No, T(1), off, ConstMatrixView<T>(b2), T(1), b1,
-                 ws);
-    trmm_left_recursive(uplo, trans, diag, a22, b2, ws);
-  } else {
-    trmm_left_recursive(uplo, trans, diag, a22, b2, ws);
-    gemm_blocked(trans, Trans::No, T(1), off, ConstMatrixView<T>(b1), T(1), b2,
-                 ws);
-    trmm_left_recursive(uplo, trans, diag, a11, b1, ws);
-  }
-}
-
 }  // namespace
 
 template <typename T>
 void trmm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
-          ConstMatrixView<T> a, MatrixView<T> b, Workspace* ws) {
+          ConstMatrixView<T> a, MatrixView<T> b) {
   note_read(a);
   note_write(b);
   LUQR_REQUIRE(a.rows == a.cols, "trmm: A must be square");
@@ -333,13 +289,7 @@ void trmm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
   obs::KernelScope prof(obs::KernelClass::Trmm,
                         obs::trsm_model_flops(side == Side::Left, m, n));
   if (side == Side::Left) {
-    // The op(T) * W step of every compact-WY apply. Dispatch on the triangle
-    // dimension only (never the width of B), like trsm.
-    if (m >= kTrmmRecursiveMinM && alpha == T(1)) {
-      trmm_left_recursive(uplo, trans, diag, a, b, ws);
-    } else {
-      trmm_left_unblocked(uplo, trans, diag, alpha, a, b);
-    }
+    trmm_left_unblocked(uplo, trans, diag, alpha, a, b);
   } else {
     // B <- alpha B op(A), in-place column axpy form: column j of the
     // result is a combination of the columns op(A) feeds it from (l <= j
@@ -381,7 +331,7 @@ void trmm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
   template void trsm_unblocked<T>(Side, Uplo, Trans, Diag, T,            \
                                   ConstMatrixView<T>, MatrixView<T>);    \
   template void trmm<T>(Side, Uplo, Trans, Diag, T, ConstMatrixView<T>,  \
-                        MatrixView<T>, Workspace*);
+                        MatrixView<T>);
 LUQR_INST(double)
 LUQR_INST(float)
 #undef LUQR_INST

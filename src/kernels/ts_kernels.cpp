@@ -90,7 +90,7 @@ void tsmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
        dn);
   // Z <- op(T) Z.
   trmm(Side::Left, Uplo::Upper, trans, Diag::NonUnit, T(1),
-       t.block(0, 0, nb, nb), z, &ws);
+       t.block(0, 0, nb, nb), z);
   // C1 -= Z ; C2 -= V Z.
   for (int j = 0; j < n; ++j)
     for (int i = 0; i < nb; ++i) c1(i, j) -= z(i, j);

@@ -99,7 +99,7 @@ void ttmqr(Trans trans, ConstMatrixView<T> v, ConstMatrixView<T> t,
     }
   }
   trmm(Side::Left, Uplo::Upper, trans, Diag::NonUnit, T(1),
-       t.block(0, 0, nb, nb), z, &ws);
+       t.block(0, 0, nb, nb), z);
   // C1 -= Z ; C2 -= V Z (triangular V).
   for (int j = 0; j < n; ++j) {
     for (int i = 0; i < nb; ++i) c1(i, j) -= z(i, j);

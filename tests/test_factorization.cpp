@@ -195,43 +195,49 @@ TEST(Factorization, MemoryBytesAccountsForTilesAndLog) {
 }
 
 TEST(Factorization, MemoryBytesIsTheSumOfItsParts) {
-  // A QR-heavy A2 factorization (QR steps plus diagonal GEQRT reflectors on
-  // its LU steps) at a padded order. nb = 32 retains packed reflectors and
-  // no T; nb = 16 stays below the packed-apply threshold and keeps V and T.
-  for (int nb : {16, 32}) {
-    SCOPED_TRACE(::testing::Message() << "nb=" << nb);
-    const int n = 4 * nb - 5, mt = 4;
-    const auto a = gen::generate(gen::MatrixKind::Random, n, 28);
-    AlternatingCriterion crit;
-    HybridOptions opt;
-    opt.variant = LuVariant::A2;
-    const auto fac = FactorizationT<double>::compute(a, crit, nb, opt);
-    ASSERT_GT(fac.stats().qr_steps, 0);
-    ASSERT_GT(fac.stats().lu_steps, 0);
-    const bool packed = kern::apply_wants_packed(nb, nb, nb);
-    EXPECT_EQ(packed, nb == 32);
-    const auto reflector_bytes = [&](const Reflector& q) {
-      EXPECT_EQ(q.packed.empty(), !packed);
-      const std::size_t elems =
-          packed ? kern::PackedReflector<double>::size_for(q.kind, kern::Trans::Yes,
-                                                           nb, nb)
-                 : 2u * nb * nb;  // V and T
-      return sizeof(Reflector) + elems * sizeof(double);
-    };
-    std::size_t want = sizeof(fac) +
-                       static_cast<std::size_t>(mt * mt) * nb * nb * sizeof(double) +
-                       static_cast<std::size_t>(n) * n * sizeof(double);
-    for (const StepLog& step : fac.log()) {
-      want += sizeof(StepLog) +
-              (step.domain_rows.size() + step.piv.size()) * sizeof(int);
-      EXPECT_EQ(step.diag_t != nullptr, step.lu);
-      if (step.diag_t) want += reflector_bytes(*step.diag_t);
-      for (const QrOp& op : step.qr_ops)
-        want += sizeof(QrOp) + reflector_bytes(*op.reflector);
+  // QR-heavy A2 and B2 factorizations (QR steps plus diagonal GEQRT
+  // reflectors on their LU steps) at a padded order. nb = 32 retains packed
+  // reflectors and no T (B2's eliminate tasks read T from the step, which the
+  // factorization does not keep); nb = 16 stays below the packed-apply
+  // threshold and keeps V and T.
+  for (LuVariant variant : {LuVariant::A2, LuVariant::B2}) {
+    for (int nb : {16, 32}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "variant=" << static_cast<int>(variant) << " nb=" << nb);
+      const int n = 4 * nb - 5, mt = 4;
+      const auto a = gen::generate(gen::MatrixKind::Random, n, 28);
+      AlternatingCriterion crit;
+      HybridOptions opt;
+      opt.variant = variant;
+      const auto fac = FactorizationT<double>::compute(a, crit, nb, opt);
+      ASSERT_GT(fac.stats().qr_steps, 0);
+      ASSERT_GT(fac.stats().lu_steps, 0);
+      const bool packed = kern::apply_wants_packed(nb, nb, nb);
+      EXPECT_EQ(packed, nb == 32);
+      const auto reflector_bytes = [&](const Reflector& q) {
+        EXPECT_EQ(q.packed.empty(), !packed);
+        const std::size_t elems =
+            packed ? kern::PackedReflector<double>::size_for(
+                         q.kind, kern::Trans::Yes, nb, nb)
+                   : 2u * nb * nb;  // V and T
+        return sizeof(Reflector) + elems * sizeof(double);
+      };
+      std::size_t want =
+          sizeof(fac) +
+          static_cast<std::size_t>(mt * mt) * nb * nb * sizeof(double) +
+          static_cast<std::size_t>(n) * n * sizeof(double);
+      for (const StepLog& step : fac.log()) {
+        want += sizeof(StepLog) +
+                (step.domain_rows.size() + step.piv.size()) * sizeof(int);
+        EXPECT_EQ(step.diag_t != nullptr, step.lu);
+        if (step.diag_t) want += reflector_bytes(*step.diag_t);
+        for (const QrOp& op : step.qr_ops)
+          want += sizeof(QrOp) + reflector_bytes(*op.reflector);
+      }
+      for (const StepRecord& rec : fac.stats().steps)
+        want += sizeof(StepRecord) + rec.diag_piv.size() * sizeof(int);
+      EXPECT_EQ(fac.memory_bytes(), want);
     }
-    for (const StepRecord& rec : fac.stats().steps)
-      want += sizeof(StepRecord) + rec.diag_piv.size() * sizeof(int);
-    EXPECT_EQ(fac.memory_bytes(), want);
   }
 }
 

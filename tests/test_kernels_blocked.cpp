@@ -3,14 +3,12 @@
 // transpose variants (odd shapes, ld > rows, the alpha/beta grid), the
 // NaN/Inf propagation regression (the seed's zero-skip bug), determinism of
 // the blocked path on and off engine workers, workspace reuse, tile
-// alignment, and trmm (parity, the recursive Left path's width invariance
-// and NaN propagation).
+// alignment, and trmm parity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 
 #include "common/rng.hpp"
@@ -378,126 +376,6 @@ TEST(TrmmFuzz, RightSideLeavesOtherColumnsExact) {
   trmm(Side::Right, Uplo::Upper, Trans::No, Diag::NonUnit, 2.0, a.cview(),
        b.view());
   for (int i = 0; i < 17; ++i) EXPECT_EQ(b(i, 0), 2.0 * (3.0 * orig(i, 0)));
-}
-
-// ---------------------------------------------------------------------------
-// Recursive Left trmm (m >= 128): triangle halves recurse, the off-diagonal
-// blocks run through gemm_blocked
-// ---------------------------------------------------------------------------
-
-const Uplo kUplos[] = {Uplo::Lower, Uplo::Upper};
-const Trans kTranses[] = {Trans::No, Trans::Yes};
-const Diag kDiags[] = {Diag::NonUnit, Diag::Unit};
-
-template <typename T>
-Matrix<T> gaussian_matrix(int rows, int cols, Rng& rng) {
-  Matrix<T> x(rows, cols);
-  for (int c = 0; c < cols; ++c)
-    for (int r = 0; r < rows; ++r) x(r, c) = static_cast<T>(rng.gaussian());
-  return x;
-}
-
-template <typename T>
-void trmm_left_large_body(std::uint64_t seed, T tol) {
-  Rng rng(seed);
-  // Around and above the recursive threshold, with m not a multiple of 8
-  // (odd split points and ragged leaves) and the unblocked m = 100 below it.
-  for (int m : {100, 128, 131, 197, 240, 257, 300}) {
-    for (Uplo uplo : kUplos)
-      for (Trans trans : kTranses)
-        for (Diag diag : kDiags) {
-          const int n = 1 + static_cast<int>(rng.uniform() * 24);
-          // ld > rows on both operands.
-          Matrix<T> astore = gaussian_matrix<T>(m + 5, m, rng);
-          Matrix<T> bstore = gaussian_matrix<T>(m + 3, n, rng);
-          const ConstMatrixView<T> a = astore.cview().block(0, 0, m, m);
-          const MatrixView<T> b = bstore.view().block(0, 0, m, n);
-          const Matrix<T> borig = bstore;
-          const Matrix<T> opa = dense_triangle(a, uplo, trans, diag);
-          Matrix<T> ref(m, n);
-          ref_gemm(Trans::No, Trans::No, T(1), opa.cview(),
-                   ConstMatrixView<T>(b), T(0), ref.view());
-
-          trmm(Side::Left, uplo, trans, diag, T(1), a, b);
-
-          T worst = T(0);
-          for (int c = 0; c < n; ++c)
-            for (int r = 0; r < m; ++r)
-              worst = std::max(worst, std::abs(b(r, c) - ref(r, c)));
-          EXPECT_LE(worst, tol * static_cast<T>(m + 1))
-              << "uplo=" << (uplo == Uplo::Lower ? "lo" : "up")
-              << " trans=" << (trans == Trans::No ? "N" : "T")
-              << " diag=" << (diag == Diag::Unit ? "U" : "N") << " m=" << m
-              << " n=" << n;
-          // The rows below m in B's storage are never written.
-          for (int c = 0; c < n; ++c)
-            for (int r = m; r < m + 3; ++r)
-              ASSERT_EQ(bstore(r, c), borig(r, c));
-        }
-  }
-}
-
-TEST(TrmmRecursive, LeftLargeAllVariantsDouble) {
-  trmm_left_large_body<double>(78001, 1e-14);
-}
-
-TEST(TrmmRecursive, LeftLargeAllVariantsFloat) {
-  trmm_left_large_body<float>(78002, 2e-6f);
-}
-
-// Column j of a W-wide Left trmm equals trmm on column j alone, bit for bit:
-// the dispatch and every split depend on the triangle dimension only.
-TEST(TrmmRecursive, LeftColumnsAreWidthInvariantBitwise) {
-  Rng rng(78003);
-  for (int m : {128, 240}) {
-    const Matrix<double> a = gaussian_matrix<double>(m, m, rng);
-    for (Uplo uplo : kUplos)
-      for (Trans trans : kTranses)
-        for (int w : {1, 3, 37, 128}) {
-          const Matrix<double> b0 = gaussian_matrix<double>(m, w, rng);
-          Matrix<double> wide = b0;
-          trmm(Side::Left, uplo, trans, Diag::NonUnit, 1.0, a.cview(),
-               wide.view());
-          for (int j = 0; j < w; ++j) {
-            Matrix<double> col(m, 1);
-            for (int i = 0; i < m; ++i) col(i, 0) = b0(i, j);
-            trmm(Side::Left, uplo, trans, Diag::NonUnit, 1.0, a.cview(),
-                 col.view());
-            ASSERT_EQ(0, std::memcmp(&col(0, 0), &wide(0, j),
-                                     sizeof(double) * static_cast<std::size_t>(m)))
-                << "m=" << m << " w=" << w << " j=" << j
-                << " uplo=" << (uplo == Uplo::Lower ? "lo" : "up")
-                << " trans=" << (trans == Trans::No ? "N" : "T");
-          }
-        }
-  }
-}
-
-// A NaN in B(r, j) reaches every output row op(A) couples to row r (rows
-// i <= r when op(A) is upper, i >= r when lower) and no other element.
-TEST(TrmmRecursive, NanInBReachesEveryTouchedRow) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  Rng rng(78004);
-  const int m = 240, n = 5, j = 2;
-  const Matrix<double> a = gaussian_matrix<double>(m, m, rng);
-  for (Uplo uplo : kUplos)
-    for (Trans trans : kTranses)
-      for (Diag diag : kDiags)
-        for (int r : {0, 77, 128, m - 1}) {
-          Matrix<double> b = gaussian_matrix<double>(m, n, rng);
-          b(r, j) = nan;
-          trmm(Side::Left, uplo, trans, diag, 1.0, a.cview(), b.view());
-          const bool op_upper = (uplo == Uplo::Upper) == (trans == Trans::No);
-          for (int c = 0; c < n; ++c)
-            for (int i = 0; i < m; ++i) {
-              const bool touched = c == j && (op_upper ? i <= r : i >= r);
-              ASSERT_EQ(touched, std::isnan(b(i, c)))
-                  << "row " << i << " col " << c << " nan row " << r
-                  << " uplo=" << (uplo == Uplo::Lower ? "lo" : "up")
-                  << " trans=" << (trans == Trans::No ? "N" : "T")
-                  << " diag=" << (diag == Diag::Unit ? "U" : "N");
-            }
-        }
 }
 
 }  // namespace

@@ -111,7 +111,12 @@ int cell(Route route, Precision p, LuVariant v, Mix mix, bool padded, Width w) {
 // The knobs a must-reach row fixes. nb = 0, sweeps = -1 and growth = -1
 // leave those drawn; growth = 1 turns growth tracking on. A deep row fixes
 // six 16-wide tile rows on a 2x2 grid and, on a pool, four threads: the
-// deepest graphs, with look-ahead across the most steps.
+// deepest graphs, with look-ahead across the most steps. A wide row fixes
+// four 128-wide tile rows (blocked panels, packed reflectors, three
+// eliminations in a first QR step) on a wide_p x 1 grid (wide_p = 2 adds
+// the distributed TT tree) with the local tree `local`.
+enum class Shape { Drawn, Deep, Wide };
+
 struct Row {
   Precision precision;
   LuVariant variant;
@@ -123,12 +128,17 @@ struct Row {
   int nb = 0;
   int sweeps = -1;
   int growth = -1;
-  bool deep = false;
+  Shape shape = Shape::Drawn;
+  int wide_p = 1;
+  hqr::LocalTree local = hqr::LocalTree::FlatTS;
 };
 
 using P = Precision;
 using V = LuVariant;
-constexpr bool kPad = true, kExact = false, kDeep = true;
+constexpr bool kPad = true, kExact = false;
+constexpr Shape kDeep = Shape::Deep, kWide = Shape::Wide;
+constexpr hqr::LocalTree kFlatTs = hqr::LocalTree::FlatTS,
+                         kGreedy = hqr::LocalTree::Greedy;
 
 // The first rows hold the configurations the former pairwise parity tests
 // checked (named in the comments); the rest reach cells no test did.
@@ -183,11 +193,13 @@ const Row kMustReach[] = {
     {P::F32_IR, V::B2, Mix::Mixed, kPad, Width::One, Where::Shared, Grain::Coarse, 0, -1, 1},
     {P::F64, V::B1, Mix::Mixed, kPad, Width::BeyondNb, Where::Serial, Grain::Fine},
     // Float fused == float retained (fused/core) on QR-heavy draws, up to
-    // nb + 4 columns, nb = 128 (blocked panels, packed reflectors) included;
-    // formerly the f32 half of ExactWidthPanelOnQrFactorizations.
-    {P::F32, V::A1, Mix::QR, kExact, Width::BeyondNb, Where::Serial, Grain::Coarse, 128, 0},
-    {P::F32, V::A2, Mix::Mixed, kPad, Width::UpToNb, Where::Pool, Grain::Fine, 128, 0},
-    {P::F32, V::B2, Mix::Mixed, kExact, Width::BeyondNb, Where::Shared, Grain::Coarse, 128, 0},
+    // nb + 4 columns; formerly the f32 half of
+    // ExactWidthPanelOnQrFactorizations. The wide rows run every variant at
+    // nb = 128, FlatTS and Greedy each on one process row and on two.
+    {P::F32, V::A1, Mix::QR, kExact, Width::BeyondNb, Where::Serial, Grain::Coarse, 0, 0, -1, kWide, 1, kFlatTs},
+    {P::F32, V::A2, Mix::Mixed, kPad, Width::UpToNb, Where::Pool, Grain::Fine, 0, 0, -1, kWide, 2, kGreedy},
+    {P::F32, V::B1, Mix::Mixed, kPad, Width::One, Where::Pool, Grain::Coarse, 0, 0, -1, kWide, 1, kGreedy},
+    {P::F32, V::B2, Mix::Mixed, kExact, Width::BeyondNb, Where::Shared, Grain::Coarse, 0, 0, -1, kWide, 2, kFlatTs},
     {P::F32, V::B1, Mix::Mixed, kPad, Width::BeyondNb, Where::Pool, Grain::Coarse, 32, 0},
     {P::F32, V::B2, Mix::QR, kExact, Width::One, Where::Serial, Grain::Fine, 32, 0},
     {P::F32, V::A1, Mix::Mixed, kExact, Width::UpToNb, Where::Shared, Grain::Coarse, 16, 0},
@@ -251,13 +263,20 @@ struct Draw {
 };
 
 // A random criterion whose seed makes the mt steps take both LU and QR.
+// On more than two tile rows one of its QR steps comes before the last, so
+// it eliminates tiles below the diagonal.
 CriterionSpec mixed_random(int mt, Rng& rng) {
   for (;;) {
     const CriterionSpec spec = CriterionSpec::random(0.5, rng.next_u64());
     const auto crit = make_criterion(spec);
     int lu = 0;
-    for (int k = 0; k < mt; ++k) lu += crit->accept_lu(PanelInfo{}) ? 1 : 0;
-    if (lu > 0 && lu < mt) return spec;
+    bool eliminates = false;
+    for (int k = 0; k < mt; ++k) {
+      const bool step_lu = crit->accept_lu(PanelInfo{});
+      lu += step_lu ? 1 : 0;
+      eliminates = eliminates || (!step_lu && k + 1 < mt);
+    }
+    if (lu > 0 && lu < mt && (mt <= 2 || eliminates)) return spec;
   }
 }
 
@@ -275,11 +294,14 @@ Draw make_draw(std::uint64_t seed, const Row* row) {
                     static_cast<Mix>(pick(kMixes)), pick(2) == 1,
                     static_cast<Width>(pick(kWidths)),
                     static_cast<Where>(pick(3)), static_cast<Grain>(pick(2))};
+  const bool deep = d.row.shape == Shape::Deep;
+  const bool wide = d.row.shape == Shape::Wide;
   static constexpr int kTiles[] = {8, 16, 32};
-  d.nb = d.row.deep ? 16 : d.row.nb != 0 ? d.row.nb : kTiles[pick(3)];
+  d.nb = deep ? 16 : wide ? 128 : d.row.nb != 0 ? d.row.nb : kTiles[pick(3)];
   // At most four tile rows and n <= 96 below nb = 64; a mix needs two.
   const int max_mt = std::max(2, std::min(4, 96 / d.nb));
-  const int mt = d.row.deep               ? 6
+  const int mt = deep                      ? 6
+                 : wide                    ? 4
                  : d.row.mix == Mix::Mixed ? 2 + pick(max_mt - 1)
                                            : 1 + pick(max_mt);
   d.n = mt * d.nb - (d.row.padded ? 1 + pick(d.nb - 1) : 0);
@@ -289,13 +311,18 @@ Draw make_draw(std::uint64_t seed, const Row* row) {
                                            : (1 + pick(2)) * d.nb + 1 + pick(4);
   d.sweeps = d.row.sweeps >= 0 ? d.row.sweeps : 2 * pick(2);
   d.growth = d.row.growth >= 0 ? d.row.growth == 1 : pick(2) == 1;
-  d.threads = d.row.deep ? 4 : 1 + pick(3);
+  d.threads = deep ? 4 : 1 + pick(3);
   d.tree = {static_cast<hqr::LocalTree>(pick(5)),
             static_cast<hqr::DistTree>(pick(4))};
   static constexpr int kGrids[][2] = {{1, 1}, {2, 1}, {1, 2}, {2, 2}, {3, 1}};
-  const int g = d.row.deep ? 3 : pick(5);
+  const int g = deep ? 3 : pick(5);
   d.grid_p = kGrids[g][0];
   d.grid_q = kGrids[g][1];
+  if (wide) {
+    d.tree.local = d.row.local;
+    d.grid_p = d.row.wide_p;
+    d.grid_q = 1;
+  }
   d.scope = static_cast<core::PivotScope>(pick(3));
   switch (d.row.mix) {
     case Mix::LU: d.criterion = CriterionSpec::always_lu(); break;
